@@ -317,6 +317,8 @@ def _cmd_dual(args) -> tuple[dict, dict, int]:
         report = dual_gram(ell, pd_tol=args.tolerance)
     except NotRealizable as exc:
         return inputs, {"error": str(exc)}, 2
+    except ValueError as exc:  # e.g. a 1-simplex has no facet normals
+        raise UsageError(str(exc)) from exc
     try:
         kernel = null_direction(report.gstar)
     except NullityNotOne as exc:
@@ -460,6 +462,22 @@ def _cmd_optimize(args) -> tuple[dict, dict, int]:
     return inputs, results, 3 if any_failed else 0
 
 
+#: bounds of ``probe --samples``; a probe holds samples * n^2 floats at once
+_MIN_SAMPLES, _MAX_SAMPLES = 3, 100_000
+
+
+def _sample_count(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if not (_MIN_SAMPLES <= value <= _MAX_SAMPLES):
+        raise argparse.ArgumentTypeError(
+            f"must lie in {_MIN_SAMPLES}..{_MAX_SAMPLES}, got {value}"
+        )
+    return value
+
+
 def _add_common(sub: argparse.ArgumentParser, *, with_lengths: bool = True) -> None:
     sub.add_argument(
         "--tolerance",
@@ -507,7 +525,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("first")
     p.add_argument("second")
     p.add_argument("--mode", choices=["log", "root"], required=True)
-    p.add_argument("--samples", type=int, default=33)
+    p.add_argument("--samples", type=_sample_count, default=33)
     p.add_argument("--face", help="restrict log mode to a face")
     _add_common(p)
 

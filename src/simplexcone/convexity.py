@@ -15,6 +15,13 @@ of ``volume^(1/n)``, together with the analytic second derivative along
 the segment, which is the authoritative check: since the Gram matrix is
 linear in the squared lengths, the analytic value is available in
 closed form at every sample.
+
+The two endpoints are certified by :func:`validate` (Jacobi).  The sample
+points are then factored together: their Gram matrices form one
+``(samples, k, k)`` stack that goes through a single LAPACK ``eigh`` call
+(plus one ``eigvalsh`` call on the full-simplex stack when the probed face
+is proper), with the PD test of ``validate`` applied row by row.  The
+tests hold this path to the Jacobi solver sample by sample.
 """
 
 from __future__ import annotations
@@ -24,13 +31,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_PD_TOL, eigendecompose
+from .linalg import DEFAULT_PD_TOL
 from .simplex import (
     SquaredEdgeLengths,
     ValidityReport,
     Verdict,
-    face_squared_lengths,
-    gram_from_squared_lengths,
+    _face_edges,
+    _gram_stack,
     validate,
 )
 
@@ -97,6 +104,19 @@ def nontri_instance(epsilon: float, *, pd_tol: float = DEFAULT_PD_TOL) -> Counte
     )
 
 
+def _frankel_pieces(
+    epsilon: float,
+) -> tuple[SquaredEdgeLengths, SquaredEdgeLengths, SquaredEdgeLengths]:
+    """The tetrahedra A and B of the length-sum family, and C_len."""
+    if not (epsilon > 0.0) or not math.isfinite(epsilon):
+        raise ValueError("epsilon must be positive")
+    e2 = epsilon * epsilon
+    a = SquaredEdgeLengths(3, np.array([1.0, 1.0, 1.0, e2, 2.0, 2.0]))
+    b = SquaredEdgeLengths(3, np.array([1.0, 1.0, 1.0, 2.0, e2, 2.0]))
+    c_len = SquaredEdgeLengths(3, (np.sqrt(a.s) + np.sqrt(b.s)) ** 2)
+    return a, b, c_len
+
+
 def frankel_instance(epsilon: float, *, pd_tol: float = DEFAULT_PD_TOL) -> CounterexampleInstance:
     """Two Valid tetrahedra A, B whose length sum C_len fails for small epsilon.
 
@@ -106,12 +126,7 @@ def frankel_instance(epsilon: float, *, pd_tol: float = DEFAULT_PD_TOL) -> Count
     ``squared_sum`` adds the squared lengths (the cone combination);
     for small ``epsilon`` the first is Invalid while the second is Valid.
     """
-    if not (epsilon > 0.0) or not math.isfinite(epsilon):
-        raise ValueError("epsilon must be positive")
-    e2 = epsilon * epsilon
-    a = SquaredEdgeLengths(3, np.array([1.0, 1.0, 1.0, e2, 2.0, 2.0]))
-    b = SquaredEdgeLengths(3, np.array([1.0, 1.0, 1.0, 2.0, e2, 2.0]))
-    c_len = SquaredEdgeLengths(3, (np.sqrt(a.s) + np.sqrt(b.s)) ** 2)
+    a, b, c_len = _frankel_pieces(epsilon)
     squared_sum = cone_combine(a, b, 1.0, 1.0)
     pieces = {
         "A": (a, validate(a, pd_tol=pd_tol)),
@@ -165,8 +180,9 @@ def frankel_length_threshold(
     """Bisected epsilon above which the plain length sum C_len becomes Valid."""
 
     def is_valid(eps: float) -> bool:
-        _, report = frankel_instance(eps, pd_tol=pd_tol).pieces["C_len"]
-        return report.verdict is Verdict.VALID
+        # only C_len decides the threshold, so A, B and their sum go unfactored
+        _, _, c_len = _frankel_pieces(eps)
+        return validate(c_len, pd_tol=pd_tol).verdict is Verdict.VALID
 
     return _bisect_validity(is_valid, lo, hi, tol)
 
@@ -190,14 +206,22 @@ class ConcavityProbeReport:
     passed: bool
 
 
-def _segment_points(
+def _segment_logdet(
     first: SquaredEdgeLengths,
     second: SquaredEdgeLengths,
+    face: tuple[int, ...],
     samples: int,
     pd_tol: float,
-    *,
-    check_interior: bool = True,
-) -> tuple[np.ndarray, list[SquaredEdgeLengths]]:
+) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+    """Face dimension k, and log det of the face Gram matrix with its first
+    two derivatives along the segment, at ``samples`` equally spaced points.
+
+    The endpoints are certified by :func:`validate`; every sample point is
+    then factored at once as one ``(samples, k, k)`` stack.  Along the
+    segment the Gram matrix moves by the constant ``delta = G2 - G1``, so
+    with ``G = V diag(w) V^T`` and ``R = V^T delta V`` the derivatives are
+    ``sum_i R_ii / w_i`` and ``-sum_ij R_ij^2 / (w_i w_j)``.
+    """
     if first.n != second.n:
         raise ValueError("dimension mismatch")
     if samples < 3:
@@ -205,45 +229,47 @@ def _segment_points(
     for name, ell in (("first", first), ("second", second)):
         if validate(ell, pd_tol=pd_tol).verdict is not Verdict.VALID:
             raise ValueError(f"{name} endpoint is not Valid")
+    n = first.n
     ts = np.linspace(0.0, 1.0, samples)
-    points = []
-    for t in ts:
-        ell_t = cone_combine(first, second, 1.0 - float(t), float(t))
-        # callers probing the full simplex recheck validity from their own
-        # factorization, so they skip this pass
-        if check_interior and validate(ell_t, pd_tol=pd_tol).verdict is not Verdict.VALID:
-            raise RuntimeError(
-                f"segment point t={t} left the Valid cone; this contradicts convexity"
-            )
-        points.append(ell_t)
-    return ts, points
+    rows = (1.0 - ts)[:, None] * first.s + ts[:, None] * second.s
+    k, idx = _face_edges(n, face)
 
+    def first_failure(w: np.ndarray) -> float | None:
+        # the PD test of ``validate``, applied row by row
+        scale = np.maximum(1.0, np.abs(w).max(axis=1))
+        bad = np.flatnonzero(~(w[:, 0] > pd_tol * scale))
+        return float(ts[bad[0]]) if bad.size else None
 
-def _sample_logdet(
-    gram: np.ndarray, delta: np.ndarray, pd_tol: float
-) -> tuple[float, float, float] | None:
-    """log det, and its first two derivatives along ``delta``, from one
-    eigendecomposition; ``None`` when the matrix is not acceptably PD."""
-    dec = eigendecompose(gram)
-    w = dec.eigenvalues
-    if w[0] <= pd_tol * max(1.0, float(np.abs(w).max())):
-        return None
-    rotated = dec.basis.T @ delta @ dec.basis
-    logdet = float(np.log(w).sum())
-    first = float((np.diag(rotated) / w).sum())
-    second = -float((rotated * rotated / np.outer(w, w)).sum())
-    return logdet, first, second
+    left_cone = "segment point t={} left the Valid cone; this contradicts convexity"
+    if k != n:
+        # a proper face's factorization cannot certify the full simplices,
+        # so their segment is checked as well: the convexity tripwire
+        t = first_failure(np.linalg.eigvalsh(_gram_stack(n, rows)))
+        if t is not None:
+            raise RuntimeError(left_cone.format(t))
+    w, basis = np.linalg.eigh(_gram_stack(k, rows[:, idx]))
+    t = first_failure(w)
+    if t is not None:
+        raise RuntimeError(
+            f"face volume vanished at t={t}" if k != n else left_cone.format(t)
+        )
+    delta = _gram_stack(k, second.s[idx]) - _gram_stack(k, first.s[idx])
+    rotated = basis.transpose(0, 2, 1) @ delta @ basis
+    logdet = np.log(w).sum(axis=1)
+    d1 = (np.diagonal(rotated, axis1=1, axis2=2) / w).sum(axis=1)
+    d2 = -(rotated * rotated / (w[:, :, None] * w[:, None, :])).sum(axis=(1, 2))
+    return k, logdet, d1, d2
 
 
 def _discrete_margins(values: np.ndarray) -> tuple[float, float]:
+    """Worst midpoint defect over all sample pairs an even gap apart, and
+    worst second difference; one array slice per gap, O(m) memory."""
     m = values.size
     worst_mid = math.inf
-    for i in range(m):
-        for j in range(i + 2, m, 2):
-            mid = (i + j) // 2
-            defect = values[mid] - 0.5 * (values[i] + values[j])
-            if defect < worst_mid:
-                worst_mid = float(defect)
+    for gap in range(2, m, 2):
+        half = gap // 2
+        defect = values[half : m - half] - 0.5 * (values[: m - gap] + values[gap:])
+        worst_mid = min(worst_mid, float(defect.min()))
     second = 2.0 * values[1:-1] - values[:-2] - values[2:]
     return worst_mid, float(second.min())
 
@@ -287,33 +313,9 @@ def probe_log_concavity(
     """
     if face is None:
         face = range(first.n + 1)
-    face = tuple(face)
-    # when the face is the whole vertex set, the face factorization below
-    # already certifies every segment point, so the extra interior pass is
-    # redundant; proper faces still need it as the convexity tripwire
-    proper = len(face) != first.n + 1
-    ts, points = _segment_points(first, second, samples, pd_tol, check_interior=proper)
-    k = len(face) - 1
-    g1 = gram_from_squared_lengths(face_squared_lengths(first, face))
-    g2 = gram_from_squared_lengths(face_squared_lengths(second, face))
-    delta = g2 - g1
-    delta = (delta + delta.T) / 2.0
-    log_kfact = math.log(math.factorial(k))
-    values = np.empty(samples)
-    analytic = np.empty(samples)
-    for idx, (t, ell_t) in enumerate(zip(ts, points)):
-        gt = gram_from_squared_lengths(face_squared_lengths(ell_t, face))
-        sample = _sample_logdet(gt, delta, pd_tol)
-        if sample is None:
-            if proper:
-                raise RuntimeError(f"face volume vanished at t={t}")
-            raise RuntimeError(
-                f"segment point t={t} left the Valid cone; this contradicts convexity"
-            )
-        logdet, _, ddld = sample
-        values[idx] = 0.5 * logdet - log_kfact
-        analytic[idx] = 0.5 * ddld
-    return _finish_report(samples, values, analytic)
+    k, logdet, _, d2 = _segment_logdet(first, second, tuple(face), samples, pd_tol)
+    values = 0.5 * logdet - math.log(math.factorial(k))
+    return _finish_report(samples, values, 0.5 * d2)
 
 
 def probe_root_concavity(
@@ -329,26 +331,9 @@ def probe_root_concavity(
     ``vol^(1/n) * (u''/n + (u'/n)^2)``, where u' and u'' come from the
     trace formulas for the first two log-det derivatives.
     """
-    ts, points = _segment_points(first, second, samples, pd_tol, check_interior=False)
     n = first.n
-    g1 = gram_from_squared_lengths(first)
-    g2 = gram_from_squared_lengths(second)
-    delta = g2 - g1
-    delta = (delta + delta.T) / 2.0
-    log_nfact = math.log(math.factorial(n))
-    values = np.empty(samples)
-    analytic = np.empty(samples)
-    for idx, (t, ell_t) in enumerate(zip(ts, points)):
-        gt = gram_from_squared_lengths(ell_t)
-        sample = _sample_logdet(gt, delta, pd_tol)
-        if sample is None:
-            raise RuntimeError(
-                f"segment point t={t} left the Valid cone; this contradicts convexity"
-            )
-        logdet, dld, ddld = sample
-        root = math.exp((0.5 * logdet - log_nfact) / n)
-        values[idx] = root
-        du = 0.5 * dld
-        ddu = 0.5 * ddld
-        analytic[idx] = root * (ddu / n + (du / n) ** 2)
-    return _finish_report(samples, values, analytic)
+    _, logdet, d1, d2 = _segment_logdet(first, second, tuple(range(n + 1)), samples, pd_tol)
+    values = np.exp((0.5 * logdet - math.log(math.factorial(n))) / n)
+    du = 0.5 * d1
+    ddu = 0.5 * d2
+    return _finish_report(samples, values, values * (ddu / n + (du / n) ** 2))

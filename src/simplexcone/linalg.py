@@ -1,13 +1,14 @@
 """Dense symmetric linear-algebra kernels.
 
-Everything in this package funnels through a handful of small-matrix
+Single-instance questions funnel through a handful of small-matrix
 primitives: a cyclic Jacobi eigensolver, an unpivoted Cholesky
 factorization, determinants as eigenvalue products, adjugates, and the
 first two directional derivatives of ``log det``.  Matrices here are
 tiny (a simplex of dimension n yields n-by-n Gram matrices), so the
-Jacobi iteration is both fast enough and extremely accurate, and it
-keeps the numerical behaviour of the package independent of any LAPACK
-build details.
+Jacobi iteration is both fast enough and extremely accurate.  Stacks of
+matrices (the sample points of a concavity probe, the faces in the
+optimizer) go through numpy's LAPACK bindings instead; the tests check
+the probe's stacked results against this solver sample by sample.
 
 Symmetry is enforced exactly: a matrix is accepted as symmetric only if
 ``m[i, j] == m[j, i]`` bitwise.  Callers that assemble symmetric

@@ -162,17 +162,26 @@ def _gram_templates(n: int) -> tuple[np.ndarray, np.ndarray]:
     return apex, pair
 
 
+def _gram_stack(n: int, rows: np.ndarray) -> np.ndarray:
+    """Gram matrices of a stack of squared-length vectors of dimension n.
+
+    ``rows`` has shape ``(..., n*(n+1)/2)``; the result has shape
+    ``(..., n, n)``, every matrix exactly symmetric.
+    """
+    apex_idx, pair_idx = _gram_templates(n)
+    apex = rows[..., apex_idx]
+    g = 0.5 * (apex[..., :, None] + apex[..., None, :] - rows[..., pair_idx])
+    diag = np.arange(n)
+    g[..., diag, diag] = apex
+    return g
+
+
 def gram_from_squared_lengths(ell: SquaredEdgeLengths) -> np.ndarray:
     """Gram matrix of the vertex-0-anchored difference vectors.
 
     Exactly symmetric by construction and linear in the input vector.
     """
-    n = ell.n
-    apex_idx, pair_idx = _gram_templates(n)
-    apex = ell.s[apex_idx]
-    g = 0.5 * (apex[:, None] + apex[None, :] - ell.s[pair_idx])
-    np.fill_diagonal(g, apex)
-    return g
+    return _gram_stack(ell.n, ell.s)
 
 
 def squared_lengths_from_gram(g) -> SquaredEdgeLengths:
@@ -259,7 +268,9 @@ def volume(ell: SquaredEdgeLengths, *, pd_tol: float = DEFAULT_PD_TOL) -> float:
         raise NotRealizable("no Euclidean simplex has these squared edge lengths")
     if verdict is Verdict.DEGENERATE:
         return 0.0
-    return math.sqrt(float(np.prod(w))) / math.factorial(ell.n)
+    # a product of roots, not the root of a product: det G itself can
+    # overflow while the volume is still a finite float
+    return float(np.prod(np.sqrt(w))) / math.factorial(ell.n)
 
 
 def _normalize_face(face: Iterable[int], n: int, *, minimum: int = 2) -> tuple[int, ...]:
@@ -274,14 +285,19 @@ def _normalize_face(face: Iterable[int], n: int, *, minimum: int = 2) -> tuple[i
     return verts
 
 
+def _face_edges(n: int, face: Iterable[int]) -> tuple[int, np.ndarray]:
+    """Dimension k of a face and the positions of its edges in an
+    n-simplex's edge vector, in the face's own edge order (its vertices
+    relabeled 0..k in increasing order)."""
+    verts = _normalize_face(face, n)
+    k = len(verts) - 1
+    return k, np.array([edge_index(n, verts[a], verts[b]) for a, b in edge_pairs(k)])
+
+
 def face_squared_lengths(ell: SquaredEdgeLengths, face: Iterable[int]) -> SquaredEdgeLengths:
     """Restriction to a face, vertices relabeled 0..k in increasing order."""
-    verts = _normalize_face(face, ell.n)
-    k = len(verts) - 1
-    s = np.empty(edge_count(k))
-    for pos, (a, b) in enumerate(edge_pairs(k)):
-        s[pos] = ell.entry(verts[a], verts[b])
-    return SquaredEdgeLengths(k, s)
+    k, idx = _face_edges(ell.n, face)
+    return SquaredEdgeLengths(k, ell.s[idx])
 
 
 def face_volume(

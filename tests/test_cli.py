@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from simplexcone.cli import UsageError, main, parse_instance, run
+from simplexcone.cli import UsageError, build_parser, main, parse_instance, run
 
 UNIT_TRIANGLE = '{"dimension": 2, "squared_lengths": [1, 1, 1]}'
 UNIT_TETRA = '{"dimension": 3, "squared_lengths": [1, 1, 1, 1, 1, 1]}'
@@ -173,6 +173,15 @@ def test_dual_right_triangle(capsys):
     assert res["ratio"]["squared_area_ratio"] == pytest.approx(2.0, rel=1e-12)
 
 
+def test_dual_one_simplex_is_a_usage_error(capsys):
+    # a segment has no facet normals: a message and exit 1, not a traceback
+    assert run(["dual", '{"dimension": 1, "squared_lengths": [2.0]}']) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert "dimension >= 2" in captured.err
+
+
 # ---------------------------------------------------------------------------
 # probe
 
@@ -197,6 +206,20 @@ def test_probe_root_mode(capsys):
     )
     assert code == 0
     assert report["results"]["passed"] is True
+
+
+def test_probe_samples_bounded_at_parse_time(capsys):
+    # rejected by the parser, so no sample stack is ever allocated
+    second = '{"dimension": 2, "squared_lengths": [2, 2, 2]}'
+    for value in ("2", "100001", "-5", "many"):
+        argv = ["probe", UNIT_TRIANGLE, second, "--mode", "log", "--samples", value]
+        assert run(argv) == 1, value
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: argument --samples"), value
+    for value in ("3", "100000"):
+        args = build_parser().parse_args(["probe", "a", "b", "--mode", "log", "--samples", value])
+        assert args.samples == int(value)
 
 
 # ---------------------------------------------------------------------------

@@ -6,15 +6,22 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import simplexcone.convexity as convexity_module
+import simplexcone.simplex as simplex_module
 from simplexcone import (
+    DEFAULT_PD_TOL,
     SquaredEdgeLengths,
     Verdict,
     cone_combine,
     edge_count,
     edge_pairs,
+    eigendecompose,
+    face_squared_lengths,
     frankel_instance,
     frankel_length_threshold,
     gram_from_squared_lengths,
+    logdet_directional_derivative,
+    logdet_second_derivative,
     nontri_instance,
     nontri_threshold,
     probe_log_concavity,
@@ -23,6 +30,7 @@ from simplexcone import (
     regular_simplex,
     validate,
 )
+from simplexcone.convexity import _discrete_margins, _finish_report, _segment_logdet
 
 # closed-form transition for the equilateral-base family: apex length 1/2 + eps
 # stops being realizable below eps = 1/sqrt(3) - 1/2
@@ -239,3 +247,132 @@ def test_probe_random_pairs_pass():
             assert log_rep.passed
             assert log_rep.max_analytic_second_derivative <= 1e-12
             assert root_rep.passed
+
+
+# ---------------------------------------------------------------------------
+# the batched probe against the Jacobi oracle
+
+
+def _facets_and_full(n):
+    full = tuple(range(n + 1))
+    return [full] + [tuple(v for v in full if v != d) for d in full]
+
+
+def _jacobi_reference(first, second, face, ts):
+    """Per sample: log det and its first and second derivative along the
+    segment from the in-repo Jacobi solver, and the tolerance factor."""
+    fa = face_squared_lengths(first, face)
+    fb = face_squared_lengths(second, face)
+    delta = gram_from_squared_lengths(fb) - gram_from_squared_lengths(fa)
+    rows = []
+    for t in ts:
+        gram = gram_from_squared_lengths(cone_combine(fa, fb, 1.0 - float(t), float(t)))
+        w = eigendecompose(gram).eigenvalues
+        # LAPACK's eigenvalue errors scale with the largest eigenvalue, so
+        # the two solvers agree to about eps * cond(G): the bound is 1e-12
+        # up to cond 100 and grows in proportion beyond it
+        cond_factor = max(1.0, float(w[-1] / w[0]) / 100.0)
+        rows.append(
+            (
+                float(np.log(w).sum()),
+                logdet_directional_derivative(gram, delta),
+                logdet_second_derivative(gram, delta),
+                cond_factor,
+            )
+        )
+    return np.array(rows).T
+
+
+def _close(got, ref, cond_factor):
+    return np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)) * cond_factor
+
+
+def _check_reports(first, second, face, reference):
+    """The probes' margins and derivatives, recomputed from Jacobi samples."""
+    n, k = first.n, len(face) - 1
+    ref_ld, ref_d1, ref_d2, cond_factor = reference
+    cases = [
+        (
+            probe_log_concavity(first, second, face),
+            0.5 * ref_ld - math.log(math.factorial(k)),
+            0.5 * ref_d2,
+        )
+    ]
+    if k == n:
+        root = np.exp((0.5 * ref_ld - math.log(math.factorial(n))) / n)
+        du, ddu = 0.5 * ref_d1, 0.5 * ref_d2
+        cases.append(
+            (probe_root_concavity(first, second), root, root * (ddu / n + (du / n) ** 2))
+        )
+    for report, values, analytic in cases:
+        expected = _finish_report(report.samples, values, analytic)
+        # a margin combines three samples, each within the per-sample bound
+        margin_tol = 4e-12 * max(1.0, float(np.abs(values).max())) * cond_factor.max()
+        for field in ("worst_midpoint_defect", "worst_second_difference"):
+            assert abs(getattr(report, field) - getattr(expected, field)) <= margin_tol
+        assert _close(
+            report.max_analytic_second_derivative,
+            expected.max_analytic_second_derivative,
+            cond_factor.max(),
+        )
+        assert report.passed and expected.passed
+
+
+@pytest.mark.parametrize("samples, stride", [(33, 1), (1001, 100)])
+def test_batched_probe_matches_jacobi_oracle(samples, stride):
+    # every sample at 33, every 100th at 1001 (Jacobi costs ~1 ms at n=8)
+    rng = np.random.default_rng(20261018 + samples)
+    ts = np.linspace(0.0, 1.0, samples)[::stride]
+    for n in range(2, 9):
+        first = random_simplex(n, rng)
+        second = random_simplex(n, rng)
+        for face in _facets_and_full(n):
+            k, logdet, d1, d2 = _segment_logdet(first, second, face, samples, DEFAULT_PD_TOL)
+            assert k == len(face) - 1
+            reference = _jacobi_reference(first, second, face, ts)
+            ref_ld, ref_d1, ref_d2, cond_factor = reference
+            for got, ref in ((logdet, ref_ld), (d1, ref_d1), (d2, ref_d2)):
+                assert _close(got[::stride], ref, cond_factor).all(), (n, face)
+            if stride == 1:
+                _check_reports(first, second, face, reference)
+
+
+def _brute_force_margins(values):
+    m = values.size
+    worst_mid = math.inf
+    for i in range(m):
+        for j in range(i + 2, m, 2):
+            worst_mid = min(worst_mid, float(values[(i + j) // 2] - 0.5 * (values[i] + values[j])))
+    worst_sd = min(
+        float(2.0 * values[i] - values[i - 1] - values[i + 1]) for i in range(1, m - 1)
+    )
+    return worst_mid, worst_sd
+
+
+@pytest.mark.parametrize("m", list(range(3, 40)) + [64, 65, 127, 128, 256, 257])
+def test_discrete_margins_equal_brute_force(m):
+    rng = np.random.default_rng(m)
+    # a concave profile plus noise, so the extremes fall anywhere
+    x = np.linspace(-1.0, 1.0, m)
+    values = -3.0 * x * x + 1e-3 * rng.standard_normal(m)
+    assert _discrete_margins(values) == _brute_force_margins(values)
+
+
+def test_facet_probe_makes_no_per_sample_jacobi_calls(monkeypatch):
+    # the endpoints are certified by validate; every sample point goes
+    # through one stacked LAPACK call, never through Jacobi
+    assert not hasattr(convexity_module, "eigendecompose")
+    rng = np.random.default_rng(8)
+    first = random_simplex(8, rng)
+    second = random_simplex(8, rng)
+    calls = []
+    original = simplex_module.eigendecompose
+
+    def counting(*args, **kwargs):
+        calls.append(len(args[0]))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(simplex_module, "eigendecompose", counting)
+    report = probe_log_concavity(first, second, face=range(8), samples=1001)
+    assert report.passed
+    assert calls == [8, 8]

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -257,6 +258,16 @@ def test_volume_degenerate_is_exact_zero():
 def test_volume_invalid_raises():
     with pytest.raises(NotRealizable):
         volume(SquaredEdgeLengths(2, np.array([1.0, 1.0, 9.0])))
+
+
+def test_volume_regular_tetra_far_from_unit_scale():
+    # squared edge e^2: volume e^3 / (6 sqrt 2); at e^2 = 1e150 det G is
+    # about 1e450, beyond the float range, while the volume is not
+    for total, e2 in ((6e150, 1e150), (6e-4, 1e-4)):
+        exact = e2**1.5 / (6.0 * math.sqrt(2.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert volume(regular_simplex(3, total)) == pytest.approx(exact, rel=1e-13)
 
 
 def test_volume_scaling_power():
