@@ -46,6 +46,7 @@ from .simplex import (
     NotRealizable,
     SquaredEdgeLengths,
     Verdict,
+    _check_face_count,
     edge_count,
     face_volume,
     random_simplex,
@@ -295,6 +296,7 @@ def _cmd_faces(args) -> tuple[dict, dict, int]:
     k = args.k
     if not (1 <= k <= ell.n):
         raise UsageError(f"--k must lie in 1..{ell.n}")
+    _check_faces_fit(ell.n, k)
     from itertools import combinations
 
     entries = []
@@ -375,8 +377,6 @@ def _cmd_probe(args) -> tuple[dict, dict, int]:
 
 
 def _cmd_counterexample(args) -> tuple[dict, dict, int]:
-    if args.epsilon is not None and args.epsilon <= 0:
-        raise UsageError("--epsilon must be positive")
     eps = args.epsilon if args.epsilon is not None else 0.01
     params = {"family": args.family, "epsilon": eps, "bisect": bool(args.bisect)}
     inputs = dict(params)
@@ -405,10 +405,9 @@ def _cmd_counterexample(args) -> tuple[dict, dict, int]:
 def _cmd_optimize(args) -> tuple[dict, dict, int]:
     if args.n < 1:
         raise UsageError("--n must be at least 1")
-    if args.total <= 0:
-        raise UsageError("--total must be positive")
     if not (1 <= args.k <= args.n):
         raise UsageError(f"--k must lie in 1..{args.n}")
+    _check_faces_fit(args.n, args.k)
     if args.starts < 1:
         raise UsageError("--starts must be at least 1")
     params = {
@@ -427,7 +426,10 @@ def _cmd_optimize(args) -> tuple[dict, dict, int]:
     best = None
     any_failed = False
     for index in range(args.starts):
-        start = random_simplex(args.n, rng, total=args.total, pd_tol=args.tolerance)
+        try:
+            start = random_simplex(args.n, rng, total=args.total, pd_tol=args.tolerance)
+        except RuntimeError as exc:  # no draw clears a tolerance this large
+            raise UsageError(f"{exc} at --tolerance {args.tolerance}") from exc
         entry: dict = {"start_squared_lengths": start.s.tolist()}
         try:
             trace = maximize(
@@ -462,15 +464,26 @@ def _cmd_optimize(args) -> tuple[dict, dict, int]:
     return inputs, results, 3 if any_failed else 0
 
 
+def _check_faces_fit(n: int, k: int) -> None:
+    try:
+        _check_face_count(n, k)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+
+
 #: bounds of ``probe --samples``; a probe holds samples * n^2 floats at once
 _MIN_SAMPLES, _MAX_SAMPLES = 3, 100_000
 
 
-def _sample_count(text: str) -> int:
+def _integer(text: str) -> int:
     try:
-        value = int(text)
+        return int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+
+
+def _sample_count(text: str) -> int:
+    value = _integer(text)
     if not (_MIN_SAMPLES <= value <= _MAX_SAMPLES):
         raise argparse.ArgumentTypeError(
             f"must lie in {_MIN_SAMPLES}..{_MAX_SAMPLES}, got {value}"
@@ -478,10 +491,41 @@ def _sample_count(text: str) -> int:
     return value
 
 
+def _finite(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
+def _tolerance(text: str) -> float:
+    value = _finite(text)
+    if value < 0.0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text!r}")
+    return value
+
+
+def _positive(text: str) -> float:
+    value = _finite(text)
+    if not value > 0.0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+    return value
+
+
+def _iteration_budget(text: str) -> int:
+    value = _integer(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_common(sub: argparse.ArgumentParser, *, with_lengths: bool = True) -> None:
     sub.add_argument(
         "--tolerance",
-        type=float,
+        type=_tolerance,
         default=DEFAULT_PD_TOL,
         help="positive-definiteness tolerance (default %(default)s)",
     )
@@ -531,18 +575,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("counterexample", help="explicit counterexample families")
     p.add_argument("family", choices=["nontri", "frankel"])
-    p.add_argument("--epsilon", type=float, default=None)
+    p.add_argument("--epsilon", type=_positive, default=None)
     p.add_argument("--bisect", action="store_true", help="bisect the validity threshold")
     _add_common(p, with_lengths=False)
 
     p = sub.add_parser("optimize", help="projected gradient ascent toward the regular point")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--total", type=float, required=True)
+    p.add_argument("--total", type=_positive, required=True)
     p.add_argument("--objective", choices=["logprod", "sumroot"], required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--starts", type=int, default=1)
-    p.add_argument("--max-iter", type=int, default=10000)
+    p.add_argument("--max-iter", type=_iteration_budget, default=10000)
     _add_common(p, with_lengths=False)
 
     return parser

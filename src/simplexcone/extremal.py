@@ -20,21 +20,22 @@ with vertex labels local to the face.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from itertools import combinations
 
 import numpy as np
 
-from .linalg import DEFAULT_PD_TOL, _cholesky_factor, eigendecompose
+from .linalg import DEFAULT_PD_TOL, _cholesky_factor
 from .simplex import (
     NotRealizable,
     SquaredEdgeLengths,
     Verdict,
+    _check_face_count,
     _classify,
+    _gram_stack,
     edge_count,
     edge_index,
-    gram_from_squared_lengths,
     regular_simplex,
     validate,
 )
@@ -52,6 +53,21 @@ __all__ = [
 ]
 
 _EPS = float(np.finfo(float).eps)
+
+#: Why the line search turns a candidate step down, in the order it checks.
+_REJECTION_REASONS = (
+    "non_positive",
+    "cholesky_screen",
+    "face_collapse",
+    "armijo",
+    "value_drop",
+    "no_contraction",
+    "eigenvalue_floor",
+)
+#: The reasons that mean the candidate left (or neared the edge of) the cone.
+_VALIDITY_REASONS = frozenset(
+    ("non_positive", "cholesky_screen", "face_collapse", "eigenvalue_floor")
+)
 
 
 class MaxIterations(RuntimeError):
@@ -93,12 +109,29 @@ class OptimizationTrace:
 
     ``regularity_deviation`` is ``max_e |s_e - mean| / mean`` at the
     final point: zero exactly at the regular simplex.
+
+    ``rejections`` counts the candidate steps the line search turned
+    down, by the first test each one failed, in the order the search
+    applies them: ``non_positive`` (a squared length not positive),
+    ``cholesky_screen`` (the Gram matrix does not factor),
+    ``face_collapse`` (a k-face determinant not positive), ``armijo``
+    (too little gain), ``value_drop`` and ``no_contraction`` (the value
+    fell, or the projected gradient did not shrink, once the predicted
+    gain is below float resolution), and ``eigenvalue_floor`` (the Gram
+    spectrum failed the Valid test or fell under the search's floor).
+    Every rejection halves the step, so the counts add up to the
+    halvings taken.  ``pinch_activations`` counts the iterations whose
+    direction was turned along the smallest-eigenvalue level set.
     """
 
     iterates: list[tuple[np.ndarray, float, float]]
     final: SquaredEdgeLengths
     regularity_deviation: float
     converged: bool
+    rejections: dict[str, int] = field(
+        default_factory=lambda: dict.fromkeys(_REJECTION_REASONS, 0)
+    )
+    pinch_activations: int = 0
 
 
 class _FaceWorkspace:
@@ -125,6 +158,10 @@ class _FaceWorkspace:
         self.apex = apex
         self.pair = pair
         self.triu = np.triu_indices(k, 1)
+        iu, ju = self.triu
+        # apex edges, then pair edges: the order _raw_gradient lays out
+        # the per-face contributions in
+        self.scatter = np.concatenate((apex.ravel(), pair[:, iu, ju].ravel()))
         self.log_kfact = math.log(math.factorial(k))
         self.kfact_root = math.factorial(k) ** (1.0 / k)
 
@@ -137,6 +174,12 @@ class _FaceWorkspace:
 
 
 _WORKSPACES: dict[tuple[int, int], _FaceWorkspace] = {}
+
+
+def _check_face_dimension(n: int, k: int) -> None:
+    if not (1 <= k <= n):
+        raise ValueError(f"k must lie in 1..{n}")
+    _check_face_count(n, k)
 
 
 def _workspace(n: int, k: int) -> _FaceWorkspace:
@@ -167,14 +210,11 @@ def _raw_gradient(ws: _FaceWorkspace, kind: ObjectiveKind, s: np.ndarray) -> np.
     else:
         dets = np.linalg.det(grams)
         weights = (dets ** (0.5 / ws.k) / ws.kfact_root) / ws.k
-    grad = np.zeros(edge_count(ws.n))
     apex_contrib = 0.5 * inv.sum(axis=2) * weights[:, None]
-    np.add.at(grad, ws.apex.ravel(), apex_contrib.ravel())
     iu, ju = ws.triu
-    if iu.size:
-        pair_contrib = -0.5 * inv[:, iu, ju] * weights[:, None]
-        np.add.at(grad, ws.pair[:, iu, ju].ravel(), pair_contrib.ravel())
-    return grad
+    pair_contrib = -0.5 * inv[:, iu, ju] * weights[:, None]
+    contrib = np.concatenate((apex_contrib.ravel(), pair_contrib.ravel()))
+    return np.bincount(ws.scatter, weights=contrib, minlength=edge_count(ws.n))
 
 
 def _require_valid(ell: SquaredEdgeLengths, pd_tol: float) -> None:
@@ -187,8 +227,7 @@ def objective_value(
     ell: SquaredEdgeLengths, objective: Objective, *, pd_tol: float = DEFAULT_PD_TOL
 ) -> float:
     """Sum of log k-face volumes, or sum of k-th roots of k-face volumes."""
-    if not (1 <= objective.k <= ell.n):
-        raise ValueError(f"k must lie in 1..{ell.n}")
+    _check_face_dimension(ell.n, objective.k)
     _require_valid(ell, pd_tol)
     value = _raw_value(_workspace(ell.n, objective.k), objective.kind, ell.s)
     if value is None:
@@ -200,8 +239,7 @@ def objective_gradient(
     ell: SquaredEdgeLengths, objective: Objective, *, pd_tol: float = DEFAULT_PD_TOL
 ) -> np.ndarray:
     """Gradient of :func:`objective_value` with respect to every squared length."""
-    if not (1 <= objective.k <= ell.n):
-        raise ValueError(f"k must lie in 1..{ell.n}")
+    _check_face_dimension(ell.n, objective.k)
     _require_valid(ell, pd_tol)
     return _raw_gradient(_workspace(ell.n, objective.k), objective.kind, ell.s)
 
@@ -217,19 +255,6 @@ def gradient_log_volume(
     )
 
 
-def _fast_valid(n: int, s: np.ndarray) -> bool:
-    """Cheap screen: positive entries and a positive-pivot Gram factorization."""
-    if (s <= 0.0).any():
-        return False
-    ell_gram = _gram_of_raw(n, s)
-    _, ok, _ = _cholesky_factor(ell_gram)
-    return ok
-
-
-def _gram_of_raw(n: int, s: np.ndarray) -> np.ndarray:
-    return gram_from_squared_lengths(SquaredEdgeLengths(n, s))
-
-
 def _smallest_eigenvalue_gradient(n: int, q: np.ndarray) -> np.ndarray:
     """Gradient of the smallest Gram eigenvalue with respect to the
     squared lengths, given its unit eigenvector ``q``.
@@ -242,6 +267,55 @@ def _smallest_eigenvalue_gradient(n: int, q: np.ndarray) -> np.ndarray:
     t = float(q.sum())
     iu, ju = np.triu_indices(n, 1)
     return np.concatenate((q * t, -q[iu] * q[ju]))
+
+
+def _judge_candidate(
+    ws: _FaceWorkspace,
+    kind: ObjectiveKind,
+    cand: np.ndarray,
+    *,
+    f: float,
+    predicted: float,
+    allowance: float,
+    pg_norm: float,
+    pd_tol: float,
+    lam_floor: float,
+) -> tuple[str | None, tuple | None]:
+    """The first test the line search fails on ``cand`` (a key of
+    ``OptimizationTrace.rejections``), or None together with the accepted
+    candidate's objective value, its gradient (None unless the
+    contraction test computed it) and its Gram eigenvalues and
+    eigenvectors.
+
+    The Gram matrix is built once and feeds both the Cholesky screen and
+    the closing ``eigh``.
+    """
+    if (cand <= 0.0).any():
+        return "non_positive", None
+    gram = _gram_stack(ws.n, cand)
+    if not _cholesky_factor(gram)[1]:
+        return "cholesky_screen", None
+    f_cand = _raw_value(ws, kind, cand)
+    if f_cand is None:
+        return "face_collapse", None
+    grad_cand = None
+    if predicted > 2.0 * allowance:
+        if f_cand < f + predicted - allowance:
+            return "armijo", None
+    else:
+        # predicted gain below float resolution: require strict
+        # contraction of the projected gradient norm instead
+        if f_cand < f - allowance:
+            return "value_drop", None
+        grad_cand = _raw_gradient(ws, kind, cand)
+        pg_cand = grad_cand - grad_cand.mean()
+        if float(np.linalg.norm(pg_cand)) >= pg_norm:
+            return "no_contraction", None
+    lam, vec = np.linalg.eigh(gram)
+    verdict, _ = _classify(lam, pd_tol)
+    if verdict is not Verdict.VALID or lam[0] < lam_floor:
+        return "eigenvalue_floor", None
+    return None, (f_cand, grad_cand, lam, vec)
 
 
 def maximize(
@@ -262,8 +336,10 @@ def maximize(
     candidates that leave the Valid cone are rejected outright.
     Converged when the projected gradient norm drops below
     ``gtol_factor * (1 + |objective|)``.  Raises :class:`MaxIterations`
-    or :class:`StepIntoInvalidRegion` (each carrying the partial trace)
-    instead of returning an unconverged result.
+    or :class:`StepIntoInvalidRegion` (each carrying the partial trace,
+    rejection counts included) instead of returning an unconverged
+    result.  Raises ``ValueError`` for a bad start, total or k, and when
+    the simplex has more than ``MAX_FACES`` k-faces.
 
     Two refinements keep the rejection scheme honest without clamping.
     The Gram matrix is linear in the squared lengths, so the feasible
@@ -281,13 +357,19 @@ def maximize(
     value test to a strict decrease of the projected gradient norm,
     which keeps contraction going where values are constant in floats.
 
+    The start's verdict comes from the Jacobi :func:`validate`; the
+    per-step Gram spectra (the eigenvalue floor, the pinch test and its
+    eigenvector) come from LAPACK ``eigh``, run on the Gram matrix the
+    candidate's Cholesky screen factored and only once every cheaper
+    test has passed.  The tests hold every iterate to the Jacobi
+    verdict and spectrum.
+
     The Armijo test carries a rounding allowance of a few machine
     epsilons (plus the rounding of the hyperplane re-projection), so
     recorded objective values are nondecreasing only up to that
     allowance.
     """
-    if not (1 <= objective.k <= n):
-        raise ValueError(f"k must lie in 1..{n}")
+    _check_face_dimension(n, objective.k)
     if not (total > 0.0) or not math.isfinite(total):
         raise ValueError("total must be a positive finite number")
     edges = edge_count(n)
@@ -309,24 +391,33 @@ def maximize(
         raise ValueError("start must be a Valid instance")
 
     ws = _workspace(n, objective.k)
+    kind = objective.kind
     step = 0.1 * total / edges if initial_step is None else float(initial_step)
     if not (step > 0.0):
         raise ValueError("initial_step must be positive")
 
-    eig = eigendecompose(_gram_of_raw(n, x))
+    lam, vec = np.linalg.eigh(_gram_stack(n, x))
     # the segment to the regular point keeps the smallest eigenvalue
     # above min(start, regular) by concavity, so half of that is a safe
     # hard floor for the whole search
     lam_regular = total / (n * (n + 1))
-    lam_floor = 0.5 * min(float(eig.eigenvalues[0]), lam_regular)
+    lam_floor = 0.5 * min(float(lam[0]), lam_regular)
+    f = _raw_value(ws, kind, x)
+    if f is None:
+        raise NotRealizable("a face of the start collapsed")
 
     iterates: list[tuple[np.ndarray, float, float]] = []
+    rejections = dict.fromkeys(_REJECTION_REASONS, 0)
+    pinches = 0
+
+    def partial_trace() -> OptimizationTrace:
+        return _build_trace(n, x, iterates, rejections, pinches, converged=False)
+
+    grad = None  # set from an accepted candidate whose test computed it
     converged = False
     for _ in range(max_iter):
-        f = _raw_value(ws, objective.kind, x)
-        if f is None:
-            raise NotRealizable("iterate left the realizable cone")  # unreachable
-        grad = _raw_gradient(ws, objective.kind, x)
+        if grad is None:
+            grad = _raw_gradient(ws, kind, x)
         pg = grad - grad.mean()
         pg_norm = float(np.linalg.norm(pg))
         frozen = x.copy()
@@ -337,26 +428,26 @@ def maximize(
             converged = True
             break
 
-        lam0 = float(eig.eigenvalues[0])
-        threshold = pd_tol * max(1.0, abs(eig.eigenvalues[-1]))
+        lam0 = float(lam[0])
+        threshold = pd_tol * max(1.0, abs(lam[-1]))
         direction = pg
         if lam0 < max(2.0 * lam_floor, 64.0 * threshold):
             # pinched against the cone boundary: if the gradient pushes
             # outward, slide along the eigenvalue level set, nudged
             # inward when the eigenvalue has dipped below the band
-            normal = _smallest_eigenvalue_gradient(n, eig.basis[:, 0])
+            normal = _smallest_eigenvalue_gradient(n, vec[:, 0])
             normal -= normal.mean()
             outward = float(pg @ normal)
             normal_sq = float(normal @ normal)
             if outward < 0.0 and normal_sq > 0.0:
+                pinches += 1
                 tangent = pg - (outward / normal_sq) * normal
                 tangent_sq = float(tangent @ tangent)
                 if math.sqrt(tangent_sq) <= 1e-10 * pg_norm:
-                    trace = _build_trace(n, x, iterates, converged=False)
                     raise StepIntoInvalidRegion(
                         "stalled on the realizability boundary with no "
                         "tangential ascent direction",
-                        trace,
+                        partial_trace(),
                     )
                 gap = max(0.0, 1.5 * lam_floor - lam0)
                 # cap the nudge so the slope keeps at least half the
@@ -371,70 +462,49 @@ def maximize(
         # pinch recover; halvings may still go far below it
         floor = 1e-8 * (1.0 + float(np.abs(x).max())) / float(np.linalg.norm(direction))
         alpha = max(step, floor)
-        accepted = False
-        first_try = True
         blocked_by_validity = False
-        for _halving in range(60):
+        for halving in range(60):
             cand = x + alpha * direction
             cand += (total - cand.sum()) / edges
-            if (cand <= 0.0).any() or not _fast_valid(n, cand):
-                blocked_by_validity = True
-                alpha *= 0.5
-                first_try = False
-                continue
-            f_cand = _raw_value(ws, objective.kind, cand)
-            if f_cand is None:
-                blocked_by_validity = True
-                alpha *= 0.5
-                first_try = False
-                continue
-            predicted = armijo * alpha * slope
-            if predicted > 2.0 * allowance:
-                if f_cand < f + predicted - allowance:
-                    alpha *= 0.5
-                    first_try = False
-                    continue
-            else:
-                # predicted gain below float resolution: require strict
-                # contraction of the projected gradient norm instead
-                if f_cand < f - allowance:
-                    alpha *= 0.5
-                    first_try = False
-                    continue
-                grad_cand = _raw_gradient(ws, objective.kind, cand)
-                pg_cand = grad_cand - grad_cand.mean()
-                if float(np.linalg.norm(pg_cand)) >= pg_norm:
-                    alpha *= 0.5
-                    first_try = False
-                    continue
-            eig_cand = eigendecompose(_gram_of_raw(n, cand))
-            verdict, _ = _classify(eig_cand.eigenvalues, pd_tol)
-            if verdict is not Verdict.VALID or eig_cand.eigenvalues[0] < lam_floor:
-                blocked_by_validity = True
-                alpha *= 0.5
-                first_try = False
-                continue
-            x = cand
-            eig = eig_cand
-            accepted = True
-            break
-        if not accepted:
-            trace = _build_trace(n, x, iterates, converged=False)
-            reason = (
+            reason, accepted = _judge_candidate(
+                ws,
+                kind,
+                cand,
+                f=f,
+                predicted=armijo * alpha * slope,
+                allowance=allowance,
+                pg_norm=pg_norm,
+                pd_tol=pd_tol,
+                lam_floor=lam_floor,
+            )
+            if reason is None:
+                x = cand
+                f, grad, lam, vec = accepted
+                break
+            rejections[reason] += 1
+            blocked_by_validity |= reason in _VALIDITY_REASONS
+            alpha *= 0.5
+        else:
+            why = (
                 "every candidate step left the Valid cone"
                 if blocked_by_validity
                 else "no ascent step of any size was acceptable"
             )
-            raise StepIntoInvalidRegion(f"line search exhausted: {reason}", trace)
-        step = alpha * 2.0 if first_try else alpha
+            raise StepIntoInvalidRegion(f"line search exhausted: {why}", partial_trace())
+        step = alpha * 2.0 if halving == 0 else alpha
     if not converged:
-        trace = _build_trace(n, x, iterates, converged=False)
-        raise MaxIterations(f"no convergence within {max_iter} iterations", trace)
-    return _build_trace(n, x, iterates, converged=True)
+        raise MaxIterations(f"no convergence within {max_iter} iterations", partial_trace())
+    return _build_trace(n, x, iterates, rejections, pinches, converged=True)
 
 
 def _build_trace(
-    n: int, x: np.ndarray, iterates: list, *, converged: bool
+    n: int,
+    x: np.ndarray,
+    iterates: list,
+    rejections: dict[str, int],
+    pinches: int,
+    *,
+    converged: bool,
 ) -> OptimizationTrace:
     mean = float(x.mean())
     deviation = float(np.abs(x - mean).max()) / mean
@@ -443,4 +513,6 @@ def _build_trace(
         final=SquaredEdgeLengths(n, x),
         regularity_deviation=deviation,
         converged=converged,
+        rejections=dict(rejections),
+        pinch_activations=pinches,
     )

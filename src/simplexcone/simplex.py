@@ -32,6 +32,7 @@ import numpy as np
 from .linalg import DEFAULT_PD_TOL, cholesky, eigendecompose
 
 __all__ = [
+    "MAX_FACES",
     "NotRealizable",
     "SimplexEmbedding",
     "SquaredEdgeLengths",
@@ -52,6 +53,12 @@ __all__ = [
     "validate",
     "volume",
 ]
+
+
+#: Most k-faces a whole-face computation may enumerate.  C(n+1, k+1)
+#: outgrows memory (and time) long before the per-face work gets hard:
+#: n = 40, k = 20 would be 2.7e11 faces.
+MAX_FACES = 100_000
 
 
 class NotRealizable(ValueError):
@@ -271,6 +278,16 @@ def volume(ell: SquaredEdgeLengths, *, pd_tol: float = DEFAULT_PD_TOL) -> float:
     # a product of roots, not the root of a product: det G itself can
     # overflow while the volume is still a finite float
     return float(np.prod(np.sqrt(w))) / math.factorial(ell.n)
+
+
+def _check_face_count(n: int, k: int) -> None:
+    """Raise ValueError when an n-simplex has more than MAX_FACES k-faces."""
+    count = math.comb(n + 1, k + 1)
+    if count > MAX_FACES:
+        raise ValueError(
+            f"dimension {n} has {count} faces of dimension {k}, "
+            f"more than the budget of {MAX_FACES}"
+        )
 
 
 def _normalize_face(face: Iterable[int], n: int, *, minimum: int = 2) -> tuple[int, ...]:

@@ -1,0 +1,27 @@
+"""Fixtures shared by the test modules."""
+
+import sys
+
+import pytest
+
+import simplexcone.cli  # noqa: F401 - loads every module that may bind the solver
+from simplexcone import linalg
+
+
+@pytest.fixture
+def jacobi_calls(monkeypatch):
+    """Sizes of the matrices handed to the Jacobi ``eigendecompose``, in
+    call order, counted in every package namespace that binds it."""
+    calls = []
+    original = linalg.eigendecompose
+
+    def counting(m, *args, **kwargs):
+        calls.append(len(m))
+        return original(m, *args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "simplexcone" or name.startswith("simplexcone."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counting)
+    return calls

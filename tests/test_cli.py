@@ -339,6 +339,57 @@ def test_optimize_multi_start(capsys):
 # exit codes, determinism, rendering
 
 
+def _assert_usage_error(capsys, argv, fragment):
+    assert run(argv) == 1, argv
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:"), argv
+    assert fragment in captured.err, (argv, captured.err)
+
+
+OPTIMIZE = ["optimize", "--n", "2", "--total", "3", "--objective", "logprod", "--k", "1"]
+
+
+def test_non_finite_and_negative_numbers_are_usage_errors(capsys):
+    # rejected at parse time: never a traceback from rendering a nan, and
+    # never a silently accepted negative tolerance
+    for value in ("nan", "inf", "-inf", "-1", "many"):
+        _assert_usage_error(
+            capsys, ["validate", UNIT_TRIANGLE, "--tolerance", value], "--tolerance"
+        )
+        _assert_usage_error(capsys, OPTIMIZE + ["--tolerance", value], "--tolerance")
+    for value in ("nan", "inf", "-inf", "0", "-1"):
+        _assert_usage_error(
+            capsys, ["counterexample", "nontri", "--epsilon", value], "--epsilon"
+        )
+        argv = list(OPTIMIZE)
+        argv[argv.index("--total") + 1] = value
+        _assert_usage_error(capsys, argv, "--total")
+    for value in ("0", "-3", "2.5"):
+        _assert_usage_error(capsys, OPTIMIZE + ["--max-iter", value], "--max-iter")
+    args = build_parser().parse_args(["validate", "x", "--tolerance", "0"])
+    assert args.tolerance == 0.0
+    args = build_parser().parse_args(OPTIMIZE + ["--max-iter", "1"])
+    assert args.max_iter == 1
+
+
+def test_optimize_tolerance_no_start_can_meet_is_a_usage_error(capsys):
+    _assert_usage_error(
+        capsys, OPTIMIZE + ["--tolerance", "1e300"], "failed to sample a Valid instance"
+    )
+
+
+def test_face_budget_is_a_usage_error(capsys):
+    # C(41, 21) faces; refused before any face is enumerated
+    _assert_usage_error(
+        capsys,
+        ["optimize", "--n", "40", "--total", "1", "--objective", "logprod", "--k", "20"],
+        "budget",
+    )
+    big = json.dumps({"dimension": 40, "squared_lengths": [1.0] * 820})
+    _assert_usage_error(capsys, ["faces", big, "--k", "20"], "budget")
+
+
 def test_usage_errors_exit_1(capsys):
     assert run(["validate", '{"dimension": 2, "squared_lengths": [1, 1]}']) == 1
     capsys.readouterr()

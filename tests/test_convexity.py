@@ -7,7 +7,6 @@ import pytest
 from numpy.testing import assert_allclose
 
 import simplexcone.convexity as convexity_module
-import simplexcone.simplex as simplex_module
 from simplexcone import (
     DEFAULT_PD_TOL,
     SquaredEdgeLengths,
@@ -358,21 +357,14 @@ def test_discrete_margins_equal_brute_force(m):
     assert _discrete_margins(values) == _brute_force_margins(values)
 
 
-def test_facet_probe_makes_no_per_sample_jacobi_calls(monkeypatch):
+def test_facet_probe_makes_no_per_sample_jacobi_calls(jacobi_calls):
     # the endpoints are certified by validate; every sample point goes
     # through one stacked LAPACK call, never through Jacobi
     assert not hasattr(convexity_module, "eigendecompose")
     rng = np.random.default_rng(8)
     first = random_simplex(8, rng)
     second = random_simplex(8, rng)
-    calls = []
-    original = simplex_module.eigendecompose
-
-    def counting(*args, **kwargs):
-        calls.append(len(args[0]))
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(simplex_module, "eigendecompose", counting)
+    jacobi_calls.clear()
     report = probe_log_concavity(first, second, face=range(8), samples=1001)
     assert report.passed
-    assert calls == [8, 8]
+    assert jacobi_calls == [8, 8]

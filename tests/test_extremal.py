@@ -7,20 +7,26 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import simplexcone.extremal as extremal_module
 from simplexcone import (
+    MAX_FACES,
     MaxIterations,
     NotRealizable,
     Objective,
     ObjectiveKind,
     SquaredEdgeLengths,
+    Verdict,
     edge_count,
+    eigendecompose,
     gradient_log_volume,
+    gram_from_squared_lengths,
     maximize,
     objective_gradient,
     objective_value,
     random_simplex,
     regular_simplex,
     relabel,
+    validate,
     volume,
 )
 
@@ -179,6 +185,35 @@ def test_objective_gradient_euler_identities():
             assert float(ell.s @ g_root) == pytest.approx(0.5 * val, rel=1e-9)
 
 
+def _scatter_reference(ws, kind, s):
+    # per-face contributions added edge by edge with np.add.at, apex
+    # edges first: the same additions in the same order as the gradient's
+    # single bincount, so the results must agree bit for bit
+    grams = ws.grams(s)
+    inv = np.linalg.inv(grams)
+    if kind is LOGPROD:
+        weights = np.ones(len(ws.faces))
+    else:
+        weights = (np.linalg.det(grams) ** (0.5 / ws.k) / ws.kfact_root) / ws.k
+    grad = np.zeros(edge_count(ws.n))
+    np.add.at(grad, ws.apex.ravel(), (0.5 * inv.sum(axis=2) * weights[:, None]).ravel())
+    iu, ju = np.triu_indices(ws.k, 1)
+    pair = (-0.5 * inv[:, iu, ju] * weights[:, None]).ravel()
+    np.add.at(grad, ws.pair[:, iu, ju].ravel(), pair)
+    return grad
+
+
+def test_gradient_scatter_matches_add_at_reference_bitwise():
+    rng = np.random.default_rng(37)
+    for n in range(2, 7):
+        for k in range(1, n + 1):
+            ws = extremal_module._workspace(n, k)
+            for kind in (LOGPROD, SUMROOT):
+                s = random_simplex(n, rng, total=float(edge_count(n))).s
+                got = extremal_module._raw_gradient(ws, kind, s)
+                assert np.array_equal(got, _scatter_reference(ws, kind, s)), (n, k)
+
+
 def test_objective_gradient_matches_finite_differences():
     rng = np.random.default_rng(29)
     h = 1e-4
@@ -297,3 +332,144 @@ def test_regular_point_dominates_random_feasible_points():
     for _ in range(200):
         ell = random_simplex(n, rng, total=total)
         assert objective_value(ell, obj) <= best + 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the optimizer's LAPACK spectra against the Jacobi oracle
+
+
+def _optimizer_runs(seed):
+    """One run per (n, k, objective) with n = 2..6, from random Valid starts."""
+    rng = np.random.default_rng(seed)
+    for n in range(2, 7):
+        total = float(edge_count(n))
+        for k in range(1, n + 1):
+            for kind in (LOGPROD, SUMROOT):
+                start = random_simplex(n, rng, total=total)
+                yield n, maximize(n, total, Objective(kind, k), start=start)
+
+
+def test_optimizer_iterates_match_jacobi_oracle():
+    # every accepted iterate passed the optimizer's LAPACK eigh screen;
+    # Jacobi must call it Valid and agree on its spectrum within the
+    # probe oracle's bound: 1e-12 relative up to condition number 100,
+    # growing in proportion beyond it (LAPACK's eigenvalue errors scale
+    # with the largest eigenvalue)
+    checked = 0
+    for n, trace in _optimizer_runs(31):
+        assert trace.converged
+        for point, _, _ in trace.iterates:
+            ell = SquaredEdgeLengths(n, point)
+            assert validate(ell).verdict is Verdict.VALID
+            gram = gram_from_squared_lengths(ell)
+            ref = eigendecompose(gram).eigenvalues
+            got = np.linalg.eigh(gram)[0]
+            cond_factor = max(1.0, float(ref[-1] / ref[0]) / 100.0)
+            bound = 1e-12 * np.maximum(1.0, np.abs(ref)) * cond_factor
+            assert (np.abs(got - ref) <= bound).all(), (n, got, ref)
+            checked += 1
+    assert checked >= 1000
+
+
+def test_maximize_makes_one_jacobi_call(jacobi_calls):
+    # the start's verdict is the only Jacobi factorization of a run
+    start = random_simplex(5, np.random.default_rng(5), total=10.0)
+    jacobi_calls.clear()
+    trace = maximize(5, 10.0, Objective(LOGPROD, 2), start=start)
+    assert trace.converged
+    assert len(trace.iterates) > 20
+    assert jacobi_calls == [5]
+    assert not hasattr(extremal_module, "eigendecompose")
+
+
+# ---------------------------------------------------------------------------
+# line-search rejections
+
+# a flat 5-simplex start that pins the search against the eigenvalue floor
+PINNED_START = np.array(
+    [
+        0.32621828840753775, 0.6507299220868897, 0.650611644749195,
+        0.24002644922427568, 0.6649273005847696, 0.2566606834810083,
+        1.638128913924212, 0.7518910029553482, 1.6855832102560135,
+        2.484844694440264, 0.7510836442489779, 2.3406157557407408,
+        0.8032713165672041, 0.6314328485962952, 1.1239743247372669,
+    ]
+)
+
+
+def test_rejections_add_up_to_the_halvings(monkeypatch):
+    # every candidate but the non-positive ones meets the Cholesky screen,
+    # and each iteration accepts one, so the halvings are the screened
+    # candidates plus the non-positive ones minus the accepted steps
+    screens = []
+    original = extremal_module._cholesky_factor
+
+    def counting(gram):
+        screens.append(gram.shape)
+        return original(gram)
+
+    monkeypatch.setattr(extremal_module, "_cholesky_factor", counting)
+    with pytest.raises(MaxIterations) as info:
+        maximize(5, 15.0, Objective(LOGPROD, 1), start=PINNED_START, max_iter=200)
+    trace = info.value.trace
+    rejections = trace.rejections
+    assert set(rejections) == {
+        "non_positive",
+        "cholesky_screen",
+        "face_collapse",
+        "armijo",
+        "value_drop",
+        "no_contraction",
+        "eigenvalue_floor",
+    }
+    accepted = len(trace.iterates)
+    halvings = len(screens) + rejections["non_positive"] - accepted
+    assert sum(rejections.values()) == halvings > 0
+    # the stall is the eigenvalue floor, met while sliding along it
+    assert rejections["eigenvalue_floor"] == max(rejections.values())
+    assert trace.pinch_activations > 0
+
+
+def test_pinned_start_stays_above_the_eigenvalue_floor():
+    # the floor is half the smaller of the start's and the regular
+    # point's smallest Gram eigenvalue; the pinned start presses against
+    # it for most of its iterations.  Jacobi checks every iterate, with a
+    # 1% allowance for the two solvers' disagreement near the floor
+    n, total = 5, 15.0
+    start = PINNED_START + (total - PINNED_START.sum()) / edge_count(n)
+
+    def smallest(s):
+        gram = gram_from_squared_lengths(SquaredEdgeLengths(n, s))
+        return float(eigendecompose(gram).eigenvalues[0])
+
+    floor = 0.5 * min(smallest(start), total / (n * (n + 1)))
+    with pytest.raises(MaxIterations) as info:
+        maximize(n, total, Objective(LOGPROD, 1), start=PINNED_START, max_iter=200)
+    lowest = min(smallest(point) for point, _, _ in info.value.trace.iterates)
+    assert lowest >= 0.99 * floor
+    assert lowest < 1.01 * floor
+
+
+def test_regular_start_records_no_rejections():
+    trace = maximize(3, 6.0, Objective(SUMROOT, 2), start=regular_simplex(3, 6.0))
+    assert trace.converged
+    assert set(trace.rejections.values()) == {0}
+    assert trace.pinch_activations == 0
+
+
+# ---------------------------------------------------------------------------
+# face-count budget
+
+
+def test_face_budget_rejects_huge_face_counts_before_any_work():
+    # C(41, 21) is about 2.7e11 faces; the check comes before anything is
+    # validated or enumerated
+    assert math.comb(41, 21) > MAX_FACES
+    with pytest.raises(ValueError, match="budget"):
+        maximize(40, 1.0, Objective(LOGPROD, 20))
+    big = regular_simplex(40, 1.0)
+    for kind in (LOGPROD, SUMROOT):
+        with pytest.raises(ValueError, match="budget"):
+            objective_value(big, Objective(kind, 20))
+        with pytest.raises(ValueError, match="budget"):
+            objective_gradient(big, Objective(kind, 20))
