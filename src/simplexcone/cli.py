@@ -207,18 +207,9 @@ def _instance_from_object(obj, *, lengths: bool) -> SquaredEdgeLengths:
         raise UsageError(str(exc)) from exc
 
 
-def parse_instance(source: str, *, lengths: bool = False) -> SquaredEdgeLengths:
-    """Load an instance from a file path or from inline JSON text."""
-    if os.path.isfile(source):
-        with open(source, "rb") as fh:
-            text = fh.read().decode("utf-8")
-        return _instance_from_object(text, lengths=lengths)
-    if source.lstrip().startswith("{"):
-        return _instance_from_object(source, lengths=lengths)
-    raise UsageError(f"no such file: {source}")
-
-
 def _load_with_digest(source: str, *, lengths: bool) -> tuple[SquaredEdgeLengths, dict]:
+    """Load an instance from a file path or from inline JSON text, with
+    the report's ``inputs`` block: origin, digest and parsed entries."""
     if os.path.isfile(source):
         with open(source, "rb") as fh:
             raw = fh.read()
@@ -239,6 +230,11 @@ def _load_with_digest(source: str, *, lengths: bool) -> tuple[SquaredEdgeLengths
         }
     )
     return ell, inputs
+
+
+def parse_instance(source: str, *, lengths: bool = False) -> SquaredEdgeLengths:
+    """Load an instance from a file path or from inline JSON text."""
+    return _load_with_digest(source, lengths=lengths)[0]
 
 
 def _digest_params(params: dict) -> str:

@@ -7,6 +7,13 @@ exactly one, and its kernel is spanned by the vector of facet
 area-weighted normals sum to zero.  Consequently the adjugate of that
 matrix is a positive rank-one matrix whose diagonal recovers squared
 facet-area ratios.
+
+All of it is read off the bordered inverse Gram L, the Gram matrix of
+the barycentric gradients (Fiedler, *Matrices and Graphs in Geometry*).
+For any R with R^T R = G, rows 1..n of R^-1 are those gradients and
+gradient 0 is minus their sum.  Facet i has unit outward normal
+-grad_i / |grad_i| and area n V |grad_i| = n V sqrt(L_ii), and the dual
+Gram is D L D with D = diag(L_ii^-1/2).
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ from .linalg import (
     check_symmetric,
     eigendecompose,
 )
-from .simplex import SimplexEmbedding, SquaredEdgeLengths, embed
+from .simplex import SimplexEmbedding, SquaredEdgeLengths, _valid_spectrum
 
 __all__ = [
     "DualGramReport",
@@ -46,67 +53,55 @@ class DualGramReport:
     divergence_residual: float
 
 
-def outward_normals(emb: SimplexEmbedding) -> np.ndarray:
-    """Unit outward normals, one row per facet (row i faces vertex i).
-
-    The normal of facet i spans the orthogonal complement of the facet's
-    direction space and is oriented away from vertex i: the sign test is
-    ``<f_i, v_i - c_i> < 0`` against the facet centroid ``c_i``.
-    """
-    n = emb.n
-    if n < 2:
+def _normals_from_inverse_frame(rinv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unit outward normals (row i faces vertex i) and the barycentric
+    gradient lengths |grad_i| = sqrt(L_ii), from the rows of R^-1."""
+    if rinv.shape[0] < 2:
         raise ValueError("facet normals need dimension >= 2")
-    pts = emb.all_vertices()
-    normals = np.empty((n + 1, n))
-    for i in range(n + 1):
-        others = [j for j in range(n + 1) if j != i]
-        base = pts[:, others[0]]
-        span = pts[:, others[1:]] - base[:, None]
-        u, sing, _ = np.linalg.svd(span, full_matrices=True)
-        if sing[-1] <= 1e-12 * max(1.0, sing[0]):
-            raise ValueError(f"facet {i} is numerically degenerate")
-        f = u[:, -1]
-        centroid = pts[:, others].mean(axis=1)
-        if float(f @ (pts[:, i] - centroid)) > 0.0:
-            f = -f
-        normals[i] = f / np.linalg.norm(f)
-    return normals
+    grads = np.vstack([-rinv.sum(axis=0), rinv])
+    lengths = np.hypot.reduce(grads, axis=1)  # no squares to overflow
+    return -grads / lengths[:, None], lengths
 
 
-def _facet_areas(emb: SimplexEmbedding, normals: np.ndarray) -> np.ndarray:
-    """Facet (n-1)-volumes via the pyramid rule area_i = n V / h_i.
+def _spectral_dual(ell: SquaredEdgeLengths, pd_tol: float):
+    """Gram eigenvalues, unit outward normals, gradient lengths and the dual
+    Gram, all from the one eigendecomposition that classifies G as Valid."""
+    dec = _valid_spectrum(ell, pd_tol)[1]
+    w = dec.eigenvalues
+    normals, lengths = _normals_from_inverse_frame(dec.basis / np.sqrt(w))
+    raw = normals @ normals.T
+    return w, normals, lengths, (raw + raw.T) / 2.0
 
-    The full volume is the product of the triangular embedding's diagonal
-    over n!, and h_i is the distance from vertex i to the plane of the
-    opposite facet, read off the unit normal.  This avoids factoring a
-    separate Gram matrix per facet.
-    """
-    n = emb.n
-    pts = emb.all_vertices()
-    vol = float(np.prod(np.diag(emb.vertices))) / math.factorial(n)
-    areas = np.empty(n + 1)
-    for i in range(n + 1):
-        on_facet = pts[:, (i + 1) % (n + 1)]
-        h = abs(float(normals[i] @ (pts[:, i] - on_facet)))
-        areas[i] = n * vol / h
-    return areas
+
+def outward_normals(emb: SimplexEmbedding) -> np.ndarray:
+    """Unit outward normals, one row per facet (row i faces vertex i), read
+    off the inverse of the vertex matrix.  A numerically flat embedding
+    raises ValueError."""
+    a = np.asarray(emb.vertices, dtype=float)
+    try:
+        rinv = np.linalg.inv(a)
+    except np.linalg.LinAlgError:
+        raise ValueError("simplex is degenerate: its vertex matrix is singular") from None
+    # max|A| max|A^-1| is within a factor n of the condition number
+    if not float(np.abs(a).max()) * float(np.abs(rinv).max()) <= 1e12:
+        raise ValueError("simplex is numerically degenerate")
+    return _normals_from_inverse_frame(rinv)[0]
 
 
 def dual_gram(ell: SquaredEdgeLengths, *, pd_tol: float = DEFAULT_PD_TOL) -> DualGramReport:
     """Dual Gram matrix, facet areas, and identity residuals for a Valid input."""
-    emb = embed(ell, pd_tol=pd_tol)
-    normals = outward_normals(emb)
-    raw = normals @ normals.T
-    gstar = (raw + raw.T) / 2.0
-    areas = _facet_areas(emb, normals)
-    area_norm = float(np.linalg.norm(areas))
-    null_residual = float(np.linalg.norm(gstar @ areas)) / area_norm
-    divergence_residual = float(np.linalg.norm(normals.T @ areas)) / area_norm
+    w, normals, lengths, gstar = _spectral_dual(ell, pd_tol)
+    # A_i = n V |grad_i| with V = prod(sqrt w) / n!, the powers of two summed
+    # apart: n V alone can overflow while every area is finite
+    mant, expo = np.frexp(np.sqrt(w))
+    areas = np.ldexp(lengths * (np.prod(mant) / math.factorial(ell.n - 1)), int(expo.sum()))
+    unit = areas / areas.max()  # the residuals are scale-free; keep them finite
+    unit_norm = float(np.linalg.norm(unit))
     return DualGramReport(
         gstar=gstar,
         areas=areas,
-        null_residual=null_residual,
-        divergence_residual=divergence_residual,
+        null_residual=float(np.linalg.norm(gstar @ unit)) / unit_norm,
+        divergence_residual=float(np.linalg.norm(normals.T @ unit)) / unit_norm,
     )
 
 
@@ -142,10 +137,7 @@ def area_ratio_from_adjugate(
         raise ValueError("facet indices must differ")
     if not (0 <= i <= ell.n and 0 <= j <= ell.n):
         raise ValueError(f"facet index out of range for dimension {ell.n}")
-    # only the dual matrix is needed here; skip areas and residuals
-    normals = outward_normals(embed(ell, pd_tol=pd_tol))
-    raw = normals @ normals.T
-    adj = adjugate((raw + raw.T) / 2.0)
+    adj = adjugate(_spectral_dual(ell, pd_tol)[3])
     denom = float(adj[j, j])
     top = float(adj[i, i])
     # relative guard: the overall adjugate magnitude carries no meaning, only

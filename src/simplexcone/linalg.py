@@ -110,11 +110,6 @@ class EigenDecomposition:
     basis: np.ndarray
 
 
-def _off_diagonal_norm(a: np.ndarray) -> float:
-    off = a - np.diag(np.diag(a))
-    return float(np.sqrt((off * off).sum()))
-
-
 def eigendecompose(m, *, max_sweeps: int = _JACOBI_MAX_SWEEPS) -> EigenDecomposition:
     """Full eigendecomposition of a symmetric matrix by cyclic Jacobi sweeps.
 
@@ -125,6 +120,10 @@ def eigendecompose(m, *, max_sweeps: int = _JACOBI_MAX_SWEEPS) -> EigenDecomposi
     """
     checked = check_symmetric(m)
     n = checked.shape[0]
+    # sweep M / 2^shift, largest entry in [0.5, 1): squares past ~1e154 would
+    # overflow, and the exact rescale leaves every rotation bit-identical
+    shift = math.frexp(float(np.abs(checked).max()))[1]
+    checked = np.ldexp(checked, -shift)
     target = _JACOBI_OFF_TOL * float(np.sqrt((checked * checked).sum()))
     # plain nested lists: the matrices here are tiny, and scalar updates beat
     # per-rotation numpy slicing by a wide margin
@@ -180,7 +179,7 @@ def eigendecompose(m, *, max_sweeps: int = _JACOBI_MAX_SWEEPS) -> EigenDecomposi
             raise ConvergenceError(
                 f"Jacobi iteration did not converge in {max_sweeps} sweeps"
             )
-    w = np.array([a[i][i] for i in range(n)])
+    w = np.ldexp(np.array([a[i][i] for i in range(n)]), shift)
     order = np.argsort(w, kind="stable")
     # v held the rotations row-wise (v = J^T stacked), so eigenvectors are rows
     basis = np.array(v).T

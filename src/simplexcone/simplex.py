@@ -29,7 +29,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .linalg import DEFAULT_PD_TOL, cholesky, eigendecompose
+from .linalg import DEFAULT_PD_TOL, NotPositiveDefinite, _cholesky_factor, eigendecompose
 
 __all__ = [
     "MAX_FACES",
@@ -249,17 +249,25 @@ def validate(ell: SquaredEdgeLengths, *, pd_tol: float = DEFAULT_PD_TOL) -> Vali
     )
 
 
+def _valid_spectrum(ell: SquaredEdgeLengths, pd_tol: float):
+    """The Gram matrix and the :class:`EigenDecomposition` that classifies
+    it as Valid; raises :class:`NotRealizable` for any other verdict."""
+    g = gram_from_squared_lengths(ell)
+    dec = eigendecompose(g)
+    verdict, _ = _classify(dec.eigenvalues, pd_tol)
+    if verdict is not Verdict.VALID:
+        raise NotRealizable(f"cannot embed: verdict is {verdict.value}")
+    return g, dec
+
+
 def embed(ell: SquaredEdgeLengths, *, pd_tol: float = DEFAULT_PD_TOL) -> SimplexEmbedding:
     """Canonical coordinates via the Cholesky factor of the Gram matrix.
 
     Raises :class:`NotRealizable` unless the verdict is Valid.
     """
-    g = gram_from_squared_lengths(ell)
-    w = eigendecompose(g).eigenvalues
-    verdict, _ = _classify(w, pd_tol)
-    if verdict is not Verdict.VALID:
-        raise NotRealizable(f"cannot embed: verdict is {verdict.value}")
-    low = cholesky(g, pd_tol=pd_tol)
+    low, ok, bad = _cholesky_factor(_valid_spectrum(ell, pd_tol)[0])
+    if not ok:  # tolerance-PD but a pivot collapsed: genuinely borderline
+        raise NotPositiveDefinite(f"pivot {bad} is not positive", pivot=bad)
     return SimplexEmbedding(n=ell.n, vertices=low.T.copy())
 
 

@@ -173,6 +173,20 @@ def test_dual_right_triangle(capsys):
     assert res["ratio"]["squared_area_ratio"] == pytest.approx(2.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("scale", [1e200, 1e300])
+def test_dual_regular_tetrahedron_far_from_unit_scale(capsys, scale):
+    # the facet areas are finite floats even where their squares are not
+    instance = json.dumps({"dimension": 3, "squared_lengths": [scale] * 6})
+    code, report = run_json(capsys, ["dual", instance, "--ratio", "0", "1"])
+    assert code == 0
+    res = report["results"]
+    assert res["areas"] == pytest.approx([math.sqrt(3.0) / 4.0 * scale] * 4, rel=1e-14)
+    off = np.array(res["gstar"])[~np.eye(4, dtype=bool)]
+    assert off == pytest.approx(np.full(12, -1.0 / 3.0), abs=1e-14)
+    assert res["null_residual"] < 1e-14
+    assert res["ratio"]["squared_area_ratio"] == pytest.approx(1.0, rel=1e-12)
+
+
 def test_dual_one_simplex_is_a_usage_error(capsys):
     # a segment has no facet normals: a message and exit 1, not a traceback
     assert run(["dual", '{"dimension": 1, "squared_lengths": [2.0]}']) == 1

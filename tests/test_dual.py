@@ -9,7 +9,9 @@ from numpy.testing import assert_allclose
 from simplexcone import (
     NotRealizable,
     NullityNotOne,
+    SimplexEmbedding,
     SquaredEdgeLengths,
+    Verdict,
     area_ratio_from_adjugate,
     dual_gram,
     edge_count,
@@ -17,9 +19,11 @@ from simplexcone import (
     embed,
     eigendecompose,
     face_volume,
+    gram_from_squared_lengths,
     null_direction,
     outward_normals,
     random_simplex,
+    validate,
 )
 
 RIGHT_TRIANGLE = SquaredEdgeLengths(2, np.array([1.0, 1.0, 2.0]))
@@ -30,6 +34,42 @@ def right_corner(n):
     for pos, (i, j) in enumerate(edge_pairs(n)):
         s[pos] = 1.0 if i == 0 else 2.0
     return SquaredEdgeLengths(n, s)
+
+
+def svd_reference(emb):
+    """Unit outward normals from one SVD per facet, oriented by a
+    facet-centroid test, and facet areas by the pyramid rule n V / h_i."""
+    n = emb.n
+    pts = np.column_stack([np.zeros(n), emb.vertices])
+    normals = np.empty((n + 1, n))
+    heights = np.empty(n + 1)
+    for i in range(n + 1):
+        others = [j for j in range(n + 1) if j != i]
+        span = pts[:, others[1:]] - pts[:, others[:1]]
+        f = np.linalg.svd(span, full_matrices=True)[0][:, -1]
+        if f @ (pts[:, i] - pts[:, others].mean(axis=1)) > 0.0:
+            f = -f
+        normals[i] = f
+        heights[i] = abs(f @ (pts[:, i] - pts[:, others[0]]))
+    vol = float(np.prod(np.diag(emb.vertices))) / math.factorial(n)
+    return normals, n * vol / heights
+
+
+def condition(ell):
+    w = eigendecompose(gram_from_squared_lengths(ell)).eigenvalues
+    return float(w[-1] / w[0])
+
+
+def flattened_simplex(n, rng):
+    """A Valid instance from random vertices with one axis squeezed by up
+    to 1e-4, so the Gram condition number ranges up to about 1e9."""
+    while True:
+        pts = np.column_stack([np.zeros(n), rng.standard_normal((n, n))])
+        pts[0] *= 10.0 ** -rng.uniform(0.0, 4.0)
+        s = [float(np.sum((pts[:, i] - pts[:, j]) ** 2)) for i, j in edge_pairs(n)]
+        ell = SquaredEdgeLengths(n, np.array(s))
+        if validate(ell).verdict is Verdict.VALID:
+            return ell
 
 
 # ---------------------------------------------------------------------------
@@ -71,6 +111,104 @@ def test_outward_normals_unit_and_outward():
             assert_allclose(norms[i] @ span, 0.0, atol=1e-10)
 
 
+@pytest.mark.parametrize(
+    "vertices",
+    [[[1.0, 2.0], [0.0, 0.0]], [[1.0, 2.0], [0.0, 1e-20]], [[1.0, 2.0], [2.0, 4.0]]],
+)
+def test_outward_normals_rejects_flat_embedding(vertices):
+    # a caller-built embedding may be singular: a ValueError, never
+    # LinAlgError or non-finite normals
+    with pytest.raises(ValueError, match="degenerate") as exc:
+        outward_normals(SimplexEmbedding(2, np.array(vertices)))
+    assert not isinstance(exc.value, np.linalg.LinAlgError)
+
+
+# ---------------------------------------------------------------------------
+# oracles: per-facet SVD and a 50-digit bordered inverse Gram
+
+
+def test_dual_data_match_per_facet_svd_oracle():
+    rng = np.random.default_rng(37)
+    for n in range(2, 9):
+        for _ in range(4):
+            ell = random_simplex(n, rng)
+            emb = embed(ell)
+            normals, areas = svd_reference(emb)
+            tol = 1e-14 * condition(ell)
+            rep = dual_gram(ell)
+            assert_allclose(outward_normals(emb), normals, rtol=0.0, atol=tol)
+            assert_allclose(rep.gstar, normals @ normals.T, rtol=0.0, atol=tol)
+            assert_allclose(rep.areas, areas, rtol=tol)
+
+
+def mp_bordered_reference(ell):
+    """Dual Gram D L D and areas n V sqrt(L_ii) from the bordered inverse
+    Gram L, at 50 significant digits."""
+    mpmath = pytest.importorskip("mpmath")
+    n = ell.n
+    with mpmath.workdps(50):
+        g = mpmath.matrix(gram_from_squared_lengths(ell).tolist())
+        ginv = g**-1
+        big = mpmath.matrix(n + 1, n + 1)
+        for i in range(n):
+            for j in range(n):
+                big[i + 1, j + 1] = ginv[i, j]
+        for i in range(1, n + 1):
+            big[0, i] = big[i, 0] = -mpmath.fsum(ginv[i - 1, j] for j in range(n))
+        big[0, 0] = -mpmath.fsum(big[0, j] for j in range(1, n + 1))
+        nv = n * mpmath.sqrt(mpmath.det(g)) / math.factorial(n)
+        gstar = [
+            [float(big[i, j] / mpmath.sqrt(big[i, i] * big[j, j])) for j in range(n + 1)]
+            for i in range(n + 1)
+        ]
+        areas = [float(nv * mpmath.sqrt(big[i, i])) for i in range(n + 1)]
+    return np.array(gstar), np.array(areas)
+
+
+def test_dual_gram_matches_mpmath_bordered_inverse():
+    rng = np.random.default_rng(41)
+    for trial in range(42):
+        n = 2 + trial % 7
+        ell = flattened_simplex(n, rng) if trial % 2 else random_simplex(n, rng)
+        gstar, areas = mp_bordered_reference(ell)
+        rep = dual_gram(ell)
+        # both errors grow like eps * cond(G); the bound leaves a wide margin
+        tol = 1e-14 * max(1.0, condition(ell))
+        assert np.abs(rep.gstar - gstar).max() <= tol, (trial, n)
+        assert (np.abs(rep.areas - areas) / areas).max() <= tol, (trial, n)
+
+
+# ---------------------------------------------------------------------------
+# one factorization per query
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 7])
+def test_dual_queries_make_one_jacobi_call_of_size_n(jacobi_calls, n):
+    ell = random_simplex(n, np.random.default_rng(n))
+    jacobi_calls.clear()
+    dual_gram(ell)
+    assert jacobi_calls == [n]
+    jacobi_calls.clear()
+    embed(ell)
+    assert jacobi_calls == [n]
+    jacobi_calls.clear()
+    area_ratio_from_adjugate(ell, 0, 1)
+    # sizes up to 4 take the adjugate by cofactors, larger ones by Jacobi
+    assert jacobi_calls == ([n] if n + 1 <= 4 else [n, n + 1])
+
+
+def test_dual_queries_call_no_svd(monkeypatch):
+    ells = [random_simplex(n, np.random.default_rng(n)) for n in range(2, 8)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.svd was called")
+
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    for ell in ells:
+        dual_gram(ell)
+        area_ratio_from_adjugate(ell, 0, 1)
+
+
 # ---------------------------------------------------------------------------
 # dual Gram matrix fixtures
 
@@ -103,6 +241,16 @@ def test_dual_gram_equilateral_triangle():
     assert_allclose(off, -0.5, atol=1e-13)
     nd = null_direction(rep.gstar)
     assert_allclose(nd, np.full(3, 1.0 / math.sqrt(3.0)), atol=1e-12)
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e200, 1e300])
+def test_dual_gram_regular_tetrahedron_far_from_unit_scale(scale):
+    # n V overflows at 1e300 while every facet area is a finite float
+    rep = dual_gram(SquaredEdgeLengths(3, np.full(6, scale)))
+    assert_allclose(rep.areas, math.sqrt(3.0) / 4.0 * scale, rtol=1e-14)
+    assert_allclose(rep.gstar[~np.eye(4, dtype=bool)], -1.0 / 3.0, atol=1e-14)
+    assert rep.null_residual < 1e-14
+    assert rep.divergence_residual < 1e-14
 
 
 def test_dual_gram_rejects_unrealizable():

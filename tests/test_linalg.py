@@ -68,6 +68,20 @@ def test_eigendecompose_reconstruction_random_sizes():
         )
 
 
+def test_eigendecompose_commutes_with_powers_of_two():
+    # the sweeps run on an exactly rescaled copy, so scaling by 2^k moves
+    # the eigenvalues by 2^k and changes no other bit, even where the
+    # squared entries would leave the float range
+    rng = np.random.default_rng(12)
+    for n in range(1, 9):
+        m = random_symmetric(rng, n, scale=3.0)
+        base = eigendecompose(m)
+        for k in (-1000, -520, -1, 1, 520, 1000):
+            dec = eigendecompose(np.ldexp(m, k))
+            assert np.array_equal(dec.eigenvalues, np.ldexp(base.eigenvalues, k)), (n, k)
+            assert np.array_equal(dec.basis, base.basis), (n, k)
+
+
 def test_eigendecompose_rejects_asymmetric():
     with pytest.raises(ValueError, match="not symmetric"):
         eigendecompose(np.array([[1.0, 2.0], [0.0, 1.0]]))

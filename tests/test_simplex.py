@@ -173,6 +173,17 @@ def test_validate_scale_invariant_verdicts():
             assert rep.verdict is expected, (expected, t)
 
 
+@pytest.mark.parametrize("scale", [1e155, 1e200, 1e300])
+def test_validate_invalid_triangle_far_from_unit_scale(scale):
+    # squared Gram entries overflow past ~1e154; the verdict must not change
+    ell = SquaredEdgeLengths(2, scale * np.array([1.0, 1.0, 9.0]))
+    rep = validate(ell)
+    assert rep.verdict is Verdict.INVALID
+    assert rep.smallest_gram_eigenvalue == pytest.approx(-2.5 * scale, rel=1e-12)
+    with pytest.raises(NotRealizable):
+        volume(ell)
+
+
 def test_validate_tolerance_scales_with_spectrum():
     rep = validate(UNIT_TETRA, pd_tol=1e-10)
     # largest Gram eigenvalue is 2, so the band is pd_tol * 2
