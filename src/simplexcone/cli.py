@@ -69,10 +69,10 @@ class _Parser(argparse.ArgumentParser):
 # ---------------------------------------------------------------------------
 # deterministic rendering
 
-def _float_repr(x: float) -> str:
+def _float_repr(x: float, spec: str = ".17g") -> str:
     if not math.isfinite(x):
-        raise ValueError("cannot serialize a non-finite number")
-    return format(x, ".17g")
+        raise ValueError(f"cannot serialize the non-finite number {x}")
+    return format(x, spec)
 
 
 def _escape(text: str) -> str:
@@ -115,7 +115,7 @@ def _pretty_scalar(value) -> str:
     if isinstance(value, bool) or isinstance(value, np.bool_):
         return "true" if value else "false"
     if isinstance(value, (float, np.floating)):
-        return format(float(value), ".12g")
+        return _float_repr(float(value), ".12g")
     return str(value)
 
 
@@ -282,8 +282,6 @@ def _cmd_volume(args) -> tuple[dict, dict, int]:
         if face is not None:
             results["face"] = list(face)
         return inputs, results, 2
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
     return inputs, results, 0
 
 
@@ -292,7 +290,7 @@ def _cmd_faces(args) -> tuple[dict, dict, int]:
     k = args.k
     if not (1 <= k <= ell.n):
         raise UsageError(f"--k must lie in 1..{ell.n}")
-    _check_faces_fit(ell.n, k)
+    _check_face_count(ell.n, k)
     from itertools import combinations
 
     entries = []
@@ -315,8 +313,6 @@ def _cmd_dual(args) -> tuple[dict, dict, int]:
         report = dual_gram(ell, pd_tol=args.tolerance)
     except NotRealizable as exc:
         return inputs, {"error": str(exc)}, 2
-    except ValueError as exc:  # e.g. a 1-simplex has no facet normals
-        raise UsageError(str(exc)) from exc
     try:
         kernel = null_direction(report.gstar)
     except NullityNotOne as exc:
@@ -330,10 +326,7 @@ def _cmd_dual(args) -> tuple[dict, dict, int]:
     }
     if args.ratio is not None:
         i, j = args.ratio
-        try:
-            value = area_ratio_from_adjugate(ell, i, j, pd_tol=args.tolerance)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
+        value = area_ratio_from_adjugate(ell, i, j, pd_tol=args.tolerance)
         results["ratio"] = {"i": i, "j": j, "squared_area_ratio": value}
     return inputs, results, 0
 
@@ -344,21 +337,13 @@ def _cmd_probe(args) -> tuple[dict, dict, int]:
     inputs = {"first": inputs_first, "second": inputs_second}
     if args.mode == "log":
         face = _parse_face(args.face) if args.face else None
-        try:
-            report = probe_log_concavity(
-                first, second, face, samples=args.samples, pd_tol=args.tolerance
-            )
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
+        report = probe_log_concavity(
+            first, second, face, samples=args.samples, pd_tol=args.tolerance
+        )
     else:
         if args.face:
             raise UsageError("--face applies to --mode log only")
-        try:
-            report = probe_root_concavity(
-                first, second, samples=args.samples, pd_tol=args.tolerance
-            )
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
+        report = probe_root_concavity(first, second, samples=args.samples, pd_tol=args.tolerance)
     results = {
         "mode": args.mode,
         "samples": report.samples,
@@ -403,7 +388,7 @@ def _cmd_optimize(args) -> tuple[dict, dict, int]:
         raise UsageError("--n must be at least 1")
     if not (1 <= args.k <= args.n):
         raise UsageError(f"--k must lie in 1..{args.n}")
-    _check_faces_fit(args.n, args.k)
+    _check_face_count(args.n, args.k)
     if args.starts < 1:
         raise UsageError("--starts must be at least 1")
     params = {
@@ -458,13 +443,6 @@ def _cmd_optimize(args) -> tuple[dict, dict, int]:
     if best is not None:
         results["best"] = {"run": best[0], "objective": best[1]}
     return inputs, results, 3 if any_failed else 0
-
-
-def _check_faces_fit(n: int, k: int) -> None:
-    try:
-        _check_face_count(n, k)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
 
 
 #: bounds of ``probe --samples``; a probe holds samples * n^2 floats at once
@@ -565,7 +543,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("first")
     p.add_argument("second")
     p.add_argument("--mode", choices=["log", "root"], required=True)
-    p.add_argument("--samples", type=_sample_count, default=33)
+    p.add_argument("--samples", type=_sample_count, default=33, help=(
+        "3..100000 (default %(default)s); the exact all-pairs margin takes "
+        "O(samples^2) time: 0.24 s at 20001, about 6 s at 100000"))
     p.add_argument("--face", help="restrict log mode to a face")
     _add_common(p)
 
@@ -612,21 +592,22 @@ def run(argv: list[str]) -> int:
         return 1
     try:
         inputs, results, code = _HANDLERS[args.command](args)
+        report = {"command": args.command, "version": __version__}
+        if not args.no_timestamp:
+            report["timestamp"] = datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+        report["inputs"] = inputs
+        report["results"] = results
+        text = "\n".join(render_pretty(report)) if args.pretty else render_json(report)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ConvergenceError, NullityNotOne) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    report = {"command": args.command, "version": __version__}
-    if not args.no_timestamp:
-        report["timestamp"] = datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
-    report["inputs"] = inputs
-    report["results"] = results
-    if args.pretty:
-        print("\n".join(render_pretty(report)))
-    else:
-        print(render_json(report))
+    except ValueError as exc:  # a library check, or a Gram matrix or result overflowed
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    print(text)
     return code
 
 

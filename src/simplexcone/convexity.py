@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_PD_TOL
+from .linalg import DEFAULT_PD_TOL, _band
 from .simplex import (
     SquaredEdgeLengths,
     ValidityReport,
@@ -236,8 +236,7 @@ def _segment_logdet(
 
     def first_failure(w: np.ndarray) -> float | None:
         # the PD test of ``validate``, applied row by row
-        scale = np.maximum(1.0, np.abs(w).max(axis=1))
-        bad = np.flatnonzero(~(w[:, 0] > pd_tol * scale))
+        bad = np.flatnonzero(~(w[:, 0] > _band(w, pd_tol)))
         return float(ts[bad[0]]) if bad.size else None
 
     left_cone = "segment point t={} left the Valid cone; this contradicts convexity"

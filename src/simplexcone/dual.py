@@ -27,6 +27,7 @@ from .linalg import (
     DEFAULT_NULL_TOL,
     DEFAULT_PD_TOL,
     NullityNotOne,
+    _band,
     adjugate,
     check_symmetric,
     eigendecompose,
@@ -114,8 +115,7 @@ def null_direction(gstar, *, null_tol: float = DEFAULT_NULL_TOL) -> np.ndarray:
     a = check_symmetric(gstar)
     dec = eigendecompose(a)
     w = dec.eigenvalues
-    scale = max(1.0, float(np.abs(w).max()))
-    zero = np.flatnonzero(np.abs(w) <= null_tol * scale)
+    zero = np.flatnonzero(np.abs(w) <= _band(w, null_tol))
     if zero.size != 1:
         raise NullityNotOne(f"expected nullity 1, found {zero.size} zero eigenvalues")
     v = dec.basis[:, int(zero[0])].copy()

@@ -8,17 +8,19 @@ and a projected gradient ascent on the hyperplane
 ``{sum of squared lengths = total}`` that lets the claim be checked
 numerically from random starting points.
 
-The gradient is cheap because the Gram matrix is linear in the squared
-lengths: for the anchored Gram matrix G of a face,
+The gradient is cheap because the Gram matrix G of a face is linear in
+the squared lengths: with adj the adjoint of that map
+(``simplex._gram_adjoint``) and L the face's bordered inverse Gram,
 
-    d(log vol)/ds(0,k) = (1/2) * (row sum k of G^-1)
-    d(log vol)/ds(i,j) = -(1/2) * (G^-1)[i][j]        (i, j >= 1)
+    grad log vol = (1/2) adj(G^-1) = -(1/2) offdiag L
 
-with vertex labels local to the face.
+where offdiag lists the strict upper triangle in edge order.  The
+smallest Gram eigenvalue, with unit eigenvector q, has gradient adj(q q^T).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -26,16 +28,20 @@ from itertools import combinations
 
 import numpy as np
 
-from .linalg import DEFAULT_PD_TOL, _cholesky_factor
+from .linalg import DEFAULT_PD_TOL, _band, _cholesky_factor
 from .simplex import (
     NotRealizable,
     SquaredEdgeLengths,
     Verdict,
     _check_face_count,
     _classify,
+    _edge_table,
+    _gram_adjoint,
+    _gram_index,
     _gram_stack,
+    _pairs,
+    _polarize,
     edge_count,
-    edge_index,
     regular_simplex,
     validate,
 )
@@ -135,45 +141,28 @@ class OptimizationTrace:
 
 
 class _FaceWorkspace:
-    """Precomputed index maps for batched face-Gram assembly and scatter."""
+    """Index maps of the k-faces of an n-simplex: ``edges`` lists each face's
+    edges in its own edge order, ``apex``/``pair`` compose it with the face
+    Gram's, and ``scatter`` is ``edges`` read in ``order``, every face's apex
+    edges (first k columns) before any pair edge.  The gradient sums in that
+    order: the line search compares gradient norms at float resolution, so
+    a face-by-face sum changes iteration counts."""
 
     def __init__(self, n: int, k: int):
-        faces = list(combinations(range(n + 1), k + 1))
-        m = len(faces)
-        apex = np.empty((m, k), dtype=int)
-        pair = np.zeros((m, k, k), dtype=int)
-        for fi, verts in enumerate(faces):
-            u0 = verts[0]
-            rest = verts[1:]
-            for a in range(k):
-                apex[fi, a] = edge_index(n, u0, rest[a])
-            for a in range(k):
-                for b in range(a + 1, k):
-                    e = edge_index(n, rest[a], rest[b])
-                    pair[fi, a, b] = e
-                    pair[fi, b, a] = e
         self.n = n
         self.k = k
-        self.faces = faces
-        self.apex = apex
-        self.pair = pair
-        self.triu = np.triu_indices(k, 1)
-        iu, ju = self.triu
-        # apex edges, then pair edges: the order _raw_gradient lays out
-        # the per-face contributions in
-        self.scatter = np.concatenate((apex.ravel(), pair[:, iu, ju].ravel()))
+        self.faces = np.array(list(combinations(range(n + 1), k + 1)))
+        iu, ju = _pairs(k + 1)
+        self.edges = _edge_table(n)[self.faces[:, iu], self.faces[:, ju]]
+        apex, pair = _gram_index(k)
+        # take() keeps them C-contiguous, which the per-step gathers need
+        self.apex = self.edges.take(apex, axis=1)
+        self.pair = self.edges.take(pair, axis=1)
+        slots = np.arange(self.edges.size).reshape(self.edges.shape)
+        self.order = np.concatenate((slots[:, :k].ravel(), slots[:, k:].ravel()))
+        self.scatter = self.edges.ravel()[self.order]
         self.log_kfact = math.log(math.factorial(k))
         self.kfact_root = math.factorial(k) ** (1.0 / k)
-
-    def grams(self, s: np.ndarray) -> np.ndarray:
-        ap = s[self.apex]
-        g = 0.5 * (ap[:, :, None] + ap[:, None, :] - s[self.pair])
-        idx = np.arange(self.k)
-        g[:, idx, idx] = ap
-        return g
-
-
-_WORKSPACES: dict[tuple[int, int], _FaceWorkspace] = {}
 
 
 def _check_face_dimension(n: int, k: int) -> None:
@@ -182,18 +171,12 @@ def _check_face_dimension(n: int, k: int) -> None:
     _check_face_count(n, k)
 
 
-def _workspace(n: int, k: int) -> _FaceWorkspace:
-    key = (n, k)
-    ws = _WORKSPACES.get(key)
-    if ws is None:
-        ws = _FaceWorkspace(n, k)
-        _WORKSPACES[key] = ws
-    return ws
+_workspace = functools.cache(_FaceWorkspace)  # one per (n, k)
 
 
 def _raw_value(ws: _FaceWorkspace, kind: ObjectiveKind, s: np.ndarray) -> float | None:
     """Objective value from the raw vector, or None if any face collapses."""
-    dets = np.linalg.det(ws.grams(s))
+    dets = np.linalg.det(_polarize(s[ws.apex], s[ws.pair]))
     if not np.isfinite(dets).all() or (dets <= 0.0).any():
         return None
     if kind is ObjectiveKind.LOG_PRODUCT_FACES:
@@ -203,18 +186,16 @@ def _raw_value(ws: _FaceWorkspace, kind: ObjectiveKind, s: np.ndarray) -> float 
 
 
 def _raw_gradient(ws: _FaceWorkspace, kind: ObjectiveKind, s: np.ndarray) -> np.ndarray:
-    grams = ws.grams(s)
+    grams = _polarize(s[ws.apex], s[ws.pair])
     inv = np.linalg.inv(grams)
+    # half of each face's weight: d(log vol)/ds = adj(G^-1) / 2
     if kind is ObjectiveKind.LOG_PRODUCT_FACES:
-        weights = np.ones(len(ws.faces))
+        half = 0.5
     else:
         dets = np.linalg.det(grams)
-        weights = (dets ** (0.5 / ws.k) / ws.kfact_root) / ws.k
-    apex_contrib = 0.5 * inv.sum(axis=2) * weights[:, None]
-    iu, ju = ws.triu
-    pair_contrib = -0.5 * inv[:, iu, ju] * weights[:, None]
-    contrib = np.concatenate((apex_contrib.ravel(), pair_contrib.ravel()))
-    return np.bincount(ws.scatter, weights=contrib, minlength=edge_count(ws.n))
+        half = 0.5 * ((dets ** (0.5 / ws.k) / ws.kfact_root) / ws.k)[:, None]
+    terms = (_gram_adjoint(inv) * half).ravel()[ws.order]
+    return np.bincount(ws.scatter, weights=terms, minlength=edge_count(ws.n))
 
 
 def _require_valid(ell: SquaredEdgeLengths, pd_tol: float) -> None:
@@ -253,20 +234,6 @@ def gradient_log_volume(
     return _raw_gradient(
         _workspace(ell.n, ell.n), ObjectiveKind.LOG_PRODUCT_FACES, ell.s
     )
-
-
-def _smallest_eigenvalue_gradient(n: int, q: np.ndarray) -> np.ndarray:
-    """Gradient of the smallest Gram eigenvalue with respect to the
-    squared lengths, given its unit eigenvector ``q``.
-
-    The Gram matrix is linear in the squared lengths, so the derivative
-    along edge e is ``q' * (dG/ds_e) * q``, which collapses to
-    ``q[k-1] * sum(q)`` for an apex edge (0,k) and ``-q[i-1]*q[j-1]``
-    for a pair edge (i,j).
-    """
-    t = float(q.sum())
-    iu, ju = np.triu_indices(n, 1)
-    return np.concatenate((q * t, -q[iu] * q[ju]))
 
 
 def _judge_candidate(
@@ -429,13 +396,13 @@ def maximize(
             break
 
         lam0 = float(lam[0])
-        threshold = pd_tol * max(1.0, abs(lam[-1]))
+        threshold = _band(lam, pd_tol)
         direction = pg
         if lam0 < max(2.0 * lam_floor, 64.0 * threshold):
             # pinched against the cone boundary: if the gradient pushes
             # outward, slide along the eigenvalue level set, nudged
             # inward when the eigenvalue has dipped below the band
-            normal = _smallest_eigenvalue_gradient(n, vec[:, 0])
+            normal = _gram_adjoint(np.outer(vec[:, 0], vec[:, 0]))
             normal -= normal.mean()
             outward = float(pg @ normal)
             normal_sq = float(normal @ normal)

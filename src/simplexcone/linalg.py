@@ -186,6 +186,12 @@ def eigendecompose(m, *, max_sweeps: int = _JACOBI_MAX_SWEEPS) -> EigenDecomposi
     return EigenDecomposition(eigenvalues=w[order], basis=basis[:, order])
 
 
+def _band(w, tol: float):
+    """Half-width ``tol * max(1, max|w|)`` of the band in which an eigenvalue
+    counts as zero, per spectrum along the last axis of ``w`` (a stack)."""
+    return tol * np.abs(w).max(axis=-1, initial=1.0)
+
+
 def smallest_eigenvalue(m) -> float:
     return float(eigendecompose(m).eigenvalues[0])
 
@@ -216,8 +222,7 @@ def cholesky(m, *, pd_tol: float = DEFAULT_PD_TOL) -> np.ndarray:
     a = check_symmetric(m)
     low, ok, bad = _cholesky_factor(a)
     w = eigendecompose(a).eigenvalues
-    scale = max(1.0, float(np.abs(w).max()))
-    if w[0] > pd_tol * scale:
+    if w[0] > _band(w, pd_tol):
         if not ok:  # tolerance-PD but a pivot collapsed: genuinely borderline
             raise NotPositiveDefinite(f"pivot {bad} is not positive", pivot=bad)
         return low
@@ -324,8 +329,7 @@ def adjugate_rank1_decompose(
     if symmetric:
         dec = eigendecompose(a)
         w_eig = dec.eigenvalues
-        scale = max(1.0, float(np.abs(w_eig).max()))
-        zero = np.flatnonzero(np.abs(w_eig) <= null_tol * scale)
+        zero = np.flatnonzero(np.abs(w_eig) <= _band(w_eig, null_tol))
         if zero.size != 1:
             raise NullityNotOne(f"expected nullity 1, found {zero.size} zero eigenvalues")
         k = int(zero[0])
@@ -336,8 +340,7 @@ def adjugate_rank1_decompose(
     # small non-symmetric case: null vectors from the SVD, eigenvalue
     # product from the (possibly complex) spectrum
     lam = np.linalg.eigvals(a)
-    scale = max(1.0, float(np.abs(lam).max()))
-    zero = np.flatnonzero(np.abs(lam) <= null_tol * scale)
+    zero = np.flatnonzero(np.abs(lam) <= _band(lam, null_tol))
     if zero.size != 1:
         raise NullityNotOne(f"expected nullity 1, found {zero.size} zero eigenvalues")
     u_svd, _, vt_svd = np.linalg.svd(a)
@@ -360,8 +363,7 @@ def logdet_directional_derivative(a, b, *, pd_tol: float = DEFAULT_PD_TOL) -> fl
         raise ValueError("A and B must have matching shapes")
     dec = eigendecompose(amat)
     w = dec.eigenvalues
-    scale = max(1.0, float(np.abs(w).max()))
-    if w[0] <= pd_tol * scale:
+    if w[0] <= _band(w, pd_tol):
         raise NotPositiveDefinite("base point of log det derivative is not PD")
     bprime = dec.basis.T @ bmat @ dec.basis
     return float(np.sum(np.diag(bprime) / w))
@@ -381,8 +383,7 @@ def logdet_second_derivative(a, b, *, pd_tol: float = DEFAULT_PD_TOL) -> float:
         raise ValueError("A and B must have matching shapes")
     dec = eigendecompose(amat)
     w = dec.eigenvalues
-    scale = max(1.0, float(np.abs(w).max()))
-    if w[0] <= pd_tol * scale:
+    if w[0] <= _band(w, pd_tol):
         raise NotPositiveDefinite("base point of log det derivative is not PD")
     bprime = dec.basis.T @ bmat @ dec.basis
     ratio = bprime / np.sqrt(np.outer(w, w))

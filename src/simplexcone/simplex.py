@@ -11,6 +11,12 @@ an n-by-n Gram matrix *linearly*:
     G[i][i] = s(0,i)
     G[i][j] = (s(0,i) + s(0,j) - s(i,j)) / 2      (i != j, vertices 1..n)
 
+Every gather finds its edges in one cached table per dimension
+(``_edge_table``: entry [i, j] is the position of edge (i, j)).  The
+map's adjoint adj (``_gram_adjoint``, not the adjugate), with
+<M, G(s)> = s . adj(M), is the row sums of M followed by minus its
+strict upper triangle: it turns every d/dG in the package into a d/ds.
+
 The vector is realizable by a non-degenerate Euclidean simplex exactly
 when G is positive definite, the volume is sqrt(det G) / n!, and every
 face is governed by the same rule after re-anchoring at the face's
@@ -21,6 +27,7 @@ is an open convex cone, which is what the rest of the package exploits.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -29,7 +36,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .linalg import DEFAULT_PD_TOL, NotPositiveDefinite, _cholesky_factor, eigendecompose
+from .linalg import DEFAULT_PD_TOL, NotPositiveDefinite, _band, _cholesky_factor, eigendecompose
 
 __all__ = [
     "MAX_FACES",
@@ -152,35 +159,63 @@ class SimplexEmbedding:
         return np.column_stack([np.zeros(self.n), self.vertices])
 
 
-# cached per-dimension index templates for vectorized Gram assembly
-_GRAM_TEMPLATES: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """``a`` made read-only: the per-size caches below share their arrays."""
+    a.setflags(write=False)
+    return a
 
 
-def _gram_templates(n: int) -> tuple[np.ndarray, np.ndarray]:
-    cached = _GRAM_TEMPLATES.get(n)
-    if cached is not None:
-        return cached
-    apex = np.array([edge_index(n, 0, k) for k in range(1, n + 1)])
-    pair = np.zeros((n, n), dtype=int)
-    for i in range(1, n):
-        for j in range(i + 1, n + 1):
-            pair[i - 1, j - 1] = pair[j - 1, i - 1] = edge_index(n, i, j)
-    _GRAM_TEMPLATES[n] = (apex, pair)
-    return apex, pair
+@functools.cache
+def _pairs(m: int) -> np.ndarray:
+    """Rows ``iu, ju`` of the strict upper triangle of an m-by-m matrix,
+    row by row: the edge order of an (m-1)-simplex."""
+    return _frozen(np.array(np.triu_indices(m, 1)))
+
+
+@functools.cache
+def _edge_table(n: int) -> np.ndarray:
+    """The edge layout of an n-simplex: entries [i, j] and [j, i] hold the
+    position of edge (i, j); the diagonal's 0 is a placeholder that
+    :func:`_polarize` overwrites."""
+    iu, ju = _pairs(n + 1)
+    table = np.zeros((n + 1, n + 1), dtype=np.intp)
+    table[iu, ju] = table[ju, iu] = np.arange(iu.size)
+    return _frozen(table)
+
+
+@functools.cache
+def _gram_index(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The positions of s(0, i) and of s(i, j) (i, j = 1..n) that the Gram
+    matrix gathers: the table's row 0 and block [1:, 1:], made contiguous."""
+    table = _edge_table(n)
+    return _frozen(table[0, 1:].copy()), _frozen(table[1:, 1:].copy())
+
+
+def _polarize(apex: np.ndarray, pair: np.ndarray) -> np.ndarray:
+    """Exactly symmetric Gram matrices from gathered squared lengths:
+    ``apex[..., i]`` is s(0, i+1) and ``pair[..., i, j]`` is s(i+1, j+1)."""
+    g = 0.5 * (apex[..., :, None] + apex[..., None, :] - pair)
+    diag = np.arange(apex.shape[-1])
+    g[..., diag, diag] = apex
+    return g
 
 
 def _gram_stack(n: int, rows: np.ndarray) -> np.ndarray:
     """Gram matrices of a stack of squared-length vectors of dimension n.
 
     ``rows`` has shape ``(..., n*(n+1)/2)``; the result has shape
-    ``(..., n, n)``, every matrix exactly symmetric.
+    ``(..., n, n)``.
     """
-    apex_idx, pair_idx = _gram_templates(n)
-    apex = rows[..., apex_idx]
-    g = 0.5 * (apex[..., :, None] + apex[..., None, :] - rows[..., pair_idx])
-    diag = np.arange(n)
-    g[..., diag, diag] = apex
-    return g
+    apex, pair = _gram_index(n)
+    return _polarize(rows[..., apex], rows[..., pair])
+
+
+def _gram_adjoint(m: np.ndarray) -> np.ndarray:
+    """Adjoint of the map s -> G, with <M, G(s)> = s . adj(M) for symmetric
+    M: the row sums of M, then minus its strict upper triangle, in edge
+    order.  Works over stacks ``(..., k, k)``."""
+    iu, ju = _pairs(m.shape[-1])
+    return np.concatenate((m.sum(axis=-1), -m[..., iu, ju]), axis=-1)
 
 
 def gram_from_squared_lengths(ell: SquaredEdgeLengths) -> np.ndarray:
@@ -197,32 +232,29 @@ def squared_lengths_from_gram(g) -> SquaredEdgeLengths:
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
         raise ValueError("expected a square matrix")
     n = a.shape[0]
-    s = np.empty(edge_count(n))
-    for pos, (i, j) in enumerate(edge_pairs(n)):
-        if i == 0:
-            s[pos] = a[j - 1, j - 1]
-        else:
-            s[pos] = a[i - 1, i - 1] + a[j - 1, j - 1] - 2.0 * a[i - 1, j - 1]
-    return SquaredEdgeLengths(n, s)
+    d = np.diagonal(a)
+    iu, ju = _pairs(n)
+    return SquaredEdgeLengths(n, np.concatenate((d, d[iu] + d[ju] - 2.0 * a[iu, ju])))
+
+
+@functools.cache
+def _triangles(n: int) -> np.ndarray:
+    """Edge positions of each side of every vertex triple a < b < c (row 0)
+    and of its two other sides (rows 1 and 2), a (3, 3 C(n+1, 3)) array."""
+    a, b, c = np.array(list(combinations(range(n + 1), 3)), dtype=np.intp).reshape(-1, 3).T
+    table = _edge_table(n)
+    ab, ac, bc = table[a, b], table[a, c], table[b, c]
+    return _frozen(np.array(((ab, ac, bc), (ac, ab, ab), (bc, bc, ac))).reshape(3, -1))
 
 
 def triangle_inequalities_hold(ell: SquaredEdgeLengths) -> bool:
     """Strict triangle inequality on every vertex triple (plain lengths)."""
-    lengths = {}
-    for pos, (i, j) in enumerate(edge_pairs(ell.n)):
-        lengths[(i, j)] = math.sqrt(ell.s[pos])
-    for a, b, c in combinations(range(ell.n + 1), 3):
-        ab = lengths[(a, b)]
-        ac = lengths[(a, c)]
-        bc = lengths[(b, c)]
-        if not (ab < ac + bc and ac < ab + bc and bc < ab + ac):
-            return False
-    return True
+    side, other, third = np.sqrt(ell.s)[_triangles(ell.n)]
+    return bool((side < other + third).all())
 
 
 def _classify(w: np.ndarray, pd_tol: float) -> tuple[Verdict, float]:
-    scale = max(1.0, float(np.abs(w).max()))
-    threshold = pd_tol * scale
+    threshold = float(_band(w, pd_tol))
     lam0 = float(w[0])
     if lam0 > threshold:
         return Verdict.VALID, threshold
@@ -314,9 +346,9 @@ def _face_edges(n: int, face: Iterable[int]) -> tuple[int, np.ndarray]:
     """Dimension k of a face and the positions of its edges in an
     n-simplex's edge vector, in the face's own edge order (its vertices
     relabeled 0..k in increasing order)."""
-    verts = _normalize_face(face, n)
-    k = len(verts) - 1
-    return k, np.array([edge_index(n, verts[a], verts[b]) for a, b in edge_pairs(k)])
+    verts = np.array(_normalize_face(face, n))
+    iu, ju = _pairs(verts.size)
+    return verts.size - 1, _edge_table(n)[verts[iu], verts[ju]]
 
 
 def face_squared_lengths(ell: SquaredEdgeLengths, face: Iterable[int]) -> SquaredEdgeLengths:
@@ -348,10 +380,9 @@ def relabel(ell: SquaredEdgeLengths, perm: Sequence[int]) -> SquaredEdgeLengths:
     p = tuple(int(x) for x in perm)
     if sorted(p) != list(range(n + 1)):
         raise ValueError(f"perm must be a permutation of 0..{n}")
-    s = np.empty_like(ell.s)
-    for pos, (i, j) in enumerate(edge_pairs(n)):
-        s[pos] = ell.entry(p[i], p[j])
-    return SquaredEdgeLengths(n, s)
+    perm = np.array(p)
+    iu, ju = _pairs(n + 1)
+    return SquaredEdgeLengths(n, ell.s[_edge_table(n)[perm[iu], perm[ju]]])
 
 
 def random_simplex(

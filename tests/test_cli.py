@@ -393,6 +393,24 @@ def test_optimize_tolerance_no_start_can_meet_is_a_usage_error(capsys):
     )
 
 
+TETRA_1E300 = json.dumps({"dimension": 3, "squared_lengths": [1e300] * 6})
+
+
+@pytest.mark.parametrize(
+    "argv, fragment",
+    [
+        (["volume", TETRA_1E300], "non-finite number inf"),
+        (["volume", TETRA_1E300, "--pretty"], "non-finite number inf"),
+        (["faces", TETRA_1E300, "--k", "3"], "non-finite number inf"),
+        (["validate", '{"dimension": 2, "squared_lengths": [1e308, 1e308, 1e308]}'], "finite"),
+    ],
+)
+def test_finite_input_at_float_extremes_exits_1(capsys, argv, fragment):
+    # every entry is a positive finite float, but the volume (about 1e450)
+    # or the Gram entry s(0,1) + s(0,2) is not: a message, not a traceback
+    _assert_usage_error(capsys, argv, fragment)
+
+
 def test_face_budget_is_a_usage_error(capsys):
     # C(41, 21) faces; refused before any face is enumerated
     _assert_usage_error(

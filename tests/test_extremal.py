@@ -17,7 +17,10 @@ from simplexcone import (
     SquaredEdgeLengths,
     Verdict,
     edge_count,
+    edge_index,
+    edge_pairs,
     eigendecompose,
+    face_squared_lengths,
     gradient_log_volume,
     gram_from_squared_lengths,
     maximize,
@@ -157,6 +160,29 @@ def test_gradient_log_volume_matches_finite_differences():
             assert g[e] == pytest.approx(_central_diff4(along, h), rel=1e-6, abs=1e-8)
 
 
+def test_log_volume_gradient_is_minus_half_the_bordered_inverse_gram():
+    # grad log V = adj(G^-1) / 2 = -(1/2) offdiag L, L the bordered inverse
+    # Gram, whose strict upper triangle runs in edge order
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(53)
+    for n in range(2, 7):
+        for _ in range(3):
+            ell = random_simplex(n, rng)
+            g = gram_from_squared_lengths(ell)
+            with mpmath.workdps(50):
+                ginv = mpmath.matrix(g.tolist()) ** -1
+                big = mpmath.matrix(n + 1, n + 1)
+                for i in range(n):
+                    for j in range(n):
+                        big[i + 1, j + 1] = ginv[i, j]
+                    big[0, i + 1] = -mpmath.fsum(ginv[i, j] for j in range(n))
+                ref = np.array([float(-big[i, j] / 2) for i, j in edge_pairs(n)])
+            w = np.linalg.eigvalsh(g)
+            # the inverse's error grows like eps * cond(G)
+            tol = 1e-14 * max(1.0, w[-1] / w[0]) * float(np.abs(ref).max())
+            assert np.abs(gradient_log_volume(ell) - ref).max() <= tol, n
+
+
 def test_objective_gradient_top_logprod_equals_log_volume_gradient():
     rng = np.random.default_rng(19)
     for n in (2, 3, 4):
@@ -185,21 +211,28 @@ def test_objective_gradient_euler_identities():
             assert float(ell.s @ g_root) == pytest.approx(0.5 * val, rel=1e-9)
 
 
-def _scatter_reference(ws, kind, s):
-    # per-face contributions added edge by edge with np.add.at, apex
-    # edges first: the same additions in the same order as the gradient's
-    # single bincount, so the results must agree bit for bit
-    grams = ws.grams(s)
+def _scatter_reference(n, k, kind, s):
+    # per-face contributions added edge by edge with np.add.at, every face's
+    # apex edges first: the same additions in the same order as the
+    # gradient's single bincount, so the results must agree bit for bit;
+    # faces, edge positions and Gram matrices come from the public API
+    ell = SquaredEdgeLengths(n, s)
+    faces = list(itertools.combinations(range(n + 1), k + 1))
+    grams = np.array(
+        [gram_from_squared_lengths(face_squared_lengths(ell, f)) for f in faces]
+    )
     inv = np.linalg.inv(grams)
     if kind is LOGPROD:
-        weights = np.ones(len(ws.faces))
+        weights = np.ones(len(faces))
     else:
-        weights = (np.linalg.det(grams) ** (0.5 / ws.k) / ws.kfact_root) / ws.k
-    grad = np.zeros(edge_count(ws.n))
-    np.add.at(grad, ws.apex.ravel(), (0.5 * inv.sum(axis=2) * weights[:, None]).ravel())
-    iu, ju = np.triu_indices(ws.k, 1)
-    pair = (-0.5 * inv[:, iu, ju] * weights[:, None]).ravel()
-    np.add.at(grad, ws.pair[:, iu, ju].ravel(), pair)
+        kfact_root = math.factorial(k) ** (1.0 / k)
+        weights = (np.linalg.det(grams) ** (0.5 / k) / kfact_root) / k
+    apex = [edge_index(n, f[0], v) for f in faces for v in f[1:]]
+    pair = [edge_index(n, f[a], f[b]) for f in faces for a, b in edge_pairs(k) if a > 0]
+    iu, ju = np.triu_indices(k, 1)
+    grad = np.zeros(edge_count(n))
+    np.add.at(grad, apex, (0.5 * inv.sum(axis=2) * weights[:, None]).ravel())
+    np.add.at(grad, pair, (-0.5 * inv[:, iu, ju] * weights[:, None]).ravel())
     return grad
 
 
@@ -211,7 +244,7 @@ def test_gradient_scatter_matches_add_at_reference_bitwise():
             for kind in (LOGPROD, SUMROOT):
                 s = random_simplex(n, rng, total=float(edge_count(n))).s
                 got = extremal_module._raw_gradient(ws, kind, s)
-                assert np.array_equal(got, _scatter_reference(ws, kind, s)), (n, k)
+                assert np.array_equal(got, _scatter_reference(n, k, kind, s)), (n, k)
 
 
 def test_objective_gradient_matches_finite_differences():

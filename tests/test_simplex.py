@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import simplexcone.simplex as simplex_module
 from simplexcone import (
     NotRealizable,
     SquaredEdgeLengths,
@@ -388,3 +389,95 @@ def test_relabel_rejects_non_permutation():
         relabel(t, [0, 1, 2])
     with pytest.raises(ValueError, match="permutation"):
         relabel(t, [0, 1, 2, 2])
+
+
+# ---------------------------------------------------------------------------
+# the edge table and the adjoint of the Gram map
+
+
+def test_edge_table_matches_edge_index():
+    for n in range(1, 13):
+        table = simplex_module._edge_table(n)
+        assert table.shape == (n + 1, n + 1)
+        assert not table.flags.writeable
+        for i, j in edge_pairs(n):
+            assert table[i, j] == table[j, i] == edge_index(n, i, j), (n, i, j)
+
+
+def test_gram_adjoint_is_the_adjoint_of_the_gram_map():
+    # <M, G(s)> = s . adj(M) for every symmetric M: the identity every
+    # gradient in the package rests on
+    rng = np.random.default_rng(43)
+    for n in range(1, 9):
+        for _ in range(5):
+            s = rng.uniform(0.1, 3.0, edge_count(n))
+            m = rng.standard_normal((n, n))
+            m = m + m.T
+            g = simplex_module._gram_stack(n, s)
+            scale = float(np.abs(m).sum() * np.abs(g).max())
+            assert float(s @ simplex_module._gram_adjoint(m)) == pytest.approx(
+                float((m * g).sum()), rel=0.0, abs=1e-14 * scale
+            )
+        stack = rng.standard_normal((4, n, n))
+        stack = stack + stack.transpose(0, 2, 1)
+        adj = simplex_module._gram_adjoint(stack)
+        for k in range(4):
+            assert np.array_equal(adj[k], simplex_module._gram_adjoint(stack[k]))
+
+
+# the per-edge loops the table replaced, kept as references: the gathers
+# do the same arithmetic, so the results must agree bit for bit
+
+
+def _relabel_loop(ell, perm):
+    s = np.empty_like(ell.s)
+    for pos, (i, j) in enumerate(edge_pairs(ell.n)):
+        s[pos] = ell.entry(perm[i], perm[j])
+    return s
+
+
+def _squared_lengths_loop(a):
+    n = a.shape[0]
+    s = np.empty(edge_count(n))
+    for pos, (i, j) in enumerate(edge_pairs(n)):
+        if i == 0:
+            s[pos] = a[j - 1, j - 1]
+        else:
+            s[pos] = a[i - 1, i - 1] + a[j - 1, j - 1] - 2.0 * a[i - 1, j - 1]
+    return s
+
+
+def _triangles_loop(ell):
+    lengths = {}
+    for pos, (i, j) in enumerate(edge_pairs(ell.n)):
+        lengths[(i, j)] = math.sqrt(ell.s[pos])
+    for a, b, c in itertools.combinations(range(ell.n + 1), 3):
+        ab, ac, bc = lengths[(a, b)], lengths[(a, c)], lengths[(b, c)]
+        if not (ab < ac + bc and ac < ab + bc and bc < ab + ac):
+            return False
+    return True
+
+
+def test_table_gathers_match_the_edge_loops_bitwise():
+    rng = np.random.default_rng(47)
+    verdicts = set()
+    for n in range(1, 9):
+        for _ in range(6):
+            ell = random_simplex(n, rng)
+            perm = [int(x) for x in rng.permutation(n + 1)]
+            assert np.array_equal(relabel(ell, perm).s, _relabel_loop(ell, perm))
+            g = gram_from_squared_lengths(ell)
+            assert np.array_equal(squared_lengths_from_gram(g).s, _squared_lengths_loop(g))
+            # random positive entries: triangle inequalities both hold and fail
+            raw = SquaredEdgeLengths(n, rng.uniform(0.05, 4.0, edge_count(n)))
+            for inst in (ell, raw):
+                verdict = triangle_inequalities_hold(inst)
+                assert verdict is _triangles_loop(inst)
+                verdicts.add(verdict)
+    assert verdicts == {True, False}
+    # equality in each of the three inequalities, and a strict pass
+    for s in ([1.0, 1.0, 4.0], [1.0, 4.0, 1.0], [4.0, 1.0, 1.0], [1.0, 1.0, 1.0]):
+        ell = SquaredEdgeLengths(2, np.array(s))
+        assert triangle_inequalities_hold(ell) is _triangles_loop(ell)
+    assert triangle_inequalities_hold(SquaredEdgeLengths(2, np.array([1.0, 1.0, 4.0]))) is False
+    assert triangle_inequalities_hold(SquaredEdgeLengths(1, np.array([2.0]))) is True
