@@ -39,7 +39,6 @@ from .extremal import (
     ObjectiveKind,
     StepIntoInvalidRegion,
     maximize,
-    objective_value,
 )
 from .linalg import DEFAULT_PD_TOL, ConvergenceError, NullityNotOne
 from .simplex import (
@@ -426,7 +425,7 @@ def _cmd_optimize(args) -> tuple[dict, dict, int]:
             any_failed = True
             runs.append(entry)
             continue
-        final_value = objective_value(trace.final, objective, pd_tol=args.tolerance)
+        final_value = trace.iterates[-1][1]
         entry.update(
             {
                 "converged": True,
@@ -591,7 +590,10 @@ def run(argv: list[str]) -> int:
         print(parser.format_usage(), file=sys.stderr, end="")
         return 1
     try:
-        inputs, results, code = _HANDLERS[args.command](args)
+        # an overflow shows up as a non-finite result, which the checks
+        # below turn into exit 1; numpy's warning would only add noise
+        with np.errstate(over="ignore", invalid="ignore"):
+            inputs, results, code = _HANDLERS[args.command](args)
         report = {"command": args.command, "version": __version__}
         if not args.no_timestamp:
             report["timestamp"] = datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")

@@ -16,12 +16,13 @@ the segment, which is the authoritative check: since the Gram matrix is
 linear in the squared lengths, the analytic value is available in
 closed form at every sample.
 
-The two endpoints are certified by :func:`validate` (Jacobi).  The sample
-points are then factored together: their Gram matrices form one
-``(samples, k, k)`` stack that goes through a single LAPACK ``eigh`` call
-(plus one ``eigvalsh`` call on the full-simplex stack when the probed face
-is proper), with the PD test of ``validate`` applied row by row.  The
-tests hold this path to the Jacobi solver sample by sample.
+The two endpoints are certified by the Jacobi verdict of
+:func:`validate`.  The sample points are then factored together: their
+Gram matrices form one ``(samples, k, k)`` stack that goes through a
+single LAPACK ``eigh`` call (plus one ``eigvalsh`` call on the
+full-simplex stack when the probed face is proper), with the same PD test
+applied row by row.  The tests hold this path to the Jacobi solver sample
+by sample.
 """
 
 from __future__ import annotations
@@ -31,13 +32,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_PD_TOL, _band
+from .linalg import DEFAULT_PD_TOL, _logdet_derivatives, _positive_definite
 from .simplex import (
     SquaredEdgeLengths,
     ValidityReport,
     Verdict,
     _face_edges,
     _gram_stack,
+    _spectrum,
     validate,
 )
 
@@ -57,6 +59,9 @@ __all__ = [
 _MIDPOINT_SLACK = 1e-10
 _SECOND_DIFF_SLACK = 1e-8
 _ANALYTIC_SLACK = 1e-12
+
+#: bracket and width of both threshold bisections
+_BISECT_LO, _BISECT_TOL = 1e-4, 1e-8
 
 
 def cone_combine(
@@ -93,15 +98,20 @@ def nontri_instance(epsilon: float, *, pd_tol: float = DEFAULT_PD_TOL) -> Counte
     Triangle inequalities hold for every ``epsilon > 0``; the verdict
     flips from Invalid to Valid only at ``1/sqrt(3) - 1/2``.
     """
-    if not (epsilon > 0.0) or not math.isfinite(epsilon):
-        raise ValueError("epsilon must be positive")
-    apex = (0.5 + epsilon) ** 2
-    ell = SquaredEdgeLengths(3, np.array([apex, apex, apex, 1.0, 1.0, 1.0]))
+    ell = _nontri_piece(epsilon)
     return CounterexampleInstance(
         label="triangle-inequalities-not-sufficient",
         epsilon=epsilon,
         pieces={"instance": (ell, validate(ell, pd_tol=pd_tol))},
     )
+
+
+def _nontri_piece(epsilon: float) -> SquaredEdgeLengths:
+    """The unit triangle with its apex at distance 1/2 + epsilon."""
+    if not (epsilon > 0.0) or not math.isfinite(epsilon):
+        raise ValueError("epsilon must be positive")
+    apex = (0.5 + epsilon) ** 2
+    return SquaredEdgeLengths(3, np.array([apex, apex, apex, 1.0, 1.0, 1.0]))
 
 
 def _frankel_pieces(
@@ -137,54 +147,36 @@ def frankel_instance(epsilon: float, *, pd_tol: float = DEFAULT_PD_TOL) -> Count
     return CounterexampleInstance(label="lengths-not-convex", epsilon=epsilon, pieces=pieces)
 
 
-def _bisect_validity(
-    build, lo: float, hi: float, tol: float
-) -> float:
-    """Smallest epsilon where ``build(eps)`` flips to Valid, by bisection."""
-    if not build(hi):
+def _bisect_validity(build, pd_tol: float, hi: float) -> float:
+    """Smallest epsilon in (1e-4, hi) where the instance ``build(eps)`` flips
+    to Valid, bisected to a width of 1e-8 on its Jacobi verdict."""
+
+    def is_valid(eps: float) -> bool:
+        return _spectrum(build(eps), pd_tol)[2] is Verdict.VALID
+
+    lo, tol = _BISECT_LO, _BISECT_TOL
+    if not is_valid(hi):
         raise ValueError(f"upper endpoint {hi} is not Valid; bracket the threshold")
-    if build(lo):
+    if is_valid(lo):
         raise ValueError(f"lower endpoint {lo} is already Valid; bracket the threshold")
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if build(mid):
+        if is_valid(mid):
             hi = mid
         else:
             lo = mid
     return 0.5 * (lo + hi)
 
 
-def nontri_threshold(
-    *,
-    lo: float = 1e-4,
-    hi: float = 0.2,
-    tol: float = 1e-8,
-    pd_tol: float = DEFAULT_PD_TOL,
-) -> float:
+def nontri_threshold(*, pd_tol: float = DEFAULT_PD_TOL) -> float:
     """Bisected flip point of the apex family; analytically 1/sqrt(3) - 1/2."""
-
-    def is_valid(eps: float) -> bool:
-        _, report = nontri_instance(eps, pd_tol=pd_tol).pieces["instance"]
-        return report.verdict is Verdict.VALID
-
-    return _bisect_validity(is_valid, lo, hi, tol)
+    return _bisect_validity(_nontri_piece, pd_tol, 0.2)
 
 
-def frankel_length_threshold(
-    *,
-    lo: float = 1e-4,
-    hi: float = 1.0,
-    tol: float = 1e-8,
-    pd_tol: float = DEFAULT_PD_TOL,
-) -> float:
+def frankel_length_threshold(*, pd_tol: float = DEFAULT_PD_TOL) -> float:
     """Bisected epsilon above which the plain length sum C_len becomes Valid."""
-
-    def is_valid(eps: float) -> bool:
-        # only C_len decides the threshold, so A, B and their sum go unfactored
-        _, _, c_len = _frankel_pieces(eps)
-        return validate(c_len, pd_tol=pd_tol).verdict is Verdict.VALID
-
-    return _bisect_validity(is_valid, lo, hi, tol)
+    # only C_len decides the threshold, so A, B and their sum go unfactored
+    return _bisect_validity(lambda eps: _frankel_pieces(eps)[2], pd_tol, 1.0)
 
 
 @dataclass(frozen=True)
@@ -216,18 +208,17 @@ def _segment_logdet(
     """Face dimension k, and log det of the face Gram matrix with its first
     two derivatives along the segment, at ``samples`` equally spaced points.
 
-    The endpoints are certified by :func:`validate`; every sample point is
-    then factored at once as one ``(samples, k, k)`` stack.  Along the
-    segment the Gram matrix moves by the constant ``delta = G2 - G1``, so
-    with ``G = V diag(w) V^T`` and ``R = V^T delta V`` the derivatives are
-    ``sum_i R_ii / w_i`` and ``-sum_ij R_ij^2 / (w_i w_j)``.
+    The endpoints are certified by their Jacobi verdict; every sample
+    point is then factored at once as one ``(samples, k, k)`` stack.  Along
+    the segment the face Gram matrix moves by the constant
+    ``delta = G2 - G1``, which gives both derivatives at every sample.
     """
     if first.n != second.n:
         raise ValueError("dimension mismatch")
     if samples < 3:
         raise ValueError("need at least 3 samples")
     for name, ell in (("first", first), ("second", second)):
-        if validate(ell, pd_tol=pd_tol).verdict is not Verdict.VALID:
+        if _spectrum(ell, pd_tol)[2] is not Verdict.VALID:
             raise ValueError(f"{name} endpoint is not Valid")
     n = first.n
     ts = np.linspace(0.0, 1.0, samples)
@@ -235,8 +226,7 @@ def _segment_logdet(
     k, idx = _face_edges(n, face)
 
     def first_failure(w: np.ndarray) -> float | None:
-        # the PD test of ``validate``, applied row by row
-        bad = np.flatnonzero(~(w[:, 0] > _band(w, pd_tol)))
+        bad = np.flatnonzero(~_positive_definite(w, pd_tol))
         return float(ts[bad[0]]) if bad.size else None
 
     left_cone = "segment point t={} left the Valid cone; this contradicts convexity"
@@ -253,11 +243,7 @@ def _segment_logdet(
             f"face volume vanished at t={t}" if k != n else left_cone.format(t)
         )
     delta = _gram_stack(k, second.s[idx]) - _gram_stack(k, first.s[idx])
-    rotated = basis.transpose(0, 2, 1) @ delta @ basis
-    logdet = np.log(w).sum(axis=1)
-    d1 = (np.diagonal(rotated, axis1=1, axis2=2) / w).sum(axis=1)
-    d2 = -(rotated * rotated / (w[:, :, None] * w[:, None, :])).sum(axis=(1, 2))
-    return k, logdet, d1, d2
+    return k, np.log(w).sum(axis=1), *_logdet_derivatives(w, basis, delta)
 
 
 def _discrete_margins(values: np.ndarray) -> tuple[float, float]:

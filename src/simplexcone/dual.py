@@ -13,7 +13,10 @@ the barycentric gradients (Fiedler, *Matrices and Graphs in Geometry*).
 For any R with R^T R = G, rows 1..n of R^-1 are those gradients and
 gradient 0 is minus their sum.  Facet i has unit outward normal
 -grad_i / |grad_i| and area n V |grad_i| = n V sqrt(L_ii), and the dual
-Gram is D L D with D = diag(L_ii^-1/2).
+Gram is D L D with D = diag(L_ii^-1/2).  R comes from the one Jacobi
+decomposition that classifies G, so a query factors G once and refuses
+a non-Valid instance with :class:`NotRealizable`; the adjugate is one
+SVD of the dual Gram.
 """
 
 from __future__ import annotations
@@ -23,15 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (
-    DEFAULT_NULL_TOL,
-    DEFAULT_PD_TOL,
-    NullityNotOne,
-    _band,
-    adjugate,
-    check_symmetric,
-    eigendecompose,
-)
+from .linalg import DEFAULT_PD_TOL, _null_index, adjugate, check_symmetric, eigendecompose
 from .simplex import SimplexEmbedding, SquaredEdgeLengths, _valid_spectrum
 
 __all__ = [
@@ -90,7 +85,9 @@ def outward_normals(emb: SimplexEmbedding) -> np.ndarray:
 
 
 def dual_gram(ell: SquaredEdgeLengths, *, pd_tol: float = DEFAULT_PD_TOL) -> DualGramReport:
-    """Dual Gram matrix, facet areas, and identity residuals for a Valid input."""
+    """Dual Gram matrix, facet areas, and identity residuals, all read off
+    the one Jacobi decomposition that classifies G; raises
+    :class:`NotRealizable` unless the verdict is Valid."""
     w, normals, lengths, gstar = _spectral_dual(ell, pd_tol)
     # A_i = n V |grad_i| with V = prod(sqrt w) / n!, the powers of two summed
     # apart: n V alone can overflow while every area is finite
@@ -106,19 +103,15 @@ def dual_gram(ell: SquaredEdgeLengths, *, pd_tol: float = DEFAULT_PD_TOL) -> Dua
     )
 
 
-def null_direction(gstar, *, null_tol: float = DEFAULT_NULL_TOL) -> np.ndarray:
+def null_direction(gstar) -> np.ndarray:
     """Unit kernel vector of a dual Gram matrix, oriented positive.
 
-    Requires nullity exactly one (within ``null_tol``); the returned
-    vector is proportional to the facet-area vector.
+    Requires nullity exactly one (within ``DEFAULT_NULL_TOL``), else raises
+    :class:`NullityNotOne`; the returned vector is proportional to the
+    facet-area vector.
     """
-    a = check_symmetric(gstar)
-    dec = eigendecompose(a)
-    w = dec.eigenvalues
-    zero = np.flatnonzero(np.abs(w) <= _band(w, null_tol))
-    if zero.size != 1:
-        raise NullityNotOne(f"expected nullity 1, found {zero.size} zero eigenvalues")
-    v = dec.basis[:, int(zero[0])].copy()
+    dec = eigendecompose(check_symmetric(gstar))
+    v = dec.basis[:, _null_index(dec.eigenvalues)].copy()
     if v[int(np.argmax(np.abs(v)))] < 0.0:
         v = -v
     return v / np.linalg.norm(v)
@@ -131,7 +124,9 @@ def area_ratio_from_adjugate(
 
     No volumes are computed: the rank-one structure of the adjugate of a
     nullity-1 matrix makes the diagonal proportional to the squared
-    kernel vector, i.e. to squared facet areas.
+    kernel vector, i.e. to squared facet areas.  The dual Gram comes from
+    the one Jacobi decomposition that classifies G, and its adjugate from
+    one SVD.  Raises :class:`NotRealizable` unless the verdict is Valid.
     """
     if i == j:
         raise ValueError("facet indices must differ")

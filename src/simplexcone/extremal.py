@@ -28,22 +28,20 @@ from itertools import combinations
 
 import numpy as np
 
-from .linalg import DEFAULT_PD_TOL, _band, _cholesky_factor
+from .linalg import DEFAULT_PD_TOL, _band, _cholesky_factor, _positive_definite
 from .simplex import (
     NotRealizable,
     SquaredEdgeLengths,
-    Verdict,
     _check_face_count,
-    _classify,
     _edge_table,
     _gram_adjoint,
     _gram_index,
     _gram_stack,
     _pairs,
     _polarize,
+    _valid_spectrum,
     edge_count,
     regular_simplex,
-    validate,
 )
 
 __all__ = [
@@ -59,6 +57,10 @@ __all__ = [
 ]
 
 _EPS = float(np.finfo(float).eps)
+#: converged once the projected gradient norm is below this times 1 + |f|
+_GTOL_FACTOR = 1e-10
+#: the Armijo sufficient-increase constant
+_ARMIJO = 1e-4
 
 #: Why the line search turns a candidate step down, in the order it checks.
 _REJECTION_REASONS = (
@@ -198,18 +200,12 @@ def _raw_gradient(ws: _FaceWorkspace, kind: ObjectiveKind, s: np.ndarray) -> np.
     return np.bincount(ws.scatter, weights=terms, minlength=edge_count(ws.n))
 
 
-def _require_valid(ell: SquaredEdgeLengths, pd_tol: float) -> None:
-    report = validate(ell, pd_tol=pd_tol)
-    if report.verdict is not Verdict.VALID:
-        raise NotRealizable(f"operation needs a Valid instance, got {report.verdict.value}")
-
-
 def objective_value(
     ell: SquaredEdgeLengths, objective: Objective, *, pd_tol: float = DEFAULT_PD_TOL
 ) -> float:
     """Sum of log k-face volumes, or sum of k-th roots of k-face volumes."""
     _check_face_dimension(ell.n, objective.k)
-    _require_valid(ell, pd_tol)
+    _valid_spectrum(ell, pd_tol)
     value = _raw_value(_workspace(ell.n, objective.k), objective.kind, ell.s)
     if value is None:
         raise NotRealizable("a face volume vanished")
@@ -221,7 +217,7 @@ def objective_gradient(
 ) -> np.ndarray:
     """Gradient of :func:`objective_value` with respect to every squared length."""
     _check_face_dimension(ell.n, objective.k)
-    _require_valid(ell, pd_tol)
+    _valid_spectrum(ell, pd_tol)
     return _raw_gradient(_workspace(ell.n, objective.k), objective.kind, ell.s)
 
 
@@ -230,7 +226,7 @@ def gradient_log_volume(
 ) -> np.ndarray:
     """Gradient of log n-volume; satisfies the scaling identity
     ``sum_e s_e * grad_e = n / 2``."""
-    _require_valid(ell, pd_tol)
+    _valid_spectrum(ell, pd_tol)
     return _raw_gradient(
         _workspace(ell.n, ell.n), ObjectiveKind.LOG_PRODUCT_FACES, ell.s
     )
@@ -279,8 +275,7 @@ def _judge_candidate(
         if float(np.linalg.norm(pg_cand)) >= pg_norm:
             return "no_contraction", None
     lam, vec = np.linalg.eigh(gram)
-    verdict, _ = _classify(lam, pd_tol)
-    if verdict is not Verdict.VALID or lam[0] < lam_floor:
+    if not _positive_definite(lam, pd_tol) or lam[0] < lam_floor:
         return "eigenvalue_floor", None
     return None, (f_cand, grad_cand, lam, vec)
 
@@ -291,22 +286,20 @@ def maximize(
     objective: Objective,
     *,
     start: SquaredEdgeLengths | np.ndarray | None = None,
-    gtol_factor: float = 1e-10,
     max_iter: int = 10000,
-    initial_step: float | None = None,
-    armijo: float = 1e-4,
     pd_tol: float = DEFAULT_PD_TOL,
 ) -> OptimizationTrace:
     """Projected gradient ascent on the hyperplane {sum of entries = total}.
 
-    Backtracking (halving) line search with Armijo constant ``armijo``;
-    candidates that leave the Valid cone are rejected outright.
-    Converged when the projected gradient norm drops below
-    ``gtol_factor * (1 + |objective|)``.  Raises :class:`MaxIterations`
-    or :class:`StepIntoInvalidRegion` (each carrying the partial trace,
-    rejection counts included) instead of returning an unconverged
-    result.  Raises ``ValueError`` for a bad start, total or k, and when
-    the simplex has more than ``MAX_FACES`` k-faces.
+    Backtracking (halving) line search with Armijo constant 1e-4, from a
+    first step of a tenth of the mean squared length; candidates that
+    leave the Valid cone are rejected outright.  Converged when the
+    projected gradient norm drops below ``1e-10 * (1 + |objective|)``.
+    Raises :class:`MaxIterations` or :class:`StepIntoInvalidRegion` (each
+    carrying the partial trace, rejection counts included) instead of
+    returning an unconverged result.  Raises ``ValueError`` for a bad
+    start, total or k (:class:`NotRealizable` for a start that is not
+    Valid), and when the simplex has more than ``MAX_FACES`` k-faces.
 
     Two refinements keep the rejection scheme honest without clamping.
     The Gram matrix is linear in the squared lengths, so the feasible
@@ -324,9 +317,9 @@ def maximize(
     value test to a strict decrease of the projected gradient norm,
     which keeps contraction going where values are constant in floats.
 
-    The start's verdict comes from the Jacobi :func:`validate`; the
-    per-step Gram spectra (the eigenvalue floor, the pinch test and its
-    eigenvector) come from LAPACK ``eigh``, run on the Gram matrix the
+    The start's verdict and spectrum come from one Jacobi decomposition;
+    the per-step Gram spectra (the eigenvalue floor, the pinch test and
+    its eigenvector) come from LAPACK ``eigh``, run on the Gram matrix the
     candidate's Cholesky screen factored and only once every cheaper
     test has passed.  The tests hold every iterate to the Jacobi
     verdict and spectrum.
@@ -353,17 +346,12 @@ def maximize(
     x += (total - x.sum()) / edges  # affine projection onto the hyperplane
     if (x <= 0.0).any():
         raise ValueError("start projects outside the positive orthant")
-    start_ell = SquaredEdgeLengths(n, x)
-    if validate(start_ell, pd_tol=pd_tol).verdict is not Verdict.VALID:
-        raise ValueError("start must be a Valid instance")
+    start_dec = _valid_spectrum(SquaredEdgeLengths(n, x), pd_tol)[1]
+    lam, vec = start_dec.eigenvalues, start_dec.basis
 
     ws = _workspace(n, objective.k)
     kind = objective.kind
-    step = 0.1 * total / edges if initial_step is None else float(initial_step)
-    if not (step > 0.0):
-        raise ValueError("initial_step must be positive")
-
-    lam, vec = np.linalg.eigh(_gram_stack(n, x))
+    step = 0.1 * total / edges
     # the segment to the regular point keeps the smallest eigenvalue
     # above min(start, regular) by concavity, so half of that is a safe
     # hard floor for the whole search
@@ -390,7 +378,7 @@ def maximize(
         frozen = x.copy()
         frozen.setflags(write=False)
         iterates.append((frozen, f, pg_norm))
-        gtol = gtol_factor * (1.0 + abs(f))
+        gtol = _GTOL_FACTOR * (1.0 + abs(f))
         if pg_norm < gtol:
             converged = True
             break
@@ -438,7 +426,7 @@ def maximize(
                 kind,
                 cand,
                 f=f,
-                predicted=armijo * alpha * slope,
+                predicted=_ARMIJO * alpha * slope,
                 allowance=allowance,
                 pg_norm=pg_norm,
                 pd_tol=pd_tol,

@@ -1,14 +1,15 @@
 """Dense symmetric linear-algebra kernels.
 
-Single-instance questions funnel through a handful of small-matrix
-primitives: a cyclic Jacobi eigensolver, an unpivoted Cholesky
-factorization, determinants as eigenvalue products, adjugates, and the
-first two directional derivatives of ``log det``.  Matrices here are
-tiny (a simplex of dimension n yields n-by-n Gram matrices), so the
-Jacobi iteration is both fast enough and extremely accurate.  Stacks of
-matrices (the sample points of a concavity probe, the faces in the
-optimizer) go through numpy's LAPACK bindings instead; the tests check
-the probe's stacked results against this solver sample by sample.
+Each spectral question has one kernel here: ``_positive_definite`` (the
+PD band test), ``_null_index`` (nullity exactly one), ``adjugate`` (one
+SVD formula) and ``_logdet_derivatives`` (the first two directional
+derivatives of ``log det``).  Single-matrix verdicts are decided on the
+spectrum of a cyclic Jacobi eigensolver: matrices here are tiny (a
+simplex of dimension n yields n-by-n Gram matrices), so the iteration is
+both fast enough and extremely accurate.  Stacks of matrices (the sample
+points of a concavity probe, the faces in the optimizer) go through
+numpy's LAPACK bindings instead, and so does the adjugate's SVD; the tests
+check the stacked results against this solver sample by sample.
 
 Symmetry is enforced exactly: a matrix is accepted as symmetric only if
 ``m[i, j] == m[j, i]`` bitwise.  Callers that assemble symmetric
@@ -45,11 +46,11 @@ __all__ = [
 ]
 
 #: Positive-definiteness tolerance: M counts as PD iff its smallest
-#: eigenvalue exceeds ``pd_tol * max(1, |largest eigenvalue|)``.
+#: eigenvalue exceeds ``pd_tol * |largest eigenvalue|``.
 DEFAULT_PD_TOL = 1e-10
 
-#: An eigenvalue counts as zero iff its magnitude is at most
-#: ``null_tol * max(1, |largest eigenvalue|)``.
+#: An eigenvalue counts as zero in a nullity test iff its magnitude is at
+#: most ``DEFAULT_NULL_TOL * |largest eigenvalue|``.
 DEFAULT_NULL_TOL = 1e-9
 
 _JACOBI_OFF_TOL = 1e-14
@@ -110,13 +111,13 @@ class EigenDecomposition:
     basis: np.ndarray
 
 
-def eigendecompose(m, *, max_sweeps: int = _JACOBI_MAX_SWEEPS) -> EigenDecomposition:
+def eigendecompose(m) -> EigenDecomposition:
     """Full eigendecomposition of a symmetric matrix by cyclic Jacobi sweeps.
 
     Sweeps rotate away every off-diagonal entry in row order until the
     off-diagonal Frobenius norm drops below ``1e-14 * ||M||_F``; raises
-    :class:`ConvergenceError` past ``max_sweeps`` sweeps (a hundred by
-    default, far beyond what these sizes need).
+    :class:`ConvergenceError` past a hundred sweeps, far beyond what these
+    sizes need.
     """
     checked = check_symmetric(m)
     n = checked.shape[0]
@@ -138,7 +139,7 @@ def eigendecompose(m, *, max_sweeps: int = _JACOBI_MAX_SWEEPS) -> EigenDecomposi
             a[i][j] * a[i][j] for i in range(n) for j in range(n) if i != j
         )
 
-    for _ in range(max_sweeps):
+    for _ in range(_JACOBI_MAX_SWEEPS):
         if off_norm2() <= target * target:
             break
         for p in range(n - 1):
@@ -177,7 +178,7 @@ def eigendecompose(m, *, max_sweeps: int = _JACOBI_MAX_SWEEPS) -> EigenDecomposi
     else:
         if off_norm2() > target * target:
             raise ConvergenceError(
-                f"Jacobi iteration did not converge in {max_sweeps} sweeps"
+                f"Jacobi iteration did not converge in {_JACOBI_MAX_SWEEPS} sweeps"
             )
     w = np.ldexp(np.array([a[i][i] for i in range(n)]), shift)
     order = np.argsort(w, kind="stable")
@@ -187,9 +188,25 @@ def eigendecompose(m, *, max_sweeps: int = _JACOBI_MAX_SWEEPS) -> EigenDecomposi
 
 
 def _band(w, tol: float):
-    """Half-width ``tol * max(1, max|w|)`` of the band in which an eigenvalue
-    counts as zero, per spectrum along the last axis of ``w`` (a stack)."""
-    return tol * np.abs(w).max(axis=-1, initial=1.0)
+    """Half-width ``tol * max|w|`` of the band in which an eigenvalue counts
+    as zero, per spectrum along the last axis of ``w`` (a stack).  Relative
+    to the spectrum, so every verdict is the same at every scale."""
+    return tol * np.abs(w).max(axis=-1)
+
+
+def _positive_definite(w, pd_tol: float):
+    """The PD test, per ascending spectrum along the last axis of ``w`` (a
+    stack): the smallest eigenvalue clears the band."""
+    return w[..., 0] > _band(w, pd_tol)
+
+
+def _null_index(w) -> int:
+    """Position of the one eigenvalue of ``w`` inside the null band; raises
+    :class:`NullityNotOne` unless there is exactly one."""
+    zero = np.flatnonzero(np.abs(w) <= _band(w, DEFAULT_NULL_TOL))
+    if zero.size != 1:
+        raise NullityNotOne(f"expected nullity 1, found {zero.size} zero eigenvalues")
+    return int(zero[0])
 
 
 def smallest_eigenvalue(m) -> float:
@@ -214,25 +231,24 @@ def _cholesky_factor(a: np.ndarray) -> tuple[np.ndarray, bool, int]:
 def cholesky(m, *, pd_tol: float = DEFAULT_PD_TOL) -> np.ndarray:
     """Lower-triangular L with ``L @ L.T == m`` for positive definite input.
 
-    Success is decided by the eigenvalue tolerance test (smallest
-    eigenvalue above ``pd_tol * max(1, |largest|)``) so that it agrees
-    exactly with :func:`eigendecompose`-based classification; the
-    factorization itself supplies the failing pivot index on rejection.
+    A pivot that is not positive raises at once with its index.  When every
+    pivot passes, success is still decided by the eigenvalue test (smallest
+    eigenvalue above ``pd_tol * |largest|``), so that it agrees exactly with
+    :func:`eigendecompose`-based classification; a rejection then names the
+    weakest pivot.
     """
     a = check_symmetric(m)
     low, ok, bad = _cholesky_factor(a)
-    w = eigendecompose(a).eigenvalues
-    if w[0] > _band(w, pd_tol):
-        if not ok:  # tolerance-PD but a pivot collapsed: genuinely borderline
-            raise NotPositiveDefinite(f"pivot {bad} is not positive", pivot=bad)
-        return low
     if not ok:
         raise NotPositiveDefinite(f"pivot {bad} is not positive", pivot=bad)
-    weakest = int(np.argmin(np.diag(low)))
-    raise NotPositiveDefinite(
-        f"smallest eigenvalue {w[0]:.3e} is within tolerance of zero (pivot {weakest})",
-        pivot=weakest,
-    )
+    w = eigendecompose(a).eigenvalues
+    if not _positive_definite(w, pd_tol):
+        weakest = int(np.argmin(np.diag(low)))
+        raise NotPositiveDefinite(
+            f"smallest eigenvalue {w[0]:.3e} is within tolerance of zero (pivot {weakest})",
+            pivot=weakest,
+        )
+    return low
 
 
 def determinant(m) -> float:
@@ -250,56 +266,23 @@ def outer_product(v, w) -> np.ndarray:
     return np.outer(v, w)
 
 
-def _det_upto3(a: np.ndarray) -> float:
-    n = a.shape[0]
-    if n == 1:
-        return float(a[0, 0])
-    if n == 2:
-        return float(a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0])
-    return float(
-        a[0, 0] * (a[1, 1] * a[2, 2] - a[1, 2] * a[2, 1])
-        - a[0, 1] * (a[1, 0] * a[2, 2] - a[1, 2] * a[2, 0])
-        + a[0, 2] * (a[1, 0] * a[2, 1] - a[1, 1] * a[2, 0])
-    )
-
-
-def _adjugate_cofactors(a: np.ndarray) -> np.ndarray:
-    n = a.shape[0]
-    if n == 1:
-        return np.array([[1.0]])
-    adj = np.empty_like(a)
-    rows = list(range(n))
-    for i in range(n):
-        keep_r = rows[:i] + rows[i + 1 :]
-        for j in range(n):
-            keep_c = rows[:j] + rows[j + 1 :]
-            minor = a[np.ix_(keep_r, keep_c)]
-            # transposed on assignment: adj = cofactor matrix transposed
-            adj[j, i] = ((-1.0) ** (i + j)) * _det_upto3(minor)
-    return adj
-
-
 def adjugate(m) -> np.ndarray:
     """Adjugate (transposed cofactor matrix), satisfying M @ adj(M) = det(M) I.
 
-    Sizes up to 4 use direct cofactor expansion and accept any square
-    matrix; larger sizes require symmetry and go through the
-    eigendecomposition, where the i-th diagonal of the adjugate's
-    spectral form is the product of all eigenvalues but the i-th.  That
-    one formula covers invertible, nullity-1 and nullity->=2 input
-    uniformly.
+    One formula for every square matrix: with the SVD M = U diag(s) V^T,
+    adj(M) = det(U) det(V) V diag(p) U^T, where p_i is the product of all
+    singular values but the i-th.  Each p_i is a prefix times a suffix
+    running product, so there is no division, and invertible, nullity-1
+    and nullity->=2 input are covered alike.
     """
     a = check_square(m)
-    n = a.shape[0]
-    if n <= 4:
-        return _adjugate_cofactors(a)
-    if not (a == a.T).all():
-        raise ValueError("adjugate for size > 4 is implemented for symmetric matrices")
-    dec = eigendecompose(a)
-    w = dec.eigenvalues
-    partial = np.array([np.prod(np.delete(w, i)) for i in range(n)])
-    out = dec.basis @ np.diag(partial) @ dec.basis.T
-    return (out + out.T) / 2.0
+    u, s, vt = np.linalg.svd(a)
+    one = np.ones(1)
+    before = np.cumprod(np.concatenate((one, s[:-1])))
+    after = np.cumprod(np.concatenate((one, s[:0:-1])))[::-1]
+    # det(U) det(V) = det(U V^T) is exactly +-1; only its sign carries over
+    sign = np.sign(np.linalg.det(u @ vt))
+    return sign * (vt.T * (before * after)) @ u.T
 
 
 def _sign_normalize(v: np.ndarray) -> np.ndarray:
@@ -313,78 +296,70 @@ def _sign_normalize(v: np.ndarray) -> np.ndarray:
     return v
 
 
-def adjugate_rank1_decompose(
-    m, *, null_tol: float = DEFAULT_NULL_TOL
-) -> tuple[float, np.ndarray, np.ndarray]:
+def adjugate_rank1_decompose(m) -> tuple[float, np.ndarray, np.ndarray]:
     """Factor the adjugate of a nullity-1 matrix as ``c * outer(v, w)``.
 
     Returns ``(c, w, v)`` where ``v`` spans ``null(M)``, ``w`` spans
     ``null(M.T)``, both unit with their first nonzero component
     positive, and ``c = (product of nonzero eigenvalues) / <v, w>``.
     For symmetric input ``v is w``.  Raises :class:`NullityNotOne`
-    unless exactly one eigenvalue is zero within tolerance.
+    unless exactly one eigenvalue is zero within ``DEFAULT_NULL_TOL``.
     """
     a = check_square(m)
-    symmetric = bool((a == a.T).all())
-    if symmetric:
+    if (a == a.T).all():
         dec = eigendecompose(a)
-        w_eig = dec.eigenvalues
-        zero = np.flatnonzero(np.abs(w_eig) <= _band(w_eig, null_tol))
-        if zero.size != 1:
-            raise NullityNotOne(f"expected nullity 1, found {zero.size} zero eigenvalues")
-        k = int(zero[0])
+        k = _null_index(dec.eigenvalues)
         v = _sign_normalize(dec.basis[:, k])
-        nonzero = np.delete(w_eig, k)
-        c = float(np.prod(nonzero))  # <v, v> == 1
+        c = float(np.prod(np.delete(dec.eigenvalues, k)))  # <v, v> == 1
         return c, v, v
-    # small non-symmetric case: null vectors from the SVD, eigenvalue
-    # product from the (possibly complex) spectrum
+    # non-symmetric: null vectors from the SVD, eigenvalue product from
+    # the (possibly complex) spectrum
     lam = np.linalg.eigvals(a)
-    zero = np.flatnonzero(np.abs(lam) <= _band(lam, null_tol))
-    if zero.size != 1:
-        raise NullityNotOne(f"expected nullity 1, found {zero.size} zero eigenvalues")
+    k = _null_index(lam)
     u_svd, _, vt_svd = np.linalg.svd(a)
     v = _sign_normalize(vt_svd[-1, :])
     w = _sign_normalize(u_svd[:, -1])
     inner = float(np.dot(v, w))
-    if abs(inner) <= null_tol:
+    if abs(inner) <= DEFAULT_NULL_TOL:
         raise NullityNotOne("null vectors of M and M.T are numerically orthogonal")
-    prod = complex(np.prod(np.delete(lam, int(zero[0]))))
+    prod = complex(np.prod(np.delete(lam, k)))
     if abs(prod.imag) > 1e-9 * max(1.0, abs(prod.real)):
         raise NullityNotOne("nonzero eigenvalue product is not real")
     return prod.real / inner, w, v
 
 
-def logdet_directional_derivative(a, b, *, pd_tol: float = DEFAULT_PD_TOL) -> float:
-    """d/dt log det(A + tB) at t=0, i.e. trace(A^-1 B), for A positive definite."""
+def _logdet_derivatives(w: np.ndarray, basis: np.ndarray, delta: np.ndarray):
+    """First and second derivative of t -> log det(A + t delta) at t = 0,
+    for A = basis diag(w) basis^T positive definite, over stacks along the
+    leading axes.  With R = basis^T delta basis they are
+    ``sum_i R_ii / w_i`` and ``-sum_ij R_ij^2 / (w_i w_j)``: a negated sum
+    of squares, so the second is <= 0 in floating point as well, and
+    strictly negative whenever delta != 0."""
+    r = np.swapaxes(basis, -1, -2) @ delta @ basis
+    d1 = (np.diagonal(r, axis1=-2, axis2=-1) / w).sum(axis=-1)
+    d2 = -(r * r / (w[..., :, None] * w[..., None, :])).sum(axis=(-2, -1))
+    return d1, d2
+
+
+def _logdet_derivatives_at(a, b, pd_tol: float):
     amat = check_symmetric(a)
     bmat = check_symmetric(b)
     if amat.shape != bmat.shape:
         raise ValueError("A and B must have matching shapes")
     dec = eigendecompose(amat)
-    w = dec.eigenvalues
-    if w[0] <= _band(w, pd_tol):
+    if not _positive_definite(dec.eigenvalues, pd_tol):
         raise NotPositiveDefinite("base point of log det derivative is not PD")
-    bprime = dec.basis.T @ bmat @ dec.basis
-    return float(np.sum(np.diag(bprime) / w))
+    return _logdet_derivatives(dec.eigenvalues, dec.basis, bmat)
+
+
+def logdet_directional_derivative(a, b, *, pd_tol: float = DEFAULT_PD_TOL) -> float:
+    """d/dt log det(A + tB) at t=0, i.e. trace(A^-1 B), for A positive definite."""
+    return float(_logdet_derivatives_at(a, b, pd_tol)[0])
 
 
 def logdet_second_derivative(a, b, *, pd_tol: float = DEFAULT_PD_TOL) -> float:
-    """Second derivative of t -> log det(A + tB) at t=0.
-
-    Equals ``-trace(A^-1 B A^-1 B)``, computed after diagonalizing A as
-    ``-sum_ij b'_ij^2 / (lam_i lam_j)`` -- a negated sum of squares, so
+    """Second derivative of t -> log det(A + tB) at t=0, for A positive
+    definite: ``-trace(A^-1 B A^-1 B)``, computed after diagonalizing A, so
     the result is <= 0 in floating point as well, and strictly negative
-    whenever B != 0.
-    """
-    amat = check_symmetric(a)
-    bmat = check_symmetric(b)
-    if amat.shape != bmat.shape:
-        raise ValueError("A and B must have matching shapes")
-    dec = eigendecompose(amat)
-    w = dec.eigenvalues
-    if w[0] <= _band(w, pd_tol):
-        raise NotPositiveDefinite("base point of log det derivative is not PD")
-    bprime = dec.basis.T @ bmat @ dec.basis
-    ratio = bprime / np.sqrt(np.outer(w, w))
-    return -float((ratio * ratio).sum())
+    whenever B != 0."""
+    return float(_logdet_derivatives_at(a, b, pd_tol)[1])

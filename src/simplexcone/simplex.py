@@ -36,7 +36,15 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .linalg import DEFAULT_PD_TOL, NotPositiveDefinite, _band, _cholesky_factor, eigendecompose
+from .linalg import (
+    DEFAULT_PD_TOL,
+    EigenDecomposition,
+    NotPositiveDefinite,
+    _band,
+    _cholesky_factor,
+    _positive_definite,
+    eigendecompose,
+)
 
 __all__ = [
     "MAX_FACES",
@@ -254,42 +262,49 @@ def triangle_inequalities_hold(ell: SquaredEdgeLengths) -> bool:
 
 
 def _classify(w: np.ndarray, pd_tol: float) -> tuple[Verdict, float]:
-    threshold = float(_band(w, pd_tol))
-    lam0 = float(w[0])
-    if lam0 > threshold:
-        return Verdict.VALID, threshold
-    if lam0 >= -threshold:
-        return Verdict.DEGENERATE, threshold
-    return Verdict.INVALID, threshold
+    band = float(_band(w, pd_tol))
+    if _positive_definite(w, pd_tol):
+        return Verdict.VALID, band
+    return (Verdict.DEGENERATE if w[0] >= -band else Verdict.INVALID), band
+
+
+def _spectrum(
+    ell: SquaredEdgeLengths, pd_tol: float
+) -> tuple[np.ndarray, EigenDecomposition, Verdict, float]:
+    """The Gram matrix, its Jacobi decomposition, the verdict and the band:
+    the one factorization behind every single-instance question."""
+    g = gram_from_squared_lengths(ell)
+    dec = eigendecompose(g)
+    return (g, dec, *_classify(dec.eigenvalues, pd_tol))
+
+
+def _valid_spectrum(
+    ell: SquaredEdgeLengths, pd_tol: float
+) -> tuple[np.ndarray, EigenDecomposition]:
+    """The Gram matrix and its decomposition for a Valid instance; raises
+    :class:`NotRealizable` for any other verdict."""
+    g, dec, verdict, _ = _spectrum(ell, pd_tol)
+    if verdict is not Verdict.VALID:
+        raise NotRealizable(f"needs a Valid instance, verdict is {verdict.value}")
+    return g, dec
 
 
 def validate(ell: SquaredEdgeLengths, *, pd_tol: float = DEFAULT_PD_TOL) -> ValidityReport:
     """Realizability verdict from the smallest Gram eigenvalue.
 
-    Valid iff the smallest eigenvalue clears ``pd_tol * max(1, |largest|)``;
-    Degenerate inside the band around zero; Invalid below it.  The
-    triangle-inequality flag is informational: it is necessary but not
-    sufficient for validity.
+    Valid iff the smallest eigenvalue clears ``pd_tol * |largest|``;
+    Degenerate inside the band around zero; Invalid below it.  The band is
+    relative, so the verdict does not change when every squared length is
+    scaled by the same factor.  The triangle-inequality flag is
+    informational: it is necessary but not sufficient for validity.
     """
-    w = eigendecompose(gram_from_squared_lengths(ell)).eigenvalues
-    verdict, threshold = _classify(w, pd_tol)
+    _, dec, verdict, band = _spectrum(ell, pd_tol)
     return ValidityReport(
         verdict=verdict,
-        smallest_gram_eigenvalue=float(w[0]),
-        tolerance=threshold,
+        smallest_gram_eigenvalue=float(dec.eigenvalues[0]),
+        tolerance=band,
         triangle_inequalities_hold=triangle_inequalities_hold(ell),
     )
-
-
-def _valid_spectrum(ell: SquaredEdgeLengths, pd_tol: float):
-    """The Gram matrix and the :class:`EigenDecomposition` that classifies
-    it as Valid; raises :class:`NotRealizable` for any other verdict."""
-    g = gram_from_squared_lengths(ell)
-    dec = eigendecompose(g)
-    verdict, _ = _classify(dec.eigenvalues, pd_tol)
-    if verdict is not Verdict.VALID:
-        raise NotRealizable(f"cannot embed: verdict is {verdict.value}")
-    return g, dec
 
 
 def embed(ell: SquaredEdgeLengths, *, pd_tol: float = DEFAULT_PD_TOL) -> SimplexEmbedding:
@@ -309,15 +324,14 @@ def volume(ell: SquaredEdgeLengths, *, pd_tol: float = DEFAULT_PD_TOL) -> float:
     Invalid input raises :class:`NotRealizable` -- a noise-level
     determinant never leaks through as a tiny positive volume.
     """
-    w = eigendecompose(gram_from_squared_lengths(ell)).eigenvalues
-    verdict, _ = _classify(w, pd_tol)
+    _, dec, verdict, _ = _spectrum(ell, pd_tol)
     if verdict is Verdict.INVALID:
         raise NotRealizable("no Euclidean simplex has these squared edge lengths")
     if verdict is Verdict.DEGENERATE:
         return 0.0
     # a product of roots, not the root of a product: det G itself can
     # overflow while the volume is still a finite float
-    return float(np.prod(np.sqrt(w))) / math.factorial(ell.n)
+    return float(np.prod(np.sqrt(dec.eigenvalues))) / math.factorial(ell.n)
 
 
 def _check_face_count(n: int, k: int) -> None:
@@ -391,16 +405,16 @@ def random_simplex(
     *,
     total: float | None = None,
     pd_tol: float = DEFAULT_PD_TOL,
-    max_tries: int = 200,
 ) -> SquaredEdgeLengths:
     """A random Valid instance, from random vertex coordinates.
 
     Vertices are drawn as standard normal columns (resampled while the
     configuration is badly conditioned), so the result is realizable by
     construction; an optional rescale puts it on the hyperplane
-    {sum of entries = total}, which preserves validity.
+    {sum of entries = total}, which preserves validity.  Raises
+    RuntimeError when 200 draws give no Valid instance.
     """
-    for _ in range(max_tries):
+    for _ in range(200):
         coords = rng.standard_normal((n, n))
         sing = np.linalg.svd(coords, compute_uv=False)
         if sing[-1] < 1e-3 * sing[0]:
@@ -413,6 +427,6 @@ def random_simplex(
         if total is not None:
             s *= total / s.sum()
         ell = SquaredEdgeLengths(n, s)
-        if validate(ell, pd_tol=pd_tol).verdict is Verdict.VALID:
+        if _spectrum(ell, pd_tol)[2] is Verdict.VALID:
             return ell
     raise RuntimeError("failed to sample a Valid instance")

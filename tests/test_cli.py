@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -409,6 +413,21 @@ def test_finite_input_at_float_extremes_exits_1(capsys, argv, fragment):
     # every entry is a positive finite float, but the volume (about 1e450)
     # or the Gram entry s(0,1) + s(0,2) is not: a message, not a traceback
     _assert_usage_error(capsys, argv, fragment)
+
+
+def test_float_extremes_print_only_the_error_line():
+    # the overflow inside the handler must not add numpy warning lines
+    import simplexcone
+
+    src = str(Path(simplexcone.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-W", "always", "-m", "simplexcone.cli", "volume", TETRA_1E300],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1, proc.stderr
 
 
 def test_face_budget_is_a_usage_error(capsys):

@@ -193,20 +193,28 @@ def test_dual_queries_make_one_jacobi_call_of_size_n(jacobi_calls, n):
     assert jacobi_calls == [n]
     jacobi_calls.clear()
     area_ratio_from_adjugate(ell, 0, 1)
-    # sizes up to 4 take the adjugate by cofactors, larger ones by Jacobi
-    assert jacobi_calls == ([n] if n + 1 <= 4 else [n, n + 1])
+    # the adjugate is an SVD formula at every size, so no second Jacobi call
+    assert jacobi_calls == [n]
 
 
 def test_dual_queries_call_no_svd(monkeypatch):
+    """``dual_gram`` makes no SVD; ``area_ratio_from_adjugate`` makes one,
+    of the (n+1)-by-(n+1) dual Gram, for the adjugate."""
     ells = [random_simplex(n, np.random.default_rng(n)) for n in range(2, 8)]
+    original = np.linalg.svd
+    shapes = []
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("np.linalg.svd was called")
+    def counting(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return original(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "svd", refuse)
+    monkeypatch.setattr(np.linalg, "svd", counting)
     for ell in ells:
         dual_gram(ell)
+        assert shapes == []
         area_ratio_from_adjugate(ell, 0, 1)
+        assert shapes == [(ell.n + 1, ell.n + 1)]
+        shapes.clear()
 
 
 # ---------------------------------------------------------------------------

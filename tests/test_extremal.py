@@ -284,6 +284,17 @@ def test_maximize_regular_start_converges_immediately():
     assert trace.regularity_deviation == 0.0
 
 
+def test_trace_ends_with_the_final_objective_value():
+    # the CLI reports the last recorded value instead of re-evaluating it
+    rng = np.random.default_rng(47)
+    for n, k in ((2, 1), (3, 2), (4, 3), (4, 4)):
+        for kind in (LOGPROD, SUMROOT):
+            objective = Objective(kind, k)
+            total = float(n * (n + 1))
+            trace = maximize(n, total, objective, start=random_simplex(n, rng, total=total))
+            assert objective_value(trace.final, objective) == trace.iterates[-1][1]
+
+
 def test_maximize_contract_example_triangle():
     trace = maximize(
         2, 3.0, Objective(LOGPROD, 2), start=np.array([1.5, 0.9, 0.6])

@@ -260,9 +260,85 @@ def test_adjugate_small_asymmetric():
     assert_allclose(m @ adj, det * np.eye(3), atol=1e-13)
 
 
-def test_adjugate_large_requires_symmetry():
-    with pytest.raises(ValueError, match="symmetric"):
-        adjugate(np.triu(np.ones((5, 5))))
+def test_adjugate_cramer_identity_asymmetric():
+    # one SVD formula for every square matrix, symmetric or not, at any size
+    rng = np.random.default_rng(41)
+    for n in range(5, 9):
+        for _ in range(10):
+            m = rng.standard_normal((n, n))
+            adj = adjugate(m)
+            det = float(np.linalg.det(m))
+            assert_allclose(m @ adj, det * np.eye(n), atol=1e-9 * max(1.0, abs(det)))
+            assert_allclose(adj @ m, det * np.eye(n), atol=1e-9 * max(1.0, abs(det)))
+    upper = np.triu(np.ones((5, 5)))
+    assert_allclose(adjugate(upper), np.linalg.inv(upper), atol=1e-13)
+
+
+def _det_upto3(a):
+    n = a.shape[0]
+    if n == 1:
+        return float(a[0, 0])
+    if n == 2:
+        return float(a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0])
+    return float(
+        a[0, 0] * (a[1, 1] * a[2, 2] - a[1, 2] * a[2, 1])
+        - a[0, 1] * (a[1, 0] * a[2, 2] - a[1, 2] * a[2, 0])
+        + a[0, 2] * (a[1, 0] * a[2, 1] - a[1, 1] * a[2, 0])
+    )
+
+
+def cofactor_adjugate(a):
+    """Reference: the transposed cofactor matrix, by expansion (n <= 4)."""
+    n = a.shape[0]
+    if n == 1:
+        return np.array([[1.0]])
+    adj = np.empty_like(a)
+    rows = list(range(n))
+    for i in range(n):
+        keep_r = rows[:i] + rows[i + 1 :]
+        for j in range(n):
+            keep_c = rows[:j] + rows[j + 1 :]
+            adj[j, i] = ((-1.0) ** (i + j)) * _det_upto3(a[np.ix_(keep_r, keep_c)])
+    return adj
+
+
+def spectral_adjugate(a):
+    """Reference for symmetric input: V diag(prod of the other eigenvalues)
+    V^T from the Jacobi decomposition."""
+    dec = eigendecompose(a)
+    w = dec.eigenvalues
+    partial = np.array([np.prod(np.delete(w, i)) for i in range(w.size)])
+    out = dec.basis @ np.diag(partial) @ dec.basis.T
+    return (out + out.T) / 2.0
+
+
+def test_adjugate_matches_cofactor_and_spectral_oracles():
+    rng = np.random.default_rng(43)
+    for n in range(1, 5):
+        for _ in range(20):
+            m = rng.standard_normal((n, n))
+            ref = cofactor_adjugate(m)
+            assert_allclose(adjugate(m), ref, atol=1e-13 * max(1.0, np.abs(ref).max()))
+        # singular, with nullity one and nullity two
+        for rank in (n - 1, n - 2):
+            if rank < 0:
+                continue
+            m = rng.standard_normal((n, rank)) @ rng.standard_normal((rank, n))
+            ref = cofactor_adjugate(m)
+            assert_allclose(adjugate(m), ref, atol=1e-13 * max(1.0, np.abs(m).max()) ** (n - 1))
+    for n in range(2, 9):
+        for _ in range(10):
+            m = random_symmetric(rng, n, scale=1.5)
+            ref = spectral_adjugate(m)
+            assert_allclose(adjugate(m), ref, atol=1e-12 * max(1.0, np.abs(ref).max()))
+        # the dual Gram case: positive semidefinite with nullity one
+        dec = eigendecompose(random_symmetric(rng, n))
+        vals = np.abs(dec.eigenvalues) + 0.5
+        vals[0] = 0.0
+        m = dec.basis @ np.diag(vals) @ dec.basis.T
+        m = (m + m.T) / 2.0
+        ref = spectral_adjugate(m)
+        assert_allclose(adjugate(m), ref, atol=1e-12 * np.abs(ref).max())
 
 
 def test_rank1_decompose_simple_diagonal():
