@@ -1,133 +1,18 @@
-"""Euclidean simplices as points of the cone of squared edge lengths."""
+"""Euclidean simplices as points of the cone of squared edge lengths.
 
-from .convexity import (
-    ConcavityProbeReport,
-    CounterexampleInstance,
-    cone_combine,
-    frankel_instance,
-    frankel_length_threshold,
-    nontri_instance,
-    nontri_threshold,
-    probe_log_concavity,
-    probe_root_concavity,
-)
-from .dual import (
-    DualGramReport,
-    area_ratio_from_adjugate,
-    dual_gram,
-    null_direction,
-    outward_normals,
-)
-from .extremal import (
-    MaxIterations,
-    Objective,
-    ObjectiveKind,
-    OptimizationTrace,
-    StepIntoInvalidRegion,
-    gradient_log_volume,
-    maximize,
-    objective_gradient,
-    objective_value,
-)
-from .linalg import (
-    DEFAULT_NULL_TOL,
-    DEFAULT_PD_TOL,
-    ConvergenceError,
-    EigenDecomposition,
-    NotPositiveDefinite,
-    NullityNotOne,
-    adjugate,
-    adjugate_rank1_decompose,
-    cholesky,
-    determinant,
-    eigendecompose,
-    logdet_directional_derivative,
-    logdet_second_derivative,
-    outer_product,
-    smallest_eigenvalue,
-)
-from .simplex import (
-    MAX_FACES,
-    NotRealizable,
-    SimplexEmbedding,
-    SquaredEdgeLengths,
-    ValidityReport,
-    Verdict,
-    edge_count,
-    edge_index,
-    edge_pairs,
-    embed,
-    face_squared_lengths,
-    face_volume,
-    gram_from_squared_lengths,
-    random_simplex,
-    regular_simplex,
-    relabel,
-    squared_lengths_from_gram,
-    triangle_inequalities_hold,
-    validate,
-    volume,
-)
+Each module declares its public names in its own ``__all__``; the
+package re-exports exactly those.
+"""
+
+from . import convexity, dual, extremal, linalg, simplex
+from .convexity import *  # noqa: F403
+from .dual import *  # noqa: F403
+from .extremal import *  # noqa: F403
+from .linalg import *  # noqa: F403
+from .simplex import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ConcavityProbeReport",
-    "ConvergenceError",
-    "CounterexampleInstance",
-    "DEFAULT_NULL_TOL",
-    "DEFAULT_PD_TOL",
-    "DualGramReport",
-    "EigenDecomposition",
-    "MAX_FACES",
-    "MaxIterations",
-    "NotPositiveDefinite",
-    "NotRealizable",
-    "NullityNotOne",
-    "Objective",
-    "ObjectiveKind",
-    "OptimizationTrace",
-    "SimplexEmbedding",
-    "SquaredEdgeLengths",
-    "StepIntoInvalidRegion",
-    "ValidityReport",
-    "Verdict",
-    "adjugate",
-    "adjugate_rank1_decompose",
-    "area_ratio_from_adjugate",
-    "cholesky",
-    "cone_combine",
-    "determinant",
-    "dual_gram",
-    "edge_count",
-    "edge_index",
-    "edge_pairs",
-    "eigendecompose",
-    "embed",
-    "face_squared_lengths",
-    "face_volume",
-    "frankel_instance",
-    "frankel_length_threshold",
-    "gradient_log_volume",
-    "gram_from_squared_lengths",
-    "logdet_directional_derivative",
-    "logdet_second_derivative",
-    "maximize",
-    "nontri_instance",
-    "nontri_threshold",
-    "null_direction",
-    "objective_gradient",
-    "objective_value",
-    "outer_product",
-    "outward_normals",
-    "probe_log_concavity",
-    "probe_root_concavity",
-    "random_simplex",
-    "regular_simplex",
-    "relabel",
-    "smallest_eigenvalue",
-    "squared_lengths_from_gram",
-    "triangle_inequalities_hold",
-    "validate",
-    "volume",
-]
+__all__ = sorted(
+    name for module in (convexity, dual, extremal, linalg, simplex) for name in module.__all__
+)

@@ -9,7 +9,10 @@ float serialized at 17 significant digits so that reruns with the same
 seed and ``--no-timestamp`` are byte-identical.
 
 Exit codes: 0 success, 1 usage or parse error, 2 negative geometric
-verdict (Invalid / not realizable), 3 numerical failure.
+verdict (Invalid / not realizable, including a probe endpoint that is not
+Valid), 3 numerical failure (an optimizer run that did not converge, a
+dual Gram matrix whose nullity is not one, or an eigensolver that did not
+converge).
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from .simplex import (
     NotRealizable,
     SquaredEdgeLengths,
     Verdict,
-    _check_face_count,
+    _check_k_faces,
     edge_count,
     face_volume,
     random_simplex,
@@ -242,12 +245,9 @@ def _digest_params(params: dict) -> str:
 
 def _parse_face(text: str) -> tuple[int, ...]:
     try:
-        verts = tuple(int(part) for part in text.split(","))
+        return tuple(int(part) for part in text.split(","))
     except ValueError as exc:
         raise UsageError(f"--face expects comma-separated integers, got {text!r}") from exc
-    if len(verts) < 2:
-        raise UsageError("--face needs at least two vertices")
-    return verts
 
 
 # ---------------------------------------------------------------------------
@@ -287,9 +287,7 @@ def _cmd_volume(args) -> tuple[dict, dict, int]:
 def _cmd_faces(args) -> tuple[dict, dict, int]:
     ell, inputs = _load_with_digest(args.instance, lengths=args.lengths)
     k = args.k
-    if not (1 <= k <= ell.n):
-        raise UsageError(f"--k must lie in 1..{ell.n}")
-    _check_face_count(ell.n, k)
+    _check_k_faces(ell.n, k)
     from itertools import combinations
 
     entries = []
@@ -334,15 +332,20 @@ def _cmd_probe(args) -> tuple[dict, dict, int]:
     first, inputs_first = _load_with_digest(args.first, lengths=args.lengths)
     second, inputs_second = _load_with_digest(args.second, lengths=args.lengths)
     inputs = {"first": inputs_first, "second": inputs_second}
-    if args.mode == "log":
-        face = _parse_face(args.face) if args.face else None
-        report = probe_log_concavity(
-            first, second, face, samples=args.samples, pd_tol=args.tolerance
-        )
-    else:
-        if args.face:
-            raise UsageError("--face applies to --mode log only")
-        report = probe_root_concavity(first, second, samples=args.samples, pd_tol=args.tolerance)
+    if args.face and args.mode != "log":
+        raise UsageError("--face applies to --mode log only")
+    face = _parse_face(args.face) if args.face else None
+    try:
+        if args.mode == "log":
+            report = probe_log_concavity(
+                first, second, face, samples=args.samples, pd_tol=args.tolerance
+            )
+        else:
+            report = probe_root_concavity(
+                first, second, samples=args.samples, pd_tol=args.tolerance
+            )
+    except NotRealizable as exc:
+        return inputs, {"error": str(exc)}, 2
     results = {
         "mode": args.mode,
         "samples": report.samples,
@@ -383,13 +386,7 @@ def _cmd_counterexample(args) -> tuple[dict, dict, int]:
 
 
 def _cmd_optimize(args) -> tuple[dict, dict, int]:
-    if args.n < 1:
-        raise UsageError("--n must be at least 1")
-    if not (1 <= args.k <= args.n):
-        raise UsageError(f"--k must lie in 1..{args.n}")
-    _check_face_count(args.n, args.k)
-    if args.starts < 1:
-        raise UsageError("--starts must be at least 1")
+    _check_k_faces(args.n, args.k)
     params = {
         "n": args.n,
         "total": args.total,
@@ -488,7 +485,7 @@ def _positive(text: str) -> float:
     return value
 
 
-def _iteration_budget(text: str) -> int:
+def _at_least_one(text: str) -> int:
     value = _integer(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
@@ -555,13 +552,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, with_lengths=False)
 
     p = sub.add_parser("optimize", help="projected gradient ascent toward the regular point")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_at_least_one, required=True)
     p.add_argument("--total", type=_positive, required=True)
     p.add_argument("--objective", choices=["logprod", "sumroot"], required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--starts", type=int, default=1)
-    p.add_argument("--max-iter", type=_iteration_budget, default=10000)
+    p.add_argument("--starts", type=_at_least_one, default=1)
+    p.add_argument("--max-iter", type=_at_least_one, default=10000)
     _add_common(p, with_lengths=False)
 
     return parser

@@ -34,6 +34,7 @@ import numpy as np
 
 from .linalg import DEFAULT_PD_TOL, _logdet_derivatives, _positive_definite
 from .simplex import (
+    NotRealizable,
     SquaredEdgeLengths,
     ValidityReport,
     Verdict,
@@ -208,8 +209,9 @@ def _segment_logdet(
     """Face dimension k, and log det of the face Gram matrix with its first
     two derivatives along the segment, at ``samples`` equally spaced points.
 
-    The endpoints are certified by their Jacobi verdict; every sample
-    point is then factored at once as one ``(samples, k, k)`` stack.  Along
+    The endpoints are certified by their Jacobi verdict
+    (:class:`NotRealizable` when one is not Valid); every sample point is
+    then factored at once as one ``(samples, k, k)`` stack.  Along
     the segment the face Gram matrix moves by the constant
     ``delta = G2 - G1``, which gives both derivatives at every sample.
     """
@@ -217,13 +219,13 @@ def _segment_logdet(
         raise ValueError("dimension mismatch")
     if samples < 3:
         raise ValueError("need at least 3 samples")
+    n = first.n
+    k, idx = _face_edges(n, face)
     for name, ell in (("first", first), ("second", second)):
         if _spectrum(ell, pd_tol)[2] is not Verdict.VALID:
-            raise ValueError(f"{name} endpoint is not Valid")
-    n = first.n
+            raise NotRealizable(f"{name} endpoint is not Valid")
     ts = np.linspace(0.0, 1.0, samples)
     rows = (1.0 - ts)[:, None] * first.s + ts[:, None] * second.s
-    k, idx = _face_edges(n, face)
 
     def first_failure(w: np.ndarray) -> float | None:
         bad = np.flatnonzero(~_positive_definite(w, pd_tol))

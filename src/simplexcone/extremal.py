@@ -32,7 +32,7 @@ from .linalg import DEFAULT_PD_TOL, _band, _cholesky_factor, _positive_definite
 from .simplex import (
     NotRealizable,
     SquaredEdgeLengths,
-    _check_face_count,
+    _check_k_faces,
     _edge_table,
     _gram_adjoint,
     _gram_index,
@@ -57,7 +57,10 @@ __all__ = [
 ]
 
 _EPS = float(np.finfo(float).eps)
-#: converged once the projected gradient norm is below this times 1 + |f|
+#: converged once the projected gradient norm is below this times the
+#: gradient's 1-norm, i.e. the gradient is nearly normal to the slice.  Both
+#: norms scale as 1/total, so the test reads the same at every total; the
+#: objective itself scales as log(total) or sqrt(total) and is no yardstick
 _GTOL_FACTOR = 1e-10
 #: the Armijo sufficient-increase constant
 _ARMIJO = 1e-4
@@ -167,13 +170,18 @@ class _FaceWorkspace:
         self.kfact_root = math.factorial(k) ** (1.0 / k)
 
 
-def _check_face_dimension(n: int, k: int) -> None:
-    if not (1 <= k <= n):
-        raise ValueError(f"k must lie in 1..{n}")
-    _check_face_count(n, k)
-
-
 _workspace = functools.cache(_FaceWorkspace)  # one per (n, k)
+
+
+def _norm(v: np.ndarray) -> float:
+    """Euclidean norm of v.  The gradient scales as 1/total, so at extreme
+    totals its squares underflow or overflow; there v is scaled by a power
+    of two first, which is exact."""
+    norm = float(np.linalg.norm(v))
+    if 1e-150 < norm < 1e150:
+        return norm
+    _, e = math.frexp(float(np.abs(v).max()))
+    return math.ldexp(float(np.linalg.norm(np.ldexp(v, -e))), e)
 
 
 def _raw_value(ws: _FaceWorkspace, kind: ObjectiveKind, s: np.ndarray) -> float | None:
@@ -204,7 +212,7 @@ def objective_value(
     ell: SquaredEdgeLengths, objective: Objective, *, pd_tol: float = DEFAULT_PD_TOL
 ) -> float:
     """Sum of log k-face volumes, or sum of k-th roots of k-face volumes."""
-    _check_face_dimension(ell.n, objective.k)
+    _check_k_faces(ell.n, objective.k)
     _valid_spectrum(ell, pd_tol)
     value = _raw_value(_workspace(ell.n, objective.k), objective.kind, ell.s)
     if value is None:
@@ -216,7 +224,7 @@ def objective_gradient(
     ell: SquaredEdgeLengths, objective: Objective, *, pd_tol: float = DEFAULT_PD_TOL
 ) -> np.ndarray:
     """Gradient of :func:`objective_value` with respect to every squared length."""
-    _check_face_dimension(ell.n, objective.k)
+    _check_k_faces(ell.n, objective.k)
     _valid_spectrum(ell, pd_tol)
     return _raw_gradient(_workspace(ell.n, objective.k), objective.kind, ell.s)
 
@@ -272,7 +280,7 @@ def _judge_candidate(
             return "value_drop", None
         grad_cand = _raw_gradient(ws, kind, cand)
         pg_cand = grad_cand - grad_cand.mean()
-        if float(np.linalg.norm(pg_cand)) >= pg_norm:
+        if _norm(pg_cand) >= pg_norm:
             return "no_contraction", None
     lam, vec = np.linalg.eigh(gram)
     if not _positive_definite(lam, pd_tol) or lam[0] < lam_floor:
@@ -294,7 +302,9 @@ def maximize(
     Backtracking (halving) line search with Armijo constant 1e-4, from a
     first step of a tenth of the mean squared length; candidates that
     leave the Valid cone are rejected outright.  Converged when the
-    projected gradient norm drops below ``1e-10 * (1 + |objective|)``.
+    projected gradient norm drops below ``1e-10 * ||gradient||_1``, that
+    is, when the gradient is nearly normal to the hyperplane; the test
+    reads the same at every total.
     Raises :class:`MaxIterations` or :class:`StepIntoInvalidRegion` (each
     carrying the partial trace, rejection counts included) instead of
     returning an unconverged result.  Raises ``ValueError`` for a bad
@@ -329,7 +339,7 @@ def maximize(
     recorded objective values are nondecreasing only up to that
     allowance.
     """
-    _check_face_dimension(n, objective.k)
+    _check_k_faces(n, objective.k)
     if not (total > 0.0) or not math.isfinite(total):
         raise ValueError("total must be a positive finite number")
     edges = edge_count(n)
@@ -374,12 +384,12 @@ def maximize(
         if grad is None:
             grad = _raw_gradient(ws, kind, x)
         pg = grad - grad.mean()
-        pg_norm = float(np.linalg.norm(pg))
+        pg_norm = _norm(pg)
         frozen = x.copy()
         frozen.setflags(write=False)
         iterates.append((frozen, f, pg_norm))
-        gtol = _GTOL_FACTOR * (1.0 + abs(f))
-        if pg_norm < gtol:
+        grad_l1 = float(np.abs(grad).sum())
+        if pg_norm < _GTOL_FACTOR * grad_l1:
             converged = True
             break
 
@@ -410,12 +420,10 @@ def maximize(
                 nudge = min(gap / normal_sq, 0.5 * tangent_sq / -outward)
                 direction = tangent + nudge * normal
         slope = float(pg @ direction)
-        allowance = 4.0 * _EPS * (1.0 + abs(f)) + 8.0 * _EPS * (total / edges) * float(
-            np.abs(grad).sum()
-        )
+        allowance = 4.0 * _EPS * (1.0 + abs(f)) + 8.0 * _EPS * (total / edges) * grad_l1
         # the movement floor lets a step that collapsed in an earlier
         # pinch recover; halvings may still go far below it
-        floor = 1e-8 * (1.0 + float(np.abs(x).max())) / float(np.linalg.norm(direction))
+        floor = 1e-8 * (1.0 + float(np.abs(x).max())) / _norm(direction)
         alpha = max(step, floor)
         blocked_by_validity = False
         for halving in range(60):

@@ -33,12 +33,9 @@ __all__ = [
     "NullityNotOne",
     "adjugate",
     "adjugate_rank1_decompose",
-    "check_square",
-    "check_symmetric",
     "cholesky",
     "determinant",
     "eigendecompose",
-    "is_symmetric",
     "logdet_directional_derivative",
     "logdet_second_derivative",
     "outer_product",

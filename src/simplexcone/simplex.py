@@ -86,6 +86,11 @@ class Verdict(str, Enum):
     INVALID = "invalid"
 
 
+def _check_dimension(n: int) -> None:
+    if n < 1:
+        raise ValueError("dimension must be at least 1")
+
+
 def edge_count(n: int) -> int:
     return n * (n + 1) // 2
 
@@ -110,8 +115,7 @@ class SquaredEdgeLengths:
     s: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("dimension must be at least 1")
+        _check_dimension(self.n)
         arr = np.array(self.s, dtype=float)
         if arr.ndim != 1 or arr.size != edge_count(self.n):
             raise ValueError(
@@ -334,8 +338,11 @@ def volume(ell: SquaredEdgeLengths, *, pd_tol: float = DEFAULT_PD_TOL) -> float:
     return float(np.prod(np.sqrt(dec.eigenvalues))) / math.factorial(ell.n)
 
 
-def _check_face_count(n: int, k: int) -> None:
-    """Raise ValueError when an n-simplex has more than MAX_FACES k-faces."""
+def _check_k_faces(n: int, k: int) -> None:
+    """Raise ValueError unless k lies in 1..n and an n-simplex has at most
+    MAX_FACES k-faces."""
+    if not (1 <= k <= n):
+        raise ValueError(f"k must lie in 1..{n}")
     count = math.comb(n + 1, k + 1)
     if count > MAX_FACES:
         raise ValueError(
@@ -380,8 +387,7 @@ def face_volume(
 
 def regular_simplex(n: int, total: float) -> SquaredEdgeLengths:
     """The regular point of the hyperplane {sum of squared lengths = total}."""
-    if n < 1:
-        raise ValueError("dimension must be at least 1")
+    _check_dimension(n)
     if not (total > 0.0) or not math.isfinite(total):
         raise ValueError("total must be a positive finite number")
     value = 2.0 * total / (n * (n + 1))
@@ -414,6 +420,7 @@ def random_simplex(
     {sum of entries = total}, which preserves validity.  Raises
     RuntimeError when 200 draws give no Valid instance.
     """
+    _check_dimension(n)
     for _ in range(200):
         coords = rng.standard_normal((n, n))
         sing = np.linalg.svd(coords, compute_uv=False)

@@ -226,6 +226,14 @@ def test_probe_root_mode(capsys):
     assert report["results"]["passed"] is True
 
 
+def test_probe_with_an_endpoint_that_is_not_valid_exits_2(capsys):
+    invalid = '{"dimension": 2, "squared_lengths": [1, 1, 9]}'
+    for mode in ("log", "root"):
+        code, report = run_json(capsys, ["probe", invalid, UNIT_TRIANGLE, "--mode", mode])
+        assert code == 2, mode
+        assert report["results"] == {"error": "first endpoint is not Valid"}
+
+
 def test_probe_samples_bounded_at_parse_time(capsys):
     # rejected by the parser, so no sample stack is ever allocated
     second = '{"dimension": 2, "squared_lengths": [2, 2, 2]}'
@@ -353,6 +361,18 @@ def test_optimize_multi_start(capsys):
     assert all(r["converged"] for r in report["results"]["runs"])
 
 
+def test_optimize_converges_at_a_large_total(capsys):
+    # the stopping test reads the same at every total: no run is reported
+    # converged before it has moved toward the regular point
+    argv = ["optimize", "--n", "3", "--total", "1e12", "--objective", "logprod", "--k", "2"]
+    code, report = run_json(capsys, argv)
+    assert code == 0
+    (run0,) = report["results"]["runs"]
+    assert run0["converged"] is True
+    assert run0["iterations"] > 0
+    assert run0["regularity_deviation"] < 1e-9
+
+
 # ---------------------------------------------------------------------------
 # exit codes, determinism, rendering
 
@@ -384,7 +404,11 @@ def test_non_finite_and_negative_numbers_are_usage_errors(capsys):
         argv[argv.index("--total") + 1] = value
         _assert_usage_error(capsys, argv, "--total")
     for value in ("0", "-3", "2.5"):
-        _assert_usage_error(capsys, OPTIMIZE + ["--max-iter", value], "--max-iter")
+        for flag in ("--max-iter", "--starts"):
+            _assert_usage_error(capsys, OPTIMIZE + [flag, value], f"argument {flag}")
+        argv = list(OPTIMIZE)
+        argv[argv.index("--n") + 1] = value
+        _assert_usage_error(capsys, argv, "argument --n")
     args = build_parser().parse_args(["validate", "x", "--tolerance", "0"])
     assert args.tolerance == 0.0
     args = build_parser().parse_args(OPTIMIZE + ["--max-iter", "1"])
@@ -428,6 +452,20 @@ def test_float_extremes_print_only_the_error_line():
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1, proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv, fragment",
+    [
+        (["faces", UNIT_TETRA, "--k", "0"], "k must lie in 1..3"),
+        (["faces", UNIT_TETRA, "--k", "4"], "k must lie in 1..3"),
+        (OPTIMIZE[:-1] + ["3"], "k must lie in 1..2"),
+        (["volume", UNIT_TETRA, "--face", "0"], "at least 2 vertices"),
+        (["probe", UNIT_TETRA, UNIT_TETRA, "--mode", "log", "--face", "1"], "at least 2 vertices"),
+    ],
+)
+def test_face_rules_are_usage_errors(capsys, argv, fragment):
+    _assert_usage_error(capsys, argv, fragment)
 
 
 def test_face_budget_is_a_usage_error(capsys):

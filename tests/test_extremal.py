@@ -15,6 +15,7 @@ from simplexcone import (
     Objective,
     ObjectiveKind,
     SquaredEdgeLengths,
+    StepIntoInvalidRegion,
     Verdict,
     edge_count,
     edge_index,
@@ -366,6 +367,35 @@ def test_maximize_random_starts_reach_regular_point():
                 trace = maximize(n, total, Objective(kind, k), start=start)
                 assert trace.converged, (n, k, kind)
                 assert trace.regularity_deviation < 1e-6, (n, k, kind)
+
+
+@pytest.mark.parametrize("total", [1e-12, 1e-6, 1.0, 6.0, 1e4, 1e12, 1e50])
+def test_maximize_stopping_test_is_scale_free(total):
+    # the gradient scales as 1/total while the objective scales as
+    # log(total) or sqrt(total): a stopping test that mixes the two stops
+    # short of the regular point at large totals, or before the first step
+    for kind in (LOGPROD, SUMROOT):
+        for seed in range(4):
+            start = random_simplex(3, np.random.default_rng(seed), total=total)
+            trace = maximize(3, total, Objective(kind, 2), start=start)
+            assert trace.converged
+            assert len(trace.iterates) > 1, (kind, seed)
+            assert trace.regularity_deviation < 1e-9, (kind, seed)
+
+
+@pytest.mark.parametrize("total", [1e200, 1e308])
+def test_maximize_never_reports_convergence_off_the_regular_point(total):
+    # the gradient is near 1/total, and its squares underflow to 0 here;
+    # steps near total^2 overflow, so a run may fail (with numpy's overflow
+    # warnings), but it never stops at once and calls that converged
+    for kind in (LOGPROD, SUMROOT):
+        start = random_simplex(2, np.random.default_rng(0), total=total)
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                trace = maximize(2, total, Objective(kind, 1), start=start)
+        except StepIntoInvalidRegion:
+            continue
+        assert trace.regularity_deviation < 1e-9, kind
 
 
 def test_regular_point_dominates_random_feasible_points():

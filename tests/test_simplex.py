@@ -90,6 +90,10 @@ def test_instance_rejects_nonpositive_entries():
 def test_instance_rejects_bad_dimension():
     with pytest.raises(ValueError, match="at least 1"):
         SquaredEdgeLengths(0, np.array([1.0]))
+    with pytest.raises(ValueError, match="at least 1"):
+        regular_simplex(0, 1.0)
+    with pytest.raises(ValueError, match="at least 1"):
+        random_simplex(0, np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------
