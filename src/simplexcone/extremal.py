@@ -109,10 +109,6 @@ class Objective:
     kind: ObjectiveKind
     k: int
 
-    def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValueError("face dimension k must be at least 1")
-
 
 @dataclass(frozen=True)
 class OptimizationTrace:
@@ -175,13 +171,13 @@ _workspace = functools.cache(_FaceWorkspace)  # one per (n, k)
 
 def _norm(v: np.ndarray) -> float:
     """Euclidean norm of v.  The gradient scales as 1/total, so at extreme
-    totals its squares underflow or overflow; there v is scaled by a power
-    of two first, which is exact."""
-    norm = float(np.linalg.norm(v))
-    if 1e-150 < norm < 1e150:
-        return norm
+    totals its squares underflow or overflow; v is scaled by a power of two
+    first, which is exact and leaves every other norm unchanged."""
     _, e = math.frexp(float(np.abs(v).max()))
-    return math.ldexp(float(np.linalg.norm(np.ldexp(v, -e))), e)
+    w = np.ldexp(v, -e)
+    # 2^(e-1) is a float for every finite v, and a norm too large for one
+    # overflows the product to inf
+    return 2.0 * math.sqrt(w.dot(w)) * math.ldexp(0.5, e)
 
 
 def _raw_value(ws: _FaceWorkspace, kind: ObjectiveKind, s: np.ndarray) -> float | None:

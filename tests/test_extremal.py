@@ -90,7 +90,7 @@ def test_objectives_sum_over_all_faces():
 
 
 def test_objective_value_rejects_bad_k():
-    with pytest.raises(ValueError, match="at least 1"):
+    with pytest.raises(ValueError, match="1..2"):
         objective_value(UNIT_TRIANGLE, Objective(SUMROOT, 0))
     with pytest.raises(ValueError, match="1..2"):
         objective_value(UNIT_TRIANGLE, Objective(SUMROOT, 3))
@@ -396,6 +396,20 @@ def test_maximize_never_reports_convergence_off_the_regular_point(total):
         except StepIntoInvalidRegion:
             continue
         assert trace.regularity_deviation < 1e-9, kind
+
+
+def test_norm_is_exact_at_every_scale():
+    # the power-of-two prescale leaves in-range norms bit for bit as numpy
+    # computes them, and keeps the squares of tiny and huge vectors finite
+    rng = np.random.default_rng(5)
+    for _ in range(50):
+        v = rng.standard_normal(rng.integers(1, 30))
+        assert extremal_module._norm(v) == np.linalg.norm(v)
+    for e in (-1000, -600, 600, 1000):
+        v = np.ldexp([3.0, -4.0], e)
+        assert extremal_module._norm(v) == math.ldexp(5.0, e)
+    assert extremal_module._norm(np.zeros(3)) == 0.0
+    assert extremal_module._norm(np.array([1.7e308, 1.7e308])) == math.inf
 
 
 def test_regular_point_dominates_random_feasible_points():
