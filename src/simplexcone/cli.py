@@ -35,7 +35,7 @@ from .convexity import (
     probe_log_concavity,
     probe_root_concavity,
 )
-from .dual import area_ratio_from_adjugate, dual_gram, null_direction
+from .dual import _ratio_from_dual_gram, dual_gram, null_direction
 from .extremal import (
     MaxIterations,
     Objective,
@@ -127,33 +127,22 @@ def _is_scalar(value) -> bool:
 
 def render_pretty(value, indent: int = 0) -> list[str]:
     pad = "  " * indent
-    lines: list[str] = []
     if isinstance(value, dict):
-        for k, v in value.items():
-            if _is_scalar(v):
-                lines.append(f"{pad}{k}: {_pretty_scalar(v)}")
-            elif isinstance(v, (list, tuple, np.ndarray)) and all(
-                _is_scalar(x) for x in v
-            ):
-                inline = ", ".join(_pretty_scalar(x) for x in v)
-                lines.append(f"{pad}{k}: [{inline}]")
-            else:
-                lines.append(f"{pad}{k}:")
-                lines.extend(render_pretty(v, indent + 1))
+        entries = [(f"{k}:", v) for k, v in value.items()]
     elif isinstance(value, (list, tuple, np.ndarray)):
-        for v in value:
-            if _is_scalar(v):
-                lines.append(f"{pad}- {_pretty_scalar(v)}")
-            elif isinstance(v, (list, tuple, np.ndarray)) and all(
-                _is_scalar(x) for x in v
-            ):
-                inline = ", ".join(_pretty_scalar(x) for x in v)
-                lines.append(f"{pad}- [{inline}]")
-            else:
-                lines.append(f"{pad}-")
-                lines.extend(render_pretty(v, indent + 1))
+        entries = [("-", v) for v in value]
     else:
-        lines.append(f"{pad}{_pretty_scalar(value)}")
+        return [f"{pad}{_pretty_scalar(value)}"]
+    lines: list[str] = []
+    for head, v in entries:
+        if _is_scalar(v):
+            lines.append(f"{pad}{head} {_pretty_scalar(v)}")
+        elif isinstance(v, (list, tuple, np.ndarray)) and all(_is_scalar(x) for x in v):
+            inline = ", ".join(_pretty_scalar(x) for x in v)
+            lines.append(f"{pad}{head} [{inline}]")
+        else:
+            lines.append(f"{pad}{head}")
+            lines.extend(render_pretty(v, indent + 1))
     return lines
 
 
@@ -323,7 +312,7 @@ def _cmd_dual(args) -> tuple[dict, dict, int]:
     }
     if args.ratio is not None:
         i, j = args.ratio
-        value = area_ratio_from_adjugate(ell, i, j, pd_tol=args.tolerance)
+        value = _ratio_from_dual_gram(report.gstar, i, j)
         results["ratio"] = {"i": i, "j": j, "squared_area_ratio": value}
     return inputs, results, 0
 

@@ -117,6 +117,23 @@ def null_direction(gstar) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
+def _ratio_from_dual_gram(gstar: np.ndarray, i: int, j: int) -> float:
+    """(area_i / area_j)^2 off the adjugate diagonal of a dual Gram (one SVD)."""
+    if i == j:
+        raise ValueError("facet indices must differ")
+    if not (0 <= i < len(gstar) and 0 <= j < len(gstar)):
+        raise ValueError(f"facet index out of range for dimension {len(gstar) - 1}")
+    adj = adjugate(gstar)
+    denom = float(adj[j, j])
+    top = float(adj[i, i])
+    # relative guard: the overall adjugate magnitude carries no meaning, only
+    # the diagonal's internal proportions do
+    scale = float(np.abs(np.diag(adj)).max())
+    if scale == 0.0 or abs(denom) <= 1e-12 * scale:
+        raise ValueError(f"cofactor {j} is numerically zero; ratio undefined")
+    return top / denom
+
+
 def area_ratio_from_adjugate(
     ell: SquaredEdgeLengths, i: int, j: int, *, pd_tol: float = DEFAULT_PD_TOL
 ) -> float:
@@ -128,16 +145,4 @@ def area_ratio_from_adjugate(
     the one Jacobi decomposition that classifies G, and its adjugate from
     one SVD.  Raises :class:`NotRealizable` unless the verdict is Valid.
     """
-    if i == j:
-        raise ValueError("facet indices must differ")
-    if not (0 <= i <= ell.n and 0 <= j <= ell.n):
-        raise ValueError(f"facet index out of range for dimension {ell.n}")
-    adj = adjugate(_spectral_dual(ell, pd_tol)[3])
-    denom = float(adj[j, j])
-    top = float(adj[i, i])
-    # relative guard: the overall adjugate magnitude carries no meaning, only
-    # the diagonal's internal proportions do
-    scale = float(np.abs(np.diag(adj)).max())
-    if scale == 0.0 or abs(denom) <= 1e-12 * scale:
-        raise ValueError(f"cofactor {j} is numerically zero; ratio undefined")
-    return top / denom
+    return _ratio_from_dual_gram(_spectral_dual(ell, pd_tol)[3], i, j)

@@ -16,6 +16,11 @@ the squared lengths: with adj the adjoint of that map
 
 where offdiag lists the strict upper triangle in edge order.  The
 smallest Gram eigenvalue, with unit eigenvector q, has gradient adj(q q^T).
+
+Scaling s by 4^m adds k m ln 2 to each face's log volume and multiplies
+each k-th root by 2^m, so every entry point computes at unit mean, on s
+scaled by an exact power of four, and maps each number back: runs work at
+every total up to the float maximum.
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ from .simplex import (
     SquaredEdgeLengths,
     _check_k_faces,
     _edge_table,
+    _frozen,
     _gram_adjoint,
     _gram_index,
     _gram_stack,
@@ -58,9 +64,7 @@ __all__ = [
 
 _EPS = float(np.finfo(float).eps)
 #: converged once the projected gradient norm is below this times the
-#: gradient's 1-norm, i.e. the gradient is nearly normal to the slice.  Both
-#: norms scale as 1/total, so the test reads the same at every total; the
-#: objective itself scales as log(total) or sqrt(total) and is no yardstick
+#: gradient's 1-norm, i.e. the gradient is nearly normal to the slice
 _GTOL_FACTOR = 1e-10
 #: the Armijo sufficient-increase constant
 _ARMIJO = 1e-4
@@ -81,20 +85,20 @@ _VALIDITY_REASONS = frozenset(
 )
 
 
-class MaxIterations(RuntimeError):
+class _FailedRun(RuntimeError):
+    """A run that stopped unconverged; ``trace`` holds its partial trace."""
+
+    def __init__(self, message: str, trace: "OptimizationTrace"):
+        super().__init__(message)
+        self.trace = trace
+
+
+class MaxIterations(_FailedRun):
     """Iteration budget exhausted before the gradient tolerance was met."""
 
-    def __init__(self, message: str, trace: "OptimizationTrace"):
-        super().__init__(message)
-        self.trace = trace
 
-
-class StepIntoInvalidRegion(RuntimeError):
+class StepIntoInvalidRegion(_FailedRun):
     """Line search exhausted: no acceptable step stayed inside the Valid cone."""
-
-    def __init__(self, message: str, trace: "OptimizationTrace"):
-        super().__init__(message)
-        self.trace = trace
 
 
 class ObjectiveKind(str, Enum):
@@ -169,60 +173,70 @@ class _FaceWorkspace:
 _workspace = functools.cache(_FaceWorkspace)  # one per (n, k)
 
 
-def _norm(v: np.ndarray) -> float:
-    """Euclidean norm of v.  The gradient scales as 1/total, so at extreme
-    totals its squares underflow or overflow; v is scaled by a power of two
-    first, which is exact and leaves every other norm unchanged."""
-    _, e = math.frexp(float(np.abs(v).max()))
-    w = np.ldexp(v, -e)
-    # 2^(e-1) is a float for every finite v, and a norm too large for one
-    # overflows the product to inf
-    return 2.0 * math.sqrt(w.dot(w)) * math.ldexp(0.5, e)
+def _unit_mean(ws: _FaceWorkspace, kind: ObjectiveKind, mean: float) -> tuple[int, ...]:
+    """The m with mean / 4^m in [2^-0.5, 2^1.5), and (a, b, c) with
+    objective(4^m s) = a objective(s) + b and gradient(4^m s) = c gradient(s).
+
+    m is the exponent of mean / sqrt(2) halved, so means of 1 and 2 keep
+    m = 0 and a mean scaled by 4^j moves m by exactly j.  A subnormal mean
+    raises ValueError: the gradient grows as 1 / mean past the float range.
+    """
+    if not mean >= np.finfo(float).tiny:
+        raise ValueError("the mean squared length is subnormal")
+    m = math.frexp(mean / math.sqrt(2.0))[1] // 2
+    if kind is ObjectiveKind.LOG_PRODUCT_FACES:
+        return m, 1.0, len(ws.faces) * ws.k * m * math.log(2.0), 2.0 ** (-2 * m)
+    return m, 2.0**m, 0.0, 2.0**-m
 
 
-def _raw_value(ws: _FaceWorkspace, kind: ObjectiveKind, s: np.ndarray) -> float | None:
-    """Objective value from the raw vector, or None if any face collapses."""
+def _raw_value(ws: _FaceWorkspace, kind: ObjectiveKind, s: np.ndarray) -> tuple | None:
+    """Objective value and face weights (half its derivative in each face's
+    log volume: 1/2, or root / (2k) for sumroot), or None if a face collapses."""
     dets = np.linalg.det(_polarize(s[ws.apex], s[ws.pair]))
     if not np.isfinite(dets).all() or (dets <= 0.0).any():
         return None
     if kind is ObjectiveKind.LOG_PRODUCT_FACES:
-        return float(0.5 * np.log(dets).sum() - len(ws.faces) * ws.log_kfact)
+        return float(0.5 * np.log(dets).sum() - len(ws.faces) * ws.log_kfact), 0.5
     roots = dets ** (0.5 / ws.k) / ws.kfact_root
-    return float(roots.sum())
+    return float(roots.sum()), 0.5 * (roots / ws.k)[:, None]
 
 
-def _raw_gradient(ws: _FaceWorkspace, kind: ObjectiveKind, s: np.ndarray) -> np.ndarray:
-    grams = _polarize(s[ws.apex], s[ws.pair])
-    inv = np.linalg.inv(grams)
-    # half of each face's weight: d(log vol)/ds = adj(G^-1) / 2
-    if kind is ObjectiveKind.LOG_PRODUCT_FACES:
-        half = 0.5
-    else:
-        dets = np.linalg.det(grams)
-        half = 0.5 * ((dets ** (0.5 / ws.k) / ws.kfact_root) / ws.k)[:, None]
-    terms = (_gram_adjoint(inv) * half).ravel()[ws.order]
+def _raw_gradient(ws: _FaceWorkspace, s: np.ndarray, weight) -> np.ndarray:
+    """Gradient from the face weights of :func:`_raw_value`, as
+    d(log vol)/ds = adj(G^-1) / 2 summed over the faces."""
+    inv = np.linalg.inv(_polarize(s[ws.apex], s[ws.pair]))
+    terms = (_gram_adjoint(inv) * weight).ravel()[ws.order]
     return np.bincount(ws.scatter, weights=terms, minlength=edge_count(ws.n))
+
+
+def _evaluate(ell: SquaredEdgeLengths, objective: Objective, pd_tol: float):
+    """The objective value, and what its gradient needs: the workspace,
+    s / 4^m, its face weights and the factor that maps the gradient back."""
+    _check_k_faces(ell.n, objective.k)
+    ws = _workspace(ell.n, objective.k)
+    # the mean of the quotients: the plain sum can overflow near the float maximum
+    m, a, b, c = _unit_mean(ws, objective.kind, float((ell.s / ell.s.size).sum()))
+    s = np.ldexp(ell.s, -2 * m)
+    _valid_spectrum(SquaredEdgeLengths(ell.n, s), pd_tol)
+    evaluated = _raw_value(ws, objective.kind, s)
+    if evaluated is None:
+        raise NotRealizable("a face volume vanished")
+    return evaluated[0] * a + b, (ws, s, evaluated[1], c)
 
 
 def objective_value(
     ell: SquaredEdgeLengths, objective: Objective, *, pd_tol: float = DEFAULT_PD_TOL
 ) -> float:
     """Sum of log k-face volumes, or sum of k-th roots of k-face volumes."""
-    _check_k_faces(ell.n, objective.k)
-    _valid_spectrum(ell, pd_tol)
-    value = _raw_value(_workspace(ell.n, objective.k), objective.kind, ell.s)
-    if value is None:
-        raise NotRealizable("a face volume vanished")
-    return value
+    return _evaluate(ell, objective, pd_tol)[0]
 
 
 def objective_gradient(
     ell: SquaredEdgeLengths, objective: Objective, *, pd_tol: float = DEFAULT_PD_TOL
 ) -> np.ndarray:
     """Gradient of :func:`objective_value` with respect to every squared length."""
-    _check_k_faces(ell.n, objective.k)
-    _valid_spectrum(ell, pd_tol)
-    return _raw_gradient(_workspace(ell.n, objective.k), objective.kind, ell.s)
+    ws, s, weight, c = _evaluate(ell, objective, pd_tol)[1]
+    return _raw_gradient(ws, s, weight) * c
 
 
 def gradient_log_volume(
@@ -230,9 +244,8 @@ def gradient_log_volume(
 ) -> np.ndarray:
     """Gradient of log n-volume; satisfies the scaling identity
     ``sum_e s_e * grad_e = n / 2``."""
-    _valid_spectrum(ell, pd_tol)
-    return _raw_gradient(
-        _workspace(ell.n, ell.n), ObjectiveKind.LOG_PRODUCT_FACES, ell.s
+    return objective_gradient(
+        ell, Objective(ObjectiveKind.LOG_PRODUCT_FACES, ell.n), pd_tol=pd_tol
     )
 
 
@@ -250,8 +263,8 @@ def _judge_candidate(
 ) -> tuple[str | None, tuple | None]:
     """The first test the line search fails on ``cand`` (a key of
     ``OptimizationTrace.rejections``), or None together with the accepted
-    candidate's objective value, its gradient (None unless the
-    contraction test computed it) and its Gram eigenvalues and
+    candidate's objective value, its face weights, its gradient (None
+    unless the contraction test computed it) and its Gram eigenvalues and
     eigenvectors.
 
     The Gram matrix is built once and feeds both the Cholesky screen and
@@ -262,9 +275,10 @@ def _judge_candidate(
     gram = _gram_stack(ws.n, cand)
     if not _cholesky_factor(gram)[1]:
         return "cholesky_screen", None
-    f_cand = _raw_value(ws, kind, cand)
-    if f_cand is None:
+    evaluated = _raw_value(ws, kind, cand)
+    if evaluated is None:
         return "face_collapse", None
+    f_cand, weight = evaluated
     grad_cand = None
     if predicted > 2.0 * allowance:
         if f_cand < f + predicted - allowance:
@@ -274,14 +288,14 @@ def _judge_candidate(
         # contraction of the projected gradient norm instead
         if f_cand < f - allowance:
             return "value_drop", None
-        grad_cand = _raw_gradient(ws, kind, cand)
+        grad_cand = _raw_gradient(ws, cand, weight)
         pg_cand = grad_cand - grad_cand.mean()
-        if _norm(pg_cand) >= pg_norm:
+        if np.linalg.norm(pg_cand) >= pg_norm:
             return "no_contraction", None
     lam, vec = np.linalg.eigh(gram)
     if not _positive_definite(lam, pd_tol) or lam[0] < lam_floor:
         return "eigenvalue_floor", None
-    return None, (f_cand, grad_cand, lam, vec)
+    return None, (f_cand, weight, grad_cand, lam, vec)
 
 
 def maximize(
@@ -295,17 +309,19 @@ def maximize(
 ) -> OptimizationTrace:
     """Projected gradient ascent on the hyperplane {sum of entries = total}.
 
+    The search runs at unit mean, on the start scaled by the power of
+    four 4^-m that brings ``total / edges`` into [2^-0.5, 2^1.5); the trace
+    is mapped back exactly, so a run scaled by 4^j takes the same steps.
     Backtracking (halving) line search with Armijo constant 1e-4, from a
     first step of a tenth of the mean squared length; candidates that
     leave the Valid cone are rejected outright.  Converged when the
     projected gradient norm drops below ``1e-10 * ||gradient||_1``, that
-    is, when the gradient is nearly normal to the hyperplane; the test
-    reads the same at every total.
+    is, when the gradient is nearly normal to the hyperplane.
     Raises :class:`MaxIterations` or :class:`StepIntoInvalidRegion` (each
     carrying the partial trace, rejection counts included) instead of
     returning an unconverged result.  Raises ``ValueError`` for a bad
     start, total or k (:class:`NotRealizable` for a start that is not
-    Valid), and when the simplex has more than ``MAX_FACES`` k-faces.
+    Valid), for a subnormal mean, and past ``MAX_FACES`` k-faces.
 
     Two refinements keep the rejection scheme honest without clamping.
     The Gram matrix is linear in the squared lengths, so the feasible
@@ -339,55 +355,65 @@ def maximize(
     if not (total > 0.0) or not math.isfinite(total):
         raise ValueError("total must be a positive finite number")
     edges = edge_count(n)
+    ws = _workspace(n, objective.k)
+    kind = objective.kind
+    m, a, b, c = _unit_mean(ws, kind, total / edges)
     if start is None:
-        x = regular_simplex(n, total).s.copy()
+        x = regular_simplex(n, total).s
     elif isinstance(start, SquaredEdgeLengths):
         if start.n != n:
             raise ValueError("start has the wrong dimension")
-        x = start.s.copy()
+        x = start.s
     else:
-        x = np.array(start, dtype=float)
+        x = np.asarray(start, dtype=float)
         if x.shape != (edges,):
             raise ValueError(f"start must have {edges} entries")
+    # scaled to unit mean before the projection, whose sum could overflow
+    total = math.ldexp(total, -2 * m)
+    x = np.ldexp(x, -2 * m)
     x += (total - x.sum()) / edges  # affine projection onto the hyperplane
     if (x <= 0.0).any():
         raise ValueError("start projects outside the positive orthant")
     start_dec = _valid_spectrum(SquaredEdgeLengths(n, x), pd_tol)[1]
     lam, vec = start_dec.eigenvalues, start_dec.basis
 
-    ws = _workspace(n, objective.k)
-    kind = objective.kind
     step = 0.1 * total / edges
     # the segment to the regular point keeps the smallest eigenvalue
     # above min(start, regular) by concavity, so half of that is a safe
     # hard floor for the whole search
     lam_regular = total / (n * (n + 1))
     lam_floor = 0.5 * min(float(lam[0]), lam_regular)
-    f = _raw_value(ws, kind, x)
-    if f is None:
+    evaluated = _raw_value(ws, kind, x)
+    if evaluated is None:
         raise NotRealizable("a face of the start collapsed")
+    f, weight = evaluated
 
     iterates: list[tuple[np.ndarray, float, float]] = []
     rejections = dict.fromkeys(_REJECTION_REASONS, 0)
     pinches = 0
 
-    def partial_trace() -> OptimizationTrace:
-        return _build_trace(n, x, iterates, rejections, pinches, converged=False)
+    def trace(converged: bool) -> OptimizationTrace:
+        """The run so far, mapped back from s / 4^m to s."""
+        mean = float(x.mean())
+        return OptimizationTrace(
+            iterates=[(_frozen(np.ldexp(p, 2 * m)), v * a + b, g * c) for p, v, g in iterates],
+            final=SquaredEdgeLengths(n, np.ldexp(x, 2 * m)),
+            regularity_deviation=float(np.abs(x - mean).max()) / mean,
+            converged=converged,
+            rejections=dict(rejections),
+            pinch_activations=pinches,
+        )
 
     grad = None  # set from an accepted candidate whose test computed it
-    converged = False
     for _ in range(max_iter):
         if grad is None:
-            grad = _raw_gradient(ws, kind, x)
+            grad = _raw_gradient(ws, x, weight)
         pg = grad - grad.mean()
-        pg_norm = _norm(pg)
-        frozen = x.copy()
-        frozen.setflags(write=False)
-        iterates.append((frozen, f, pg_norm))
+        pg_norm = float(np.linalg.norm(pg))
+        iterates.append((x, f, pg_norm))
         grad_l1 = float(np.abs(grad).sum())
         if pg_norm < _GTOL_FACTOR * grad_l1:
-            converged = True
-            break
+            return trace(True)
 
         lam0 = float(lam[0])
         threshold = _band(lam, pd_tol)
@@ -408,7 +434,7 @@ def maximize(
                     raise StepIntoInvalidRegion(
                         "stalled on the realizability boundary with no "
                         "tangential ascent direction",
-                        partial_trace(),
+                        trace(False),
                     )
                 gap = max(0.0, 1.5 * lam_floor - lam0)
                 # cap the nudge so the slope keeps at least half the
@@ -419,7 +445,7 @@ def maximize(
         allowance = 4.0 * _EPS * (1.0 + abs(f)) + 8.0 * _EPS * (total / edges) * grad_l1
         # the movement floor lets a step that collapsed in an earlier
         # pinch recover; halvings may still go far below it
-        floor = 1e-8 * (1.0 + float(np.abs(x).max())) / _norm(direction)
+        floor = 1e-8 * (1.0 + float(np.abs(x).max())) / np.linalg.norm(direction)
         alpha = max(step, floor)
         blocked_by_validity = False
         for halving in range(60):
@@ -438,7 +464,7 @@ def maximize(
             )
             if reason is None:
                 x = cand
-                f, grad, lam, vec = accepted
+                f, weight, grad, lam, vec = accepted
                 break
             rejections[reason] += 1
             blocked_by_validity |= reason in _VALIDITY_REASONS
@@ -449,29 +475,7 @@ def maximize(
                 if blocked_by_validity
                 else "no ascent step of any size was acceptable"
             )
-            raise StepIntoInvalidRegion(f"line search exhausted: {why}", partial_trace())
+            raise StepIntoInvalidRegion(f"line search exhausted: {why}", trace(False))
         step = alpha * 2.0 if halving == 0 else alpha
-    if not converged:
-        raise MaxIterations(f"no convergence within {max_iter} iterations", partial_trace())
-    return _build_trace(n, x, iterates, rejections, pinches, converged=True)
+    raise MaxIterations(f"no convergence within {max_iter} iterations", trace(False))
 
-
-def _build_trace(
-    n: int,
-    x: np.ndarray,
-    iterates: list,
-    rejections: dict[str, int],
-    pinches: int,
-    *,
-    converged: bool,
-) -> OptimizationTrace:
-    mean = float(x.mean())
-    deviation = float(np.abs(x - mean).max()) / mean
-    return OptimizationTrace(
-        iterates=iterates,
-        final=SquaredEdgeLengths(n, x),
-        regularity_deviation=deviation,
-        converged=converged,
-        rejections=dict(rejections),
-        pinch_activations=pinches,
-    )

@@ -188,6 +188,8 @@ def _band(w, tol: float):
     """Half-width ``tol * max|w|`` of the band in which an eigenvalue counts
     as zero, per spectrum along the last axis of ``w`` (a stack).  Relative
     to the spectrum, so every verdict is the same at every scale."""
+    if not 0.0 <= tol < math.inf:  # a negative band calls indefinite matrices PD
+        raise ValueError(f"tolerance must be a nonnegative finite number, got {tol}")
     return tol * np.abs(w).max(axis=-1)
 
 

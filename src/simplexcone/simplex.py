@@ -390,8 +390,7 @@ def regular_simplex(n: int, total: float) -> SquaredEdgeLengths:
     _check_dimension(n)
     if not (total > 0.0) or not math.isfinite(total):
         raise ValueError("total must be a positive finite number")
-    value = 2.0 * total / (n * (n + 1))
-    return SquaredEdgeLengths(n, np.full(edge_count(n), value))
+    return SquaredEdgeLengths(n, np.full(edge_count(n), total / edge_count(n)))
 
 
 def relabel(ell: SquaredEdgeLengths, perm: Sequence[int]) -> SquaredEdgeLengths:

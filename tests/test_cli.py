@@ -177,6 +177,18 @@ def test_dual_right_triangle(capsys):
     assert res["ratio"]["squared_area_ratio"] == pytest.approx(2.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_dual_ratio_factors_the_instance_once(capsys, jacobi_calls, n):
+    # one Jacobi call classifies G and one finds the dual Gram's kernel;
+    # the ratio is read off that same dual Gram
+    instance = json.dumps({"dimension": n, "squared_lengths": [1.0] * (n * (n + 1) // 2)})
+    jacobi_calls.clear()
+    code, report = run_json(capsys, ["dual", instance, "--ratio", "0", "1"])
+    assert code == 0
+    assert jacobi_calls == [n, n + 1]
+    assert report["results"]["ratio"]["squared_area_ratio"] == pytest.approx(1.0, rel=1e-12)
+
+
 @pytest.mark.parametrize("scale", [1e200, 1e300])
 def test_dual_regular_tetrahedron_far_from_unit_scale(capsys, scale):
     # the facet areas are finite floats even where their squares are not

@@ -15,7 +15,6 @@ from simplexcone import (
     Objective,
     ObjectiveKind,
     SquaredEdgeLengths,
-    StepIntoInvalidRegion,
     Verdict,
     edge_count,
     edge_index,
@@ -244,7 +243,8 @@ def test_gradient_scatter_matches_add_at_reference_bitwise():
             ws = extremal_module._workspace(n, k)
             for kind in (LOGPROD, SUMROOT):
                 s = random_simplex(n, rng, total=float(edge_count(n))).s
-                got = extremal_module._raw_gradient(ws, kind, s)
+                weight = extremal_module._raw_value(ws, kind, s)[1]
+                got = extremal_module._raw_gradient(ws, s, weight)
                 assert np.array_equal(got, _scatter_reference(n, k, kind, s)), (n, k)
 
 
@@ -369,47 +369,72 @@ def test_maximize_random_starts_reach_regular_point():
                 assert trace.regularity_deviation < 1e-6, (n, k, kind)
 
 
-@pytest.mark.parametrize("total", [1e-12, 1e-6, 1.0, 6.0, 1e4, 1e12, 1e50])
+@pytest.mark.parametrize(
+    "total",
+    [1e-300, 1e-200, 1e-50, 1e-12, 1e-6, 1.0, 6.0, 1e4, 1e12, 1e50, 1e200, 1e300, 1e308],
+)
 def test_maximize_stopping_test_is_scale_free(total):
     # the gradient scales as 1/total while the objective scales as
     # log(total) or sqrt(total): a stopping test that mixes the two stops
-    # short of the regular point at large totals, or before the first step
-    for kind in (LOGPROD, SUMROOT):
-        for seed in range(4):
-            start = random_simplex(3, np.random.default_rng(seed), total=total)
-            trace = maximize(3, total, Objective(kind, 2), start=start)
-            assert trace.converged
-            assert len(trace.iterates) > 1, (kind, seed)
-            assert trace.regularity_deviation < 1e-9, (kind, seed)
+    # short of the regular point at large totals, or before the first
+    # step.  Every run converges, without a numpy warning, from starts
+    # drawn at unit mean and scaled to the total
+    for n, k, seeds in ((2, 1, 2), (3, 2, 4)):
+        edges = edge_count(n)
+        for kind in (LOGPROD, SUMROOT):
+            for seed in range(seeds):
+                start = random_simplex(n, np.random.default_rng(seed), total=float(edges))
+                trace = maximize(n, total, Objective(kind, k), start=start.s * (total / edges))
+                assert trace.converged
+                assert len(trace.iterates) > 1, (n, kind, seed)
+                assert trace.regularity_deviation < 1e-9, (n, kind, seed)
+                assert np.isfinite(trace.final.s).all()
 
 
-@pytest.mark.parametrize("total", [1e200, 1e308])
-def test_maximize_never_reports_convergence_off_the_regular_point(total):
-    # the gradient is near 1/total, and its squares underflow to 0 here;
-    # steps near total^2 overflow, so a run may fail (with numpy's overflow
-    # warnings), but it never stops at once and calls that converged
-    for kind in (LOGPROD, SUMROOT):
-        start = random_simplex(2, np.random.default_rng(0), total=total)
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                trace = maximize(2, total, Objective(kind, 1), start=start)
-        except StepIntoInvalidRegion:
-            continue
-        assert trace.regularity_deviation < 1e-9, kind
+@pytest.mark.parametrize("j", [-200, -1, 1, 200])
+def test_maximize_is_covariant_under_powers_of_four(j):
+    # the ascent runs at unit mean, so scaling the start and the total by
+    # 4^j takes the very same steps: points scale by 4^j, sumroot values
+    # by 2^j, logprod values shift by faces * k * j * ln 2, and gradient
+    # norms scale by 4^-j (logprod) or 2^-j (sumroot)
+    rng = np.random.default_rng(61)
+    for n, k in ((2, 1), (3, 2), (4, 4)):
+        total = float(edge_count(n))
+        start = random_simplex(n, rng, total=total).s
+        for kind in (LOGPROD, SUMROOT):
+            objective = Objective(kind, k)
+            base = maximize(n, total, objective, start=start)
+            scaled = maximize(
+                n, math.ldexp(total, 2 * j), objective, start=np.ldexp(start, 2 * j)
+            )
+            assert len(scaled.iterates) == len(base.iterates) > 1
+            assert scaled.rejections == base.rejections
+            assert scaled.pinch_activations == base.pinch_activations
+            shift = math.comb(n + 1, k + 1) * k * j * math.log(2.0)
+            for (p, v, g), (q, w, h) in zip(base.iterates, scaled.iterates):
+                assert np.array_equal(q, np.ldexp(p, 2 * j))
+                assert h == math.ldexp(g, -2 * j if kind is LOGPROD else -j)
+                if kind is SUMROOT:
+                    assert w == math.ldexp(v, j)
+                else:
+                    assert w == pytest.approx(v + shift, rel=1e-13, abs=1e-13)
+            assert np.array_equal(scaled.final.s, np.ldexp(base.final.s, 2 * j))
 
 
-def test_norm_is_exact_at_every_scale():
-    # the power-of-two prescale leaves in-range norms bit for bit as numpy
-    # computes them, and keeps the squares of tiny and huge vectors finite
-    rng = np.random.default_rng(5)
-    for _ in range(50):
-        v = rng.standard_normal(rng.integers(1, 30))
-        assert extremal_module._norm(v) == np.linalg.norm(v)
-    for e in (-1000, -600, 600, 1000):
-        v = np.ldexp([3.0, -4.0], e)
-        assert extremal_module._norm(v) == math.ldexp(5.0, e)
-    assert extremal_module._norm(np.zeros(3)) == 0.0
-    assert extremal_module._norm(np.array([1.7e308, 1.7e308])) == math.inf
+def test_entry_points_are_finite_at_extreme_scales():
+    # the face determinants of a tetrahedron at 1e300 overflow and at
+    # 1e-300 underflow; the entry points compute at unit mean instead
+    for scale in (1e-300, 1e300):
+        ell = SquaredEdgeLengths(3, random_simplex(3, np.random.default_rng(3)).s * scale)
+        for kind in (LOGPROD, SUMROOT):
+            for k in (1, 2, 3):
+                assert math.isfinite(objective_value(ell, Objective(kind, k)))
+                assert np.isfinite(objective_gradient(ell, Objective(kind, k))).all()
+    big = SquaredEdgeLengths(3, UNIT_TETRA.s * 1e300)
+    assert float(big.s @ gradient_log_volume(big)) == pytest.approx(1.5, rel=1e-12)
+    assert np.isfinite(regular_simplex(2, 1e308).s).all()
+    with pytest.raises(ValueError, match="subnormal"):
+        maximize(2, 1e-310, Objective(LOGPROD, 1))
 
 
 def test_regular_point_dominates_random_feasible_points():

@@ -1,0 +1,125 @@
+"""Property tests: verdicts under exact rescaling and relabeling, and the
+agreement of validate, embed and volume.
+
+Instances are drawn clear of the PD band, so that no verdict depends on
+rounding: Valid ones from random points with condition number at most
+1e3, Invalid ones from a Gram matrix whose smallest eigenvalue is at most
+-1e-3 times its largest, Degenerate ones from integer points in a
+hyperplane, whose squared lengths and Gram matrix are exact.  The runs are
+derandomized, so every run checks the same examples.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from simplexcone import (
+    SquaredEdgeLengths,
+    Verdict,
+    edge_pairs,
+    embed,
+    gram_from_squared_lengths,
+    relabel,
+    validate,
+    volume,
+)
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=200)
+TINY = np.finfo(float).tiny
+HUGE = np.finfo(float).max
+
+
+def _squared_lengths(points: np.ndarray) -> np.ndarray:
+    """Squared distances between the columns of ``points``, in edge order."""
+    n = points.shape[1] - 1
+    return np.array([float(np.sum((points[:, i] - points[:, j]) ** 2)) for i, j in edge_pairs(n)])
+
+
+def _valid(n: int, rng: np.random.Generator) -> np.ndarray:
+    while True:
+        coords = rng.standard_normal((n, n))
+        sing = np.linalg.svd(coords, compute_uv=False)
+        if sing[0] <= 1e3 * sing[-1]:
+            return _squared_lengths(np.column_stack([np.zeros(n), coords]))
+
+
+def _invalid(n: int, rng: np.random.Generator) -> np.ndarray:
+    while True:
+        q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        w = rng.uniform(0.5, 2.0, n)
+        w[0] = -rng.uniform(1e-3, 0.3) * w.max()
+        g = (q * w) @ q.T
+        d = np.diag(g)
+        iu, ju = np.triu_indices(n, 1)
+        s = np.concatenate((d, d[iu] + d[ju] - 2.0 * g[iu, ju]))
+        if (s > 0.0).all():
+            lam = np.linalg.eigvalsh(gram_from_squared_lengths(SquaredEdgeLengths(n, s)))
+            if lam[0] <= -1e-3 * np.abs(lam).max():
+                return s
+
+
+def _degenerate(n: int, rng: np.random.Generator) -> np.ndarray:
+    while True:
+        points = rng.integers(-5, 6, size=(n, n + 1)).astype(float)
+        points[-1] = 0.0  # every vertex in the hyperplane x_n = 0
+        s = _squared_lengths(points)
+        if (s > 0.0).all():
+            return s
+
+
+_BUILDERS = {Verdict.VALID: _valid, Verdict.INVALID: _invalid, Verdict.DEGENERATE: _degenerate}
+
+
+@st.composite
+def instances(draw, verdicts=tuple(_BUILDERS)):
+    """An instance and the verdict it was built to have."""
+    verdict = draw(st.sampled_from(verdicts))
+    n = draw(st.integers(2, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return SquaredEdgeLengths(n, _BUILDERS[verdict](n, rng)), verdict
+
+
+@PROPERTY
+@given(instances(), st.data())
+def test_verdict_and_scaled_eigenvalue_survive_power_of_two_rescaling(case, data):
+    ell, verdict = case
+    rep = validate(ell)
+    assert rep.verdict is verdict
+    # keep every length, Gram entry and eigenvalue normal, with room for
+    # the cancellations of the polarization and the sums of n entries
+    gram = gram_from_squared_lengths(ell)
+    values = np.abs(np.concatenate((ell.s, gram.ravel(), [rep.smallest_gram_eigenvalue])))
+    smallest = float(values[values > 0.0].min())
+    lo = math.ceil(math.log2(TINY / smallest)) + 60
+    hi = math.floor(math.log2(HUGE / (8.0 * (ell.n + 1) * float(values.max()))))
+    e = data.draw(st.integers(lo, hi), label="exponent")
+    scaled = validate(SquaredEdgeLengths(ell.n, np.ldexp(ell.s, e)))
+    assert scaled.verdict is verdict
+    assert scaled.smallest_gram_eigenvalue == math.ldexp(rep.smallest_gram_eigenvalue, e)
+
+
+@PROPERTY
+@given(instances(), st.data())
+def test_verdict_survives_relabeling(case, data):
+    ell, verdict = case
+    perm = data.draw(st.permutations(range(ell.n + 1)), label="perm")
+    assert validate(relabel(ell, perm)).verdict is verdict
+
+
+@PROPERTY
+@given(instances(verdicts=(Verdict.VALID,)))
+def test_validate_embed_and_volume_agree(case):
+    ell, _ = case
+    assert validate(ell).verdict is Verdict.VALID
+    emb = embed(ell)
+    pts = emb.all_vertices()
+    again = _squared_lengths(pts)
+    assert np.abs(again - ell.s).max() <= 1e-12 * ell.s.max()
+    expected = float(np.prod(np.diag(emb.vertices))) / math.factorial(ell.n)
+    # the two determinants, eigenvalue product and Cholesky pivots, differ
+    # by up to about n * cond(G) * eps
+    w = np.linalg.eigvalsh(gram_from_squared_lengths(ell))
+    rel_tol = 4.0 * ell.n * (w[-1] / w[0]) * np.finfo(float).eps
+    assert math.isclose(volume(ell), expected, rel_tol=rel_tol)

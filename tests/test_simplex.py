@@ -11,6 +11,8 @@ from numpy.testing import assert_allclose
 import simplexcone.simplex as simplex_module
 from simplexcone import (
     NotRealizable,
+    Objective,
+    ObjectiveKind,
     SquaredEdgeLengths,
     Verdict,
     edge_count,
@@ -20,6 +22,8 @@ from simplexcone import (
     face_squared_lengths,
     face_volume,
     gram_from_squared_lengths,
+    maximize,
+    probe_log_concavity,
     random_simplex,
     regular_simplex,
     relabel,
@@ -193,6 +197,22 @@ def test_validate_tolerance_scales_with_spectrum():
     rep = validate(UNIT_TETRA, pd_tol=1e-10)
     # largest Gram eigenvalue is 2, so the band is pd_tol * 2
     assert rep.tolerance == pytest.approx(2e-10, rel=1e-12)
+
+
+@pytest.mark.parametrize("pd_tol", [-0.5, math.nan, math.inf])
+def test_every_entry_point_refuses_a_bad_tolerance(pd_tol):
+    # lambda_0 = -0.2: a negative band would call this indefinite Gram
+    # Valid, and volume() would then return nan
+    ell = SquaredEdgeLengths(2, np.array([1.0, 1.0, 4.4]))
+    with pytest.raises(ValueError, match="tolerance"):
+        validate(ell, pd_tol=pd_tol)
+    with pytest.raises(ValueError, match="tolerance"):
+        volume(ell, pd_tol=pd_tol)
+    objective = Objective(ObjectiveKind.LOG_PRODUCT_FACES, 2)
+    with pytest.raises(ValueError, match="tolerance"):
+        maximize(2, 3.0, objective, pd_tol=pd_tol)
+    with pytest.raises(ValueError, match="tolerance"):
+        probe_log_concavity(UNIT_TRIANGLE, UNIT_TRIANGLE, pd_tol=pd_tol)
 
 
 def test_triangle_inequalities_examples():
