@@ -540,7 +540,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bisect", action="store_true", help="bisect the validity threshold")
     _add_common(p, with_lengths=False)
 
-    p = sub.add_parser("optimize", help="projected gradient ascent toward the regular point")
+    p = sub.add_parser("optimize", help="Newton ascent, gradient fallback, to the regular point")
     p.add_argument("--n", type=_at_least_one, required=True)
     p.add_argument("--total", type=_positive, required=True)
     p.add_argument("--objective", choices=["logprod", "sumroot"], required=True)

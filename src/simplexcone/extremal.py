@@ -4,18 +4,19 @@ Among all simplices with a fixed total of squared edge lengths, the
 regular point (every squared length equal) maximizes both the product
 of k-face volumes and the sum of k-th roots of k-face volumes, for
 every k.  This module exposes the log-volume gradient in closed form
-and a projected gradient ascent on the hyperplane
-``{sum of squared lengths = total}`` that lets the claim be checked
-numerically from random starting points.
+and a Newton ascent with a projected-gradient fallback on the
+hyperplane ``{sum of squared lengths = total}`` that lets the claim be
+checked numerically from random starting points.
 
-The gradient is cheap because the Gram matrix G of a face is linear in
-the squared lengths: with adj the adjoint of that map
+The derivatives are cheap because the Gram matrix G of a face is linear
+in the squared lengths: with adj the adjoint of that map
 (``simplex._gram_adjoint``) and L the face's bordered inverse Gram,
 
     grad log vol = (1/2) adj(G^-1) = -(1/2) offdiag L
+    hess log vol = -(1/2) T,   T[ab, cd] = (L_ac L_bd + L_ad L_bc) / 2
 
-where offdiag lists the strict upper triangle in edge order.  The
-smallest Gram eigenvalue, with unit eigenvector q, has gradient adj(q q^T).
+where offdiag lists the strict upper triangle in edge order and ab, cd
+are edges of the face.
 
 Scaling s by 4^m adds k m ln 2 to each face's log volume and multiplies
 each k-th root by 2^m, so every entry point computes at unit mean, on s
@@ -33,7 +34,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .linalg import DEFAULT_PD_TOL, _band, _cholesky_factor, _positive_definite
+from .linalg import DEFAULT_PD_TOL, _cholesky_factor, _positive_definite
 from .simplex import (
     NotRealizable,
     SquaredEdgeLengths,
@@ -68,6 +69,10 @@ _EPS = float(np.finfo(float).eps)
 _GTOL_FACTOR = 1e-10
 #: the Armijo sufficient-increase constant
 _ARMIJO = 1e-4
+#: Newton trials (lengths 1, 1/2, ...) before the gradient step takes over
+_NEWTON_HALVINGS = 8
+#: face-block floats the Hessian assembles at a time
+_BLOCK_FLOATS = 1 << 16
 
 #: Why the line search turns a candidate step down, in the order it checks.
 _REJECTION_REASONS = (
@@ -116,7 +121,9 @@ class Objective:
 
 @dataclass(frozen=True)
 class OptimizationTrace:
-    """Accepted iterates as (point, objective, projected gradient norm).
+    """Accepted iterates as (point, objective, ``||P g|| / ||g||_1``), P the
+    projection onto the hyperplane: the last is the scale-free ratio the
+    stopping test compares with 1e-10.
 
     ``regularity_deviation`` is ``max_e |s_e - mean| / mean`` at the
     final point: zero exactly at the regular simplex.
@@ -130,9 +137,10 @@ class OptimizationTrace:
     fell, or the projected gradient did not shrink, once the predicted
     gain is below float resolution), and ``eigenvalue_floor`` (the Gram
     spectrum failed the Valid test or fell under the search's floor).
-    Every rejection halves the step, so the counts add up to the
-    halvings taken.  ``pinch_activations`` counts the iterations whose
-    direction was turned along the smallest-eigenvalue level set.
+    Each rejection moves the search on to the next, shorter trial, so the
+    counts add up to the halvings taken.  ``gradient_steps`` counts the
+    iterations that took the projected-gradient step because no Newton
+    trial was usable.
     """
 
     iterates: list[tuple[np.ndarray, float, float]]
@@ -142,7 +150,7 @@ class OptimizationTrace:
     rejections: dict[str, int] = field(
         default_factory=lambda: dict.fromkeys(_REJECTION_REASONS, 0)
     )
-    pinch_activations: int = 0
+    gradient_steps: int = 0
 
 
 class _FaceWorkspace:
@@ -201,12 +209,54 @@ def _raw_value(ws: _FaceWorkspace, kind: ObjectiveKind, s: np.ndarray) -> tuple 
     return float(roots.sum()), 0.5 * (roots / ws.k)[:, None]
 
 
-def _raw_gradient(ws: _FaceWorkspace, s: np.ndarray, weight) -> np.ndarray:
+def _raw_gradient(ws: _FaceWorkspace, s: np.ndarray, weight) -> tuple:
     """Gradient from the face weights of :func:`_raw_value`, as
-    d(log vol)/ds = adj(G^-1) / 2 summed over the faces."""
+    d(log vol)/ds = adj(G^-1) / 2 summed over the faces, and the face
+    inverses G^-1, which the Hessian reuses."""
     inv = np.linalg.inv(_polarize(s[ws.apex], s[ws.pair]))
     terms = (_gram_adjoint(inv) * weight).ravel()[ws.order]
-    return np.bincount(ws.scatter, weights=terms, minlength=edge_count(ws.n))
+    return np.bincount(ws.scatter, weights=terms, minlength=edge_count(ws.n)), inv
+
+
+def _curvature(ws: _FaceWorkspace, kind: ObjectiveKind, inv: np.ndarray, weight) -> np.ndarray:
+    """N = -H from the face inverses of :func:`_raw_gradient`.  Each face adds
+    weight * T, less weight * a a^T / (2k) with a = adj(G^-1) = -offdiag L
+    for sumroot, whose weight is itself a function of the face's log volume.
+    The face blocks are scattered a chunk of faces at a time; at k = 1 each
+    face is one edge, so N is diagonal and only its diagonal is formed."""
+    k, edges = ws.k, edge_count(ws.n)
+    iu, ju = _pairs(k + 1)
+    frame = np.vstack((-np.ones(k), np.eye(k)))
+    weight = np.broadcast_to(weight, (len(ws.faces), 1))
+    neg = np.zeros(edges if k == 1 else edges * edges)
+    rows = max(1, _BLOCK_FLOATS // len(iu) ** 2)
+    for lo in range(0, len(ws.faces), rows):
+        part = slice(lo, lo + rows)
+        bordered = frame @ inv[part] @ frame.T  # L
+        la, lb = bordered[:, iu], bordered[:, ju]  # rows a and b of each edge (a, b)
+        blocks = 0.5 * (la[:, :, iu] * lb[:, :, ju] + la[:, :, ju] * lb[:, :, iu])
+        if kind is ObjectiveKind.SUM_ROOT_FACES:
+            a = bordered[:, iu, ju]
+            blocks -= a[:, :, None] * a[:, None, :] / (2 * k)
+        e = ws.edges[part]
+        index = e if k == 1 else e[:, :, None] * edges + e[:, None, :]
+        blocks *= weight[part, :, None]
+        np.add.at(neg, index.ravel(), blocks.ravel())
+    return neg if k == 1 else neg.reshape(edges, edges)
+
+
+def _newton_direction(neg: np.ndarray, pg: np.ndarray) -> np.ndarray | None:
+    """The Newton step on the hyperplane for N = -H (a vector: its diagonal),
+    d = u - (sum u / sum v) v for N u = pg and N v = 1, so that sum d = 0 and
+    N d = pg + mu 1; or None unless d is finite and ascends."""
+    rhs = np.stack((pg, np.ones(pg.size)), axis=-1)
+    with np.errstate(all="ignore"):  # a nearly singular N gives a d that is not finite
+        try:
+            u, v = (rhs / neg[:, None] if neg.ndim == 1 else np.linalg.solve(neg, rhs)).T
+        except np.linalg.LinAlgError:  # exactly singular
+            return None
+        d = u - (u.sum() / v.sum()) * v
+    return d if np.isfinite(d).all() and float(pg @ d) > 0.0 else None
 
 
 def _evaluate(ell: SquaredEdgeLengths, objective: Objective, pd_tol: float):
@@ -236,7 +286,7 @@ def objective_gradient(
 ) -> np.ndarray:
     """Gradient of :func:`objective_value` with respect to every squared length."""
     ws, s, weight, c = _evaluate(ell, objective, pd_tol)[1]
-    return _raw_gradient(ws, s, weight) * c
+    return _raw_gradient(ws, s, weight)[0] * c
 
 
 def gradient_log_volume(
@@ -263,12 +313,11 @@ def _judge_candidate(
 ) -> tuple[str | None, tuple | None]:
     """The first test the line search fails on ``cand`` (a key of
     ``OptimizationTrace.rejections``), or None together with the accepted
-    candidate's objective value, its face weights, its gradient (None
-    unless the contraction test computed it) and its Gram eigenvalues and
-    eigenvectors.
+    candidate's objective value, its face weights, and its gradient and
+    face inverses (None unless the contraction test computed them).
 
     The Gram matrix is built once and feeds both the Cholesky screen and
-    the closing ``eigh``.
+    the closing ``eigvalsh``.
     """
     if (cand <= 0.0).any():
         return "non_positive", None
@@ -279,7 +328,7 @@ def _judge_candidate(
     if evaluated is None:
         return "face_collapse", None
     f_cand, weight = evaluated
-    grad_cand = None
+    grad_cand = inv_cand = None
     if predicted > 2.0 * allowance:
         if f_cand < f + predicted - allowance:
             return "armijo", None
@@ -288,14 +337,14 @@ def _judge_candidate(
         # contraction of the projected gradient norm instead
         if f_cand < f - allowance:
             return "value_drop", None
-        grad_cand = _raw_gradient(ws, cand, weight)
+        grad_cand, inv_cand = _raw_gradient(ws, cand, weight)
         pg_cand = grad_cand - grad_cand.mean()
         if np.linalg.norm(pg_cand) >= pg_norm:
             return "no_contraction", None
-    lam, vec = np.linalg.eigh(gram)
+    lam = np.linalg.eigvalsh(gram)
     if not _positive_definite(lam, pd_tol) or lam[0] < lam_floor:
         return "eigenvalue_floor", None
-    return None, (f_cand, weight, grad_cand, lam, vec)
+    return None, (f_cand, weight, grad_cand, inv_cand)
 
 
 def maximize(
@@ -307,49 +356,42 @@ def maximize(
     max_iter: int = 10000,
     pd_tol: float = DEFAULT_PD_TOL,
 ) -> OptimizationTrace:
-    """Projected gradient ascent on the hyperplane {sum of entries = total}.
+    """Newton ascent with a projected-gradient fallback on the hyperplane
+    {sum of entries = total}.
 
-    The search runs at unit mean, on the start scaled by the power of
-    four 4^-m that brings ``total / edges`` into [2^-0.5, 2^1.5); the trace
-    is mapped back exactly, so a run scaled by 4^j takes the same steps.
-    Backtracking (halving) line search with Armijo constant 1e-4, from a
-    first step of a tenth of the mean squared length; candidates that
-    leave the Valid cone are rejected outright.  Converged when the
-    projected gradient norm drops below ``1e-10 * ||gradient||_1``, that
-    is, when the gradient is nearly normal to the hyperplane.
-    Raises :class:`MaxIterations` or :class:`StepIntoInvalidRegion` (each
-    carrying the partial trace, rejection counts included) instead of
-    returning an unconverged result.  Raises ``ValueError`` for a bad
-    start, total or k (:class:`NotRealizable` for a start that is not
+    The search runs at unit mean, on the start scaled by the power of four
+    4^-m that brings ``total / edges`` into [2^-0.5, 2^1.5); the trace is
+    mapped back exactly, so a run scaled by 4^j takes the same steps.  Each
+    iteration tries the equality-constrained Newton step (Boyd &
+    Vandenberghe, Convex Optimization, 10.2) at lengths 1, 1/2, ..., 1/128;
+    if it is not a finite ascent direction or all eight are rejected, it
+    takes the projected gradient step, halving up to 60 times from the last
+    accepted gradient step (doubled when accepted untouched; at first a
+    tenth of the mean squared length).  Candidates that leave the Valid
+    cone are rejected, the others need an Armijo gain with constant 1e-4.
+    Converged when the projected gradient norm drops below
+    ``1e-10 * ||gradient||_1``, that is, when the gradient is nearly normal
+    to the hyperplane.  Raises :class:`MaxIterations` or
+    :class:`StepIntoInvalidRegion` (each carrying the partial trace)
+    instead of returning an unconverged result, and ``ValueError`` for a
+    bad start, total or k (:class:`NotRealizable` for a start that is not
     Valid), for a subnormal mean, and past ``MAX_FACES`` k-faces.
 
-    Two refinements keep the rejection scheme honest without clamping.
-    The Gram matrix is linear in the squared lengths, so the feasible
-    slice is convex and its smallest eigenvalue is concave along it;
-    the segment from any Valid start to the regular point therefore
-    never dips below the smaller of the two endpoint eigenvalues.  The
-    search exploits that: candidates whose smallest Gram eigenvalue
-    falls under half that bound are rejected, and when the iterate is
-    pinched near the bound with the gradient pushing outward, the
-    direction is replaced by its component tangent to the eigenvalue
-    level set (plus a small inward nudge), which is still an ascent
-    direction because both objectives are concave with an interior
-    maximizer.  Separately, once the predicted Armijo gain falls below
-    float resolution of the objective, acceptance switches from the
-    value test to a strict decrease of the projected gradient norm,
-    which keeps contraction going where values are constant in floats.
+    The Gram matrix is linear in the squared lengths, so on the segment
+    from a Valid start to the regular point its smallest eigenvalue never
+    dips below the smaller endpoint value; candidates under half that
+    bound are rejected.  Once the predicted Armijo gain is below float
+    resolution, acceptance asks for a strict decrease of the projected
+    gradient norm instead, which keeps contraction going where values are
+    constant in floats.
 
     The start's verdict and spectrum come from one Jacobi decomposition;
-    the per-step Gram spectra (the eigenvalue floor, the pinch test and
-    its eigenvector) come from LAPACK ``eigh``, run on the Gram matrix the
-    candidate's Cholesky screen factored and only once every cheaper
-    test has passed.  The tests hold every iterate to the Jacobi
-    verdict and spectrum.
-
-    The Armijo test carries a rounding allowance of a few machine
-    epsilons (plus the rounding of the hyperplane re-projection), so
-    recorded objective values are nondecreasing only up to that
-    allowance.
+    each candidate's floor is tested with LAPACK ``eigvalsh`` on the Gram
+    matrix its Cholesky screen factored, once every cheaper test has
+    passed.  The tests hold every iterate to the Jacobi verdict and
+    spectrum.  The Armijo test carries a rounding allowance of a few
+    machine epsilons (plus the rounding of the hyperplane re-projection),
+    so recorded values are nondecreasing only up to that allowance.
     """
     _check_k_faces(n, objective.k)
     if not (total > 0.0) or not math.isfinite(total):
@@ -357,7 +399,7 @@ def maximize(
     edges = edge_count(n)
     ws = _workspace(n, objective.k)
     kind = objective.kind
-    m, a, b, c = _unit_mean(ws, kind, total / edges)
+    m, a, b, _ = _unit_mean(ws, kind, total / edges)
     if start is None:
         x = regular_simplex(n, total).s
     elif isinstance(start, SquaredEdgeLengths):
@@ -374,8 +416,7 @@ def maximize(
     x += (total - x.sum()) / edges  # affine projection onto the hyperplane
     if (x <= 0.0).any():
         raise ValueError("start projects outside the positive orthant")
-    start_dec = _valid_spectrum(SquaredEdgeLengths(n, x), pd_tol)[1]
-    lam, vec = start_dec.eigenvalues, start_dec.basis
+    lam = _valid_spectrum(SquaredEdgeLengths(n, x), pd_tol)[1].eigenvalues
 
     step = 0.1 * total / edges
     # the segment to the regular point keeps the smallest eigenvalue
@@ -390,65 +431,40 @@ def maximize(
 
     iterates: list[tuple[np.ndarray, float, float]] = []
     rejections = dict.fromkeys(_REJECTION_REASONS, 0)
-    pinches = 0
+    gradient_steps = 0
 
     def trace(converged: bool) -> OptimizationTrace:
         """The run so far, mapped back from s / 4^m to s."""
         mean = float(x.mean())
         return OptimizationTrace(
-            iterates=[(_frozen(np.ldexp(p, 2 * m)), v * a + b, g * c) for p, v, g in iterates],
+            iterates=[(_frozen(np.ldexp(p, 2 * m)), v * a + b, r) for p, v, r in iterates],
             final=SquaredEdgeLengths(n, np.ldexp(x, 2 * m)),
             regularity_deviation=float(np.abs(x - mean).max()) / mean,
             converged=converged,
             rejections=dict(rejections),
-            pinch_activations=pinches,
+            gradient_steps=gradient_steps,
         )
 
     grad = None  # set from an accepted candidate whose test computed it
     for _ in range(max_iter):
         if grad is None:
-            grad = _raw_gradient(ws, x, weight)
+            grad, inv = _raw_gradient(ws, x, weight)
         pg = grad - grad.mean()
         pg_norm = float(np.linalg.norm(pg))
-        iterates.append((x, f, pg_norm))
         grad_l1 = float(np.abs(grad).sum())
+        iterates.append((x, f, pg_norm / grad_l1))
         if pg_norm < _GTOL_FACTOR * grad_l1:
             return trace(True)
 
-        lam0 = float(lam[0])
-        threshold = _band(lam, pd_tol)
-        direction = pg
-        if lam0 < max(2.0 * lam_floor, 64.0 * threshold):
-            # pinched against the cone boundary: if the gradient pushes
-            # outward, slide along the eigenvalue level set, nudged
-            # inward when the eigenvalue has dipped below the band
-            normal = _gram_adjoint(np.outer(vec[:, 0], vec[:, 0]))
-            normal -= normal.mean()
-            outward = float(pg @ normal)
-            normal_sq = float(normal @ normal)
-            if outward < 0.0 and normal_sq > 0.0:
-                pinches += 1
-                tangent = pg - (outward / normal_sq) * normal
-                tangent_sq = float(tangent @ tangent)
-                if math.sqrt(tangent_sq) <= 1e-10 * pg_norm:
-                    raise StepIntoInvalidRegion(
-                        "stalled on the realizability boundary with no "
-                        "tangential ascent direction",
-                        trace(False),
-                    )
-                gap = max(0.0, 1.5 * lam_floor - lam0)
-                # cap the nudge so the slope keeps at least half the
-                # tangential value (outward < 0 would otherwise flip it)
-                nudge = min(gap / normal_sq, 0.5 * tangent_sq / -outward)
-                direction = tangent + nudge * normal
-        slope = float(pg @ direction)
+        # Newton trials first; along each direction a trial halves the one before
+        trials = [(pg, step * 0.5**h) for h in range(60)]
+        newton = _newton_direction(_curvature(ws, kind, inv, weight), pg)
+        del inv  # candidates form their own; near MAX_FACES these take tens of MB
+        if newton is not None:
+            trials[:0] = [(newton, 0.5**h) for h in range(_NEWTON_HALVINGS)]
         allowance = 4.0 * _EPS * (1.0 + abs(f)) + 8.0 * _EPS * (total / edges) * grad_l1
-        # the movement floor lets a step that collapsed in an earlier
-        # pinch recover; halvings may still go far below it
-        floor = 1e-8 * (1.0 + float(np.abs(x).max())) / np.linalg.norm(direction)
-        alpha = max(step, floor)
         blocked_by_validity = False
-        for halving in range(60):
+        for direction, alpha in trials:
             cand = x + alpha * direction
             cand += (total - cand.sum()) / edges
             reason, accepted = _judge_candidate(
@@ -456,7 +472,7 @@ def maximize(
                 kind,
                 cand,
                 f=f,
-                predicted=_ARMIJO * alpha * slope,
+                predicted=_ARMIJO * alpha * float(pg @ direction),
                 allowance=allowance,
                 pg_norm=pg_norm,
                 pd_tol=pd_tol,
@@ -464,11 +480,10 @@ def maximize(
             )
             if reason is None:
                 x = cand
-                f, weight, grad, lam, vec = accepted
+                f, weight, grad, inv = accepted
                 break
             rejections[reason] += 1
             blocked_by_validity |= reason in _VALIDITY_REASONS
-            alpha *= 0.5
         else:
             why = (
                 "every candidate step left the Valid cone"
@@ -476,6 +491,7 @@ def maximize(
                 else "no ascent step of any size was acceptable"
             )
             raise StepIntoInvalidRegion(f"line search exhausted: {why}", trace(False))
-        step = alpha * 2.0 if halving == 0 else alpha
+        if direction is pg:
+            gradient_steps += 1
+            step = alpha * 2.0 if alpha == step else alpha
     raise MaxIterations(f"no convergence within {max_iter} iterations", trace(False))
-

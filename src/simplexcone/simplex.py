@@ -416,8 +416,9 @@ def random_simplex(
     Vertices are drawn as standard normal columns (resampled while the
     configuration is badly conditioned), so the result is realizable by
     construction; an optional rescale puts it on the hyperplane
-    {sum of entries = total}, which preserves validity.  Raises
-    RuntimeError when 200 draws give no Valid instance.
+    {sum of entries = total}, which preserves validity; it goes through
+    total's binary exponent, so totals up to the float maximum work.
+    Raises RuntimeError when 200 draws give no Valid instance.
     """
     _check_dimension(n)
     for _ in range(200):
@@ -430,9 +431,10 @@ def random_simplex(
         for pos, (i, j) in enumerate(edge_pairs(n)):
             d = pts[:, i] - pts[:, j]
             s[pos] = float(d @ d)
-        if total is not None:
-            s *= total / s.sum()
         ell = SquaredEdgeLengths(n, s)
         if _spectrum(ell, pd_tol)[2] is Verdict.VALID:
+            if total is not None:
+                mant, exp = math.frexp(total)
+                ell = SquaredEdgeLengths(n, np.ldexp(s * (mant / s.sum()), exp))
             return ell
     raise RuntimeError("failed to sample a Valid instance")

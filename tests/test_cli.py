@@ -375,14 +375,16 @@ def test_optimize_multi_start(capsys):
 
 def test_optimize_converges_at_a_large_total(capsys):
     # the stopping test reads the same at every total: no run is reported
-    # converged before it has moved toward the regular point
-    argv = ["optimize", "--n", "3", "--total", "1e12", "--objective", "logprod", "--k", "2"]
-    code, report = run_json(capsys, argv)
-    assert code == 0
-    (run0,) = report["results"]["runs"]
-    assert run0["converged"] is True
-    assert run0["iterations"] > 0
-    assert run0["regularity_deviation"] < 1e-9
+    # converged before it has moved toward the regular point; starts are
+    # drawn up to the float maximum
+    for n, total in ((3, "1e12"), (2, "1.7e308")):
+        argv = ["optimize", "--n", str(n), "--total", total, "--objective", "logprod", "--k", "2"]
+        code, report = run_json(capsys, argv)
+        assert code == 0, total
+        (run0,) = report["results"]["runs"]
+        assert run0["converged"] is True
+        assert run0["iterations"] > 0
+        assert run0["regularity_deviation"] < 1e-9
 
 
 # ---------------------------------------------------------------------------

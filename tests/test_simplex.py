@@ -388,6 +388,27 @@ def test_random_simplex_honors_total():
     assert validate(ell).verdict is Verdict.VALID
 
 
+def test_random_simplex_rescales_the_unscaled_draw_exactly():
+    # the rescale by total's mantissa, then its power of two, gives the
+    # bits of a single multiplication by total / sum wherever no entry
+    # is subnormal, and the draw is the one made without a total
+    for n in range(2, 7):
+        for seed in range(3):
+            base = random_simplex(n, np.random.default_rng(seed)).s
+            for total in (1e-300, 1.0, 6.0, 1e12, 1e300):
+                got = random_simplex(n, np.random.default_rng(seed), total=total).s
+                assert np.array_equal(got, base * (total / base.sum())), (n, seed, total)
+
+
+def test_random_simplex_reaches_the_float_maximum():
+    # total / sum overflows when the draw's sum is below 1
+    for n in (2, 3):
+        ell = random_simplex(n, np.random.default_rng(0), total=1.7e308)
+        assert np.isfinite(ell.s).all()
+        assert (ell.s / ell.s.size).sum() * ell.s.size == pytest.approx(1.7e308, rel=1e-12)
+        assert validate(ell).verdict is Verdict.VALID
+
+
 def test_relabel_permutes_edges():
     t = SquaredEdgeLengths(3, np.arange(1.0, 7.0))
     r = relabel(t, [1, 0, 2, 3])
