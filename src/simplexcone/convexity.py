@@ -16,13 +16,12 @@ the segment, which is the authoritative check: since the Gram matrix is
 linear in the squared lengths, the analytic value is available in
 closed form at every sample.
 
-The two endpoints are certified by the Jacobi verdict of
-:func:`validate`.  The sample points are then factored together: their
-Gram matrices form one ``(samples, k, k)`` stack that goes through a
-single LAPACK ``eigh`` call (plus one ``eigvalsh`` call on the
-full-simplex stack when the probed face is proper), with the same PD test
-applied row by row.  The tests hold this path to the Jacobi solver sample
-by sample.
+The two endpoints are certified by the verdict of :func:`validate`.
+The sample points are then factored together: their Gram matrices form
+one ``(samples, k, k)`` stack that goes through a single LAPACK ``eigh``
+call (plus one ``eigvalsh`` call on the full-simplex stack when the
+probed face is proper), with the same PD test applied row by row.  The
+tests hold this path to an independent reference solver sample by sample.
 """
 
 from __future__ import annotations
@@ -150,7 +149,7 @@ def frankel_instance(epsilon: float, *, pd_tol: float = DEFAULT_PD_TOL) -> Count
 
 def _bisect_validity(build, pd_tol: float, hi: float) -> float:
     """Smallest epsilon in (1e-4, hi) where the instance ``build(eps)`` flips
-    to Valid, bisected to a width of 1e-8 on its Jacobi verdict."""
+    to Valid, bisected to a width of 1e-8 on its verdict."""
 
     def is_valid(eps: float) -> bool:
         return _spectrum(build(eps), pd_tol)[2] is Verdict.VALID
@@ -209,7 +208,7 @@ def _segment_logdet(
     """Face dimension k, and log det of the face Gram matrix with its first
     two derivatives along the segment, at ``samples`` equally spaced points.
 
-    The endpoints are certified by their Jacobi verdict
+    The endpoints are certified by their verdict
     (:class:`NotRealizable` when one is not Valid); every sample point is
     then factored at once as one ``(samples, k, k)`` stack.  Along
     the segment the face Gram matrix moves by the constant

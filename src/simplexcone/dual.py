@@ -13,8 +13,8 @@ the barycentric gradients (Fiedler, *Matrices and Graphs in Geometry*).
 For any R with R^T R = G, rows 1..n of R^-1 are those gradients and
 gradient 0 is minus their sum.  Facet i has unit outward normal
 -grad_i / |grad_i| and area n V |grad_i| = n V sqrt(L_ii), and the dual
-Gram is D L D with D = diag(L_ii^-1/2).  R comes from the one Jacobi
-decomposition that classifies G, so a query factors G once and refuses
+Gram is D L D with D = diag(L_ii^-1/2).  R comes from the one
+eigendecomposition that classifies G, so a query factors G once and refuses
 a non-Valid instance with :class:`NotRealizable`; the adjugate is one
 SVD of the dual Gram.
 """
@@ -86,7 +86,7 @@ def outward_normals(emb: SimplexEmbedding) -> np.ndarray:
 
 def dual_gram(ell: SquaredEdgeLengths, *, pd_tol: float = DEFAULT_PD_TOL) -> DualGramReport:
     """Dual Gram matrix, facet areas, and identity residuals, all read off
-    the one Jacobi decomposition that classifies G; raises
+    the one eigendecomposition that classifies G; raises
     :class:`NotRealizable` unless the verdict is Valid."""
     w, normals, lengths, gstar = _spectral_dual(ell, pd_tol)
     # A_i = n V |grad_i| with V = prod(sqrt w) / n!, the powers of two summed
@@ -142,7 +142,7 @@ def area_ratio_from_adjugate(
     No volumes are computed: the rank-one structure of the adjugate of a
     nullity-1 matrix makes the diagonal proportional to the squared
     kernel vector, i.e. to squared facet areas.  The dual Gram comes from
-    the one Jacobi decomposition that classifies G, and its adjugate from
+    the one eigendecomposition that classifies G, and its adjugate from
     one SVD.  Raises :class:`NotRealizable` unless the verdict is Valid.
     """
     return _ratio_from_dual_gram(_spectral_dual(ell, pd_tol)[3], i, j)

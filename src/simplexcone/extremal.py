@@ -385,13 +385,14 @@ def maximize(
     gradient norm instead, which keeps contraction going where values are
     constant in floats.
 
-    The start's verdict and spectrum come from one Jacobi decomposition;
-    each candidate's floor is tested with LAPACK ``eigvalsh`` on the Gram
-    matrix its Cholesky screen factored, once every cheaper test has
-    passed.  The tests hold every iterate to the Jacobi verdict and
-    spectrum.  The Armijo test carries a rounding allowance of a few
-    machine epsilons (plus the rounding of the hyperplane re-projection),
-    so recorded values are nondecreasing only up to that allowance.
+    The start's verdict and spectrum come from one ``eigendecompose``
+    call; each candidate's floor is tested with LAPACK ``eigvalsh`` on the
+    Gram matrix its Cholesky screen factored, once every cheaper test has
+    passed.  The tests hold every iterate's verdict and spectrum to an
+    independent reference solver.  The Armijo test carries a rounding
+    allowance of a few machine epsilons (plus the rounding of the
+    hyperplane re-projection), so recorded values are nondecreasing only
+    up to that allowance.
     """
     _check_k_faces(n, objective.k)
     if not (total > 0.0) or not math.isfinite(total):

@@ -3,13 +3,11 @@
 Each spectral question has one kernel here: ``_positive_definite`` (the
 PD band test), ``_null_index`` (nullity exactly one), ``adjugate`` (one
 SVD formula) and ``_logdet_derivatives`` (the first two directional
-derivatives of ``log det``).  Single-matrix verdicts are decided on the
-spectrum of a cyclic Jacobi eigensolver: matrices here are tiny (a
-simplex of dimension n yields n-by-n Gram matrices), so the iteration is
-both fast enough and extremely accurate.  Stacks of matrices (the sample
-points of a concavity probe, the faces in the optimizer) go through
-numpy's LAPACK bindings instead, and so does the adjugate's SVD; the tests
-check the stacked results against this solver sample by sample.
+derivatives of ``log det``).  Every spectrum comes from LAPACK through
+numpy: single matrices through :func:`eigendecompose`, stacks of them
+(the sample points of a concavity probe, the faces in the optimizer)
+through one batched call, and the adjugate from one SVD.  The tests hold
+these results to an independent pure-Python solver and to mpmath.
 
 Symmetry is enforced exactly: a matrix is accepted as symmetric only if
 ``m[i, j] == m[j, i]`` bitwise.  Callers that assemble symmetric
@@ -50,12 +48,8 @@ DEFAULT_PD_TOL = 1e-10
 #: most ``DEFAULT_NULL_TOL * |largest eigenvalue|``.
 DEFAULT_NULL_TOL = 1e-9
 
-_JACOBI_OFF_TOL = 1e-14
-_JACOBI_MAX_SWEEPS = 100
-
-
 class ConvergenceError(RuntimeError):
-    """Jacobi sweeps exhausted without meeting the off-diagonal target."""
+    """LAPACK's symmetric eigensolver reported no convergence."""
 
 
 class NotPositiveDefinite(ValueError):
@@ -109,79 +103,21 @@ class EigenDecomposition:
 
 
 def eigendecompose(m) -> EigenDecomposition:
-    """Full eigendecomposition of a symmetric matrix by cyclic Jacobi sweeps.
+    """Full eigendecomposition of a symmetric matrix by LAPACK's ``eigh``.
 
-    Sweeps rotate away every off-diagonal entry in row order until the
-    off-diagonal Frobenius norm drops below ``1e-14 * ||M||_F``; raises
-    :class:`ConvergenceError` past a hundred sweeps, far beyond what these
-    sizes need.
+    LAPACK runs on M / 2^shift, largest entry in [0.5, 1): the exact
+    rescale keeps every entry's square inside the float range and makes
+    the result commute bit for bit with scaling M by 2^k (short of
+    subnormal entries).  Raises :class:`ConvergenceError` when LAPACK
+    reports no convergence.
     """
     checked = check_symmetric(m)
-    n = checked.shape[0]
-    # sweep M / 2^shift, largest entry in [0.5, 1): squares past ~1e154 would
-    # overflow, and the exact rescale leaves every rotation bit-identical
     shift = math.frexp(float(np.abs(checked).max()))[1]
-    checked = np.ldexp(checked, -shift)
-    target = _JACOBI_OFF_TOL * float(np.sqrt((checked * checked).sum()))
-    # plain nested lists: the matrices here are tiny, and scalar updates beat
-    # per-rotation numpy slicing by a wide margin
-    a = [[float(x) for x in row] for row in checked]
-    v = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
-    # entries this small cannot lift the off-diagonal norm above target even
-    # if every slot held one, so rotating them away is pure overhead
-    skip2 = target * target / (2.0 * n * n) if n > 1 else 0.0
-
-    def off_norm2() -> float:
-        return sum(
-            a[i][j] * a[i][j] for i in range(n) for j in range(n) if i != j
-        )
-
-    for _ in range(_JACOBI_MAX_SWEEPS):
-        if off_norm2() <= target * target:
-            break
-        for p in range(n - 1):
-            ap = a[p]
-            vp = v[p]
-            for q in range(p + 1, n):
-                apq = ap[q]
-                if apq * apq <= skip2:
-                    continue
-                aq = a[q]
-                tau = (aq[q] - ap[p]) / (2.0 * apq)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                for row in a:
-                    rp = row[p]
-                    rq = row[q]
-                    row[p] = c * rp - s * rq
-                    row[q] = s * rp + c * rq
-                for i in range(n):
-                    rp = ap[i]
-                    rq = aq[i]
-                    ap[i] = c * rp - s * rq
-                    aq[i] = s * rp + c * rq
-                ap[q] = 0.0
-                aq[p] = 0.0
-                vq = v[q]
-                for i in range(n):
-                    rp = vp[i]
-                    rq = vq[i]
-                    vp[i] = c * rp - s * rq
-                    vq[i] = s * rp + c * rq
-    else:
-        if off_norm2() > target * target:
-            raise ConvergenceError(
-                f"Jacobi iteration did not converge in {_JACOBI_MAX_SWEEPS} sweeps"
-            )
-    w = np.ldexp(np.array([a[i][i] for i in range(n)]), shift)
-    order = np.argsort(w, kind="stable")
-    # v held the rotations row-wise (v = J^T stacked), so eigenvectors are rows
-    basis = np.array(v).T
-    return EigenDecomposition(eigenvalues=w[order], basis=basis[:, order])
+    try:
+        w, basis = np.linalg.eigh(np.ldexp(checked, -shift))
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"symmetric eigensolver failed: {exc}") from None
+    return EigenDecomposition(eigenvalues=np.ldexp(w, shift), basis=basis)
 
 
 def _band(w, tol: float):

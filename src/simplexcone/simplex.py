@@ -275,7 +275,7 @@ def _classify(w: np.ndarray, pd_tol: float) -> tuple[Verdict, float]:
 def _spectrum(
     ell: SquaredEdgeLengths, pd_tol: float
 ) -> tuple[np.ndarray, EigenDecomposition, Verdict, float]:
-    """The Gram matrix, its Jacobi decomposition, the verdict and the band:
+    """The Gram matrix, its eigendecomposition, the verdict and the band:
     the one factorization behind every single-instance question."""
     g = gram_from_squared_lengths(ell)
     dec = eigendecompose(g)
@@ -326,16 +326,26 @@ def volume(ell: SquaredEdgeLengths, *, pd_tol: float = DEFAULT_PD_TOL) -> float:
     """n-volume: sqrt(det G) / n! when Valid, exactly 0.0 when Degenerate.
 
     Invalid input raises :class:`NotRealizable` -- a noise-level
-    determinant never leaks through as a tiny positive volume.
+    determinant never leaks through as a tiny positive volume.  A Valid
+    instance whose volume lies outside the float range (a regular
+    tetrahedron at squared lengths 1e-300 or 1e300) raises ValueError
+    rather than reading 0.0, the Degenerate answer, or inf.
     """
     _, dec, verdict, _ = _spectrum(ell, pd_tol)
     if verdict is Verdict.INVALID:
         raise NotRealizable("no Euclidean simplex has these squared edge lengths")
     if verdict is Verdict.DEGENERATE:
         return 0.0
-    # a product of roots, not the root of a product: det G itself can
-    # overflow while the volume is still a finite float
-    return float(np.prod(np.sqrt(dec.eigenvalues))) / math.factorial(ell.n)
+    # a product of roots, their powers of two summed apart as in dual_gram:
+    # nothing leaves the float range unless the volume does, and the split
+    # is exact, so it changes no bit of an in-range result
+    mant, expo = np.frexp(np.sqrt(dec.eigenvalues))
+    with np.errstate(over="ignore", under="ignore"):
+        vol = float(np.ldexp(np.prod(mant) / math.factorial(ell.n), int(expo.sum())))
+    if not 0.0 < vol < math.inf:
+        digits = 0.5 * float(np.log10(dec.eigenvalues).sum()) - math.log10(math.factorial(ell.n))
+        raise ValueError(f"the volume, about 1e{digits:+.0f}, is outside the float range")
+    return vol
 
 
 def _check_k_faces(n: int, k: int) -> None:

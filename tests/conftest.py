@@ -9,9 +9,9 @@ from simplexcone import linalg
 
 
 @pytest.fixture
-def jacobi_calls(monkeypatch):
-    """Sizes of the matrices handed to the Jacobi ``eigendecompose``, in
-    call order, counted in every package namespace that binds it."""
+def eigendecompose_calls(monkeypatch):
+    """Sizes of the matrices handed to ``linalg.eigendecompose``, in call
+    order, counted in every package namespace that binds it."""
     calls = []
     original = linalg.eigendecompose
 

@@ -178,14 +178,14 @@ def test_dual_right_triangle(capsys):
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])
-def test_dual_ratio_factors_the_instance_once(capsys, jacobi_calls, n):
-    # one Jacobi call classifies G and one finds the dual Gram's kernel;
+def test_dual_ratio_factors_the_instance_once(capsys, eigendecompose_calls, n):
+    # one eigendecomposition classifies G and one finds the dual Gram's kernel;
     # the ratio is read off that same dual Gram
     instance = json.dumps({"dimension": n, "squared_lengths": [1.0] * (n * (n + 1) // 2)})
-    jacobi_calls.clear()
+    eigendecompose_calls.clear()
     code, report = run_json(capsys, ["dual", instance, "--ratio", "0", "1"])
     assert code == 0
-    assert jacobi_calls == [n, n + 1]
+    assert eigendecompose_calls == [n, n + 1]
     assert report["results"]["ratio"]["squared_area_ratio"] == pytest.approx(1.0, rel=1e-12)
 
 
@@ -436,21 +436,37 @@ def test_optimize_tolerance_no_start_can_meet_is_a_usage_error(capsys):
 
 
 TETRA_1E300 = json.dumps({"dimension": 3, "squared_lengths": [1e300] * 6})
+TETRA_1E_300 = json.dumps({"dimension": 3, "squared_lengths": [1e-300] * 6})
 
 
 @pytest.mark.parametrize(
     "argv, fragment",
     [
-        (["volume", TETRA_1E300], "non-finite number inf"),
-        (["volume", TETRA_1E300, "--pretty"], "non-finite number inf"),
-        (["faces", TETRA_1E300, "--k", "3"], "non-finite number inf"),
+        (["volume", TETRA_1E300], "outside the float range"),
+        (["volume", TETRA_1E300, "--pretty"], "outside the float range"),
+        (["faces", TETRA_1E300, "--k", "3"], "outside the float range"),
         (["validate", '{"dimension": 2, "squared_lengths": [1e308, 1e308, 1e308]}'], "finite"),
+        (["volume", TETRA_1E_300], "outside the float range"),
+        (["volume", TETRA_1E_300, "--face", "0,1,2,3"], "outside the float range"),
     ],
 )
 def test_finite_input_at_float_extremes_exits_1(capsys, argv, fragment):
-    # every entry is a positive finite float, but the volume (about 1e450)
-    # or the Gram entry s(0,1) + s(0,2) is not: a message, not a traceback
+    # every entry is a positive finite float, but the volume (about 1e450
+    # or 1e-451) or the Gram entry s(0,1) + s(0,2) is not: a message, not a
+    # traceback, and never the Degenerate answer 0
     _assert_usage_error(capsys, argv, fragment)
+
+
+def test_eigensolver_failure_exits_3(capsys, monkeypatch):
+    def failing(a, *args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", failing)
+    assert main(["validate", UNIT_TETRA]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("numerical failure:"), captured.err
+    assert "did not converge" in captured.err
 
 
 def test_float_extremes_print_only_the_error_line():

@@ -14,13 +14,10 @@ from simplexcone import (
     cone_combine,
     edge_count,
     edge_pairs,
-    eigendecompose,
     face_squared_lengths,
     frankel_instance,
     frankel_length_threshold,
     gram_from_squared_lengths,
-    logdet_directional_derivative,
-    logdet_second_derivative,
     nontri_instance,
     nontri_threshold,
     probe_log_concavity,
@@ -30,6 +27,8 @@ from simplexcone import (
     validate,
 )
 from simplexcone.convexity import _discrete_margins, _finish_report, _segment_logdet
+
+from oracles import jacobi_eigendecompose, mp_eigenvalues, verdict_of
 
 # closed-form transition for the equilateral-base family: apex length 1/2 + eps
 # stops being realizable below eps = 1/sqrt(3) - 1/2
@@ -185,6 +184,25 @@ def test_frankel_threshold_matches_closed_form():
     )
 
 
+@pytest.mark.parametrize(
+    "threshold, piece",
+    [
+        (nontri_threshold, lambda eps: nontri_instance(eps).pieces["instance"][0]),
+        (frankel_length_threshold, lambda eps: frankel_instance(eps).pieces["C_len"][0]),
+    ],
+)
+def test_bisected_thresholds_agree_with_mpmath(threshold, piece):
+    # 1e-7 to either side of the flip, the 50-digit smallest Gram eigenvalue
+    # lies on the side of the relative band that validate reports
+    pytest.importorskip("mpmath")
+    flip = threshold()
+    for eps, side in ((flip - 1e-7, Verdict.INVALID), (flip + 1e-7, Verdict.VALID)):
+        ell = piece(eps)
+        lam = mp_eigenvalues(gram_from_squared_lengths(ell))
+        assert verdict_of(lam[0], max(abs(lam[0]), abs(lam[-1]))) is side, eps
+        assert validate(ell).verdict is side, eps
+
+
 # ---------------------------------------------------------------------------
 # concavity probes
 
@@ -259,14 +277,18 @@ def _facets_and_full(n):
 
 def _jacobi_reference(first, second, face, ts):
     """Per sample: log det and its first and second derivative along the
-    segment from the in-repo Jacobi solver, and the tolerance factor."""
+    segment from the test-side Jacobi solver, and the tolerance factor."""
     fa = face_squared_lengths(first, face)
     fb = face_squared_lengths(second, face)
     delta = gram_from_squared_lengths(fb) - gram_from_squared_lengths(fa)
     rows = []
     for t in ts:
         gram = gram_from_squared_lengths(cone_combine(fa, fb, 1.0 - float(t), float(t)))
-        w = eigendecompose(gram).eigenvalues
+        dec = jacobi_eigendecompose(gram)
+        w = dec.eigenvalues
+        # with R = V^T delta V: d/dt log det = trace(G^-1 delta) = sum R_ii / w_i
+        # and d2/dt2 log det = -trace((G^-1 delta)^2) = -sum R_ij^2 / (w_i w_j)
+        r = dec.basis.T @ delta @ dec.basis
         # LAPACK's eigenvalue errors scale with the largest eigenvalue, so
         # the two solvers agree to about eps * cond(G): the bound is 1e-12
         # up to cond 100 and grows in proportion beyond it
@@ -274,8 +296,8 @@ def _jacobi_reference(first, second, face, ts):
         rows.append(
             (
                 float(np.log(w).sum()),
-                logdet_directional_derivative(gram, delta),
-                logdet_second_derivative(gram, delta),
+                float((np.diag(r) / w).sum()),
+                -float((r * r / np.outer(w, w)).sum()),
                 cond_factor,
             )
         )
@@ -357,14 +379,14 @@ def test_discrete_margins_equal_brute_force(m):
     assert _discrete_margins(values) == _brute_force_margins(values)
 
 
-def test_facet_probe_makes_no_per_sample_jacobi_calls(jacobi_calls):
+def test_facet_probe_makes_no_per_sample_jacobi_calls(eigendecompose_calls):
     # the endpoints are certified by validate; every sample point goes
-    # through one stacked LAPACK call, never through Jacobi
+    # through one stacked LAPACK call, never through eigendecompose
     assert not hasattr(convexity_module, "eigendecompose")
     rng = np.random.default_rng(8)
     first = random_simplex(8, rng)
     second = random_simplex(8, rng)
-    jacobi_calls.clear()
+    eigendecompose_calls.clear()
     report = probe_log_concavity(first, second, face=range(8), samples=1001)
     assert report.passed
-    assert jacobi_calls == [8, 8]
+    assert eigendecompose_calls == [8, 8]

@@ -17,7 +17,6 @@ from simplexcone import (
     edge_count,
     edge_pairs,
     embed,
-    eigendecompose,
     face_volume,
     gram_from_squared_lengths,
     null_direction,
@@ -25,6 +24,8 @@ from simplexcone import (
     random_simplex,
     validate,
 )
+
+from oracles import jacobi_eigendecompose
 
 RIGHT_TRIANGLE = SquaredEdgeLengths(2, np.array([1.0, 1.0, 2.0]))
 
@@ -56,7 +57,7 @@ def svd_reference(emb):
 
 
 def condition(ell):
-    w = eigendecompose(gram_from_squared_lengths(ell)).eigenvalues
+    w = jacobi_eigendecompose(gram_from_squared_lengths(ell)).eigenvalues
     return float(w[-1] / w[0])
 
 
@@ -183,18 +184,18 @@ def test_dual_gram_matches_mpmath_bordered_inverse():
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 7])
-def test_dual_queries_make_one_jacobi_call_of_size_n(jacobi_calls, n):
+def test_dual_queries_make_one_jacobi_call_of_size_n(eigendecompose_calls, n):
     ell = random_simplex(n, np.random.default_rng(n))
-    jacobi_calls.clear()
+    eigendecompose_calls.clear()
     dual_gram(ell)
-    assert jacobi_calls == [n]
-    jacobi_calls.clear()
+    assert eigendecompose_calls == [n]
+    eigendecompose_calls.clear()
     embed(ell)
-    assert jacobi_calls == [n]
-    jacobi_calls.clear()
+    assert eigendecompose_calls == [n]
+    eigendecompose_calls.clear()
     area_ratio_from_adjugate(ell, 0, 1)
-    # the adjugate is an SVD formula at every size, so no second Jacobi call
-    assert jacobi_calls == [n]
+    # the adjugate is an SVD formula at every size, so no second eigendecomposition
+    assert eigendecompose_calls == [n]
 
 
 def test_dual_queries_call_no_svd(monkeypatch):
@@ -280,7 +281,7 @@ def test_dual_gram_properties_random():
             assert rep.gstar.shape == (m, m)
             assert_allclose(rep.gstar, rep.gstar.T, atol=0.0)
             assert_allclose(np.diag(rep.gstar), 1.0, atol=1e-12)
-            w = eigendecompose(rep.gstar).eigenvalues
+            w = jacobi_eigendecompose(rep.gstar).eigenvalues
             # positive semidefinite with a one-dimensional kernel
             assert w[0] > -1e-10
             assert abs(w[0]) <= 1e-9

@@ -9,17 +9,16 @@ from numpy.testing import assert_allclose
 
 import simplexcone.extremal as extremal_module
 from simplexcone import (
+    DEFAULT_PD_TOL,
     MAX_FACES,
     MaxIterations,
     NotRealizable,
     Objective,
     ObjectiveKind,
     SquaredEdgeLengths,
-    Verdict,
     edge_count,
     edge_index,
     edge_pairs,
-    eigendecompose,
     face_squared_lengths,
     gradient_log_volume,
     gram_from_squared_lengths,
@@ -29,9 +28,10 @@ from simplexcone import (
     random_simplex,
     regular_simplex,
     relabel,
-    validate,
     volume,
 )
+
+from oracles import jacobi_eigendecompose
 
 LOGPROD = ObjectiveKind.LOG_PRODUCT_FACES
 SUMROOT = ObjectiveKind.SUM_ROOT_FACES
@@ -560,10 +560,9 @@ def test_optimizer_iterates_match_jacobi_oracle():
     for n, trace in itertools.chain.from_iterable(map(_optimizer_runs, (31, 32, 33))):
         assert trace.converged
         for point, _, _ in trace.iterates:
-            ell = SquaredEdgeLengths(n, point)
-            assert validate(ell).verdict is Verdict.VALID
-            gram = gram_from_squared_lengths(ell)
-            ref = eigendecompose(gram).eigenvalues
+            gram = gram_from_squared_lengths(SquaredEdgeLengths(n, point))
+            ref = jacobi_eigendecompose(gram).eigenvalues
+            assert ref[0] > DEFAULT_PD_TOL * abs(ref[-1]), (n, ref)
             got = np.linalg.eigh(gram)[0]
             cond_factor = max(1.0, float(ref[-1] / ref[0]) / 100.0)
             bound = 1e-12 * np.maximum(1.0, np.abs(ref)) * cond_factor
@@ -572,16 +571,16 @@ def test_optimizer_iterates_match_jacobi_oracle():
     assert checked >= 1000
 
 
-def test_maximize_makes_one_jacobi_call(jacobi_calls):
-    # the start's verdict is the only Jacobi factorization of a run
+def test_maximize_makes_one_jacobi_call(eigendecompose_calls):
+    # the start's verdict is the only eigendecompose call of a run
     rng = np.random.default_rng(5)
     iterations = 0
     for _ in range(4):
         start = random_simplex(5, rng, total=10.0)
-        jacobi_calls.clear()
+        eigendecompose_calls.clear()
         trace = maximize(5, 10.0, Objective(LOGPROD, 2), start=start)
         assert trace.converged
-        assert jacobi_calls == [5]
+        assert eigendecompose_calls == [5]
         iterations += len(trace.iterates) - 1
     assert iterations > 20
     assert not hasattr(extremal_module, "eigendecompose")
@@ -646,7 +645,7 @@ def test_pinned_start_stays_above_the_eigenvalue_floor():
 
     def smallest(s):
         gram = gram_from_squared_lengths(SquaredEdgeLengths(n, s))
-        return float(eigendecompose(gram).eigenvalues[0])
+        return float(jacobi_eigendecompose(gram).eigenvalues[0])
 
     floor = 0.5 * min(smallest(start), total / (n * (n + 1)))
     trace = maximize(n, total, Objective(LOGPROD, 1), start=PINNED_START)

@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 from simplexcone.linalg import (
     DEFAULT_NULL_TOL,
     DEFAULT_PD_TOL,
+    ConvergenceError,
     NotPositiveDefinite,
     NullityNotOne,
     adjugate,
@@ -21,6 +22,8 @@ from simplexcone.linalg import (
     outer_product,
     smallest_eigenvalue,
 )
+
+from oracles import jacobi_eigendecompose
 
 
 def random_symmetric(rng, n, scale=1.0):
@@ -68,8 +71,28 @@ def test_eigendecompose_reconstruction_random_sizes():
         )
 
 
+def test_eigendecompose_matches_jacobi_oracle():
+    # LAPACK's eigenvalue errors are a few eps * max|w|; so are Jacobi's
+    rng = np.random.default_rng(9)
+    for n in range(1, 13):
+        for _ in range(10):
+            m = random_symmetric(rng, n, scale=float(rng.uniform(0.1, 10.0)))
+            got = eigendecompose(m).eigenvalues
+            ref = jacobi_eigendecompose(m).eigenvalues
+            assert_allclose(got, ref, rtol=0.0, atol=1e-13 * np.abs(ref).max())
+
+
+def test_eigendecompose_maps_a_lapack_failure_to_convergence_error(monkeypatch):
+    def failing(a, *args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", failing)
+    with pytest.raises(ConvergenceError, match="did not converge"):
+        eigendecompose(np.eye(3))
+
+
 def test_eigendecompose_commutes_with_powers_of_two():
-    # the sweeps run on an exactly rescaled copy, so scaling by 2^k moves
+    # LAPACK runs on an exactly rescaled copy, so scaling by 2^k moves
     # the eigenvalues by 2^k and changes no other bit, even where the
     # squared entries would leave the float range
     rng = np.random.default_rng(12)
@@ -304,8 +327,8 @@ def cofactor_adjugate(a):
 
 def spectral_adjugate(a):
     """Reference for symmetric input: V diag(prod of the other eigenvalues)
-    V^T from the Jacobi decomposition."""
-    dec = eigendecompose(a)
+    V^T from the test-side Jacobi decomposition."""
+    dec = jacobi_eigendecompose(a)
     w = dec.eigenvalues
     partial = np.array([np.prod(np.delete(w, i)) for i in range(w.size)])
     out = dec.basis @ np.diag(partial) @ dec.basis.T

@@ -1,11 +1,13 @@
-"""Property tests: verdicts under exact rescaling and relabeling, and the
-agreement of validate, embed and volume.
+"""Property tests: verdicts under exact rescaling and relabeling, the
+agreement of validate, embed and volume, and validate against independent
+oracles.
 
-Instances are drawn clear of the PD band, so that no verdict depends on
-rounding: Valid ones from random points with condition number at most
-1e3, Invalid ones from a Gram matrix whose smallest eigenvalue is at most
--1e-3 times its largest, Degenerate ones from integer points in a
-hyperplane, whose squared lengths and Gram matrix are exact.  The runs are
+The first three draw instances clear of the PD band, so that no verdict
+depends on rounding: Valid ones from random points with condition number
+at most 1e3, Invalid ones from a Gram matrix whose smallest eigenvalue is
+at most -1e-3 times its largest, Degenerate ones from integer points in a
+hyperplane, whose squared lengths and Gram matrix are exact.  The oracle
+test draws Gram matrices anywhere, band edges included.  The runs are
 derandomized, so every run checks the same examples.
 """
 
@@ -16,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from simplexcone import (
+    DEFAULT_PD_TOL,
     SquaredEdgeLengths,
     Verdict,
     edge_pairs,
@@ -26,15 +29,28 @@ from simplexcone import (
     volume,
 )
 
+from oracles import jacobi_eigendecompose, mp_eigenvalues, verdict_of
+
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=200)
 TINY = np.finfo(float).tiny
 HUGE = np.finfo(float).max
+EPS = np.finfo(float).eps
+#: an oracle eigenvalue this close to a band edge, relative to the largest
+#: one, has its verdict settled by mpmath rather than by Jacobi
+EDGE = 1e-12
 
 
 def _squared_lengths(points: np.ndarray) -> np.ndarray:
     """Squared distances between the columns of ``points``, in edge order."""
     n = points.shape[1] - 1
     return np.array([float(np.sum((points[:, i] - points[:, j]) ** 2)) for i, j in edge_pairs(n)])
+
+
+def _lengths_of_gram(g: np.ndarray) -> np.ndarray:
+    """Squared lengths whose Gram matrix is ``g`` (polarization undone)."""
+    d = np.diag(g)
+    iu, ju = np.triu_indices(len(g), 1)
+    return np.concatenate((d, d[iu] + d[ju] - 2.0 * g[iu, ju]))
 
 
 def _valid(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -50,10 +66,7 @@ def _invalid(n: int, rng: np.random.Generator) -> np.ndarray:
         q = np.linalg.qr(rng.standard_normal((n, n)))[0]
         w = rng.uniform(0.5, 2.0, n)
         w[0] = -rng.uniform(1e-3, 0.3) * w.max()
-        g = (q * w) @ q.T
-        d = np.diag(g)
-        iu, ju = np.triu_indices(n, 1)
-        s = np.concatenate((d, d[iu] + d[ju] - 2.0 * g[iu, ju]))
+        s = _lengths_of_gram((q * w) @ q.T)
         if (s > 0.0).all():
             lam = np.linalg.eigvalsh(gram_from_squared_lengths(SquaredEdgeLengths(n, s)))
             if lam[0] <= -1e-3 * np.abs(lam).max():
@@ -123,3 +136,46 @@ def test_validate_embed_and_volume_agree(case):
     w = np.linalg.eigvalsh(gram_from_squared_lengths(ell))
     rel_tol = 4.0 * ell.n * (w[-1] / w[0]) * np.finfo(float).eps
     assert math.isclose(volume(ell), expected, rel_tol=rel_tol)
+
+
+@st.composite
+def gram_instances(draw):
+    """Squared lengths of Q diag(w) Q^T for a random rotation Q, rescaled by
+    2^e: n = 2..12, |e| <= 990, largest eigenvalue 1 before the rescale, the
+    smallest one +-10^-c for c up to 13 (indefinite for the minus sign,
+    then c >= 1) or within 1e-12 of a band edge +-pd_tol."""
+    n = draw(st.integers(2, 12), label="n")
+    sign = draw(st.sampled_from((1.0, -1.0)), label="sign")
+    if draw(st.booleans(), label="at a band edge"):
+        lam0 = sign * DEFAULT_PD_TOL + draw(st.floats(-EDGE, EDGE), label="offset")
+    else:
+        # at n = 2 the eigenvalues -1 and 1 leave no positive length
+        lam0 = sign * 10.0 ** -draw(st.floats(0.0 if sign > 0 else 1.0, 13.0), label="c")
+    e = draw(st.integers(-990, 990), label="exponent")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    while True:
+        w = 10.0 ** rng.uniform(math.log10(abs(lam0)), 0.0, n)
+        w[0], w[-1] = lam0, 1.0
+        q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        s = _lengths_of_gram((q * w) @ q.T)
+        if (s > 0.0).all():
+            return SquaredEdgeLengths(n, np.ldexp(s, e))
+
+
+@PROPERTY
+@given(gram_instances())
+def test_verdict_matches_the_independent_oracles(ell):
+    gram = gram_from_squared_lengths(ell)
+    w = jacobi_eigendecompose(gram).eigenvalues
+    top = float(np.abs(w).max())
+    band = DEFAULT_PD_TOL * top
+    allowed = {verdict_of(w[0], top)}
+    if min(abs(w[0] - band), abs(w[0] + band)) <= EDGE * top:
+        # 50-digit mpmath decides.  LAPACK's eigenvalues are exact for a
+        # matrix within a few n eps |lambda_max| of G, so a smallest
+        # eigenvalue that close to the edge may take either side of it
+        lam = mp_eigenvalues(gram)
+        top = max(abs(lam[0]), abs(lam[-1]))
+        slack = 8 * ell.n * EPS * top
+        allowed = {verdict_of(lam[0] - slack, top), verdict_of(lam[0] + slack, top)}
+    assert validate(ell).verdict in allowed

@@ -306,6 +306,23 @@ def test_volume_regular_tetra_far_from_unit_scale():
             assert volume(regular_simplex(3, total)) == pytest.approx(exact, rel=1e-13)
 
 
+@pytest.mark.parametrize("total, digits", [(6e-300, "1e-451"), (6e300, r"1e\+449")])
+def test_volume_outside_the_float_range_raises(total, digits):
+    # a Valid regular tetrahedron whose volume, e^3 / (6 sqrt 2), is no
+    # float: 0.0 would be the Degenerate answer and inf no volume at all
+    ell = regular_simplex(3, total)
+    assert validate(ell).verdict is Verdict.VALID
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"about {digits}, is outside the float range"):
+            volume(ell)
+        with pytest.raises(ValueError, match="outside the float range"):
+            face_volume(ell, range(4))
+        # its triangles still have float areas, e^2 sqrt(3) / 4
+        area = face_volume(ell, (0, 1, 2))
+    assert area == pytest.approx(total / 6.0 * math.sqrt(3.0) / 4.0, rel=1e-13)
+
+
 def test_volume_scaling_power():
     # scaling every squared length by t scales volume by t^(n/2)
     rng = np.random.default_rng(32)
