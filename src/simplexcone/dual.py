@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import DEFAULT_PD_TOL, _null_index, adjugate, check_symmetric, eigendecompose
-from .simplex import SimplexEmbedding, SquaredEdgeLengths, _valid_spectrum
+from .simplex import SimplexEmbedding, SquaredEdgeLengths, _split_factorial, _valid_spectrum
 
 __all__ = [
     "DualGramReport",
@@ -86,14 +86,18 @@ def outward_normals(emb: SimplexEmbedding) -> np.ndarray:
 
 def dual_gram(ell: SquaredEdgeLengths, *, pd_tol: float = DEFAULT_PD_TOL) -> DualGramReport:
     """Dual Gram matrix, facet areas, and identity residuals, all read off
-    the one eigendecomposition that classifies G; raises
-    :class:`NotRealizable` unless the verdict is Valid."""
+    the one eigendecomposition that classifies G; raises NotRealizable unless
+    the verdict is Valid, ValueError if an area is outside the float range."""
     w, normals, lengths, gstar = _spectral_dual(ell, pd_tol)
     # A_i = n V |grad_i| with V = prod(sqrt w) / n!, the powers of two summed
     # apart: n V alone can overflow while every area is finite
     mant, expo = np.frexp(np.sqrt(w))
-    areas = np.ldexp(lengths * (np.prod(mant) / math.factorial(ell.n - 1)), int(expo.sum()))
-    unit = areas / areas.max()  # the residuals are scale-free; keep them finite
+    fmant, fexpo = _split_factorial(ell.n - 1)
+    with np.errstate(over="ignore", under="ignore"):
+        areas = np.ldexp(lengths * (np.prod(mant) / fmant), int(expo.sum()) - fexpo)
+    if not ((0.0 < areas) & (areas < math.inf)).all():
+        raise ValueError("a facet area is outside the float range")
+    unit = lengths / lengths.max()  # proportional to the areas, and always finite
     unit_norm = float(np.linalg.norm(unit))
     return DualGramReport(
         gstar=gstar,

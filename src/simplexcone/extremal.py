@@ -30,7 +30,7 @@ import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -159,7 +159,8 @@ class _FaceWorkspace:
     Gram's, and ``scatter`` is ``edges`` read in ``order``, every face's apex
     edges (first k columns) before any pair edge.  The gradient sums in that
     order: the line search compares gradient norms at float resolution, so
-    a face-by-face sum changes iteration counts."""
+    a face-by-face sum changes iteration counts.  For the Hessian, ``frame``
+    borders a face inverse into L = frame G^-1 frame^T, then ``gather`` reads L."""
 
     def __init__(self, n: int, k: int):
         self.n = n
@@ -174,8 +175,16 @@ class _FaceWorkspace:
         slots = np.arange(self.edges.size).reshape(self.edges.shape)
         self.order = np.concatenate((slots[:, :k].ravel(), slots[:, k:].ravel()))
         self.scatter = self.edges.ravel()[self.order]
+        self.frame = np.vstack((-np.ones(k), np.eye(k)))
         self.log_kfact = math.log(math.factorial(k))
         self.kfact_root = math.factorial(k) ** (1.0 / k)
+
+    @functools.cached_property
+    def gather(self) -> np.ndarray:
+        """Flat positions in L of L_ac, L_bd, L_ad and L_bc (edges ab, cd), 4 e^2
+        entries: built on first use, since objectives and gradients never read it."""
+        (a, b), k1 = _pairs(self.k + 1)[:, :, None], self.k + 1  # L[r, c] is at r k1 + c
+        return np.stack((a * k1 + a.T, b * k1 + b.T, a * k1 + b.T, b * k1 + a.T))
 
 
 _workspace = functools.cache(_FaceWorkspace)  # one per (n, k)
@@ -225,22 +234,19 @@ def _curvature(ws: _FaceWorkspace, kind: ObjectiveKind, inv: np.ndarray, weight)
     The face blocks are scattered a chunk of faces at a time; at k = 1 each
     face is one edge, so N is diagonal and only its diagonal is formed."""
     k, edges = ws.k, edge_count(ws.n)
-    iu, ju = _pairs(k + 1)
-    frame = np.vstack((-np.ones(k), np.eye(k)))
-    weight = np.broadcast_to(weight, (len(ws.faces), 1))
     neg = np.zeros(edges if k == 1 else edges * edges)
-    rows = max(1, _BLOCK_FLOATS // len(iu) ** 2)
+    rows = max(1, _BLOCK_FLOATS // ws.gather[0].size)
     for lo in range(0, len(ws.faces), rows):
         part = slice(lo, lo + rows)
-        bordered = frame @ inv[part] @ frame.T  # L
-        la, lb = bordered[:, iu], bordered[:, ju]  # rows a and b of each edge (a, b)
-        blocks = 0.5 * (la[:, :, iu] * lb[:, :, ju] + la[:, :, ju] * lb[:, :, iu])
+        bordered = ws.frame @ inv[part] @ ws.frame.T  # L
+        ac, bd, ad, bc = np.moveaxis(bordered.reshape(len(bordered), -1)[:, ws.gather], 1, 0)
+        blocks = 0.5 * (ac * bd + ad * bc)
         if kind is ObjectiveKind.SUM_ROOT_FACES:
-            a = bordered[:, iu, ju]
+            a = np.diagonal(ad, axis1=1, axis2=2)  # L_ab of each edge ab
             blocks -= a[:, :, None] * a[:, None, :] / (2 * k)
+        blocks *= weight[part, :, None] if kind is ObjectiveKind.SUM_ROOT_FACES else weight
         e = ws.edges[part]
         index = e if k == 1 else e[:, :, None] * edges + e[:, None, :]
-        blocks *= weight[part, :, None]
         np.add.at(neg, index.ravel(), blocks.ravel())
     return neg if k == 1 else neg.reshape(edges, edges)
 
@@ -457,12 +463,12 @@ def maximize(
         if pg_norm < _GTOL_FACTOR * grad_l1:
             return trace(True)
 
-        # Newton trials first; along each direction a trial halves the one before
-        trials = [(pg, step * 0.5**h) for h in range(60)]
+        # Newton trials first, built as needed; each halves the one before
         newton = _newton_direction(_curvature(ws, kind, inv, weight), pg)
         del inv  # candidates form their own; near MAX_FACES these take tens of MB
+        trials = ((pg, step * 0.5**h) for h in range(60))
         if newton is not None:
-            trials[:0] = [(newton, 0.5**h) for h in range(_NEWTON_HALVINGS)]
+            trials = chain(((newton, 0.5**h) for h in range(_NEWTON_HALVINGS)), trials)
         allowance = 4.0 * _EPS * (1.0 + abs(f)) + 8.0 * _EPS * (total / edges) * grad_l1
         blocked_by_validity = False
         for direction, alpha in trials:

@@ -6,8 +6,8 @@ SVD formula) and ``_logdet_derivatives`` (the first two directional
 derivatives of ``log det``).  Every spectrum comes from LAPACK through
 numpy: single matrices through :func:`eigendecompose`, stacks of them
 (the sample points of a concavity probe, the faces in the optimizer)
-through one batched call, and the adjugate from one SVD.  The tests hold
-these results to an independent pure-Python solver and to mpmath.
+through one batched call, the adjugate from one SVD and every Cholesky
+factor from ``potrf``; the tests hold them to pure-Python loops and mpmath.
 
 Symmetry is enforced exactly: a matrix is accepted as symmetric only if
 ``m[i, j] == m[j, i]`` bitwise.  Callers that assemble symmetric
@@ -148,19 +148,18 @@ def smallest_eigenvalue(m) -> float:
     return float(eigendecompose(m).eigenvalues[0])
 
 
-def _cholesky_factor(a: np.ndarray) -> tuple[np.ndarray, bool, int]:
-    """Unpivoted lower Cholesky; returns (L, success, failing pivot index)."""
-    n = a.shape[0]
-    low = np.zeros_like(a)
-    for j in range(n):
-        d = a[j, j] - low[j, :j] @ low[j, :j]
-        if not (d > 0.0) or not math.isfinite(d):
-            return low, False, j
-        ljj = math.sqrt(d)
-        low[j, j] = ljj
-        if j + 1 < n:
-            low[j + 1 :, j] = (a[j + 1 :, j] - low[j + 1 :, :j] @ low[j, :j]) / ljj
-    return low, True, -1
+def _cholesky_factor(a: np.ndarray) -> tuple[np.ndarray | None, bool, int]:
+    """Unpivoted lower Cholesky by LAPACK ``potrf``: (L, True, -1), or (None,
+    False, j) for the first j whose leading (j+1)-by-(j+1) block fails."""
+    try:
+        return np.linalg.cholesky(a), True, -1
+    except np.linalg.LinAlgError:
+        for j in range(len(a) - 1):
+            try:
+                np.linalg.cholesky(a[: j + 1, : j + 1])
+            except np.linalg.LinAlgError:
+                return None, False, j
+        return None, False, len(a) - 1
 
 
 def cholesky(m, *, pd_tol: float = DEFAULT_PD_TOL) -> np.ndarray:

@@ -322,6 +322,12 @@ def embed(ell: SquaredEdgeLengths, *, pd_tol: float = DEFAULT_PD_TOL) -> Simplex
     return SimplexEmbedding(n=ell.n, vertices=low.T.copy())
 
 
+def _split_factorial(n: int) -> tuple[float, int]:
+    """(m, e) with m = n! / 2^e in [0.5, 1], correctly rounded: 171! is no float."""
+    f = math.factorial(n)
+    return f / (1 << f.bit_length()), f.bit_length()
+
+
 def volume(ell: SquaredEdgeLengths, *, pd_tol: float = DEFAULT_PD_TOL) -> float:
     """n-volume: sqrt(det G) / n! when Valid, exactly 0.0 when Degenerate.
 
@@ -340,8 +346,9 @@ def volume(ell: SquaredEdgeLengths, *, pd_tol: float = DEFAULT_PD_TOL) -> float:
     # nothing leaves the float range unless the volume does, and the split
     # is exact, so it changes no bit of an in-range result
     mant, expo = np.frexp(np.sqrt(dec.eigenvalues))
+    fmant, fexpo = _split_factorial(ell.n)
     with np.errstate(over="ignore", under="ignore"):
-        vol = float(np.ldexp(np.prod(mant) / math.factorial(ell.n), int(expo.sum())))
+        vol = float(np.ldexp(np.prod(mant) / fmant, int(expo.sum()) - fexpo))
     if not 0.0 < vol < math.inf:
         digits = 0.5 * float(np.log10(dec.eigenvalues).sum()) - math.log10(math.factorial(ell.n))
         raise ValueError(f"the volume, about 1e{digits:+.0f}, is outside the float range")

@@ -1,10 +1,12 @@
 """Independent references for the tests: a cyclic Jacobi eigensolver, a
-50-digit mpmath spectrum, and the verdict rule restated on either.
+per-column Cholesky loop, a 50-digit mpmath spectrum, and the verdict rule
+restated on either.
 
-The library takes every spectrum from LAPACK.  The pure-Python Jacobi
-solver shares no code with it, so a test that holds a library result to
-it compares two independent solvers; mpmath settles the cases that lie
-too close to a band edge for either float solver.
+The library takes every spectrum and every Cholesky factor from LAPACK.
+The pure-Python Jacobi solver and Cholesky loop share no code with it, so
+a test that holds a library result to them compares two independent
+implementations; mpmath settles the cases that lie too close to a band
+edge for either float solver.
 """
 
 import math
@@ -92,6 +94,22 @@ def jacobi_eigendecompose(m) -> EigenDecomposition:
     # v held the rotations row-wise (v = J^T stacked), so eigenvectors are rows
     basis = np.array(v).T
     return EigenDecomposition(eigenvalues=w[order], basis=basis[:, order])
+
+
+def cholesky_factor(a: np.ndarray) -> tuple[np.ndarray, bool, int]:
+    """Unpivoted lower Cholesky, one column at a time; returns (L, success,
+    failing pivot index).  On failure L holds the columns before the pivot."""
+    n = a.shape[0]
+    low = np.zeros_like(a)
+    for j in range(n):
+        d = a[j, j] - low[j, :j] @ low[j, :j]
+        if not (d > 0.0) or not math.isfinite(d):
+            return low, False, j
+        ljj = math.sqrt(d)
+        low[j, j] = ljj
+        if j + 1 < n:
+            low[j + 1 :, j] = (a[j + 1 :, j] - low[j + 1 :, :j] @ low[j, :j]) / ljj
+    return low, True, -1
 
 
 def mp_eigenvalues(m, dps: int = 50) -> list:

@@ -437,6 +437,8 @@ def test_optimize_tolerance_no_start_can_meet_is_a_usage_error(capsys):
 
 TETRA_1E300 = json.dumps({"dimension": 3, "squared_lengths": [1e300] * 6})
 TETRA_1E_300 = json.dumps({"dimension": 3, "squared_lengths": [1e-300] * 6})
+#: 171! is no float, and neither are this simplex's volume (about 1e-334) and facet areas
+UNIT_171 = json.dumps({"dimension": 171, "squared_lengths": [1.0] * (171 * 172 // 2)})
 
 
 @pytest.mark.parametrize(
@@ -448,6 +450,8 @@ TETRA_1E_300 = json.dumps({"dimension": 3, "squared_lengths": [1e-300] * 6})
         (["validate", '{"dimension": 2, "squared_lengths": [1e308, 1e308, 1e308]}'], "finite"),
         (["volume", TETRA_1E_300], "outside the float range"),
         (["volume", TETRA_1E_300, "--face", "0,1,2,3"], "outside the float range"),
+        (["volume", UNIT_171], "outside the float range"),
+        (["dual", UNIT_171], "outside the float range"),
     ],
 )
 def test_finite_input_at_float_extremes_exits_1(capsys, argv, fragment):

@@ -379,7 +379,7 @@ def test_discrete_margins_equal_brute_force(m):
     assert _discrete_margins(values) == _brute_force_margins(values)
 
 
-def test_facet_probe_makes_no_per_sample_jacobi_calls(eigendecompose_calls):
+def test_facet_probe_makes_no_per_sample_eigendecompose_calls(eigendecompose_calls):
     # the endpoints are certified by validate; every sample point goes
     # through one stacked LAPACK call, never through eigendecompose
     assert not hasattr(convexity_module, "eigendecompose")

@@ -1,6 +1,7 @@
 """Tests for dual Gram data: facet normals, normalized dual matrix, area identities."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -184,7 +185,7 @@ def test_dual_gram_matches_mpmath_bordered_inverse():
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 7])
-def test_dual_queries_make_one_jacobi_call_of_size_n(eigendecompose_calls, n):
+def test_dual_queries_make_one_eigendecompose_call_of_size_n(eigendecompose_calls, n):
     ell = random_simplex(n, np.random.default_rng(n))
     eigendecompose_calls.clear()
     dual_gram(ell)
@@ -260,6 +261,23 @@ def test_dual_gram_regular_tetrahedron_far_from_unit_scale(scale):
     assert_allclose(rep.gstar[~np.eye(4, dtype=bool)], -1.0 / 3.0, atol=1e-14)
     assert rep.null_residual < 1e-14
     assert rep.divergence_residual < 1e-14
+
+
+def test_dual_gram_past_170_factorial():
+    # the unit 171-simplex's facet areas, about 1e-331, are outside the float
+    # range; at squared length 2^14 the regular 180-simplex's facets, regular
+    # 179-simplices, have areas sqrt(n) (s / 2)^((n - 1) / 2) / (n - 1)!
+    mpmath = pytest.importorskip("mpmath")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="outside the float range"):
+            dual_gram(SquaredEdgeLengths(171, np.ones(edge_count(171))))
+        n = 180
+        rep = dual_gram(SquaredEdgeLengths(n, np.full(edge_count(n), 2.0**14)))
+    log_area = 0.5 * ((n - 1) * mpmath.log(2**13) + mpmath.log(n)) - mpmath.loggamma(n)
+    assert_allclose(np.log(rep.areas), float(log_area), rtol=0, atol=1e-11)
+    assert rep.null_residual < 1e-13
+    assert rep.divergence_residual < 1e-13
 
 
 def test_dual_gram_rejects_unrealizable():

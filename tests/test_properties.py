@@ -1,13 +1,13 @@
 """Property tests: verdicts under exact rescaling and relabeling, the
-agreement of validate, embed and volume, and validate against independent
-oracles.
+agreement of validate, embed and volume, and validate and the Cholesky
+kernel against independent oracles.
 
 The first three draw instances clear of the PD band, so that no verdict
 depends on rounding: Valid ones from random points with condition number
 at most 1e3, Invalid ones from a Gram matrix whose smallest eigenvalue is
 at most -1e-3 times its largest, Degenerate ones from integer points in a
 hyperplane, whose squared lengths and Gram matrix are exact.  The oracle
-test draws Gram matrices anywhere, band edges included.  The runs are
+tests draw Gram matrices anywhere, band edges included.  The runs are
 derandomized, so every run checks the same examples.
 """
 
@@ -29,7 +29,9 @@ from simplexcone import (
     volume,
 )
 
-from oracles import jacobi_eigendecompose, mp_eigenvalues, verdict_of
+from simplexcone.linalg import _cholesky_factor
+
+from oracles import cholesky_factor, jacobi_eigendecompose, mp_eigenvalues, verdict_of
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=200)
 TINY = np.finfo(float).tiny
@@ -179,3 +181,41 @@ def test_verdict_matches_the_independent_oracles(ell):
         slack = 8 * ell.n * EPS * top
         allowed = {verdict_of(lam[0] - slack, top), verdict_of(lam[0] + slack, top)}
     assert validate(ell).verdict in allowed
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """Q diag(w) Q^T for a random rotation Q, rescaled by 2^e, and its
+    condition number: n = 1..12, |e| <= 990, largest eigenvalue 1 before the
+    rescale (n > 1), the smallest +-10^-c for c up to 16 (indefinite for
+    the minus sign), so that some pivots are rounding noise."""
+    n = draw(st.integers(1, 12), label="n")
+    lam0 = draw(st.sampled_from((1.0, -1.0)), label="sign") * 10.0 ** -draw(
+        st.floats(0.0, 16.0), label="c"
+    )
+    e = draw(st.integers(-990, 990), label="exponent")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    w = 10.0 ** rng.uniform(math.log10(abs(lam0)), 0.0, n)
+    w[-1], w[0] = 1.0, lam0
+    q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    a = (q * w) @ q.T
+    return np.ldexp((a + a.T) / 2.0, e), float(np.abs(w).max() / np.abs(w).min())
+
+
+@PROPERTY
+@given(symmetric_matrices())
+def test_cholesky_factor_matches_the_column_loop(case):
+    a, cond = case
+    n = len(a)
+    low, ok, bad = _cholesky_factor(a)
+    ref, ref_ok, ref_bad = cholesky_factor(a)
+    # the loop's pivots, up to the one it failed on; one within rounding
+    # of zero may take either sign in LAPACK's order of operations
+    pivots = [a[j, j] - ref[j, :j] @ ref[j, :j] for j in range(n if ref_ok else ref_bad + 1)]
+    if any(abs(d) <= 8 * n * EPS * abs(a[j, j]) for j, d in enumerate(pivots)):
+        return
+    assert (ok, bad) == (ref_ok, ref_bad)
+    if ok:
+        # the two orders of summation part by about cond(A) eps
+        bound = 1e-12 * max(1.0, cond / 100.0) * np.abs(ref).max()
+        assert np.abs(low - ref).max() <= bound

@@ -323,6 +323,26 @@ def test_volume_outside_the_float_range_raises(total, digits):
     assert area == pytest.approx(total / 6.0 * math.sqrt(3.0) / 4.0, rel=1e-13)
 
 
+def test_volume_past_170_factorial():
+    # 171! is no float.  The unit 171-simplex's volume, about 1e-334, is
+    # outside the float range; at squared length s = 2^14 the regular
+    # n-simplex's, sqrt(n + 1) (s / 2)^(n / 2) / n!, is about 1e24 at n = 180
+    mpmath = pytest.importorskip("mpmath")
+
+    def log_volume(n):
+        return float(0.5 * (n * mpmath.log(2**13) + mpmath.log(n + 1)) - mpmath.loggamma(n + 1))
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"about 1e-334, is outside the float range"):
+            volume(regular_simplex(171, float(edge_count(171))))
+        ell = regular_simplex(180, 2.0**14 * edge_count(180))
+        assert math.log(volume(ell)) == pytest.approx(log_volume(180), abs=1e-11)
+        # a facet is a regular 179-simplex
+        facet = face_volume(ell, range(1, 181))
+        assert math.log(facet) == pytest.approx(log_volume(179), abs=1e-11)
+
+
 def test_volume_scaling_power():
     # scaling every squared length by t scales volume by t^(n/2)
     rng = np.random.default_rng(32)
