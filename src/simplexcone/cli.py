@@ -530,7 +530,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["log", "root"], required=True)
     p.add_argument("--samples", type=_sample_count, default=33, help=(
         "3..100000 (default %(default)s); the exact all-pairs margin takes "
-        "O(samples^2) time: 0.24 s at 20001, about 6 s at 100000"))
+        "O(samples^2) time: about 0.2 s at 20001, about 4 s at 100000"))
     p.add_argument("--face", help="restrict log mode to a face")
     _add_common(p)
 

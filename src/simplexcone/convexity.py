@@ -17,11 +17,15 @@ linear in the squared lengths, the analytic value is available in
 closed form at every sample.
 
 The two endpoints are certified by the verdict of :func:`validate`.
-The sample points are then factored together: their Gram matrices form
-one ``(samples, k, k)`` stack that goes through a single LAPACK ``eigh``
-call (plus one ``eigvalsh`` call on the full-simplex stack when the
+The sample points are then factored together, values only: their Gram
+matrices form one ``(samples, k, k)`` stack that goes through a single
+LAPACK ``eigvalsh`` call (plus one on the full-simplex stack when the
 probed face is proper), with the same PD test applied row by row.  The
-tests hold this path to an independent reference solver sample by sample.
+derivatives need no per-sample basis: one Cholesky factor of the mean
+of the two endpoint Gram matrices, each scaled to unit size, whitens the
+segment's constant direction, and one k x k ``eigvalsh`` of the result
+gives them at every sample.  The tests hold this path to an independent
+reference solver sample by sample.
 """
 
 from __future__ import annotations
@@ -31,7 +35,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_PD_TOL, _logdet_derivatives, _positive_definite
+from .linalg import (
+    DEFAULT_PD_TOL,
+    NotPositiveDefinite,
+    _cholesky_factor,
+    _logdet_derivatives,
+    _positive_definite,
+)
 from .simplex import (
     NotRealizable,
     SquaredEdgeLengths,
@@ -210,9 +220,10 @@ def _segment_logdet(
 
     The endpoints are certified by their verdict
     (:class:`NotRealizable` when one is not Valid); every sample point is
-    then factored at once as one ``(samples, k, k)`` stack.  Along
-    the segment the face Gram matrix moves by the constant
-    ``delta = G2 - G1``, which gives both derivatives at every sample.
+    then factored at once, values only, as one ``(samples, k, k)`` stack.
+    Along the segment the face Gram matrix moves by the constant
+    ``delta = G2 - G1``, so one k x k whitening gives both derivatives at
+    every sample (:func:`_whitened_derivatives`).
     """
     if first.n != second.n:
         raise ValueError("dimension mismatch")
@@ -237,24 +248,80 @@ def _segment_logdet(
         t = first_failure(np.linalg.eigvalsh(_gram_stack(n, rows)))
         if t is not None:
             raise RuntimeError(left_cone.format(t))
-    w, basis = np.linalg.eigh(_gram_stack(k, rows[:, idx]))
+    grams = _gram_stack(k, rows[:, idx])
+    w = np.linalg.eigvalsh(grams)
     t = first_failure(w)
     if t is not None:
         raise RuntimeError(
             f"face volume vanished at t={t}" if k != n else left_cone.format(t)
         )
-    delta = _gram_stack(k, second.s[idx]) - _gram_stack(k, first.s[idx])
-    return k, np.log(w).sum(axis=1), *_logdet_derivatives(w, basis, delta)
+    # rows[0] and rows[-1] are the endpoints exactly: ts runs from 0.0 to 1.0
+    return k, np.log(w).sum(axis=1), *_whitened_derivatives(grams[0], grams[-1], ts)
+
+
+def _whitened_derivatives(g1: np.ndarray, g2: np.ndarray, ts: np.ndarray):
+    """First and second derivative of t -> log det((1 - t) G1 + t G2) at each
+    of ``ts``, from one k x k decomposition.
+
+    Write G1 = 2^e1 A and G2 = 2^e2 B with A, B of unit size (an exact
+    rescale), and whiten their midpoint (A + B) / 2 = L L^T: with
+    L^-1 (B - A) L^-T = Q diag(mu) Q^T, whitened A and B are Q diag(a) Q^T
+    and Q diag(b) Q^T for a = 1 - mu/2 and b = 1 + mu/2, both in [0, 2].
+    Up to the constant 2^max(e1, e2), the matrix at t is L Q diag(w_t) Q^T
+    L^T with w_t = (1 - t) p a + t q b, and it moves along L Q diag(q b - p a)
+    Q^T L^T, where p = 2^(e1 - max) and q = 2^(e2 - max).  Each w_t is a sum
+    of two nonnegative terms, so a sample far smaller than G1 + G2 (at an
+    endpoint 1e17 times smaller than the other) keeps its digits, and the
+    result is the same bits when G1 and G2 are scaled by a common power of
+    two.  A segment singular to working precision raises
+    :class:`NotPositiveDefinite`.
+    """
+    e1, e2 = (math.frexp(float(np.abs(g).max()))[1] for g in (g1, g2))
+    unit1, unit2 = np.ldexp(g1, -e1), np.ldexp(g2, -e2)
+    low, ok, bad = _cholesky_factor(0.5 * unit1 + 0.5 * unit2)
+    if not ok:
+        raise NotPositiveDefinite(f"segment midpoint: pivot {bad} is not positive", pivot=bad)
+    half = np.linalg.solve(low, unit2 - unit1)  # L^-1 (B - A)
+    mu = np.linalg.eigvalsh(np.linalg.solve(low, half.T))
+    top = max(e1, e2)
+    a = math.ldexp(1.0, e1 - top) * (1.0 - 0.5 * mu)
+    b = math.ldexp(1.0, e2 - top) * (1.0 + 0.5 * mu)
+    if not (np.minimum(a, b) > 0.0).all():
+        raise NotPositiveDefinite("a segment endpoint is singular to working precision")
+    w = (1.0 - ts)[:, None] * a + ts[:, None] * b
+    return _logdet_derivatives(w, np.eye(mu.size), np.diag(b - a))
+
+
+#: entries of one block of midpoint defects in :func:`_discrete_margins`
+_MARGIN_BLOCK = 1 << 16
 
 
 def _discrete_margins(values: np.ndarray) -> tuple[float, float]:
     """Worst midpoint defect over all sample pairs an even gap apart, and
-    worst second difference; one array slice per gap, O(m) memory."""
+    worst second difference.
+
+    Row h of a block holds ``values[j] - (values[j - h] + values[j + h]) / 2``
+    for half-gap h at every midpoint j; blocks of about ``_MARGIN_BLOCK``
+    entries keep memory O(m).  The values sit between -inf pads, so a pair
+    that runs off either end reads +inf and never wins the minimum.
+    """
     m = values.size
+    top = (m - 1) // 2  # the largest half-gap
+    pad = np.full(top, -np.inf)
+    # shifted[top + d][j] is values[j + d], or -inf past either end
+    shifted = np.lib.stride_tricks.sliding_window_view(np.concatenate((pad, values, pad)), m)
+    step = max(1, _MARGIN_BLOCK // m)
+    block = np.empty(step * m)
     worst_mid = math.inf
-    for gap in range(2, m, 2):
-        half = gap // 2
-        defect = values[half : m - half] - 0.5 * (values[: m - gap] + values[gap:])
+    for lo in range(1, top + 1, step):
+        hi = min(lo + step, top + 1)
+        cols = slice(lo, m - lo)  # the midpoints of the block's smallest half-gap
+        left = shifted[top - hi + 1 : top - lo + 1, cols][::-1]  # values[j - h], h = lo, ...
+        right = shifted[top + lo : top + hi, cols]
+        defect = block[: left.size].reshape(left.shape)
+        np.add(left, right, out=defect)
+        defect *= -0.5
+        defect += values[cols]
         worst_mid = min(worst_mid, float(defect.min()))
     second = 2.0 * values[1:-1] - values[:-2] - values[2:]
     return worst_mid, float(second.min())

@@ -177,7 +177,10 @@ class _FaceWorkspace:
         self.scatter = self.edges.ravel()[self.order]
         self.frame = np.vstack((-np.ones(k), np.eye(k)))
         self.log_kfact = math.log(math.factorial(k))
-        self.kfact_root = math.factorial(k) ** (1.0 / k)
+        try:
+            self.kfact_root = math.factorial(k) ** (1.0 / k)
+        except OverflowError:  # k! is no float from k = 171 on; its root still is
+            self.kfact_root = math.exp(self.log_kfact / k)
 
     @functools.cached_property
     def gather(self) -> np.ndarray:

@@ -26,7 +26,13 @@ from simplexcone import (
     regular_simplex,
     validate,
 )
-from simplexcone.convexity import _discrete_margins, _finish_report, _segment_logdet
+from simplexcone.convexity import (
+    _discrete_margins,
+    _finish_report,
+    _segment_logdet,
+    _whitened_derivatives,
+)
+from simplexcone.linalg import NotPositiveDefinite
 
 from oracles import jacobi_eigendecompose, mp_eigenvalues, verdict_of
 
@@ -244,6 +250,31 @@ def test_probe_root_concavity_scaling_segment():
     assert rep.max_analytic_second_derivative < 0.0
 
 
+def test_probe_between_endpoints_far_apart_in_scale():
+    # along s -> ((1 - t) + t c) s, log volume has second derivative
+    # -(3/2) (c - 1)^2 / ((1 - t) + t c)^2, largest at t = 1; the sample at
+    # t = 0 is 1e17 times smaller than the segment's midpoint
+    first = random_simplex(3, np.random.default_rng(1))
+    for c in (1e17, 1e100):
+        second = SquaredEdgeLengths(3, c * first.s)
+        rep = probe_log_concavity(first, second)
+        assert rep.passed
+        assert rep.max_analytic_second_derivative == pytest.approx(-1.5 * (1.0 - 1.0 / c) ** 2)
+        assert probe_root_concavity(first, second).passed
+
+
+def test_whitening_refuses_segments_singular_to_working_precision():
+    ts = np.linspace(0.0, 1.0, 5)
+    # rank one, and its Cholesky pivots at unit size, 0.75^2 and 0, are exact
+    flat = np.array([[9.0, 3.0], [3.0, 1.0]])
+    with pytest.raises(NotPositiveDefinite, match="pivot 1") as info:
+        _whitened_derivatives(flat, flat, ts)
+    assert info.value.pivot == 1
+    # the midpoint of 2I and 0 is PD, but the second endpoint is singular
+    with pytest.raises(NotPositiveDefinite, match="singular to working precision"):
+        _whitened_derivatives(2.0 * np.eye(2), np.zeros((2, 2)), ts)
+
+
 def test_probe_errors():
     a = SquaredEdgeLengths(2, np.ones(3))
     b = SquaredEdgeLengths(3, np.ones(6))
@@ -370,7 +401,8 @@ def _brute_force_margins(values):
     return worst_mid, worst_sd
 
 
-@pytest.mark.parametrize("m", list(range(3, 40)) + [64, 65, 127, 128, 256, 257])
+# 363, 513 and 1001 span several blocks of _discrete_margins
+@pytest.mark.parametrize("m", list(range(3, 40)) + [64, 65, 127, 128, 256, 257, 363, 513, 1001])
 def test_discrete_margins_equal_brute_force(m):
     rng = np.random.default_rng(m)
     # a concave profile plus noise, so the extremes fall anywhere
@@ -390,3 +422,25 @@ def test_facet_probe_makes_no_per_sample_eigendecompose_calls(eigendecompose_cal
     report = probe_log_concavity(first, second, face=range(8), samples=1001)
     assert report.passed
     assert eigendecompose_calls == [8, 8]
+
+
+@pytest.mark.parametrize("samples", [33, 1001])
+def test_probe_derivatives_take_one_small_eigendecomposition(monkeypatch, samples):
+    # the sample stacks go through eigvalsh (values only), the derivatives
+    # through one k x k whitened spectrum, the endpoints through their verdict
+    rng = np.random.default_rng(8)
+    first = random_simplex(8, rng)
+    second = random_simplex(8, rng)
+    shapes = {"eigh": [], "eigvalsh": []}
+    for name, calls in shapes.items():
+        original = getattr(np.linalg, name)
+
+        def recording(a, *args, _original=original, _calls=calls, **kwargs):
+            _calls.append(np.shape(a))
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recording)
+    report = probe_log_concavity(first, second, face=range(8), samples=samples)
+    assert report.passed
+    assert shapes["eigh"] == [(8, 8), (8, 8)]
+    assert shapes["eigvalsh"] == [(samples, 8, 8), (samples, 7, 7), (7, 7)]

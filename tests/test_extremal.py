@@ -89,6 +89,24 @@ def test_objectives_sum_over_all_faces():
         )
 
 
+def test_objectives_past_170_factorial():
+    # 171! is no float, but the objectives of the unit 171-simplex are: its
+    # volume is sqrt(n + 1) / (2^(n/2) n!), about 1e-334, so its log is about
+    # -768 and its 171st root about 0.011
+    n = 171
+    ell = regular_simplex(n, float(edge_count(n)))
+    log_volume = 0.5 * math.log(n + 1) - 0.5 * n * math.log(2.0) - math.lgamma(n + 1)
+    root = math.exp(log_volume / n)
+    # by Euler, s . gradient is n/2 for the log volume and half the root
+    for kind, value, euler in ((LOGPROD, log_volume, n / 2.0), (SUMROOT, root, root / 2.0)):
+        objective = Objective(kind, n)
+        assert objective_value(ell, objective) == pytest.approx(value, rel=1e-12)
+        gradient = objective_gradient(ell, objective)
+        assert np.isfinite(gradient).all()
+        assert float(ell.s @ gradient) == pytest.approx(euler, rel=1e-12)
+    assert np.array_equal(gradient_log_volume(ell), objective_gradient(ell, Objective(LOGPROD, n)))
+
+
 def test_objective_value_rejects_bad_k():
     with pytest.raises(ValueError, match="1..2"):
         objective_value(UNIT_TRIANGLE, Objective(SUMROOT, 0))

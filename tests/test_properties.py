@@ -1,6 +1,7 @@
 """Property tests: verdicts under exact rescaling and relabeling, the
-agreement of validate, embed and volume, and validate and the Cholesky
-kernel against independent oracles.
+agreement of validate, embed and volume, validate and the Cholesky
+kernel against independent oracles, and a probe's whitened log-det
+derivatives against the per-sample formula.
 
 The first three draw instances clear of the PD band, so that no verdict
 depends on rounding: Valid ones from random points with condition number
@@ -24,12 +25,14 @@ from simplexcone import (
     edge_pairs,
     embed,
     gram_from_squared_lengths,
+    probe_log_concavity,
     relabel,
     validate,
     volume,
 )
 
-from simplexcone.linalg import _cholesky_factor
+from simplexcone.convexity import _segment_logdet
+from simplexcone.linalg import _cholesky_factor, _logdet_derivatives
 
 from oracles import cholesky_factor, jacobi_eigendecompose, mp_eigenvalues, verdict_of
 
@@ -219,3 +222,55 @@ def test_cholesky_factor_matches_the_column_loop(case):
         # the two orders of summation part by about cond(A) eps
         bound = 1e-12 * max(1.0, cond / 100.0) * np.abs(ref).max()
         assert np.abs(low - ref).max() <= bound
+
+
+@st.composite
+def valid_segments(draw):
+    """Two Valid n-simplices, n = 2..8, whose Gram matrices are Q diag(w) Q^T
+    for a random rotation Q, largest eigenvalue 1 and the smallest 10^-c, c
+    up to 9.7 (twice the PD band) or within a factor 10 of that edge, the
+    second one rescaled by 2^r, |r| <= 70; and an exponent j, |j| <= 200,
+    by which the test rescales both by 4^j."""
+    n = draw(st.integers(2, 8), label="n")
+    r = draw(st.integers(-70, 70), label="r")
+    j = draw(st.integers(-200, 200), label="j")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    ends = []
+    for _ in range(2):
+        near_band = draw(st.booleans(), label="near the band")
+        c = draw(st.floats(8.7, 9.7) if near_band else st.floats(0.0, 9.7), label="c")
+        while True:
+            w = 10.0 ** rng.uniform(-c, 0.0, n)
+            w[0], w[-1] = 10.0**-c, 1.0
+            q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+            s = _lengths_of_gram((q * w) @ q.T)
+            if (s > 0.0).all():
+                ends.append(SquaredEdgeLengths(n, s))
+                break
+    return ends[0], SquaredEdgeLengths(n, np.ldexp(ends[1].s, r)), j
+
+
+@PROPERTY
+@given(valid_segments())
+def test_whitened_derivatives_match_the_per_sample_formula(case):
+    first, second, j = case
+    n, samples = first.n, 33
+    full = tuple(range(n + 1))
+    scaled = [SquaredEdgeLengths(n, np.ldexp(e.s, 2 * j)) for e in (first, second)]
+    _, _, d1, d2 = _segment_logdet(*scaled, full, samples, DEFAULT_PD_TOL)
+    # the reference: every sample's own eigendecomposition, as probes once did
+    ts = np.linspace(0.0, 1.0, samples)
+    rows = (1.0 - ts)[:, None] * scaled[0].s + ts[:, None] * scaled[1].s
+    w, basis = np.linalg.eigh([gram_from_squared_lengths(SquaredEdgeLengths(n, r)) for r in rows])
+    delta = gram_from_squared_lengths(scaled[1]) - gram_from_squared_lengths(scaled[0])
+    # both formulas are accurate to about eps * cond(G) relative
+    cond_factor = np.maximum(1.0, w[:, -1] / w[:, 0] / 100.0)
+    for got, ref in zip((d1, d2), _logdet_derivatives(w, basis, delta)):
+        assert (np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)) * cond_factor).all()
+    # whitening removes the scale exactly: the same bits at every 4^j
+    _, _, u1, u2 = _segment_logdet(first, second, full, samples, DEFAULT_PD_TOL)
+    assert np.array_equal(d1, u1) and np.array_equal(d2, u2)
+    assert (
+        probe_log_concavity(*scaled).max_analytic_second_derivative
+        == probe_log_concavity(first, second).max_analytic_second_derivative
+    )
