@@ -220,7 +220,8 @@ def _segment_logdet(
 
     The endpoints are certified by their verdict
     (:class:`NotRealizable` when one is not Valid); every sample point is
-    then factored at once, values only, as one ``(samples, k, k)`` stack.
+    then factored at once, values only, as one ``(samples, k, k)`` stack,
+    and a sample that fails the PD test raises :class:`NotPositiveDefinite`.
     Along the segment the face Gram matrix moves by the constant
     ``delta = G2 - G1``, so one k x k whitening gives both derivatives at
     every sample (:func:`_whitened_derivatives`).
@@ -241,18 +242,20 @@ def _segment_logdet(
         bad = np.flatnonzero(~_positive_definite(w, pd_tol))
         return float(ts[bad[0]]) if bad.size else None
 
-    left_cone = "segment point t={} left the Valid cone; this contradicts convexity"
+    # the cone is convex, so only rounding moves a sample out of it: at a
+    # tolerance near 0 an endpoint that is Valid by a hair may read singular
+    left_cone = "segment point t={} is not positive definite to working precision"
     if k != n:
         # a proper face's factorization cannot certify the full simplices,
-        # so their segment is checked as well: the convexity tripwire
+        # so their segment is checked as well
         t = first_failure(np.linalg.eigvalsh(_gram_stack(n, rows)))
         if t is not None:
-            raise RuntimeError(left_cone.format(t))
+            raise NotPositiveDefinite(left_cone.format(t))
     grams = _gram_stack(k, rows[:, idx])
     w = np.linalg.eigvalsh(grams)
     t = first_failure(w)
     if t is not None:
-        raise RuntimeError(
+        raise NotPositiveDefinite(
             f"face volume vanished at t={t}" if k != n else left_cone.format(t)
         )
     # rows[0] and rows[-1] are the endpoints exactly: ts runs from 0.0 to 1.0
@@ -300,10 +303,12 @@ def _discrete_margins(values: np.ndarray) -> tuple[float, float]:
     """Worst midpoint defect over all sample pairs an even gap apart, and
     worst second difference.
 
-    Row h of a block holds ``values[j] - (values[j - h] + values[j + h]) / 2``
-    for half-gap h at every midpoint j; blocks of about ``_MARGIN_BLOCK``
-    entries keep memory O(m).  The values sit between -inf pads, so a pair
-    that runs off either end reads +inf and never wins the minimum.
+    Row h of a block holds ``values[j - h] + values[j + h]`` for half-gap h
+    at every midpoint j, and a running column max keeps the largest over
+    all blocks of about ``_MARGIN_BLOCK`` entries, so memory stays O(m).
+    Rounding of ``v - x`` is monotone in x, so ``values[j]`` less half that
+    max is the worst defect at j, bit for bit.  The values sit between -inf
+    pads, so a pair that runs off either end never wins the max.
     """
     m = values.size
     top = (m - 1) // 2  # the largest half-gap
@@ -312,19 +317,17 @@ def _discrete_margins(values: np.ndarray) -> tuple[float, float]:
     shifted = np.lib.stride_tricks.sliding_window_view(np.concatenate((pad, values, pad)), m)
     step = max(1, _MARGIN_BLOCK // m)
     block = np.empty(step * m)
-    worst_mid = math.inf
+    widest = np.full(m, -np.inf)
     for lo in range(1, top + 1, step):
         hi = min(lo + step, top + 1)
         cols = slice(lo, m - lo)  # the midpoints of the block's smallest half-gap
         left = shifted[top - hi + 1 : top - lo + 1, cols][::-1]  # values[j - h], h = lo, ...
         right = shifted[top + lo : top + hi, cols]
-        defect = block[: left.size].reshape(left.shape)
-        np.add(left, right, out=defect)
-        defect *= -0.5
-        defect += values[cols]
-        worst_mid = min(worst_mid, float(defect.min()))
+        sums = block[: left.size].reshape(left.shape)
+        np.add(left, right, out=sums)
+        np.maximum(widest[cols], sums.max(axis=0), out=widest[cols])
     second = 2.0 * values[1:-1] - values[:-2] - values[2:]
-    return worst_mid, float(second.min())
+    return float((values - 0.5 * widest).min()), float(second.min())
 
 
 def _finish_report(

@@ -27,7 +27,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import DEFAULT_PD_TOL, _null_index, adjugate, check_symmetric, eigendecompose
-from .simplex import SimplexEmbedding, SquaredEdgeLengths, _split_factorial, _valid_spectrum
+from .simplex import (
+    SimplexEmbedding,
+    SquaredEdgeLengths,
+    _root_product_over_factorial,
+    _valid_spectrum,
+)
 
 __all__ = [
     "DualGramReport",
@@ -89,12 +94,9 @@ def dual_gram(ell: SquaredEdgeLengths, *, pd_tol: float = DEFAULT_PD_TOL) -> Dua
     the one eigendecomposition that classifies G; raises NotRealizable unless
     the verdict is Valid, ValueError if an area is outside the float range."""
     w, normals, lengths, gstar = _spectral_dual(ell, pd_tol)
-    # A_i = n V |grad_i| with V = prod(sqrt w) / n!, the powers of two summed
-    # apart: n V alone can overflow while every area is finite
-    mant, expo = np.frexp(np.sqrt(w))
-    fmant, fexpo = _split_factorial(ell.n - 1)
-    with np.errstate(over="ignore", under="ignore"):
-        areas = np.ldexp(lengths * (np.prod(mant) / fmant), int(expo.sum()) - fexpo)
+    # A_i = n V |grad_i| with V = prod(sqrt w) / n!: n V alone can
+    # overflow while every area is finite
+    areas = _root_product_over_factorial(w, ell.n - 1, lengths)
     if not ((0.0 < areas) & (areas < math.inf)).all():
         raise ValueError("a facet area is outside the float range")
     unit = lengths / lengths.max()  # proportional to the areas, and always finite

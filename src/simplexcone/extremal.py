@@ -80,14 +80,10 @@ _REJECTION_REASONS = (
     "cholesky_screen",
     "face_collapse",
     "armijo",
-    "value_drop",
-    "no_contraction",
-    "eigenvalue_floor",
+    "not_valid",
 )
-#: The reasons that mean the candidate left (or neared the edge of) the cone.
-_VALIDITY_REASONS = frozenset(
-    ("non_positive", "cholesky_screen", "face_collapse", "eigenvalue_floor")
-)
+#: The reasons that mean the candidate left the cone.
+_VALIDITY_REASONS = frozenset(("non_positive", "cholesky_screen", "face_collapse", "not_valid"))
 
 
 class _FailedRun(RuntimeError):
@@ -133,14 +129,11 @@ class OptimizationTrace:
     applies them: ``non_positive`` (a squared length not positive),
     ``cholesky_screen`` (the Gram matrix does not factor),
     ``face_collapse`` (a k-face determinant not positive), ``armijo``
-    (too little gain), ``value_drop`` and ``no_contraction`` (the value
-    fell, or the projected gradient did not shrink, once the predicted
-    gain is below float resolution), and ``eigenvalue_floor`` (the Gram
-    spectrum failed the Valid test or fell under the search's floor).
-    Each rejection moves the search on to the next, shorter trial, so the
-    counts add up to the halvings taken.  ``gradient_steps`` counts the
-    iterations that took the projected-gradient step because no Newton
-    trial was usable.
+    (too little gain, up to a rounding allowance) and ``not_valid`` (the
+    Gram spectrum fails the library's Valid verdict).  Each rejection
+    moves the search on to the next, shorter trial, so the counts add up
+    to the halvings taken.  ``gradient_steps`` counts the iterations that
+    took the projected-gradient step because no Newton trial was usable.
     """
 
     iterates: list[tuple[np.ndarray, float, float]]
@@ -158,9 +151,9 @@ class _FaceWorkspace:
     edges in its own edge order, ``apex``/``pair`` compose it with the face
     Gram's, and ``scatter`` is ``edges`` read in ``order``, every face's apex
     edges (first k columns) before any pair edge.  The gradient sums in that
-    order: the line search compares gradient norms at float resolution, so
-    a face-by-face sum changes iteration counts.  For the Hessian, ``frame``
-    borders a face inverse into L = frame G^-1 frame^T, then ``gather`` reads L."""
+    order, which a test pins bit for bit, so every iterate keeps its bits.
+    For the Hessian, ``frame`` borders a face inverse into
+    L = frame G^-1 frame^T, then ``gather`` reads L."""
 
     def __init__(self, n: int, k: int):
         self.n = n
@@ -316,17 +309,16 @@ def _judge_candidate(
     f: float,
     predicted: float,
     allowance: float,
-    pg_norm: float,
     pd_tol: float,
-    lam_floor: float,
 ) -> tuple[str | None, tuple | None]:
     """The first test the line search fails on ``cand`` (a key of
     ``OptimizationTrace.rejections``), or None together with the accepted
-    candidate's objective value, its face weights, and its gradient and
-    face inverses (None unless the contraction test computed them).
+    candidate's objective value and face weights.
 
-    The Gram matrix is built once and feeds both the Cholesky screen and
-    the closing ``eigvalsh``.
+    The candidate must lie in the domain, which is the library's Valid
+    verdict, and gain ``predicted`` less ``allowance``; the tests run
+    cheapest first.  The Gram matrix is built once and feeds both the
+    Cholesky screen and the closing ``eigvalsh``.
     """
     if (cand <= 0.0).any():
         return "non_positive", None
@@ -336,24 +328,11 @@ def _judge_candidate(
     evaluated = _raw_value(ws, kind, cand)
     if evaluated is None:
         return "face_collapse", None
-    f_cand, weight = evaluated
-    grad_cand = inv_cand = None
-    if predicted > 2.0 * allowance:
-        if f_cand < f + predicted - allowance:
-            return "armijo", None
-    else:
-        # predicted gain below float resolution: require strict
-        # contraction of the projected gradient norm instead
-        if f_cand < f - allowance:
-            return "value_drop", None
-        grad_cand, inv_cand = _raw_gradient(ws, cand, weight)
-        pg_cand = grad_cand - grad_cand.mean()
-        if np.linalg.norm(pg_cand) >= pg_norm:
-            return "no_contraction", None
-    lam = np.linalg.eigvalsh(gram)
-    if not _positive_definite(lam, pd_tol) or lam[0] < lam_floor:
-        return "eigenvalue_floor", None
-    return None, (f_cand, weight, grad_cand, inv_cand)
+    if evaluated[0] < f + predicted - allowance:
+        return "armijo", None
+    if not _positive_definite(np.linalg.eigvalsh(gram), pd_tol):
+        return "not_valid", None
+    return None, evaluated
 
 
 def maximize(
@@ -374,34 +353,26 @@ def maximize(
     iteration tries the equality-constrained Newton step (Boyd &
     Vandenberghe, Convex Optimization, 10.2) at lengths 1, 1/2, ..., 1/128;
     if it is not a finite ascent direction or all eight are rejected, it
-    takes the projected gradient step, halving up to 60 times from the last
-    accepted gradient step (doubled when accepted untouched; at first a
-    tenth of the mean squared length).  Candidates that leave the Valid
-    cone are rejected, the others need an Armijo gain with constant 1e-4.
-    Converged when the projected gradient norm drops below
-    ``1e-10 * ||gradient||_1``, that is, when the gradient is nearly normal
-    to the hyperplane.  Raises :class:`MaxIterations` or
-    :class:`StepIntoInvalidRegion` (each carrying the partial trace)
-    instead of returning an unconverged result, and ``ValueError`` for a
-    bad start, total or k (:class:`NotRealizable` for a start that is not
-    Valid), for a subnormal mean, and past ``MAX_FACES`` k-faces.
+    takes the projected gradient step at a tenth of the mean squared
+    length, halving up to 60 times.  Every candidate must be Valid and
+    gain at least the Armijo fraction 1e-4 of the predicted increase, less
+    a rounding allowance (Boyd & Vandenberghe, 9.2): the cone is open and
+    convex, so a short enough ascent step passes both.  Converged when the
+    projected gradient norm drops below ``1e-10 * ||gradient||_1``, that
+    is, when the gradient is nearly normal to the hyperplane.  Raises
+    :class:`MaxIterations` or :class:`StepIntoInvalidRegion` (each carrying
+    the partial trace) instead of returning an unconverged result, and
+    ``ValueError`` for a bad start, total or k (:class:`NotRealizable` for
+    a start that is not Valid), for a subnormal mean, and past
+    ``MAX_FACES`` k-faces.
 
-    The Gram matrix is linear in the squared lengths, so on the segment
-    from a Valid start to the regular point its smallest eigenvalue never
-    dips below the smaller endpoint value; candidates under half that
-    bound are rejected.  Once the predicted Armijo gain is below float
-    resolution, acceptance asks for a strict decrease of the projected
-    gradient norm instead, which keeps contraction going where values are
-    constant in floats.
-
-    The start's verdict and spectrum come from one ``eigendecompose``
-    call; each candidate's floor is tested with LAPACK ``eigvalsh`` on the
-    Gram matrix its Cholesky screen factored, once every cheaper test has
-    passed.  The tests hold every iterate's verdict and spectrum to an
-    independent reference solver.  The Armijo test carries a rounding
-    allowance of a few machine epsilons (plus the rounding of the
-    hyperplane re-projection), so recorded values are nondecreasing only
-    up to that allowance.
+    The start's verdict comes from one ``eigendecompose`` call; each
+    candidate's verdict is read off LAPACK ``eigvalsh`` on the Gram matrix
+    its Cholesky screen factored, once every cheaper test has passed.  The
+    tests hold every iterate's verdict and spectrum to an independent
+    reference solver.  The rounding allowance is a few machine epsilons
+    (plus the rounding of the hyperplane re-projection), so recorded
+    values are nondecreasing only up to it.
     """
     _check_k_faces(n, objective.k)
     if not (total > 0.0) or not math.isfinite(total):
@@ -426,14 +397,8 @@ def maximize(
     x += (total - x.sum()) / edges  # affine projection onto the hyperplane
     if (x <= 0.0).any():
         raise ValueError("start projects outside the positive orthant")
-    lam = _valid_spectrum(SquaredEdgeLengths(n, x), pd_tol)[1].eigenvalues
-
+    _valid_spectrum(SquaredEdgeLengths(n, x), pd_tol)
     step = 0.1 * total / edges
-    # the segment to the regular point keeps the smallest eigenvalue
-    # above min(start, regular) by concavity, so half of that is a safe
-    # hard floor for the whole search
-    lam_regular = total / (n * (n + 1))
-    lam_floor = 0.5 * min(float(lam[0]), lam_regular)
     evaluated = _raw_value(ws, kind, x)
     if evaluated is None:
         raise NotRealizable("a face of the start collapsed")
@@ -455,10 +420,8 @@ def maximize(
             gradient_steps=gradient_steps,
         )
 
-    grad = None  # set from an accepted candidate whose test computed it
     for _ in range(max_iter):
-        if grad is None:
-            grad, inv = _raw_gradient(ws, x, weight)
+        grad, inv = _raw_gradient(ws, x, weight)
         pg = grad - grad.mean()
         pg_norm = float(np.linalg.norm(pg))
         grad_l1 = float(np.abs(grad).sum())
@@ -468,7 +431,7 @@ def maximize(
 
         # Newton trials first, built as needed; each halves the one before
         newton = _newton_direction(_curvature(ws, kind, inv, weight), pg)
-        del inv  # candidates form their own; near MAX_FACES these take tens of MB
+        del inv  # the line search never reads it; near MAX_FACES it takes tens of MB
         trials = ((pg, step * 0.5**h) for h in range(60))
         if newton is not None:
             trials = chain(((newton, 0.5**h) for h in range(_NEWTON_HALVINGS)), trials)
@@ -484,13 +447,11 @@ def maximize(
                 f=f,
                 predicted=_ARMIJO * alpha * float(pg @ direction),
                 allowance=allowance,
-                pg_norm=pg_norm,
                 pd_tol=pd_tol,
-                lam_floor=lam_floor,
             )
             if reason is None:
                 x = cand
-                f, weight, grad, inv = accepted
+                f, weight = accepted
                 break
             rejections[reason] += 1
             blocked_by_validity |= reason in _VALIDITY_REASONS
@@ -503,5 +464,4 @@ def maximize(
             raise StepIntoInvalidRegion(f"line search exhausted: {why}", trace(False))
         if direction is pg:
             gradient_steps += 1
-            step = alpha * 2.0 if alpha == step else alpha
     raise MaxIterations(f"no convergence within {max_iter} iterations", trace(False))

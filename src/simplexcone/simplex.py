@@ -322,10 +322,18 @@ def embed(ell: SquaredEdgeLengths, *, pd_tol: float = DEFAULT_PD_TOL) -> Simplex
     return SimplexEmbedding(n=ell.n, vertices=low.T.copy())
 
 
-def _split_factorial(n: int) -> tuple[float, int]:
-    """(m, e) with m = n! / 2^e in [0.5, 1], correctly rounded: 171! is no float."""
+def _root_product_over_factorial(w: np.ndarray, n: int, scale: float | np.ndarray = 1.0):
+    """``scale * prod(sqrt w) / n!``, the powers of two summed apart: nothing
+    leaves the float range unless the result does (then it reads 0 or inf,
+    without a warning), and the split is exact, so it changes no bit of an
+    in-range result.  171! is no float; its mantissa is, correctly rounded."""
+    mant, expo = np.frexp(np.sqrt(w))
     f = math.factorial(n)
-    return f / (1 << f.bit_length()), f.bit_length()
+    with np.errstate(over="ignore", under="ignore"):
+        return np.ldexp(
+            scale * (np.prod(mant) / (f / (1 << f.bit_length()))),
+            int(expo.sum()) - f.bit_length(),
+        )
 
 
 def volume(ell: SquaredEdgeLengths, *, pd_tol: float = DEFAULT_PD_TOL) -> float:
@@ -342,13 +350,7 @@ def volume(ell: SquaredEdgeLengths, *, pd_tol: float = DEFAULT_PD_TOL) -> float:
         raise NotRealizable("no Euclidean simplex has these squared edge lengths")
     if verdict is Verdict.DEGENERATE:
         return 0.0
-    # a product of roots, their powers of two summed apart as in dual_gram:
-    # nothing leaves the float range unless the volume does, and the split
-    # is exact, so it changes no bit of an in-range result
-    mant, expo = np.frexp(np.sqrt(dec.eigenvalues))
-    fmant, fexpo = _split_factorial(ell.n)
-    with np.errstate(over="ignore", under="ignore"):
-        vol = float(np.ldexp(np.prod(mant) / fmant, int(expo.sum()) - fexpo))
+    vol = float(_root_product_over_factorial(dec.eigenvalues, ell.n))
     if not 0.0 < vol < math.inf:
         digits = 0.5 * float(np.log10(dec.eigenvalues).sum()) - math.log10(math.factorial(ell.n))
         raise ValueError(f"the volume, about 1e{digits:+.0f}, is outside the float range")

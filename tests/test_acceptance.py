@@ -340,6 +340,8 @@ def test_10_extremal_optimization():
     problems = []
     worst_dev = 0.0
     worst_drop = 0.0
+    iterations = []
+    gradient_steps = 0
     for n in range(2, 6):
         total = float(sc.edge_count(n))
         for k in range(1, n + 1):
@@ -355,6 +357,8 @@ def test_10_extremal_optimization():
                         continue
                     if not trace.converged:
                         problems.append(f"{tag}: not converged")
+                    iterations.append(len(trace.iterates) - 1)
+                    gradient_steps += trace.gradient_steps
                     worst_dev = max(worst_dev, trace.regularity_deviation)
                     if trace.regularity_deviation >= 1e-6:
                         problems.append(f"{tag}: deviation")
@@ -387,7 +391,9 @@ def test_10_extremal_optimization():
         "extremal optimization",
         ok,
         f"560 runs, worst deviation {worst_dev:.3e}, worst drop {worst_drop:.3e}, "
-        f"dominance failures {dominance_failures}"
+        f"dominance failures {dominance_failures}, iterations median "
+        f"{np.median(iterations):g} max {max(iterations, default=0)}, "
+        f"gradient fallbacks {gradient_steps}"
         + ("; " + "; ".join(problems[:3]) if problems else ""),
     )
 

@@ -246,6 +246,19 @@ def test_probe_with_an_endpoint_that_is_not_valid_exits_2(capsys):
         assert report["results"] == {"error": "first endpoint is not Valid"}
 
 
+def test_probe_at_zero_tolerance_exits_1_without_a_traceback(capsys):
+    # the first endpoint is Valid at tolerance 0 only by rounding, and its
+    # segment reads singular at t = 0; that is an error, not a crash
+    first = '{"dimension":5,"squared_lengths":[62,14,38,14,33,62,38,74,21,14,8,25,18,17,29]}'
+    second = '{"dimension":5,"squared_lengths":[124,28,76,28,66,124,76,148,42,28,16,50,36,34,58]}'
+    argv = ["probe", first, second, "--mode", "log", "--tolerance", "0"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: segment point t=0.0")
+    assert "Traceback" not in captured.err
+
+
 def test_probe_samples_bounded_at_parse_time(capsys):
     # rejected by the parser, so no sample stack is ever allocated
     second = '{"dimension": 2, "squared_lengths": [2, 2, 2]}'

@@ -17,6 +17,7 @@ from simplexcone import (
     Objective,
     ObjectiveKind,
     SquaredEdgeLengths,
+    Verdict,
     edge_count,
     edge_index,
     edge_pairs,
@@ -32,7 +33,7 @@ from simplexcone import (
     volume,
 )
 
-from oracles import jacobi_eigendecompose
+from oracles import jacobi_eigendecompose, verdict_of
 
 LOGPROD = ObjectiveKind.LOG_PRODUCT_FACES
 SUMROOT = ObjectiveKind.SUM_ROOT_FACES
@@ -609,8 +610,8 @@ def test_maximize_makes_one_eigendecompose_call(eigendecompose_calls):
 # ---------------------------------------------------------------------------
 # line-search rejections
 
-# a flat 5-simplex start whose smallest Gram eigenvalue is near the
-# search's floor, so the run tests that every iterate stays above it
+# a flat 5-simplex start: its smallest Gram eigenvalue is about 1e-3 of
+# its largest, so the run tests that the search keeps every iterate Valid
 PINNED_START = np.array(
     [
         0.32621828840753775, 0.6507299220868897, 0.650611644749195,
@@ -645,9 +646,7 @@ def test_rejections_add_up_to_the_halvings(monkeypatch):
         "cholesky_screen",
         "face_collapse",
         "armijo",
-        "value_drop",
-        "no_contraction",
-        "eigenvalue_floor",
+        "not_valid",
     }
     accepted = len(trace.iterates) - 1
     halvings = len(screens) + rejections["non_positive"] - accepted
@@ -655,24 +654,49 @@ def test_rejections_add_up_to_the_halvings(monkeypatch):
     assert trace.gradient_steps > 0
 
 
-def test_pinned_start_stays_above_the_eigenvalue_floor():
-    # the floor is half the smaller of the start's and the regular
-    # point's smallest Gram eigenvalue.  Jacobi checks every iterate of
-    # the run from the pinned start, with a 1% allowance for the two
-    # solvers' disagreement near the floor
+def test_pinned_start_iterates_are_valid_under_the_oracle():
+    # the search's one domain rule is the library's Valid verdict; Jacobi
+    # and the verdict rule restated in the oracle must agree on every
+    # iterate of the run from the flat pinned start
     n, total = 5, 15.0
-    start = PINNED_START + (total - PINNED_START.sum()) / edge_count(n)
-
-    def smallest(s):
-        gram = gram_from_squared_lengths(SquaredEdgeLengths(n, s))
-        return float(jacobi_eigendecompose(gram).eigenvalues[0])
-
-    floor = 0.5 * min(smallest(start), total / (n * (n + 1)))
     trace = maximize(n, total, Objective(LOGPROD, 1), start=PINNED_START)
     assert trace.converged
     assert trace.regularity_deviation < 1e-6
-    lowest = min(smallest(point) for point, _, _ in trace.iterates)
-    assert lowest >= 0.99 * floor
+    for point, _, _ in trace.iterates:
+        gram = gram_from_squared_lengths(SquaredEdgeLengths(n, point))
+        lam = jacobi_eigendecompose(gram).eigenvalues
+        assert verdict_of(lam[0], float(np.abs(lam).max())) is Verdict.VALID, lam
+
+
+def test_candidate_tying_at_float_resolution_is_accepted():
+    # near the maximum the value ties to rounding and the projected gradient
+    # need not shrink; the one Armijo test with its rounding allowance still
+    # accepts such a step
+    n, k, total = 4, 2, 10.0
+    start = random_simplex(n, np.random.default_rng(3), total=total)
+    x = np.array(maximize(n, total, Objective(LOGPROD, k), start=start).final.s)
+    ws = extremal_module._workspace(n, k)
+    f, weight = extremal_module._raw_value(ws, LOGPROD, x)
+    grad = extremal_module._raw_gradient(ws, x, weight)[0]
+    pg = grad - grad.mean()
+    cand = x + 2.0**-10 * pg
+    cand += (total - cand.sum()) / cand.size
+    cand_value, cand_weight = extremal_module._raw_value(ws, LOGPROD, cand)
+    cand_grad = extremal_module._raw_gradient(ws, cand, cand_weight)[0]
+    allowance = 4.0 * np.finfo(float).eps * (1.0 + abs(f))
+    assert abs(cand_value - f) <= allowance
+    assert np.linalg.norm(cand_grad - cand_grad.mean()) >= np.linalg.norm(pg)
+    reason, accepted = extremal_module._judge_candidate(
+        ws,
+        LOGPROD,
+        cand,
+        f=f,
+        predicted=extremal_module._ARMIJO * 2.0**-10 * float(pg @ pg),
+        allowance=allowance,
+        pd_tol=DEFAULT_PD_TOL,
+    )
+    assert reason is None
+    assert accepted[0] == cand_value
 
 
 def test_regular_start_records_no_rejections():
