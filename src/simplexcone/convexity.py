@@ -9,23 +9,16 @@ exhibits two tetrahedra whose *plain* edge-length sum is unrealizable
 while their *squared*-length sum stays realizable -- lengths do not form
 a convex set, squared lengths do.
 
-The probe functions sample volume along a segment between two Valid
-instances and report concavity margins of ``log volume`` (any face) and
-of ``volume^(1/n)``, together with the analytic second derivative along
-the segment, which is the authoritative check: since the Gram matrix is
-linear in the squared lengths, the analytic value is available in
-closed form at every sample.
-
-The two endpoints are certified by the verdict of :func:`validate`.
-The sample points are then factored together, values only: their Gram
-matrices form one ``(samples, k, k)`` stack that goes through a single
-LAPACK ``eigvalsh`` call (plus one on the full-simplex stack when the
-probed face is proper), with the same PD test applied row by row.  The
-derivatives need no per-sample basis: one Cholesky factor of the mean
-of the two endpoint Gram matrices, each scaled to unit size, whitens the
-segment's constant direction, and one k x k ``eigvalsh`` of the result
-gives them at every sample.  The tests hold this path to an independent
-reference solver sample by sample.
+The probe functions sample log volume (any face) or ``volume^(1/n)``
+along a segment between two Valid instances and report their discrete
+concavity margins, together with the analytic second derivative along
+the segment.  The Gram matrix is linear in the squared lengths, so both
+come in closed form: the endpoints' verdict (:func:`validate`) certifies
+the whole segment, and one k x k whitened spectrum gives the face's log
+det and its first two derivatives at every sample
+(:func:`_whitened_derivatives`).  The discrete margins therefore measure
+a closed form rather than an independent factorization; the tests hold
+it to each sample's own eigendecomposition and to a reference solver.
 """
 
 from __future__ import annotations
@@ -35,13 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (
-    DEFAULT_PD_TOL,
-    NotPositiveDefinite,
-    _cholesky_factor,
-    _logdet_derivatives,
-    _positive_definite,
-)
+from .linalg import DEFAULT_PD_TOL, NotPositiveDefinite, _logdet_derivatives
 from .simplex import (
     NotRealizable,
     SquaredEdgeLengths,
@@ -120,7 +107,7 @@ def _nontri_piece(epsilon: float) -> SquaredEdgeLengths:
     """The unit triangle with its apex at distance 1/2 + epsilon."""
     if not (epsilon > 0.0) or not math.isfinite(epsilon):
         raise ValueError("epsilon must be positive")
-    apex = (0.5 + epsilon) ** 2
+    apex = (0.5 + epsilon) * (0.5 + epsilon)  # inf past the float range; ** would raise
     return SquaredEdgeLengths(3, np.array([apex, apex, apex, 1.0, 1.0, 1.0]))
 
 
@@ -218,81 +205,62 @@ def _segment_logdet(
     """Face dimension k, and log det of the face Gram matrix with its first
     two derivatives along the segment, at ``samples`` equally spaced points.
 
-    The endpoints are certified by their verdict
-    (:class:`NotRealizable` when one is not Valid); every sample point is
-    then factored at once, values only, as one ``(samples, k, k)`` stack,
-    and a sample that fails the PD test raises :class:`NotPositiveDefinite`.
-    Along the segment the face Gram matrix moves by the constant
-    ``delta = G2 - G1``, so one k x k whitening gives both derivatives at
-    every sample (:func:`_whitened_derivatives`).
+    The endpoints are certified by their verdict (:class:`NotRealizable`
+    when one is not Valid), and that certifies every sample: the Gram
+    matrix at t is (1 - t) G1 + t G2, and lambda_min - pd_tol * lambda_max
+    is concave on symmetric matrices, so it stays positive between two
+    Valid endpoints; every face of a Valid sample has a positive definite
+    Gram matrix.  The face Gram matrix moves by the constant G2 - G1, so
+    one k x k whitening gives the values and both derivatives at every
+    sample (:func:`_whitened_derivatives`).
     """
     if first.n != second.n:
         raise ValueError("dimension mismatch")
     if samples < 3:
         raise ValueError("need at least 3 samples")
-    n = first.n
-    k, idx = _face_edges(n, face)
+    k, idx = _face_edges(first.n, face)
     for name, ell in (("first", first), ("second", second)):
         if _spectrum(ell, pd_tol)[2] is not Verdict.VALID:
             raise NotRealizable(f"{name} endpoint is not Valid")
-    ts = np.linspace(0.0, 1.0, samples)
-    rows = (1.0 - ts)[:, None] * first.s + ts[:, None] * second.s
-
-    def first_failure(w: np.ndarray) -> float | None:
-        bad = np.flatnonzero(~_positive_definite(w, pd_tol))
-        return float(ts[bad[0]]) if bad.size else None
-
-    # the cone is convex, so only rounding moves a sample out of it: at a
-    # tolerance near 0 an endpoint that is Valid by a hair may read singular
-    left_cone = "segment point t={} is not positive definite to working precision"
-    if k != n:
-        # a proper face's factorization cannot certify the full simplices,
-        # so their segment is checked as well
-        t = first_failure(np.linalg.eigvalsh(_gram_stack(n, rows)))
-        if t is not None:
-            raise NotPositiveDefinite(left_cone.format(t))
-    grams = _gram_stack(k, rows[:, idx])
-    w = np.linalg.eigvalsh(grams)
-    t = first_failure(w)
-    if t is not None:
-        raise NotPositiveDefinite(
-            f"face volume vanished at t={t}" if k != n else left_cone.format(t)
-        )
-    # rows[0] and rows[-1] are the endpoints exactly: ts runs from 0.0 to 1.0
-    return k, np.log(w).sum(axis=1), *_whitened_derivatives(grams[0], grams[-1], ts)
+    g1, g2 = _gram_stack(k, np.stack((first.s[idx], second.s[idx])))
+    return k, *_whitened_derivatives(g1, g2, np.linspace(0.0, 1.0, samples))
 
 
 def _whitened_derivatives(g1: np.ndarray, g2: np.ndarray, ts: np.ndarray):
-    """First and second derivative of t -> log det((1 - t) G1 + t G2) at each
-    of ``ts``, from one k x k decomposition.
+    """Value, first and second derivative of t -> log det((1 - t) G1 + t G2)
+    at each of ``ts``, from one k x k decomposition.
 
     Write G1 = 2^e1 A and G2 = 2^e2 B with A, B of unit size (an exact
-    rescale), and whiten their midpoint (A + B) / 2 = L L^T: with
-    L^-1 (B - A) L^-T = Q diag(mu) Q^T, whitened A and B are Q diag(a) Q^T
-    and Q diag(b) Q^T for a = 1 - mu/2 and b = 1 + mu/2, both in [0, 2].
-    Up to the constant 2^max(e1, e2), the matrix at t is L Q diag(w_t) Q^T
-    L^T with w_t = (1 - t) p a + t q b, and it moves along L Q diag(q b - p a)
-    Q^T L^T, where p = 2^(e1 - max) and q = 2^(e2 - max).  Each w_t is a sum
-    of two nonnegative terms, so a sample far smaller than G1 + G2 (at an
-    endpoint 1e17 times smaller than the other) keeps its digits, and the
-    result is the same bits when G1 and G2 are scaled by a common power of
-    two.  A segment singular to working precision raises
-    :class:`NotPositiveDefinite`.
+    rescale), and whiten their midpoint M = (A + B) / 2 = V diag(m) V^T
+    with L = V diag(m)^(1/2): with L^-1 (B - A) L^-T = Q diag(mu) Q^T,
+    whitened A and B are Q diag(a) Q^T and Q diag(b) Q^T for a = 1 - mu/2
+    and b = 1 + mu/2, both in [0, 2].  Up to the constant 2^max(e1, e2),
+    the matrix at t is L Q diag(w_t) Q^T L^T with w_t = (1 - t) p a + t q b,
+    and it moves along L Q diag(q b - p a) Q^T L^T, where p = 2^(e1 - max)
+    and q = 2^(e2 - max).  So log det is k max(e1, e2) ln 2 + log det M +
+    sum_i log w_t,i.  Each w_t is a sum of two nonnegative terms, so a
+    sample far smaller than G1 + G2 (at an endpoint 1e17 times smaller
+    than the other) keeps its digits, and the derivatives are the same
+    bits when G1 and G2 are scaled by a common power of two.  A segment
+    singular to working precision raises :class:`NotPositiveDefinite`.
     """
     e1, e2 = (math.frexp(float(np.abs(g).max()))[1] for g in (g1, g2))
     unit1, unit2 = np.ldexp(g1, -e1), np.ldexp(g2, -e2)
-    low, ok, bad = _cholesky_factor(0.5 * unit1 + 0.5 * unit2)
-    if not ok:
-        raise NotPositiveDefinite(f"segment midpoint: pivot {bad} is not positive", pivot=bad)
-    half = np.linalg.solve(low, unit2 - unit1)  # L^-1 (B - A)
-    mu = np.linalg.eigvalsh(np.linalg.solve(low, half.T))
+    m, v = np.linalg.eigh(0.5 * unit1 + 0.5 * unit2)
+    if not m[0] > 0.0:
+        raise NotPositiveDefinite(
+            f"segment midpoint: smallest unit-scale eigenvalue {m[0]:.3g} is not positive"
+        )
+    root = v / np.sqrt(m)  # L^-T
+    mu = np.linalg.eigvalsh(root.T @ (unit2 - unit1) @ root)
     top = max(e1, e2)
     a = math.ldexp(1.0, e1 - top) * (1.0 - 0.5 * mu)
     b = math.ldexp(1.0, e2 - top) * (1.0 + 0.5 * mu)
     if not (np.minimum(a, b) > 0.0).all():
         raise NotPositiveDefinite("a segment endpoint is singular to working precision")
     w = (1.0 - ts)[:, None] * a + ts[:, None] * b
-    return _logdet_derivatives(w, np.eye(mu.size), np.diag(b - a))
+    logdet = (mu.size * top * math.log(2.0) + np.log(m).sum()) + np.log(w).sum(axis=1)
+    return logdet, *_logdet_derivatives(w, np.eye(mu.size), np.diag(b - a))
 
 
 #: entries of one block of midpoint defects in :func:`_discrete_margins`

@@ -246,17 +246,20 @@ def test_probe_with_an_endpoint_that_is_not_valid_exits_2(capsys):
         assert report["results"] == {"error": "first endpoint is not Valid"}
 
 
-def test_probe_at_zero_tolerance_exits_1_without_a_traceback(capsys):
-    # the first endpoint is Valid at tolerance 0 only by rounding, and its
-    # segment reads singular at t = 0; that is an error, not a crash
+def test_probe_at_zero_tolerance_exits_0_like_validate(capsys):
+    # both endpoints are Valid at tolerance 0 only by rounding; validate
+    # says Valid, and the probe that their verdict certifies passes
     first = '{"dimension":5,"squared_lengths":[62,14,38,14,33,62,38,74,21,14,8,25,18,17,29]}'
     second = '{"dimension":5,"squared_lengths":[124,28,76,28,66,124,76,148,42,28,16,50,36,34,58]}'
-    argv = ["probe", first, second, "--mode", "log", "--tolerance", "0"]
-    assert main(argv) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: segment point t=0.0")
-    assert "Traceback" not in captured.err
+    for instance in (first, second):
+        code, report = run_json(capsys, ["validate", instance, "--tolerance", "0"])
+        assert code == 0
+        assert report["results"]["verdict"] == "valid"
+    for mode in ("log", "root"):
+        argv = ["probe", first, second, "--mode", mode, "--tolerance", "0"]
+        code, report = run_json(capsys, argv)
+        assert code == 0, mode
+        assert report["results"]["passed"] is True, mode
 
 
 def test_probe_samples_bounded_at_parse_time(capsys):
@@ -465,12 +468,15 @@ UNIT_171 = json.dumps({"dimension": 171, "squared_lengths": [1.0] * (171 * 172 /
         (["volume", TETRA_1E_300, "--face", "0,1,2,3"], "outside the float range"),
         (["volume", UNIT_171], "outside the float range"),
         (["dual", UNIT_171], "outside the float range"),
+        (["counterexample", "nontri", "--epsilon", "1e300"], "positive finite"),
+        (["counterexample", "frankel", "--epsilon", "1e300"], "positive finite"),
     ],
 )
 def test_finite_input_at_float_extremes_exits_1(capsys, argv, fragment):
     # every entry is a positive finite float, but the volume (about 1e450
-    # or 1e-451) or the Gram entry s(0,1) + s(0,2) is not: a message, not a
-    # traceback, and never the Degenerate answer 0
+    # or 1e-451), the Gram entry s(0,1) + s(0,2) or a squared length built
+    # from epsilon is not: a message, not a traceback, and never the
+    # Degenerate answer 0
     _assert_usage_error(capsys, argv, fragment)
 
 

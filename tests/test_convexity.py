@@ -265,34 +265,34 @@ def test_probe_between_endpoints_far_apart_in_scale():
 
 def test_whitening_refuses_segments_singular_to_working_precision():
     ts = np.linspace(0.0, 1.0, 5)
-    # rank one, and its Cholesky pivots at unit size, 0.75^2 and 0, are exact
-    flat = np.array([[9.0, 3.0], [3.0, 1.0]])
-    with pytest.raises(NotPositiveDefinite, match="pivot 1") as info:
-        _whitened_derivatives(flat, flat, ts)
-    assert info.value.pivot == 1
+    # a singular and an indefinite midpoint, their unit-scale spectra exact:
+    # the message names the smallest eigenvalue, and no pivot is involved
+    for g, smallest in ((np.diag([4.0, 0.0]), "0"), (np.diag([1.0, -1.0]), "-0.5")):
+        with pytest.raises(NotPositiveDefinite, match=f"eigenvalue {smallest} is") as info:
+            _whitened_derivatives(g, g, ts)
+        assert info.value.pivot == -1
     # the midpoint of 2I and 0 is PD, but the second endpoint is singular
     with pytest.raises(NotPositiveDefinite, match="singular to working precision"):
         _whitened_derivatives(2.0 * np.eye(2), np.zeros((2, 2)), ts)
 
 
-#: Valid at tolerance 0 only by rounding: its smallest Gram eigenvalue is
-#: about 2e-15, where the batched eigvalsh of the segment reads it singular
+#: Valid at tolerance 0 only by rounding: integer points in a hyperplane,
+#: whose smallest Gram eigenvalue reads about 2e-15 instead of 0
 ROUNDING_VALID = SquaredEdgeLengths(
     5, np.array([62, 14, 38, 14, 33, 62, 38, 74, 21, 14, 8, 25, 18, 17, 29], dtype=float)
 )
 
 
-def test_probe_at_zero_tolerance_raises_not_positive_definite():
-    first = ROUNDING_VALID
-    second = SquaredEdgeLengths(5, 2.0 * first.s)
-    assert validate(first, pd_tol=0.0).verdict is Verdict.VALID
-    for probe in (
-        lambda: probe_log_concavity(first, second, pd_tol=0.0),
-        lambda: probe_log_concavity(first, second, (0, 1, 2), pd_tol=0.0),
-        lambda: probe_root_concavity(first, second, pd_tol=0.0),
-    ):
-        with pytest.raises(NotPositiveDefinite, match=r"t=0\.0"):
-            probe()
+def test_probe_at_zero_tolerance_agrees_with_validate():
+    # the endpoints' verdict certifies the segment, so a probe between
+    # instances validate calls Valid passes, however thin their margin
+    once = ROUNDING_VALID
+    twice = SquaredEdgeLengths(5, 2.0 * once.s)
+    for first, second in ((once, twice), (twice, once)):
+        assert validate(first, pd_tol=0.0).verdict is Verdict.VALID
+        assert probe_log_concavity(first, second, pd_tol=0.0).passed
+        assert probe_log_concavity(first, second, (0, 1, 2), pd_tol=0.0).passed
+        assert probe_root_concavity(first, second, pd_tol=0.0).passed
 
 
 def test_probe_errors():
@@ -432,8 +432,8 @@ def test_discrete_margins_equal_brute_force(m):
 
 
 def test_facet_probe_makes_no_per_sample_eigendecompose_calls(eigendecompose_calls):
-    # the endpoints are certified by validate; every sample point goes
-    # through one stacked LAPACK call, never through eigendecompose
+    # the endpoints are certified by validate, one eigendecompose each;
+    # the samples take no factorization of their own
     assert not hasattr(convexity_module, "eigendecompose")
     rng = np.random.default_rng(8)
     first = random_simplex(8, rng)
@@ -446,8 +446,9 @@ def test_facet_probe_makes_no_per_sample_eigendecompose_calls(eigendecompose_cal
 
 @pytest.mark.parametrize("samples", [33, 1001])
 def test_probe_derivatives_take_one_small_eigendecomposition(monkeypatch, samples):
-    # the sample stacks go through eigvalsh (values only), the derivatives
-    # through one k x k whitened spectrum, the endpoints through their verdict
+    # the endpoints go through their verdict, and the values and both
+    # derivatives at every sample through one k x k whitening: O(k^3 +
+    # samples k), and no array with a samples axis reaches LAPACK
     rng = np.random.default_rng(8)
     first = random_simplex(8, rng)
     second = random_simplex(8, rng)
@@ -462,5 +463,5 @@ def test_probe_derivatives_take_one_small_eigendecomposition(monkeypatch, sample
         monkeypatch.setattr(np.linalg, name, recording)
     report = probe_log_concavity(first, second, face=range(8), samples=samples)
     assert report.passed
-    assert shapes["eigh"] == [(8, 8), (8, 8)]
-    assert shapes["eigvalsh"] == [(samples, 8, 8), (samples, 7, 7), (7, 7)]
+    assert shapes["eigh"] == [(8, 8), (8, 8), (7, 7)]
+    assert shapes["eigvalsh"] == [(7, 7)]

@@ -1,7 +1,8 @@
 """Property tests: verdicts under exact rescaling and relabeling, the
 agreement of validate, embed and volume, validate and the Cholesky
-kernel against independent oracles, and a probe's whitened log-det
-derivatives against the per-sample formula.
+kernel against independent oracles, and a probe's whitened log det and
+its derivatives against the per-sample formula, with the paper's
+concavity along every such segment.
 
 The first three draw instances clear of the PD band, so that no verdict
 depends on rounding: Valid ones from random points with condition number
@@ -26,6 +27,7 @@ from simplexcone import (
     embed,
     gram_from_squared_lengths,
     probe_log_concavity,
+    probe_root_concavity,
     relabel,
     validate,
     volume,
@@ -257,20 +259,25 @@ def test_whitened_derivatives_match_the_per_sample_formula(case):
     n, samples = first.n, 33
     full = tuple(range(n + 1))
     scaled = [SquaredEdgeLengths(n, np.ldexp(e.s, 2 * j)) for e in (first, second)]
-    _, _, d1, d2 = _segment_logdet(*scaled, full, samples, DEFAULT_PD_TOL)
-    # the reference: every sample's own eigendecomposition, as probes once did
+    _, logdet, d1, d2 = _segment_logdet(*scaled, full, samples, DEFAULT_PD_TOL)
+    # an independent reference: every sample's own eigendecomposition
     ts = np.linspace(0.0, 1.0, samples)
     rows = (1.0 - ts)[:, None] * scaled[0].s + ts[:, None] * scaled[1].s
     w, basis = np.linalg.eigh([gram_from_squared_lengths(SquaredEdgeLengths(n, r)) for r in rows])
     delta = gram_from_squared_lengths(scaled[1]) - gram_from_squared_lengths(scaled[0])
     # both formulas are accurate to about eps * cond(G) relative
     cond_factor = np.maximum(1.0, w[:, -1] / w[:, 0] / 100.0)
-    for got, ref in zip((d1, d2), _logdet_derivatives(w, basis, delta)):
+    references = (np.log(w).sum(axis=1), *_logdet_derivatives(w, basis, delta))
+    for got, ref in zip((logdet, d1, d2), references):
         assert (np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)) * cond_factor).all()
     # whitening removes the scale exactly: the same bits at every 4^j
     _, _, u1, u2 = _segment_logdet(first, second, full, samples, DEFAULT_PD_TOL)
     assert np.array_equal(d1, u1) and np.array_equal(d2, u2)
+    log_report = probe_log_concavity(*scaled)
     assert (
-        probe_log_concavity(*scaled).max_analytic_second_derivative
+        log_report.max_analytic_second_derivative
         == probe_log_concavity(first, second).max_analytic_second_derivative
     )
+    # the paper's concavity: log volume and volume^(1/n) along the segment
+    assert log_report.passed
+    assert probe_root_concavity(*scaled).passed
