@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_PD_TOL, NotPositiveDefinite, _logdet_derivatives
+from .linalg import DEFAULT_PD_TOL, NotPositiveDefinite
 from .simplex import (
     NotRealizable,
     SquaredEdgeLengths,
@@ -238,10 +238,11 @@ def _whitened_derivatives(g1: np.ndarray, g2: np.ndarray, ts: np.ndarray):
     the matrix at t is L Q diag(w_t) Q^T L^T with w_t = (1 - t) p a + t q b,
     and it moves along L Q diag(q b - p a) Q^T L^T, where p = 2^(e1 - max)
     and q = 2^(e2 - max).  So log det is k max(e1, e2) ln 2 + log det M +
-    sum_i log w_t,i.  Each w_t is a sum of two nonnegative terms, so a
-    sample far smaller than G1 + G2 (at an endpoint 1e17 times smaller
-    than the other) keeps its digits, and the derivatives are the same
-    bits when G1 and G2 are scaled by a common power of two.  A segment
+    sum_i log w_t,i, and with x = (q b - p a) / w_t its derivatives are
+    sum_i x_i and -sum_i x_i^2.  Each w_t is a sum of two nonnegative
+    terms, so a sample far smaller than G1 + G2 (at an endpoint 1e17 times
+    smaller than the other) keeps its digits, and the derivatives are the
+    same bits when G1 and G2 are scaled by a common power of two.  A segment
     singular to working precision raises :class:`NotPositiveDefinite`.
     """
     e1, e2 = (math.frexp(float(np.abs(g).max()))[1] for g in (g1, g2))
@@ -260,7 +261,8 @@ def _whitened_derivatives(g1: np.ndarray, g2: np.ndarray, ts: np.ndarray):
         raise NotPositiveDefinite("a segment endpoint is singular to working precision")
     w = (1.0 - ts)[:, None] * a + ts[:, None] * b
     logdet = (mu.size * top * math.log(2.0) + np.log(m).sum()) + np.log(w).sum(axis=1)
-    return logdet, *_logdet_derivatives(w, np.eye(mu.size), np.diag(b - a))
+    x = (b - a) / w
+    return logdet, x.sum(axis=1), -(x * x).sum(axis=1)
 
 
 #: entries of one block of midpoint defects in :func:`_discrete_margins`

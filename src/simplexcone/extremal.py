@@ -9,14 +9,16 @@ hyperplane ``{sum of squared lengths = total}`` that lets the claim be
 checked numerically from random starting points.
 
 The derivatives are cheap because the Gram matrix G of a face is linear
-in the squared lengths: with adj the adjoint of that map
-(``simplex._gram_adjoint``) and L the face's bordered inverse Gram,
+in the squared lengths: with L the face's bordered inverse Gram
+(Fiedler, Matrices and Graphs in Geometry),
 
-    grad log vol = (1/2) adj(G^-1) = -(1/2) offdiag L
+    grad log vol = -(1/2) offdiag L
     hess log vol = -(1/2) T,   T[ab, cd] = (L_ac L_bd + L_ad L_bc) / 2
 
 where offdiag lists the strict upper triangle in edge order and ab, cd
-are edges of the face.
+are edges of the face.  So one bordered inverse per iterate serves both:
+the face Grams whose determinants gave the value are inverted and
+bordered once, and the gradient and the Hessian blocks read that L.
 
 Scaling s by 4^m adds k m ln 2 to each face's log volume and multiplies
 each k-th root by 2^m, so every entry point computes at unit mean, on s
@@ -41,7 +43,6 @@ from .simplex import (
     _check_k_faces,
     _edge_table,
     _frozen,
-    _gram_adjoint,
     _gram_index,
     _gram_stack,
     _pairs,
@@ -148,12 +149,9 @@ class OptimizationTrace:
 
 class _FaceWorkspace:
     """Index maps of the k-faces of an n-simplex: ``edges`` lists each face's
-    edges in its own edge order, ``apex``/``pair`` compose it with the face
-    Gram's, and ``scatter`` is ``edges`` read in ``order``, every face's apex
-    edges (first k columns) before any pair edge.  The gradient sums in that
-    order, which a test pins bit for bit, so every iterate keeps its bits.
-    For the Hessian, ``frame`` borders a face inverse into
-    L = frame G^-1 frame^T, then ``gather`` reads L."""
+    edges in its own edge order, the order of offdiag L, and ``apex``/``pair``
+    compose it with the face Gram's.  ``frame`` borders a face inverse into
+    L = frame G^-1 frame^T, which the gradient and the Hessian both read."""
 
     def __init__(self, n: int, k: int):
         self.n = n
@@ -165,22 +163,12 @@ class _FaceWorkspace:
         # take() keeps them C-contiguous, which the per-step gathers need
         self.apex = self.edges.take(apex, axis=1)
         self.pair = self.edges.take(pair, axis=1)
-        slots = np.arange(self.edges.size).reshape(self.edges.shape)
-        self.order = np.concatenate((slots[:, :k].ravel(), slots[:, k:].ravel()))
-        self.scatter = self.edges.ravel()[self.order]
         self.frame = np.vstack((-np.ones(k), np.eye(k)))
         self.log_kfact = math.log(math.factorial(k))
         try:
             self.kfact_root = math.factorial(k) ** (1.0 / k)
         except OverflowError:  # k! is no float from k = 171 on; its root still is
             self.kfact_root = math.exp(self.log_kfact / k)
-
-    @functools.cached_property
-    def gather(self) -> np.ndarray:
-        """Flat positions in L of L_ac, L_bd, L_ad and L_bc (edges ab, cd), 4 e^2
-        entries: built on first use, since objectives and gradients never read it."""
-        (a, b), k1 = _pairs(self.k + 1)[:, :, None], self.k + 1  # L[r, c] is at r k1 + c
-        return np.stack((a * k1 + a.T, b * k1 + b.T, a * k1 + b.T, b * k1 + a.T))
 
 
 _workspace = functools.cache(_FaceWorkspace)  # one per (n, k)
@@ -203,43 +191,50 @@ def _unit_mean(ws: _FaceWorkspace, kind: ObjectiveKind, mean: float) -> tuple[in
 
 
 def _raw_value(ws: _FaceWorkspace, kind: ObjectiveKind, s: np.ndarray) -> tuple | None:
-    """Objective value and face weights (half its derivative in each face's
-    log volume: 1/2, or root / (2k) for sumroot), or None if a face collapses."""
-    dets = np.linalg.det(_polarize(s[ws.apex], s[ws.pair]))
+    """Objective value, face weights (half its derivative in each face's log
+    volume: 1/2, or root / (2k) for sumroot) and the face Grams they were
+    read from, or None if a face collapses."""
+    grams = _polarize(s[ws.apex], s[ws.pair])
+    dets = np.linalg.det(grams)
     if not np.isfinite(dets).all() or (dets <= 0.0).any():
         return None
     if kind is ObjectiveKind.LOG_PRODUCT_FACES:
-        return float(0.5 * np.log(dets).sum() - len(ws.faces) * ws.log_kfact), 0.5
+        return float(0.5 * np.log(dets).sum() - len(ws.faces) * ws.log_kfact), 0.5, grams
     roots = dets ** (0.5 / ws.k) / ws.kfact_root
-    return float(roots.sum()), 0.5 * (roots / ws.k)[:, None]
+    return float(roots.sum()), 0.5 * (roots / ws.k)[:, None], grams
 
 
-def _raw_gradient(ws: _FaceWorkspace, s: np.ndarray, weight) -> tuple:
-    """Gradient from the face weights of :func:`_raw_value`, as
-    d(log vol)/ds = adj(G^-1) / 2 summed over the faces, and the face
-    inverses G^-1, which the Hessian reuses."""
-    inv = np.linalg.inv(_polarize(s[ws.apex], s[ws.pair]))
-    terms = (_gram_adjoint(inv) * weight).ravel()[ws.order]
-    return np.bincount(ws.scatter, weights=terms, minlength=edge_count(ws.n)), inv
+def _raw_gradient(ws: _FaceWorkspace, grams: np.ndarray, weight) -> tuple:
+    """Gradient from the face Grams and weights of :func:`_raw_value`, as
+    d(log vol)/ds = -offdiag L / 2 summed over the faces, and the bordered
+    inverses L, which the Hessian reuses."""
+    iu, ju = _pairs(ws.k + 1)
+    bordered = ws.frame @ np.linalg.inv(grams) @ ws.frame.T  # L
+    terms = -(bordered[:, iu, ju] * weight).ravel()
+    return np.bincount(ws.edges.ravel(), terms, minlength=edge_count(ws.n)), bordered
 
 
-def _curvature(ws: _FaceWorkspace, kind: ObjectiveKind, inv: np.ndarray, weight) -> np.ndarray:
-    """N = -H from the face inverses of :func:`_raw_gradient`.  Each face adds
-    weight * T, less weight * a a^T / (2k) with a = adj(G^-1) = -offdiag L
-    for sumroot, whose weight is itself a function of the face's log volume.
+def _curvature(
+    ws: _FaceWorkspace, kind: ObjectiveKind, bordered: np.ndarray, weight
+) -> np.ndarray:
+    """N = -H from the bordered inverses L of :func:`_raw_gradient`.  Each face
+    adds weight * T, less weight * a a^T / (2k) with a = -offdiag L for
+    sumroot, whose weight is itself a function of the face's log volume.
     The face blocks are scattered a chunk of faces at a time; at k = 1 each
     face is one edge, so N is diagonal and only its diagonal is formed."""
     k, edges = ws.k, edge_count(ws.n)
+    iu, ju = _pairs(k + 1)
+    a, b = iu[:, None], ju[:, None]  # edge ab down the rows, cd = (a.T, b.T) across
     neg = np.zeros(edges if k == 1 else edges * edges)
-    rows = max(1, _BLOCK_FLOATS // ws.gather[0].size)
+    rows = max(1, _BLOCK_FLOATS // iu.size**2)
     for lo in range(0, len(ws.faces), rows):
         part = slice(lo, lo + rows)
-        bordered = ws.frame @ inv[part] @ ws.frame.T  # L
-        ac, bd, ad, bc = np.moveaxis(bordered.reshape(len(bordered), -1)[:, ws.gather], 1, 0)
+        face = bordered[part]
+        ac, bd, ad, bc = face[:, a, a.T], face[:, b, b.T], face[:, a, b.T], face[:, b, a.T]
         blocks = 0.5 * (ac * bd + ad * bc)
         if kind is ObjectiveKind.SUM_ROOT_FACES:
-            a = np.diagonal(ad, axis1=1, axis2=2)  # L_ab of each edge ab
-            blocks -= a[:, :, None] * a[:, None, :] / (2 * k)
+            l_ab = face[:, iu, ju]
+            blocks -= l_ab[:, :, None] * l_ab[:, None, :] / (2 * k)
         blocks *= weight[part, :, None] if kind is ObjectiveKind.SUM_ROOT_FACES else weight
         e = ws.edges[part]
         index = e if k == 1 else e[:, :, None] * edges + e[:, None, :]
@@ -262,8 +257,9 @@ def _newton_direction(neg: np.ndarray, pg: np.ndarray) -> np.ndarray | None:
 
 
 def _evaluate(ell: SquaredEdgeLengths, objective: Objective, pd_tol: float):
-    """The objective value, and what its gradient needs: the workspace,
-    s / 4^m, its face weights and the factor that maps the gradient back."""
+    """The objective value, and what its gradient needs: the workspace, the
+    face weights and Grams of s / 4^m and the factor that maps the gradient
+    back."""
     _check_k_faces(ell.n, objective.k)
     ws = _workspace(ell.n, objective.k)
     # the mean of the quotients: the plain sum can overflow near the float maximum
@@ -273,7 +269,7 @@ def _evaluate(ell: SquaredEdgeLengths, objective: Objective, pd_tol: float):
     evaluated = _raw_value(ws, objective.kind, s)
     if evaluated is None:
         raise NotRealizable("a face volume vanished")
-    return evaluated[0] * a + b, (ws, s, evaluated[1], c)
+    return evaluated[0] * a + b, (ws, *evaluated[1:], c)
 
 
 def objective_value(
@@ -287,8 +283,8 @@ def objective_gradient(
     ell: SquaredEdgeLengths, objective: Objective, *, pd_tol: float = DEFAULT_PD_TOL
 ) -> np.ndarray:
     """Gradient of :func:`objective_value` with respect to every squared length."""
-    ws, s, weight, c = _evaluate(ell, objective, pd_tol)[1]
-    return _raw_gradient(ws, s, weight)[0] * c
+    ws, weight, grams, c = _evaluate(ell, objective, pd_tol)[1]
+    return _raw_gradient(ws, grams, weight)[0] * c
 
 
 def gradient_log_volume(
@@ -313,7 +309,7 @@ def _judge_candidate(
 ) -> tuple[str | None, tuple | None]:
     """The first test the line search fails on ``cand`` (a key of
     ``OptimizationTrace.rejections``), or None together with the accepted
-    candidate's objective value and face weights.
+    candidate's objective value, face weights and face Grams.
 
     The candidate must lie in the domain, which is the library's Valid
     verdict, and gain ``predicted`` less ``allowance``; the tests run
@@ -402,7 +398,7 @@ def maximize(
     evaluated = _raw_value(ws, kind, x)
     if evaluated is None:
         raise NotRealizable("a face of the start collapsed")
-    f, weight = evaluated
+    f, weight, grams = evaluated
 
     iterates: list[tuple[np.ndarray, float, float]] = []
     rejections = dict.fromkeys(_REJECTION_REASONS, 0)
@@ -421,7 +417,7 @@ def maximize(
         )
 
     for _ in range(max_iter):
-        grad, inv = _raw_gradient(ws, x, weight)
+        grad, bordered = _raw_gradient(ws, grams, weight)
         pg = grad - grad.mean()
         pg_norm = float(np.linalg.norm(pg))
         grad_l1 = float(np.abs(grad).sum())
@@ -430,8 +426,8 @@ def maximize(
             return trace(True)
 
         # Newton trials first, built as needed; each halves the one before
-        newton = _newton_direction(_curvature(ws, kind, inv, weight), pg)
-        del inv  # the line search never reads it; near MAX_FACES it takes tens of MB
+        newton = _newton_direction(_curvature(ws, kind, bordered, weight), pg)
+        del grams, bordered  # the line search reads neither; near MAX_FACES they take tens of MB
         trials = ((pg, step * 0.5**h) for h in range(60))
         if newton is not None:
             trials = chain(((newton, 0.5**h) for h in range(_NEWTON_HALVINGS)), trials)
@@ -451,7 +447,7 @@ def maximize(
             )
             if reason is None:
                 x = cand
-                f, weight = accepted
+                f, weight, grams = accepted
                 break
             rejections[reason] += 1
             blocked_by_validity |= reason in _VALIDITY_REASONS

@@ -4,10 +4,10 @@ Each spectral question has one kernel here: ``_positive_definite`` (the
 PD band test), ``_null_index`` (nullity exactly one), ``adjugate`` (one
 SVD formula) and ``_logdet_derivatives`` (the first two directional
 derivatives of ``log det``).  Every spectrum comes from LAPACK through
-numpy: single matrices through :func:`eigendecompose`, stacks of them
-(the sample points of a concavity probe, the faces in the optimizer)
-through one batched call, the adjugate from one SVD and every Cholesky
-factor from ``potrf``; the tests hold them to pure-Python loops and mpmath.
+numpy, single matrices through :func:`eigendecompose`; the optimizer's
+face determinants and inverses come from one batched call each, the
+adjugate from one SVD and every Cholesky factor from ``potrf``; the tests
+hold them to pure-Python loops and mpmath.
 
 Symmetry is enforced exactly: a matrix is accepted as symmetric only if
 ``m[i, j] == m[j, i]`` bitwise.  Callers that assemble symmetric

@@ -12,10 +12,7 @@ an n-by-n Gram matrix *linearly*:
     G[i][j] = (s(0,i) + s(0,j) - s(i,j)) / 2      (i != j, vertices 1..n)
 
 Every gather finds its edges in one cached table per dimension
-(``_edge_table``: entry [i, j] is the position of edge (i, j)).  The
-map's adjoint adj (``_gram_adjoint``, not the adjugate), with
-<M, G(s)> = s . adj(M), is the row sums of M followed by minus its
-strict upper triangle: it turns every d/dG in the package into a d/ds.
+(``_edge_table``: entry [i, j] is the position of edge (i, j)).
 
 The vector is realizable by a non-degenerate Euclidean simplex exactly
 when G is positive definite, the volume is sqrt(det G) / n!, and every
@@ -220,14 +217,6 @@ def _gram_stack(n: int, rows: np.ndarray) -> np.ndarray:
     """
     apex, pair = _gram_index(n)
     return _polarize(rows[..., apex], rows[..., pair])
-
-
-def _gram_adjoint(m: np.ndarray) -> np.ndarray:
-    """Adjoint of the map s -> G, with <M, G(s)> = s . adj(M) for symmetric
-    M: the row sums of M, then minus its strict upper triangle, in edge
-    order.  Works over stacks ``(..., k, k)``."""
-    iu, ju = _pairs(m.shape[-1])
-    return np.concatenate((m.sum(axis=-1), -m[..., iu, ju]), axis=-1)
 
 
 def gram_from_squared_lengths(ell: SquaredEdgeLengths) -> np.ndarray:

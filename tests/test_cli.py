@@ -1,14 +1,19 @@
 """Tests for the command-line front end: parsing, reports, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from simplexcone.cli import UsageError, build_parser, main, parse_instance, run
 
@@ -599,3 +604,115 @@ def test_pretty_rendering(capsys):
     assert "command: validate" in out
     with pytest.raises(json.JSONDecodeError):
         json.loads(out)
+
+
+# ---------------------------------------------------------------------------
+# the contract as a property: every argv ends in a documented exit code
+
+#: (ordinary, out-of-range) values of every argument: a tame argv draws
+#: only the first, a wild one either
+_DIMENSIONS = (("1", "2", "3", "4", "5", "6"), ("0", "-1", "x"))
+_ENTRIES = (("1", "2", "3", "1.5"), ("0", "-1", "5e-324", "1e-300", "1e300",
+            "1.7976931348623157e308", '"x"', "NaN", "Infinity", "-Infinity"))
+_POSITIVE = (("0.5", "1", "6", "5e-324", "1e-300", "1e300", "1.7976931348623157e308"),
+             ("0", "-1", "nan", "inf", "-inf", "x", ""))
+_TOLERANCES = (("1e-10", "0", "1e-300", "0.5", "2"), ("-1", "nan", "inf", "x"))
+_K = (("1", "2", "3"), ("0", "-1", "7", "x"))
+_FACES = (("0,1", "0,1,2", "1,2,3"), ("0", "", "0,0", "-1,2", "0,7", "a"))
+_VERTICES = (("0", "1", "3"), ("-1", "7"))
+
+
+@st.composite
+def _argv(draw):
+    """An argv for one of the seven subcommands; instances of dimension
+    0..6, entries and flags in and out of range, JSON cut short."""
+    wild = draw(st.booleans(), label="wild")
+
+    def pick(values, label):
+        return draw(st.sampled_from(values[0] + values[1] if wild else values[0]), label=label)
+
+    def instance():
+        n = int(pick((_DIMENSIONS[0], ("0",)), "dimension"))
+        count = n * (n + 1) // 2 + int(pick((("0",), ("-1", "1")), "count off by"))
+        if draw(st.booleans(), label="regular"):
+            entries = [pick(_ENTRIES, "entry")] * count
+        else:
+            entries = [pick(_ENTRIES, "entry") for _ in range(count)]
+        key = pick((("squared_lengths",), ("lengths",)), "key")
+        text = f'{{"dimension": {n}, "{key}": [{", ".join(entries)}]}}'
+        return pick(((text,), (text[: len(text) // 2], "nope", "[]")), "instance")
+
+    command = draw(st.sampled_from(("validate", "volume", "faces", "dual", "probe",
+                                    "counterexample", "optimize")), label="command")
+    argv = [command]
+    if command == "counterexample":
+        argv.append(pick((("nontri", "frankel"), ("other",)), "family"))
+        if draw(st.booleans(), label="epsilon"):
+            argv += ["--epsilon", pick(_POSITIVE, "epsilon value")]
+        if draw(st.booleans(), label="bisect"):
+            argv.append("--bisect")
+    elif command == "optimize":
+        argv += ["--n", pick(_DIMENSIONS, "n"), "--total", pick(_POSITIVE, "total"),
+                 "--objective", pick((("logprod", "sumroot"), ("other",)), "objective"),
+                 "--k", pick(_K, "k")]
+        for flag, values in (("--seed", (("0", "3"), ("-1", "x"))),
+                             ("--starts", (("1", "2"), ("0",))),
+                             ("--max-iter", (("1", "3", "10000"), ("0",)))):
+            if draw(st.booleans(), label=flag):
+                argv += [flag, pick(values, flag)]
+    else:
+        argv.append(instance())
+        if command == "probe":
+            argv += [instance(), "--mode", pick((("log", "root"), ("other",)), "mode")]
+            if draw(st.booleans(), label="samples"):
+                argv += ["--samples", pick((("3", "33", "1001"), ("2", "100001", "-1", "x")),
+                                           "samples value")]
+        if command in ("volume", "probe") and draw(st.booleans(), label="face"):
+            argv += ["--face", pick(_FACES, "face value")]
+        if command == "faces":
+            argv += ["--k", pick(_K, "k")]
+        if command == "dual" and draw(st.booleans(), label="ratio"):
+            argv += ["--ratio", pick(_VERTICES, "i"), pick(_VERTICES, "j")]
+        if draw(st.booleans(), label="lengths"):
+            argv.append("--lengths")
+    if draw(st.booleans(), label="tolerance"):
+        argv += ["--tolerance", pick(_TOLERANCES, "tolerance value")]
+    if draw(st.booleans(), label="pretty"):
+        argv.append("--pretty")
+    return argv + ["--no-timestamp"]
+
+
+def _run_in_process(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(list(argv))
+    return code, out.getvalue(), err.getvalue(), caught
+
+
+def _refuse_constant(token):
+    raise AssertionError(f"non-finite token {token} in the output")
+
+
+def _assert_finite(value):
+    if isinstance(value, dict):
+        for item in value.values():
+            _assert_finite(item)
+    elif isinstance(value, list):
+        for item in value:
+            _assert_finite(item)
+    elif isinstance(value, float):
+        assert math.isfinite(value), value
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(_argv())
+def test_every_argv_ends_in_a_documented_exit_code(argv):
+    code, out, err, caught = _run_in_process(argv)
+    assert code in (0, 1, 2, 3), (argv, code)
+    assert "Traceback" not in err and "Warning" not in err, (argv, err)
+    assert not caught, (argv, [str(w.message) for w in caught])
+    if code == 0 and "--pretty" not in argv:
+        _assert_finite(json.loads(out, parse_constant=_refuse_constant))
+    assert _run_in_process(argv)[:3] == (code, out, err), argv

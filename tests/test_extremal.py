@@ -232,27 +232,27 @@ def test_objective_gradient_euler_identities():
 
 
 def _scatter_reference(n, k, kind, s):
-    # per-face contributions added edge by edge with np.add.at, every face's
-    # apex edges first: the same additions in the same order as the
-    # gradient's single bincount, so the results must agree bit for bit;
-    # faces, edge positions and Gram matrices come from the public API
+    # per-face contributions -L_ab / 2 added edge by edge with np.add.at, face
+    # after face in each face's own edge order: the same additions in the
+    # same order as the gradient's single bincount, so the results must agree
+    # bit for bit; faces, edge positions and Gram matrices come from the
+    # public API, and L borders each face inverse as the module docstring says
     ell = SquaredEdgeLengths(n, s)
     faces = list(itertools.combinations(range(n + 1), k + 1))
     grams = np.array(
         [gram_from_squared_lengths(face_squared_lengths(ell, f)) for f in faces]
     )
-    inv = np.linalg.inv(grams)
+    frame = np.vstack((-np.ones(k), np.eye(k)))
+    bordered = frame @ np.linalg.inv(grams) @ frame.T
     if kind is LOGPROD:
         weights = np.ones(len(faces))
     else:
         kfact_root = math.factorial(k) ** (1.0 / k)
         weights = (np.linalg.det(grams) ** (0.5 / k) / kfact_root) / k
-    apex = [edge_index(n, f[0], v) for f in faces for v in f[1:]]
-    pair = [edge_index(n, f[a], f[b]) for f in faces for a, b in edge_pairs(k) if a > 0]
-    iu, ju = np.triu_indices(k, 1)
+    edges = [edge_index(n, f[a], f[b]) for f in faces for a, b in edge_pairs(k)]
+    terms = [-0.5 * L[a, b] * w for L, w in zip(bordered, weights) for a, b in edge_pairs(k)]
     grad = np.zeros(edge_count(n))
-    np.add.at(grad, apex, (0.5 * inv.sum(axis=2) * weights[:, None]).ravel())
-    np.add.at(grad, pair, (-0.5 * inv[:, iu, ju] * weights[:, None]).ravel())
+    np.add.at(grad, edges, terms)
     return grad
 
 
@@ -263,8 +263,8 @@ def test_gradient_scatter_matches_add_at_reference_bitwise():
             ws = extremal_module._workspace(n, k)
             for kind in (LOGPROD, SUMROOT):
                 s = random_simplex(n, rng, total=float(edge_count(n))).s
-                weight = extremal_module._raw_value(ws, kind, s)[1]
-                got = extremal_module._raw_gradient(ws, s, weight)[0]
+                _, weight, grams = extremal_module._raw_value(ws, kind, s)
+                got = extremal_module._raw_gradient(ws, grams, weight)[0]
                 assert np.array_equal(got, _scatter_reference(n, k, kind, s)), (n, k)
 
 
@@ -298,9 +298,9 @@ def _assembled_hessian(ell, kind, k):
     # the optimizer's Hessian at unit mean, where it is also the Hessian
     # of objective_value itself
     ws = extremal_module._workspace(ell.n, k)
-    weight = extremal_module._raw_value(ws, kind, ell.s)[1]
-    inv = extremal_module._raw_gradient(ws, ell.s, weight)[1]
-    neg = extremal_module._curvature(ws, kind, inv, weight)
+    _, weight, grams = extremal_module._raw_value(ws, kind, ell.s)
+    bordered = extremal_module._raw_gradient(ws, grams, weight)[1]
+    neg = extremal_module._curvature(ws, kind, bordered, weight)
     return -(np.diag(neg) if k == 1 else neg)  # at k = 1 only the diagonal
 
 
@@ -676,13 +676,13 @@ def test_candidate_tying_at_float_resolution_is_accepted():
     start = random_simplex(n, np.random.default_rng(3), total=total)
     x = np.array(maximize(n, total, Objective(LOGPROD, k), start=start).final.s)
     ws = extremal_module._workspace(n, k)
-    f, weight = extremal_module._raw_value(ws, LOGPROD, x)
-    grad = extremal_module._raw_gradient(ws, x, weight)[0]
+    f, weight, grams = extremal_module._raw_value(ws, LOGPROD, x)
+    grad = extremal_module._raw_gradient(ws, grams, weight)[0]
     pg = grad - grad.mean()
     cand = x + 2.0**-10 * pg
     cand += (total - cand.sum()) / cand.size
-    cand_value, cand_weight = extremal_module._raw_value(ws, LOGPROD, cand)
-    cand_grad = extremal_module._raw_gradient(ws, cand, cand_weight)[0]
+    cand_value, cand_weight, cand_grams = extremal_module._raw_value(ws, LOGPROD, cand)
+    cand_grad = extremal_module._raw_gradient(ws, cand_grams, cand_weight)[0]
     allowance = 4.0 * np.finfo(float).eps * (1.0 + abs(f))
     assert abs(cand_value - f) <= allowance
     assert np.linalg.norm(cand_grad - cand_grad.mean()) >= np.linalg.norm(pg)
@@ -724,9 +724,10 @@ def test_face_budget_rejects_huge_face_counts_before_any_work():
             objective_gradient(big, Objective(kind, 20))
 
 
-def test_gradients_never_build_the_hessian_maps():
-    # the Hessian's gather maps take 4 e^2 entries, 21.5 MB for the one
-    # 40-face of a 40-simplex (820 edges); the gradient never reads them
+def test_gradients_never_build_an_edges_squared_array():
+    # an edges x edges array of floats, the size of the dense Hessian, takes
+    # 5.4 MB for the one 40-face of a 40-simplex (820 edges); the gradient's
+    # Gram, inverse and bordered inverse take (k + 1)^2 entries each
     n = 40
     extremal_module._workspace.cache_clear()
     tracemalloc.start()

@@ -1,5 +1,6 @@
 """Property tests: verdicts under exact rescaling and relabeling, the
-agreement of validate, embed and volume, validate and the Cholesky
+agreement of validate, embed and volume, the face-volume objectives, their
+gradients and their maximum under relabeling, validate and the Cholesky
 kernel against independent oracles, and a probe's whitened log det and
 its derivatives against the per-sample formula, with the paper's
 concavity along every such segment.
@@ -21,11 +22,17 @@ from hypothesis import strategies as st
 
 from simplexcone import (
     DEFAULT_PD_TOL,
+    Objective,
+    ObjectiveKind,
     SquaredEdgeLengths,
     Verdict,
+    edge_index,
     edge_pairs,
     embed,
     gram_from_squared_lengths,
+    maximize,
+    objective_gradient,
+    objective_value,
     probe_log_concavity,
     probe_root_concavity,
     relabel,
@@ -143,6 +150,48 @@ def test_validate_embed_and_volume_agree(case):
     w = np.linalg.eigvalsh(gram_from_squared_lengths(ell))
     rel_tol = 4.0 * ell.n * (w[-1] / w[0]) * np.finfo(float).eps
     assert math.isclose(volume(ell), expected, rel_tol=rel_tol)
+
+
+@st.composite
+def relabeled_objectives(draw):
+    """A Valid n-simplex, n = 2..5, whose vertex coordinates have condition
+    number at most 1e3, an objective on its k-faces, and a permutation of
+    its vertices."""
+    n = draw(st.integers(2, 5), label="n")
+    objective = Objective(
+        draw(st.sampled_from(ObjectiveKind), label="kind"), draw(st.integers(1, n), label="k")
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    perm = draw(st.permutations(range(n + 1)), label="perm")
+    return SquaredEdgeLengths(n, _valid(n, rng)), objective, perm
+
+
+@PROPERTY
+@given(relabeled_objectives())
+def test_objective_and_gradient_follow_a_relabeling(case):
+    # relabel puts the length of edge (perm[i], perm[j]) at edge (i, j), so
+    # the gradient moves with it; each face is anchored at another vertex,
+    # and its inverse Gram is accurate to about eps * cond(G) relative
+    ell, objective, perm = case
+    moved = relabel(ell, perm)
+    f = objective_value(ell, objective)
+    assert abs(objective_value(moved, objective) - f) <= 1e-12 * max(1.0, abs(f))
+    source = [edge_index(ell.n, *sorted((perm[i], perm[j]))) for i, j in edge_pairs(ell.n)]
+    g = objective_gradient(ell, objective)
+    got = objective_gradient(moved, objective)
+    lam = np.linalg.eigvalsh(gram_from_squared_lengths(ell))
+    cond_factor = max(1.0, lam[-1] / lam[0] / 100.0)
+    assert np.abs(got - g[source]).max() <= 1e-12 * np.abs(g).max() * cond_factor
+
+
+@PROPERTY
+@given(relabeled_objectives())
+def test_maximize_from_a_relabeled_start_reaches_the_same_value(case):
+    ell, objective, perm = case
+    total = float(ell.s.sum())
+    runs = [maximize(ell.n, total, objective, start=s) for s in (ell, relabel(ell, perm))]
+    f, moved = (run.iterates[-1][1] for run in runs)
+    assert abs(moved - f) <= 1e-12 * max(1.0, abs(f))
 
 
 @st.composite

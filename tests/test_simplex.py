@@ -474,7 +474,7 @@ def test_relabel_rejects_non_permutation():
 
 
 # ---------------------------------------------------------------------------
-# the edge table and the adjoint of the Gram map
+# the edge table
 
 
 def test_edge_table_matches_edge_index():
@@ -484,27 +484,6 @@ def test_edge_table_matches_edge_index():
         assert not table.flags.writeable
         for i, j in edge_pairs(n):
             assert table[i, j] == table[j, i] == edge_index(n, i, j), (n, i, j)
-
-
-def test_gram_adjoint_is_the_adjoint_of_the_gram_map():
-    # <M, G(s)> = s . adj(M) for every symmetric M: the identity every
-    # gradient in the package rests on
-    rng = np.random.default_rng(43)
-    for n in range(1, 9):
-        for _ in range(5):
-            s = rng.uniform(0.1, 3.0, edge_count(n))
-            m = rng.standard_normal((n, n))
-            m = m + m.T
-            g = simplex_module._gram_stack(n, s)
-            scale = float(np.abs(m).sum() * np.abs(g).max())
-            assert float(s @ simplex_module._gram_adjoint(m)) == pytest.approx(
-                float((m * g).sum()), rel=0.0, abs=1e-14 * scale
-            )
-        stack = rng.standard_normal((4, n, n))
-        stack = stack + stack.transpose(0, 2, 1)
-        adj = simplex_module._gram_adjoint(stack)
-        for k in range(4):
-            assert np.array_equal(adj[k], simplex_module._gram_adjoint(stack[k]))
 
 
 # the per-edge loops the table replaced, kept as references: the gathers
