@@ -4,25 +4,31 @@ Instance files are JSON objects::
 
     {"dimension": 2, "squared_lengths": [1.0, 1.0, 1.0], "labels": {...}}
 
-Reports are JSON on stdout (``--pretty`` for a human layout), with every
-float serialized at 17 significant digits so that reruns with the same
-seed and ``--no-timestamp`` are byte-identical.
+Reports are JSON on stdout (``--pretty`` for a human layout), written by
+the stdlib encoder: every float is its shortest round-trip repr, so it
+parses back bit for bit and reruns with the same seed and
+``--no-timestamp`` are byte-identical.
 
 Exit codes: 0 success, 1 usage or parse error, 2 negative geometric
 verdict (Invalid / not realizable, including a probe endpoint that is not
 Valid), 3 numerical failure (an optimizer run that did not converge, a
 dual Gram matrix whose nullity is not one, or an eigensolver that did not
-converge).
+converge).  Exits 0, 2 and 3 print a report, whose results hold
+``{"error": ...}`` when the answer could not be computed; exit 1 and an
+eigensolver failure print one line on stderr instead.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import json
 import math
 import os
+import re
 import sys
 from datetime import datetime, timezone
+from itertools import combinations
 
 import numpy as np
 
@@ -64,6 +70,11 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # no option starts with a digit, so "-1,2" is a value as "-1" and "-.5" are
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
     def error(self, message):  # route argparse's exit-2 to our usage exit-1
         raise UsageError(message)
 
@@ -71,53 +82,30 @@ class _Parser(argparse.ArgumentParser):
 # ---------------------------------------------------------------------------
 # deterministic rendering
 
-def _float_repr(x: float, spec: str = ".17g") -> str:
-    if not math.isfinite(x):
-        raise ValueError(f"cannot serialize the non-finite number {x}")
-    return format(x, spec)
-
-
-def _escape(text: str) -> str:
-    out = ['"']
-    for ch in text:
-        if ch == '"':
-            out.append('\\"')
-        elif ch == "\\":
-            out.append("\\\\")
-        elif ord(ch) < 0x20:
-            out.append(f"\\u{ord(ch):04x}")
-        else:
-            out.append(ch)
-    out.append('"')
-    return "".join(out)
-
-
-def render_json(value) -> str:
-    if isinstance(value, dict):
-        parts = (f"{_escape(str(k))}:{render_json(v)}" for k, v in value.items())
-        return "{" + ",".join(parts) + "}"
-    if isinstance(value, (list, tuple)):
-        return "[" + ",".join(render_json(v) for v in value) + "]"
-    if isinstance(value, bool) or isinstance(value, np.bool_):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return _float_repr(float(value))
-    if isinstance(value, str):
-        return _escape(value)
-    if value is None:
-        return "null"
+def _numpy_value(value):
+    """``json.dumps`` hook for the numpy values that reports carry."""
     if isinstance(value, np.ndarray):
-        return render_json(value.tolist())
+        return value.tolist()
+    if isinstance(value, (np.integer, np.bool_)):
+        return value.item()
     raise TypeError(f"cannot serialize {type(value)!r}")
 
 
+def render_json(value) -> str:
+    try:
+        return json.dumps(value, default=_numpy_value, allow_nan=False,
+                          ensure_ascii=False, separators=(",", ":"))
+    except ValueError as exc:
+        raise ValueError("cannot serialize a non-finite number") from exc
+
+
 def _pretty_scalar(value) -> str:
-    if isinstance(value, bool) or isinstance(value, np.bool_):
+    if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (float, np.floating)):
-        return _float_repr(float(value), ".12g")
+        if not math.isfinite(value):
+            raise ValueError("cannot serialize a non-finite number")
+        return format(float(value), ".12g")
     return str(value)
 
 
@@ -153,12 +141,10 @@ _ALLOWED_KEYS = {"dimension", "squared_lengths", "lengths", "labels"}
 
 
 def _instance_from_object(obj, *, lengths: bool) -> SquaredEdgeLengths:
-    import json as _json  # stdlib parser; rendering stays hand-rolled
-
     if isinstance(obj, str):
         try:
-            obj = _json.loads(obj)
-        except _json.JSONDecodeError as exc:
+            obj = json.loads(obj)
+        except json.JSONDecodeError as exc:
             raise UsageError(f"malformed instance: {exc}") from exc
     if not isinstance(obj, dict):
         raise UsageError("instance must be a JSON object")
@@ -198,34 +184,31 @@ def _instance_from_object(obj, *, lengths: bool) -> SquaredEdgeLengths:
         raise UsageError(str(exc)) from exc
 
 
-def _load_with_digest(source: str, *, lengths: bool) -> tuple[SquaredEdgeLengths, dict]:
-    """Load an instance from a file path or from inline JSON text, with
+def _load(source: str, lengths: bool, inputs: dict) -> SquaredEdgeLengths:
+    """Load an instance from a file path or from inline JSON text, and fill
     the report's ``inputs`` block: origin, digest and parsed entries."""
     if os.path.isfile(source):
         with open(source, "rb") as fh:
             raw = fh.read()
-        origin = {"path": source}
+        inputs["path"] = source
     elif source.lstrip().startswith("{"):
         raw = source.encode("utf-8")
-        origin = {"inline": True}
+        inputs["inline"] = True
     else:
         raise UsageError(f"no such file: {source}")
     ell = _instance_from_object(raw.decode("utf-8"), lengths=lengths)
-    inputs = dict(origin)
     inputs.update(
-        {
-            "sha256": hashlib.sha256(raw).hexdigest(),
-            "dimension": ell.n,
-            "squared_lengths": ell.s.tolist(),
-            "lengths_converted": bool(lengths),
-        }
+        sha256=hashlib.sha256(raw).hexdigest(),
+        dimension=ell.n,
+        squared_lengths=ell.s.tolist(),
+        lengths_converted=bool(lengths),
     )
-    return ell, inputs
+    return ell
 
 
 def parse_instance(source: str, *, lengths: bool = False) -> SquaredEdgeLengths:
     """Load an instance from a file path or from inline JSON text."""
-    return _load_with_digest(source, lengths=lengths)[0]
+    return _load(source, lengths, {})
 
 
 def _digest_params(params: dict) -> str:
@@ -240,119 +223,93 @@ def _parse_face(text: str) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each fills the report's inputs block before it computes, then
+# its results, and returns the exit code; ``run`` reports what they raise
 
-def _cmd_validate(args) -> tuple[dict, dict, int]:
-    ell, inputs = _load_with_digest(args.instance, lengths=args.lengths)
+
+def _cmd_validate(args, inputs: dict, results: dict) -> int:
+    ell = _load(args.instance, args.lengths, inputs)
     report = validate(ell, pd_tol=args.tolerance)
-    results = {
-        "verdict": report.verdict.value,
-        "smallest_gram_eigenvalue": report.smallest_gram_eigenvalue,
-        "tolerance": report.tolerance,
-        "triangle_inequalities_hold": report.triangle_inequalities_hold,
-    }
-    code = 2 if report.verdict is Verdict.INVALID else 0
-    return inputs, results, code
+    results.update(
+        verdict=report.verdict.value,
+        smallest_gram_eigenvalue=report.smallest_gram_eigenvalue,
+        tolerance=report.tolerance,
+        triangle_inequalities_hold=report.triangle_inequalities_hold,
+    )
+    return 2 if report.verdict is Verdict.INVALID else 0
 
 
-def _cmd_volume(args) -> tuple[dict, dict, int]:
-    ell, inputs = _load_with_digest(args.instance, lengths=args.lengths)
-    face = _parse_face(args.face) if args.face else None
-    try:
-        if face is None:
-            value = volume(ell, pd_tol=args.tolerance)
-            results = {"volume": value}
-        else:
-            value = face_volume(ell, face, pd_tol=args.tolerance)
-            results = {"face": list(face), "volume": value}
-    except NotRealizable as exc:
-        results = {"error": str(exc)}
-        if face is not None:
-            results["face"] = list(face)
-        return inputs, results, 2
-    return inputs, results, 0
+def _cmd_volume(args, inputs: dict, results: dict) -> int:
+    ell = _load(args.instance, args.lengths, inputs)
+    if args.face:
+        face = _parse_face(args.face)
+        results["face"] = list(face)
+        results["volume"] = face_volume(ell, face, pd_tol=args.tolerance)
+    else:
+        results["volume"] = volume(ell, pd_tol=args.tolerance)
+    return 0
 
 
-def _cmd_faces(args) -> tuple[dict, dict, int]:
-    ell, inputs = _load_with_digest(args.instance, lengths=args.lengths)
-    k = args.k
-    _check_k_faces(ell.n, k)
-    from itertools import combinations
-
-    entries = []
-    try:
-        for verts in combinations(range(ell.n + 1), k + 1):
-            entries.append(
-                {
-                    "vertices": list(verts),
-                    "volume": face_volume(ell, verts, pd_tol=args.tolerance),
-                }
-            )
-    except NotRealizable as exc:
-        return inputs, {"k": k, "error": str(exc)}, 2
-    return inputs, {"k": k, "faces": entries}, 0
+def _cmd_faces(args, inputs: dict, results: dict) -> int:
+    ell = _load(args.instance, args.lengths, inputs)
+    _check_k_faces(ell.n, args.k)
+    results["k"] = args.k
+    results["faces"] = [
+        {"vertices": list(verts), "volume": face_volume(ell, verts, pd_tol=args.tolerance)}
+        for verts in combinations(range(ell.n + 1), args.k + 1)
+    ]
+    return 0
 
 
-def _cmd_dual(args) -> tuple[dict, dict, int]:
-    ell, inputs = _load_with_digest(args.instance, lengths=args.lengths)
-    try:
-        report = dual_gram(ell, pd_tol=args.tolerance)
-    except NotRealizable as exc:
-        return inputs, {"error": str(exc)}, 2
-    try:
-        kernel = null_direction(report.gstar)
-    except NullityNotOne as exc:
-        return inputs, {"error": str(exc)}, 3
-    results = {
-        "gstar": report.gstar.tolist(),
-        "areas": report.areas.tolist(),
-        "null_residual": report.null_residual,
-        "divergence_residual": report.divergence_residual,
-        "null_direction": kernel.tolist(),
-    }
+def _cmd_dual(args, inputs: dict, results: dict) -> int:
+    report = dual_gram(_load(args.instance, args.lengths, inputs), pd_tol=args.tolerance)
+    kernel = null_direction(report.gstar)
+    results.update(
+        gstar=report.gstar,
+        areas=report.areas,
+        null_residual=report.null_residual,
+        divergence_residual=report.divergence_residual,
+        null_direction=kernel,
+    )
     if args.ratio is not None:
         i, j = args.ratio
         value = _ratio_from_dual_gram(report.gstar, i, j)
         results["ratio"] = {"i": i, "j": j, "squared_area_ratio": value}
-    return inputs, results, 0
+    return 0
 
 
-def _cmd_probe(args) -> tuple[dict, dict, int]:
-    first, inputs_first = _load_with_digest(args.first, lengths=args.lengths)
-    second, inputs_second = _load_with_digest(args.second, lengths=args.lengths)
-    inputs = {"first": inputs_first, "second": inputs_second}
+def _cmd_probe(args, inputs: dict, results: dict) -> int:
+    inputs["first"], inputs["second"] = {}, {}
+    first = _load(args.first, args.lengths, inputs["first"])
+    second = _load(args.second, args.lengths, inputs["second"])
     if args.face and args.mode != "log":
         raise UsageError("--face applies to --mode log only")
     face = _parse_face(args.face) if args.face else None
-    try:
-        if args.mode == "log":
-            report = probe_log_concavity(
-                first, second, face, samples=args.samples, pd_tol=args.tolerance
-            )
-        else:
-            report = probe_root_concavity(
-                first, second, samples=args.samples, pd_tol=args.tolerance
-            )
-    except NotRealizable as exc:
-        return inputs, {"error": str(exc)}, 2
-    results = {
-        "mode": args.mode,
-        "samples": report.samples,
-        "worst_midpoint_defect": report.worst_midpoint_defect,
-        "worst_second_difference": report.worst_second_difference,
-        "max_analytic_second_derivative": report.max_analytic_second_derivative,
-        "passed": report.passed,
-    }
+    if args.mode == "log":
+        report = probe_log_concavity(
+            first, second, face, samples=args.samples, pd_tol=args.tolerance
+        )
+    else:
+        report = probe_root_concavity(
+            first, second, samples=args.samples, pd_tol=args.tolerance
+        )
+    results.update(
+        mode=args.mode,
+        samples=report.samples,
+        worst_midpoint_defect=report.worst_midpoint_defect,
+        worst_second_difference=report.worst_second_difference,
+        max_analytic_second_derivative=report.max_analytic_second_derivative,
+        passed=report.passed,
+    )
     if args.mode == "log":
         results["face"] = list(face) if face else list(range(first.n + 1))
-    return inputs, results, 0
+    return 0
 
 
-def _cmd_counterexample(args) -> tuple[dict, dict, int]:
+def _cmd_counterexample(args, inputs: dict, results: dict) -> int:
     eps = args.epsilon if args.epsilon is not None else 0.01
     params = {"family": args.family, "epsilon": eps, "bisect": bool(args.bisect)}
-    inputs = dict(params)
-    inputs["sha256"] = _digest_params(params)
+    inputs.update(params, sha256=_digest_params(params))
     if args.family == "nontri":
         instance = nontri_instance(eps, pd_tol=args.tolerance)
     else:
@@ -363,18 +320,18 @@ def _cmd_counterexample(args) -> tuple[dict, dict, int]:
             "verdict": rep.verdict.value,
             "smallest_gram_eigenvalue": rep.smallest_gram_eigenvalue,
             "triangle_inequalities_hold": rep.triangle_inequalities_hold,
-            "squared_lengths": ell.s.tolist(),
+            "squared_lengths": ell.s,
         }
-    results = {"label": instance.label, "epsilon": eps, "pieces": pieces}
+    results.update(label=instance.label, epsilon=eps, pieces=pieces)
     if args.bisect:
         if args.family == "nontri":
             results["threshold"] = nontri_threshold(pd_tol=args.tolerance)
         else:
             results["threshold"] = frankel_length_threshold(pd_tol=args.tolerance)
-    return inputs, results, 0
+    return 0
 
 
-def _cmd_optimize(args) -> tuple[dict, dict, int]:
+def _cmd_optimize(args, inputs: dict, results: dict) -> int:
     _check_k_faces(args.n, args.k)
     params = {
         "n": args.n,
@@ -384,8 +341,7 @@ def _cmd_optimize(args) -> tuple[dict, dict, int]:
         "seed": args.seed,
         "starts": args.starts,
     }
-    inputs = dict(params)
-    inputs["sha256"] = _digest_params(params)
+    inputs.update(params, sha256=_digest_params(params))
     objective = Objective(ObjectiveKind(args.objective), args.k)
     rng = np.random.default_rng(args.seed)
     runs = []
@@ -396,7 +352,7 @@ def _cmd_optimize(args) -> tuple[dict, dict, int]:
             start = random_simplex(args.n, rng, total=args.total, pd_tol=args.tolerance)
         except RuntimeError as exc:  # no draw clears a tolerance this large
             raise UsageError(f"{exc} at --tolerance {args.tolerance}") from exc
-        entry: dict = {"start_squared_lengths": start.s.tolist()}
+        entry: dict = {"start_squared_lengths": start.s}
         try:
             trace = maximize(
                 args.n,
@@ -418,16 +374,16 @@ def _cmd_optimize(args) -> tuple[dict, dict, int]:
                 "iterations": len(trace.iterates) - 1,
                 "objective": final_value,
                 "regularity_deviation": trace.regularity_deviation,
-                "final_squared_lengths": trace.final.s.tolist(),
+                "final_squared_lengths": trace.final.s,
             }
         )
         if best is None or final_value > best[1]:
             best = (index, final_value)
         runs.append(entry)
-    results = {"runs": runs}
+    results["runs"] = runs
     if best is not None:
         results["best"] = {"run": best[0], "objective": best[1]}
-    return inputs, results, 3 if any_failed else 0
+    return 3 if any_failed else 0
 
 
 #: bounds of ``probe --samples``; a probe holds samples * n^2 floats at once
@@ -488,9 +444,7 @@ def _add_common(sub: argparse.ArgumentParser, *, with_lengths: bool = True) -> N
         default=DEFAULT_PD_TOL,
         help="positive-definiteness tolerance (default %(default)s)",
     )
-    fmt = sub.add_mutually_exclusive_group()
-    fmt.add_argument("--json", action="store_true", help="JSON output (default)")
-    fmt.add_argument("--pretty", action="store_true", help="human-readable output")
+    sub.add_argument("--pretty", action="store_true", help="human-readable output")
     sub.add_argument("--no-timestamp", action="store_true", help="omit the timestamp")
     if with_lengths:
         sub.add_argument(
@@ -516,12 +470,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("faces", help="volumes of every k-dimensional face")
     p.add_argument("instance")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_integer, required=True)
     _add_common(p)
 
     p = sub.add_parser("dual", help="dual Gram matrix, facet areas, identity residuals")
     p.add_argument("instance")
-    p.add_argument("--ratio", nargs=2, type=int, metavar=("I", "J"))
+    p.add_argument("--ratio", nargs=2, type=_integer, metavar=("I", "J"))
     _add_common(p)
 
     p = sub.add_parser("probe", help="concavity probe along a cone segment")
@@ -544,8 +498,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_at_least_one, required=True)
     p.add_argument("--total", type=_positive, required=True)
     p.add_argument("--objective", choices=["logprod", "sumroot"], required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--k", type=_integer, required=True)
+    p.add_argument("--seed", type=_integer, default=0)
     p.add_argument("--starts", type=_at_least_one, default=1)
     p.add_argument("--max-iter", type=_at_least_one, default=10000)
     _add_common(p, with_lengths=False)
@@ -565,21 +519,31 @@ _HANDLERS = {
 
 
 def run(argv: list[str]) -> int:
-    """Execute one CLI invocation: parse, dispatch, print the report."""
+    """Execute one CLI invocation: parse, dispatch, print the report.
+
+    The one place that maps an outcome to its exit code: a handler's
+    ``NotRealizable`` (2) and ``NullityNotOne`` (3) still print a report,
+    with the inputs and ``{"error": ...}``; a usage error or failed library
+    check (1) and an eigensolver failure (3) print one line on stderr.
+    """
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    if args.command is None:
-        print(parser.format_usage(), file=sys.stderr, end="")
-        return 1
-    try:
-        # an overflow shows up as a non-finite result, which the checks
-        # below turn into exit 1; numpy's warning would only add noise
-        with np.errstate(over="ignore", invalid="ignore"):
-            inputs, results, code = _HANDLERS[args.command](args)
+        if args.command is None:
+            print(parser.format_usage(), file=sys.stderr, end="")
+            return 1
+        inputs: dict = {}
+        results: dict = {}
+        try:
+            # an overflow shows up as a non-finite result, which a library
+            # check or the renderer turns into exit 1; numpy's warning would
+            # only add noise
+            with np.errstate(over="ignore", invalid="ignore"):
+                code = _HANDLERS[args.command](args, inputs, results)
+        except NotRealizable as exc:
+            results["error"], code = str(exc), 2
+        except NullityNotOne as exc:
+            results["error"], code = str(exc), 3
         report = {"command": args.command, "version": __version__}
         if not args.no_timestamp:
             report["timestamp"] = datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
@@ -589,7 +553,7 @@ def run(argv: list[str]) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ConvergenceError, NullityNotOne) as exc:
+    except ConvergenceError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:  # a library check, or a Gram matrix or result overflowed

@@ -85,11 +85,6 @@ def check_symmetric(m) -> np.ndarray:
     return a.copy()
 
 
-def is_symmetric(m) -> bool:
-    a = check_square(m)
-    return bool((a == a.T).all())
-
-
 @dataclass(frozen=True)
 class EigenDecomposition:
     """Spectral factorization M = basis @ diag(eigenvalues) @ basis.T.

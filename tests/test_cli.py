@@ -15,7 +15,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import simplexcone.cli as cli
 from simplexcone.cli import UsageError, build_parser, main, parse_instance, run
+from simplexcone.linalg import NullityNotOne
+from simplexcone.simplex import NotRealizable
 
 UNIT_TRIANGLE = '{"dimension": 2, "squared_lengths": [1, 1, 1]}'
 UNIT_TETRA = '{"dimension": 3, "squared_lengths": [1, 1, 1, 1, 1, 1]}'
@@ -137,6 +140,11 @@ def test_volume_unrealizable_exits_2(capsys):
     code, report = run_json(capsys, ["volume", FLAT_APEX])
     assert code == 2
     assert "error" in report["results"]
+    assert report["inputs"]["squared_lengths"] == json.loads(FLAT_APEX)["squared_lengths"]
+    code, report = run_json(capsys, ["volume", FLAT_APEX, "--face", "0,1,2,3"])
+    assert code == 2
+    assert report["results"] == {"face": [0, 1, 2, 3], "error": report["results"]["error"]}
+    assert report["inputs"]["dimension"] == 3
 
 
 def test_volume_degenerate_is_zero(capsys):
@@ -217,6 +225,28 @@ def test_dual_one_simplex_is_a_usage_error(capsys):
     assert "dimension >= 2" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv, context",
+    [(["faces", FLAT_APEX, "--k", "3"], {"k": 3}), (["dual", FLAT_APEX], {})],
+)
+def test_not_realizable_reports_the_inputs_and_exits_2(capsys, argv, context):
+    code, report = run_json(capsys, argv)
+    assert code == 2
+    assert report["inputs"]["squared_lengths"] == json.loads(FLAT_APEX)["squared_lengths"]
+    assert report["results"] == dict(context, error=report["results"]["error"])
+
+
+def test_dual_nullity_not_one_exits_3_with_a_report(capsys, monkeypatch):
+    def failing(gstar):
+        raise NullityNotOne("nullity 2")
+
+    monkeypatch.setattr(cli, "null_direction", failing)
+    code, report = run_json(capsys, ["dual", UNIT_TETRA])
+    assert code == 3
+    assert report["inputs"]["dimension"] == 3
+    assert report["results"] == {"error": "nullity 2"}
+
+
 # ---------------------------------------------------------------------------
 # probe
 
@@ -249,6 +279,8 @@ def test_probe_with_an_endpoint_that_is_not_valid_exits_2(capsys):
         code, report = run_json(capsys, ["probe", invalid, UNIT_TRIANGLE, "--mode", mode])
         assert code == 2, mode
         assert report["results"] == {"error": "first endpoint is not Valid"}
+        assert report["inputs"]["first"]["squared_lengths"] == [1, 1, 9]
+        assert report["inputs"]["second"]["dimension"] == 2
 
 
 def test_probe_at_zero_tolerance_exits_0_like_validate(capsys):
@@ -394,6 +426,17 @@ def test_optimize_multi_start(capsys):
     assert all(r["converged"] for r in report["results"]["runs"])
 
 
+def test_optimize_not_realizable_exits_2_with_a_report(capsys, monkeypatch):
+    def failing(*args, **kwargs):
+        raise NotRealizable("start is not Valid")
+
+    monkeypatch.setattr(cli, "maximize", failing)
+    code, report = run_json(capsys, OPTIMIZE)
+    assert code == 2
+    assert report["inputs"]["n"] == 2
+    assert report["results"] == {"error": "start is not Valid"}
+
+
 def test_optimize_converges_at_a_large_total(capsys):
     # the stopping test reads the same at every total: no run is reported
     # converged before it has moved toward the regular point; starts are
@@ -490,11 +533,29 @@ def test_eigensolver_failure_exits_3(capsys, monkeypatch):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
     monkeypatch.setattr(np.linalg, "eigh", failing)
-    assert main(["validate", UNIT_TETRA]) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("numerical failure:"), captured.err
-    assert "did not converge" in captured.err
+    for command in ("validate", "dual"):
+        assert main([command, UNIT_TETRA]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("numerical failure:"), captured.err
+        assert "did not converge" in captured.err
+
+
+def test_non_finite_result_exits_1(capsys, monkeypatch):
+    # the renderer refuses a nan: a message, never an invalid JSON report
+    monkeypatch.setattr(cli, "volume", lambda ell, pd_tol: math.nan)
+    for extra in ([], ["--pretty"]):
+        _assert_usage_error(capsys, ["volume", UNIT_TETRA] + extra, "non-finite")
+
+
+def test_integer_flags_name_the_bad_value(capsys):
+    for argv in (
+        ["faces", UNIT_TETRA, "--k", "x"],
+        OPTIMIZE[:-1] + ["2.5"],
+        OPTIMIZE + ["--seed", "x"],
+        ["dual", UNIT_TETRA, "--ratio", "0", "x"],
+    ):
+        _assert_usage_error(capsys, argv, "expected an integer, got")
 
 
 def test_float_extremes_print_only_the_error_line():
@@ -520,6 +581,10 @@ def test_float_extremes_print_only_the_error_line():
         (OPTIMIZE[:-1] + ["3"], "k must lie in 1..2"),
         (["volume", UNIT_TETRA, "--face", "0"], "at least 2 vertices"),
         (["probe", UNIT_TETRA, UNIT_TETRA, "--mode", "log", "--face", "1"], "at least 2 vertices"),
+        # a vertex list that starts with '-' is the flag's value, not an option
+        (["volume", UNIT_TETRA, "--face", "-1,2"], "face (-1, 2) out of range for dimension 3"),
+        (["probe", UNIT_TETRA, UNIT_TETRA, "--mode", "log", "--face", "-1,2"],
+         "face (-1, 2) out of range for dimension 3"),
     ],
 )
 def test_face_rules_are_usage_errors(capsys, argv, fragment):
@@ -586,14 +651,50 @@ def test_timestamp_present_unless_suppressed(capsys):
     assert "timestamp" not in without
 
 
-def test_floats_round_trip_at_17_digits(capsys):
-    from simplexcone import SquaredEdgeLengths, volume
+def _bits(value):
+    return np.asarray(value, dtype=float).tobytes()
 
+
+def test_floats_round_trip_bit_for_bit(capsys):
+    from simplexcone import (
+        Objective,
+        ObjectiveKind,
+        SquaredEdgeLengths,
+        dual_gram,
+        maximize,
+        null_direction,
+        random_simplex,
+        volume,
+    )
+    from simplexcone.dual import _ratio_from_dual_gram
+
+    # serialization is lossless: every parsed float is bit-identical to the
+    # library's own result
     code, report = run_json(capsys, ["volume", UNIT_TRIANGLE])
     assert code == 0
-    # serialization is lossless: the parsed float is bit-identical to the
-    # library's own result
-    assert report["results"]["volume"] == volume(SquaredEdgeLengths(2, np.ones(3)))
+    assert _bits(report["results"]["volume"]) == _bits(volume(SquaredEdgeLengths(2, np.ones(3))))
+
+    code, report = run_json(capsys, ["dual", RIGHT_TRIANGLE, "--ratio", "0", "1"])
+    assert code == 0
+    res = report["results"]
+    dual = dual_gram(parse_instance(RIGHT_TRIANGLE))
+    for key in ("gstar", "areas", "null_residual", "divergence_residual"):
+        assert _bits(res[key]) == _bits(getattr(dual, key)), key
+    assert _bits(res["null_direction"]) == _bits(null_direction(dual.gstar))
+    ratio = _ratio_from_dual_gram(dual.gstar, 0, 1)
+    assert _bits(res["ratio"]["squared_area_ratio"]) == _bits(ratio)
+
+    argv = ["optimize", "--n", "3", "--total", "6", "--objective", "sumroot", "--k", "2",
+            "--seed", "5"]
+    code, report = run_json(capsys, argv)
+    assert code == 0
+    (run0,) = report["results"]["runs"]
+    start = random_simplex(3, np.random.default_rng(5), total=6.0)
+    trace = maximize(3, 6.0, Objective(ObjectiveKind("sumroot"), 2), start=start)
+    assert _bits(run0["start_squared_lengths"]) == _bits(start.s)
+    assert _bits(run0["final_squared_lengths"]) == _bits(trace.final.s)
+    assert _bits(run0["objective"]) == _bits(trace.iterates[-1][1])
+    assert _bits(run0["regularity_deviation"]) == _bits(trace.regularity_deviation)
 
 
 def test_pretty_rendering(capsys):

@@ -16,7 +16,6 @@ from simplexcone.linalg import (
     cholesky,
     determinant,
     eigendecompose,
-    is_symmetric,
     logdet_directional_derivative,
     logdet_second_derivative,
     outer_product,
@@ -144,15 +143,12 @@ def test_smallest_eigenvalue_rayleigh_bound():
 # symmetry checks
 
 
-def test_is_symmetric_exact_comparison():
-    assert is_symmetric(np.eye(3))
-    skew = np.array([[1.0, 1e-16], [0.0, 1.0]])
-    assert not is_symmetric(skew)
-
-
 def test_check_symmetric_message():
     with pytest.raises(ValueError, match="entries must match exactly"):
         check_symmetric(np.array([[1.0, 2.0], [3.0, 4.0]]))
+    # the comparison is exact: a 1e-16 skew is not symmetric
+    with pytest.raises(ValueError, match="entries must match exactly"):
+        check_symmetric(np.array([[1.0, 1e-16], [0.0, 1.0]]))
 
 
 # ---------------------------------------------------------------------------
