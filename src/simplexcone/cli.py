@@ -72,8 +72,11 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # no option starts with a digit, so "-1,2" is a value as "-1" and "-.5" are
-        self._negative_number_matcher = re.compile(r"-\.?\d")
+        # no option starts with a digit, so "-1,2" is a value as "-1" and "-.5" are;
+        # nor is any spelled inf, infinity or nan, so "-inf" is a value too
+        self._negative_number_matcher = re.compile(
+            r"-(?:\.?\d|(?:inf|infinity|nan)$)", re.IGNORECASE
+        )
 
     def error(self, message):  # route argparse's exit-2 to our usage exit-1
         raise UsageError(message)
@@ -241,7 +244,7 @@ def _cmd_validate(args, inputs: dict, results: dict) -> int:
 
 def _cmd_volume(args, inputs: dict, results: dict) -> int:
     ell = _load(args.instance, args.lengths, inputs)
-    if args.face:
+    if args.face is not None:
         face = _parse_face(args.face)
         results["face"] = list(face)
         results["volume"] = face_volume(ell, face, pd_tol=args.tolerance)
@@ -282,9 +285,9 @@ def _cmd_probe(args, inputs: dict, results: dict) -> int:
     inputs["first"], inputs["second"] = {}, {}
     first = _load(args.first, args.lengths, inputs["first"])
     second = _load(args.second, args.lengths, inputs["second"])
-    if args.face and args.mode != "log":
+    if args.face is not None and args.mode != "log":
         raise UsageError("--face applies to --mode log only")
-    face = _parse_face(args.face) if args.face else None
+    face = _parse_face(args.face) if args.face is not None else None
     if args.mode == "log":
         report = probe_log_concavity(
             first, second, face, samples=args.samples, pd_tol=args.tolerance

@@ -7,16 +7,20 @@ tetrahedron exists until ``eps`` clears ``1/sqrt(3) - 1/2``, so triangle
 inequalities do not characterize realizability.  ``frankel_instance``
 exhibits two tetrahedra whose *plain* edge-length sum is unrealizable
 while their *squared*-length sum stays realizable -- lengths do not form
-a convex set, squared lengths do.
+a convex set, squared lengths do.  Their thresholds are bisected on the
+verdict; each round judges every midpoint of its next few steps in one
+stacked eigendecomposition and walks that tree as the one-at-a-time
+bisection steps, so the result is the same bits
+(:func:`_bisect_validity`).
 
 The probe functions sample log volume (any face) or ``volume^(1/n)``
 along a segment between two Valid instances and report their discrete
 concavity margins, together with the analytic second derivative along
 the segment.  The Gram matrix is linear in the squared lengths, so both
-come in closed form: the endpoints' verdict (:func:`validate`) certifies
-the whole segment, and one k x k whitened spectrum gives the face's log
-det and its first two derivatives at every sample
-(:func:`_whitened_derivatives`).  The discrete margins therefore measure
+come in closed form: the endpoints' verdict, both judged in one stacked
+eigendecomposition, certifies the whole segment, and one k x k whitened
+spectrum gives the face's log det and its first two derivatives at every
+sample (:func:`_whitened_derivatives`).  The discrete margins therefore measure
 a closed form rather than an independent factorization; the tests hold
 it to each sample's own eigendecomposition and to a reference solver.
 """
@@ -33,10 +37,9 @@ from .simplex import (
     NotRealizable,
     SquaredEdgeLengths,
     ValidityReport,
-    Verdict,
     _face_edges,
     _gram_stack,
-    _spectrum,
+    _valid_rows,
     validate,
 )
 
@@ -59,6 +62,9 @@ _ANALYTIC_SLACK = 1e-12
 
 #: bracket and width of both threshold bisections
 _BISECT_LO, _BISECT_TOL = 1e-4, 1e-8
+
+#: bisection steps judged ahead in one stacked verdict (2^depth - 1 midpoints)
+_BISECT_DEPTH = 4
 
 
 def cone_combine(
@@ -103,24 +109,45 @@ def nontri_instance(epsilon: float, *, pd_tol: float = DEFAULT_PD_TOL) -> Counte
     )
 
 
-def _nontri_piece(epsilon: float) -> SquaredEdgeLengths:
-    """The unit triangle with its apex at distance 1/2 + epsilon."""
+def _check_epsilon(epsilon: float) -> None:
     if not (epsilon > 0.0) or not math.isfinite(epsilon):
         raise ValueError("epsilon must be positive")
-    apex = (0.5 + epsilon) * (0.5 + epsilon)  # inf past the float range; ** would raise
-    return SquaredEdgeLengths(3, np.array([apex, apex, apex, 1.0, 1.0, 1.0]))
+
+
+def _nontri_rows(eps) -> np.ndarray:
+    """Squared lengths of the apex family at each of ``eps``: the unit
+    triangle with its apex at distance 1/2 + eps, shape ``(..., 6)``."""
+    eps = np.asarray(eps, dtype=float)
+    with np.errstate(over="ignore"):  # inf past the float range, for the caller to refuse
+        apex = (0.5 + eps) * (0.5 + eps)
+    one = np.ones_like(apex)
+    return np.stack((apex, apex, apex, one, one, one), axis=-1)
+
+
+def _nontri_piece(epsilon: float) -> SquaredEdgeLengths:
+    """The unit triangle with its apex at distance 1/2 + epsilon."""
+    _check_epsilon(epsilon)
+    return SquaredEdgeLengths(3, _nontri_rows(epsilon))
+
+
+def _frankel_rows(eps) -> np.ndarray:
+    """Squared lengths of the tetrahedra A and B of the length-sum family
+    and of their length sum C_len at each of ``eps``, shape ``(..., 3, 6)``."""
+    eps = np.asarray(eps, dtype=float)
+    with np.errstate(over="ignore"):  # inf past the float range, for the caller to refuse
+        e2 = eps * eps
+        one, two = np.ones_like(e2), np.full_like(e2, 2.0)
+        a = np.stack((one, one, one, e2, two, two), axis=-1)
+        b = np.stack((one, one, one, two, e2, two), axis=-1)
+        return np.stack((a, b, (np.sqrt(a) + np.sqrt(b)) ** 2), axis=-2)
 
 
 def _frankel_pieces(
     epsilon: float,
 ) -> tuple[SquaredEdgeLengths, SquaredEdgeLengths, SquaredEdgeLengths]:
     """The tetrahedra A and B of the length-sum family, and C_len."""
-    if not (epsilon > 0.0) or not math.isfinite(epsilon):
-        raise ValueError("epsilon must be positive")
-    e2 = epsilon * epsilon
-    a = SquaredEdgeLengths(3, np.array([1.0, 1.0, 1.0, e2, 2.0, 2.0]))
-    b = SquaredEdgeLengths(3, np.array([1.0, 1.0, 1.0, 2.0, e2, 2.0]))
-    c_len = SquaredEdgeLengths(3, (np.sqrt(a.s) + np.sqrt(b.s)) ** 2)
+    _check_epsilon(epsilon)
+    a, b, c_len = (SquaredEdgeLengths(3, row) for row in _frankel_rows(epsilon))
     return a, b, c_len
 
 
@@ -144,36 +171,59 @@ def frankel_instance(epsilon: float, *, pd_tol: float = DEFAULT_PD_TOL) -> Count
     return CounterexampleInstance(label="lengths-not-convex", epsilon=epsilon, pieces=pieces)
 
 
-def _bisect_validity(build, pd_tol: float, hi: float) -> float:
-    """Smallest epsilon in (1e-4, hi) where the instance ``build(eps)`` flips
-    to Valid, bisected to a width of 1e-8 on its verdict."""
+def _midpoint_tree(lo: float, hi: float) -> list[float]:
+    """Every midpoint that the next ``_BISECT_DEPTH`` bisection steps from
+    (lo, hi) can visit, breadth first: node i halves its interval, node
+    2i + 1 the lower half (the next step after a Valid verdict) and node
+    2i + 2 the upper half."""
+    spans, mids = [(lo, hi)], []
+    for node in range((1 << _BISECT_DEPTH) - 1):
+        a, b = spans[node]
+        mid = 0.5 * (a + b)
+        mids.append(mid)
+        spans += ((a, mid), (mid, b))
+    return mids
 
-    def is_valid(eps: float) -> bool:
-        return _spectrum(build(eps), pd_tol)[2] is Verdict.VALID
 
+def _bisect_validity(rows, pd_tol: float, hi: float) -> float:
+    """Smallest epsilon in (1e-4, hi) where the dimension-3 instances with
+    squared lengths ``rows(eps)`` flip to Valid, bisected to a width of 1e-8
+    on their verdict.
+
+    Each round judges, in one stacked verdict (:func:`_valid_rows`), the
+    midpoint tree of the next ``_BISECT_DEPTH`` steps, then walks down it
+    as a one-at-a-time bisection would step: a node's midpoint is
+    ``0.5 * (lo + hi)`` of the very floats the walk holds when it gets
+    there, and a stacked verdict is the per-instance one bit for bit, so
+    the walk takes the same steps and returns the same bits.
+    """
     lo, tol = _BISECT_LO, _BISECT_TOL
-    if not is_valid(hi):
+    hi_valid, lo_valid = _valid_rows(3, rows(np.array([hi, lo])), pd_tol)
+    if not hi_valid:
         raise ValueError(f"upper endpoint {hi} is not Valid; bracket the threshold")
-    if is_valid(lo):
+    if lo_valid:
         raise ValueError(f"lower endpoint {lo} is already Valid; bracket the threshold")
     while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if is_valid(mid):
-            hi = mid
-        else:
-            lo = mid
+        mids = _midpoint_tree(lo, hi)
+        valid = _valid_rows(3, rows(np.array(mids)), pd_tol).tolist()
+        node = 0
+        while node < len(mids) and hi - lo > tol:
+            if valid[node]:
+                hi, node = mids[node], 2 * node + 1
+            else:
+                lo, node = mids[node], 2 * node + 2
     return 0.5 * (lo + hi)
 
 
 def nontri_threshold(*, pd_tol: float = DEFAULT_PD_TOL) -> float:
     """Bisected flip point of the apex family; analytically 1/sqrt(3) - 1/2."""
-    return _bisect_validity(_nontri_piece, pd_tol, 0.2)
+    return _bisect_validity(_nontri_rows, pd_tol, 0.2)
 
 
 def frankel_length_threshold(*, pd_tol: float = DEFAULT_PD_TOL) -> float:
     """Bisected epsilon above which the plain length sum C_len becomes Valid."""
     # only C_len decides the threshold, so A, B and their sum go unfactored
-    return _bisect_validity(lambda eps: _frankel_pieces(eps)[2], pd_tol, 1.0)
+    return _bisect_validity(lambda eps: _frankel_rows(eps)[..., 2, :], pd_tol, 1.0)
 
 
 @dataclass(frozen=True)
@@ -205,24 +255,25 @@ def _segment_logdet(
     """Face dimension k, and log det of the face Gram matrix with its first
     two derivatives along the segment, at ``samples`` equally spaced points.
 
-    The endpoints are certified by their verdict (:class:`NotRealizable`
-    when one is not Valid), and that certifies every sample: the Gram
-    matrix at t is (1 - t) G1 + t G2, and lambda_min - pd_tol * lambda_max
-    is concave on symmetric matrices, so it stays positive between two
-    Valid endpoints; every face of a Valid sample has a positive definite
-    Gram matrix.  The face Gram matrix moves by the constant G2 - G1, so
-    one k x k whitening gives the values and both derivatives at every
-    sample (:func:`_whitened_derivatives`).
+    The endpoints are certified by their verdict, one stacked call for both
+    (:class:`NotRealizable` naming the first that is not Valid), and that
+    certifies every sample: the Gram matrix at t is (1 - t) G1 + t G2, and
+    lambda_min - pd_tol * lambda_max is concave on symmetric matrices, so
+    it stays positive between two Valid endpoints; every face of a Valid
+    sample has a positive definite Gram matrix.  The face Gram matrix moves
+    by the constant G2 - G1, so one k x k whitening gives the values and
+    both derivatives at every sample (:func:`_whitened_derivatives`).
     """
     if first.n != second.n:
         raise ValueError("dimension mismatch")
     if samples < 3:
         raise ValueError("need at least 3 samples")
     k, idx = _face_edges(first.n, face)
-    for name, ell in (("first", first), ("second", second)):
-        if _spectrum(ell, pd_tol)[2] is not Verdict.VALID:
+    ends = np.stack((first.s, second.s))
+    for name, valid in zip(("first", "second"), _valid_rows(first.n, ends, pd_tol)):
+        if not valid:
             raise NotRealizable(f"{name} endpoint is not Valid")
-    g1, g2 = _gram_stack(k, np.stack((first.s[idx], second.s[idx])))
+    g1, g2 = _gram_stack(k, ends[:, idx])
     return k, *_whitened_derivatives(g1, g2, np.linspace(0.0, 1.0, samples))
 
 
@@ -283,8 +334,12 @@ def _discrete_margins(values: np.ndarray) -> tuple[float, float]:
     m = values.size
     top = (m - 1) // 2  # the largest half-gap
     pad = np.full(top, -np.inf)
-    # shifted[top + d][j] is values[j + d], or -inf past either end
-    shifted = np.lib.stride_tricks.sliding_window_view(np.concatenate((pad, values, pad)), m)
+    # shifted[top + d][j] is values[j + d], or -inf past either end: a
+    # read-only view of the padded values, one row per shift d
+    padded = np.concatenate((pad, values, pad))
+    shifted = np.lib.stride_tricks.as_strided(
+        padded, (2 * top + 1, m), (padded.itemsize, padded.itemsize), writeable=False
+    )
     step = max(1, _MARGIN_BLOCK // m)
     block = np.empty(step * m)
     widest = np.full(m, -np.inf)

@@ -4,10 +4,11 @@ Each spectral question has one kernel here: ``_positive_definite`` (the
 PD band test), ``_null_index`` (nullity exactly one), ``adjugate`` (one
 SVD formula) and ``_logdet_derivatives`` (the first two directional
 derivatives of ``log det``).  Every spectrum comes from LAPACK through
-numpy, single matrices through :func:`eigendecompose`; the optimizer's
-face determinants and inverses come from one batched call each, the
-adjugate from one SVD and every Cholesky factor from ``potrf``; the tests
-hold them to pure-Python loops and mpmath.
+numpy: single matrices (:func:`eigendecompose`) and the stacked verdicts
+of probes and bisections through one prescaled kernel, ``_unit_eigh``;
+the optimizer's face determinants and inverses come from one batched
+call each, the adjugate from one SVD and every Cholesky factor from
+``potrf``; the tests hold them to pure-Python loops and mpmath.
 
 Symmetry is enforced exactly: a matrix is accepted as symmetric only if
 ``m[i, j] == m[j, i]`` bitwise.  Callers that assemble symmetric
@@ -98,21 +99,32 @@ class EigenDecomposition:
 
 
 def eigendecompose(m) -> EigenDecomposition:
-    """Full eigendecomposition of a symmetric matrix by LAPACK's ``eigh``.
+    """Full eigendecomposition of a symmetric matrix by LAPACK's ``eigh``
+    (:func:`_unit_eigh`).  Raises :class:`ConvergenceError` when LAPACK
+    reports no convergence."""
+    return EigenDecomposition(*_unit_eigh(check_symmetric(m)))
+
+
+def _unit_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues and eigenvectors of a finite symmetric matrix,
+    or of each matrix in a stack along the leading axes.
 
     LAPACK runs on M / 2^shift, largest entry in [0.5, 1): the exact
     rescale keeps every entry's square inside the float range and makes
     the result commute bit for bit with scaling M by 2^k (short of
-    subnormal entries).  Raises :class:`ConvergenceError` when LAPACK
-    reports no convergence.
+    subnormal entries).  Each matrix of a stack gets its own shift, so a
+    stack gives the bits that one call per matrix gives.
     """
-    checked = check_symmetric(m)
-    shift = math.frexp(float(np.abs(checked).max()))[1]
+    if m.ndim == 2:  # one matrix: a Python int shift skips ~2 us of numpy calls
+        shift = back = math.frexp(float(np.abs(m).max()))[1]
+    else:
+        shift = np.frexp(np.abs(m).max(axis=(-2, -1), keepdims=True))[1]
+        back = shift[..., 0]
     try:
-        w, basis = np.linalg.eigh(np.ldexp(checked, -shift))
+        w, basis = np.linalg.eigh(np.ldexp(m, -shift))
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"symmetric eigensolver failed: {exc}") from None
-    return EigenDecomposition(eigenvalues=np.ldexp(w, shift), basis=basis)
+    return np.ldexp(w, back), basis
 
 
 def _band(w, tol: float):

@@ -40,6 +40,7 @@ from .linalg import (
     _band,
     _cholesky_factor,
     _positive_definite,
+    _unit_eigh,
     eigendecompose,
 )
 
@@ -269,6 +270,16 @@ def _spectrum(
     g = gram_from_squared_lengths(ell)
     dec = eigendecompose(g)
     return (g, dec, *_classify(dec.eigenvalues, pd_tol))
+
+
+def _valid_rows(n: int, rows: np.ndarray, pd_tol: float) -> np.ndarray:
+    """The Valid test of :func:`_spectrum` for each squared-length row of a
+    stack of dimension-n rows (shape ``(..., n*(n+1)/2)``), from one
+    stacked eigendecomposition: the same bits as one call per row."""
+    g = _gram_stack(n, rows)
+    if not np.isfinite(g).all():
+        raise ValueError("matrix entries must be finite")
+    return _positive_definite(_unit_eigh(g)[0], pd_tol)
 
 
 def _valid_spectrum(

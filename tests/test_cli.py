@@ -493,6 +493,17 @@ def test_non_finite_and_negative_numbers_are_usage_errors(capsys):
     assert args.max_iter == 1
 
 
+@pytest.mark.parametrize("value", ["-inf", "-INF", "-Infinity", "-nan", "-NaN"])
+def test_negative_non_finite_values_name_the_finite_rule(capsys, value):
+    # "-inf" is the flag's value, not an unknown option that leaves the flag empty
+    message = f"must be a finite number, got {value!r}"
+    _assert_usage_error(capsys, ["validate", UNIT_TRIANGLE, "--tolerance", value], message)
+    _assert_usage_error(capsys, ["counterexample", "nontri", "--epsilon", value], message)
+    argv = list(OPTIMIZE)
+    argv[argv.index("--total") + 1] = value
+    _assert_usage_error(capsys, argv, message)
+
+
 def test_optimize_tolerance_no_start_can_meet_is_a_usage_error(capsys):
     _assert_usage_error(
         capsys, OPTIMIZE + ["--tolerance", "1e300"], "failed to sample a Valid instance"
@@ -585,6 +596,10 @@ def test_float_extremes_print_only_the_error_line():
         (["volume", UNIT_TETRA, "--face", "-1,2"], "face (-1, 2) out of range for dimension 3"),
         (["probe", UNIT_TETRA, UNIT_TETRA, "--mode", "log", "--face", "-1,2"],
          "face (-1, 2) out of range for dimension 3"),
+        # an empty vertex list is a malformed --face, not a missing one
+        (["volume", UNIT_TETRA, "--face", ""], "--face expects comma-separated integers, got ''"),
+        (["probe", UNIT_TETRA, UNIT_TETRA, "--mode", "log", "--face", ""],
+         "--face expects comma-separated integers, got ''"),
     ],
 )
 def test_face_rules_are_usage_errors(capsys, argv, fragment):

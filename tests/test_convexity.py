@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 import simplexcone.convexity as convexity_module
 from simplexcone import (
     DEFAULT_PD_TOL,
+    NotRealizable,
     SquaredEdgeLengths,
     Verdict,
     cone_combine,
@@ -27,9 +28,12 @@ from simplexcone import (
     validate,
 )
 from simplexcone.convexity import (
+    _BISECT_DEPTH,
+    _bisect_validity,
     _discrete_margins,
     _finish_report,
     _segment_logdet,
+    _nontri_rows,
     _whitened_derivatives,
 )
 from simplexcone.linalg import NotPositiveDefinite
@@ -209,6 +213,61 @@ def test_bisected_thresholds_agree_with_mpmath(threshold, piece):
         assert validate(ell).verdict is side, eps
 
 
+def _sequential_bisection(piece, hi, pd_tol):
+    """The thresholds' bisection one midpoint at a time, through validate."""
+    lo = 1e-4
+    while hi - lo > 1e-8:
+        mid = 0.5 * (lo + hi)
+        if validate(piece(mid), pd_tol=pd_tol).verdict is Verdict.VALID:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("pd_tol", [0.0, 1e-12, 1e-10, 1e-6])
+def test_stacked_bisections_equal_the_sequential_one(pd_tol):
+    # the midpoint tree walks the steps a one-at-a-time bisection takes
+    nontri = _sequential_bisection(
+        lambda eps: nontri_instance(eps).pieces["instance"][0], 0.2, pd_tol
+    )
+    frankel = _sequential_bisection(
+        lambda eps: frankel_instance(eps).pieces["C_len"][0], 1.0, pd_tol
+    )
+    assert nontri_threshold(pd_tol=pd_tol) == nontri
+    assert frankel_length_threshold(pd_tol=pd_tol) == frankel
+
+
+def test_bisection_judges_its_midpoints_in_a_few_stacked_calls(monkeypatch):
+    # 25 (apex) and 27 (length sum) steps halve the bracket to 1e-8, each
+    # round takes _BISECT_DEPTH of them, and the bracket takes one call more
+    calls = []
+    original = np.linalg.eigh
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    for threshold in (nontri_threshold, frankel_length_threshold):
+        calls.clear()
+        threshold()
+        assert 1 < len(calls) <= math.ceil(27 / _BISECT_DEPTH) + 1, calls
+        assert calls[0] == (2, 3, 3)
+
+
+def test_bisection_refuses_a_bracket_without_the_flip():
+    def regular(eps):  # Valid at every eps
+        return np.ones(np.shape(eps) + (6,))
+
+    upper = r"^upper endpoint 0\.05 is not Valid; bracket the threshold$"
+    with pytest.raises(ValueError, match=upper):
+        _bisect_validity(_nontri_rows, 1e-10, 0.05)
+    lower = r"^lower endpoint 0\.0001 is already Valid; bracket the threshold$"
+    with pytest.raises(ValueError, match=lower):
+        _bisect_validity(regular, 1e-10, 0.2)
+
+
 # ---------------------------------------------------------------------------
 # concavity probes
 
@@ -302,6 +361,13 @@ def test_probe_errors():
         probe_log_concavity(a, b)
     with pytest.raises(ValueError, match="at least 3"):
         probe_log_concavity(a, a, samples=2)
+    # one stacked verdict judges both endpoints; the first that fails is named
+    bad = SquaredEdgeLengths(2, np.array([1.0, 1.0, 4.4]))
+    flat = SquaredEdgeLengths(2, np.array([1.0, 1.0, 4.0]))
+    for first, second, name in ((bad, a, "first"), (a, bad, "second"), (bad, flat, "first"),
+                                (flat, bad, "first")):
+        with pytest.raises(NotRealizable, match=f"^{name} endpoint is not Valid$"):
+            probe_log_concavity(first, second)
 
 
 def test_probe_random_pairs_pass():
@@ -432,8 +498,8 @@ def test_discrete_margins_equal_brute_force(m):
 
 
 def test_facet_probe_makes_no_per_sample_eigendecompose_calls(eigendecompose_calls):
-    # the endpoints are certified by validate, one eigendecompose each;
-    # the samples take no factorization of their own
+    # both endpoints are judged in one stacked verdict, and the samples take
+    # no factorization of their own: no single-matrix eigendecompose at all
     assert not hasattr(convexity_module, "eigendecompose")
     rng = np.random.default_rng(8)
     first = random_simplex(8, rng)
@@ -441,12 +507,12 @@ def test_facet_probe_makes_no_per_sample_eigendecompose_calls(eigendecompose_cal
     eigendecompose_calls.clear()
     report = probe_log_concavity(first, second, face=range(8), samples=1001)
     assert report.passed
-    assert eigendecompose_calls == [8, 8]
+    assert eigendecompose_calls == []
 
 
 @pytest.mark.parametrize("samples", [33, 1001])
 def test_probe_derivatives_take_one_small_eigendecomposition(monkeypatch, samples):
-    # the endpoints go through their verdict, and the values and both
+    # the endpoints go through one stacked verdict, and the values and both
     # derivatives at every sample through one k x k whitening: O(k^3 +
     # samples k), and no array with a samples axis reaches LAPACK
     rng = np.random.default_rng(8)
@@ -463,5 +529,5 @@ def test_probe_derivatives_take_one_small_eigendecomposition(monkeypatch, sample
         monkeypatch.setattr(np.linalg, name, recording)
     report = probe_log_concavity(first, second, face=range(8), samples=samples)
     assert report.passed
-    assert shapes["eigh"] == [(8, 8), (8, 8), (7, 7)]
+    assert shapes["eigh"] == [(2, 8, 8), (7, 7)]
     assert shapes["eigvalsh"] == [(7, 7)]

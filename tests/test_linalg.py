@@ -10,6 +10,7 @@ from simplexcone.linalg import (
     ConvergenceError,
     NotPositiveDefinite,
     NullityNotOne,
+    _unit_eigh,
     adjugate,
     adjugate_rank1_decompose,
     check_symmetric,
@@ -102,6 +103,30 @@ def test_eigendecompose_commutes_with_powers_of_two():
             dec = eigendecompose(np.ldexp(m, k))
             assert np.array_equal(dec.eigenvalues, np.ldexp(base.eigenvalues, k)), (n, k)
             assert np.array_equal(dec.basis, base.basis), (n, k)
+
+
+def test_stacked_eigh_equals_one_call_per_matrix():
+    # each matrix of a stack gets its own exact rescale, so a stack of
+    # matrices far apart in scale gives every matrix's own bits
+    rng = np.random.default_rng(19)
+    for n in range(1, 13):
+        for count in (2, 5, 31):
+            scales = 10.0 ** rng.uniform(-200, 200, count)
+            stack = np.stack([random_symmetric(rng, n, scale=c) for c in scales])
+            w, basis = _unit_eigh(stack)
+            for i, m in enumerate(stack):
+                dec = eigendecompose(m)
+                assert np.array_equal(w[i], dec.eigenvalues), (n, count, i)
+                assert np.array_equal(basis[i], dec.basis), (n, count, i)
+
+
+def test_stacked_eigh_maps_a_lapack_failure_to_convergence_error(monkeypatch):
+    def failing(a, *args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", failing)
+    with pytest.raises(ConvergenceError, match="did not converge"):
+        _unit_eigh(np.stack((np.eye(3), 2.0 * np.eye(3))))
 
 
 def test_eigendecompose_rejects_asymmetric():

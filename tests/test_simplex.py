@@ -32,6 +32,7 @@ from simplexcone import (
     validate,
     volume,
 )
+from simplexcone.simplex import _spectrum, _valid_rows
 
 UNIT_TRIANGLE = SquaredEdgeLengths(2, np.ones(3))
 UNIT_TETRA = SquaredEdgeLengths(3, np.ones(6))
@@ -191,6 +192,43 @@ def test_validate_invalid_triangle_far_from_unit_scale(scale):
     assert rep.smallest_gram_eigenvalue == pytest.approx(-2.5 * scale, rel=1e-12)
     with pytest.raises(NotRealizable):
         volume(ell)
+
+
+def _mixed_rows(n, rng):
+    """Valid, Degenerate-leaning (vertices on a hyperplane) and Invalid (one
+    edge longer than any two others together) squared-length rows of
+    dimension n, each rescaled to a total between 1e-300 and 1e300."""
+    rows = [random_simplex(n, rng).s for _ in range(3)]
+    if n > 1:
+        flat = np.vstack((rng.integers(-3, 4, (n - 1, n + 1)), np.zeros(n + 1)))
+        rows += [np.array([float(np.sum((flat[:, i] - flat[:, j]) ** 2))
+                           for i, j in edge_pairs(n)])]
+    long_edge = random_simplex(n, rng).s.copy()
+    long_edge[-1] = 5.0 * long_edge.max()
+    rows.append(long_edge)
+    rows = [row for row in rows if (row > 0.0).all()]  # no two vertices coincide
+    totals = 10.0 ** rng.uniform(-300, 300, len(rows))
+    return np.stack([row * (t / row.sum()) for row, t in zip(rows, totals)])
+
+
+def test_stacked_verdicts_equal_one_verdict_per_row():
+    rng = np.random.default_rng(19)
+    seen = set()
+    for n in range(1, 13):
+        rows = _mixed_rows(n, rng)
+        rng.shuffle(rows)
+        for pd_tol in (0.0, 1e-10, 1e-6):
+            verdicts = [_spectrum(SquaredEdgeLengths(n, row), pd_tol)[2] for row in rows]
+            seen.update(verdicts)
+            expected = [v is Verdict.VALID for v in verdicts]
+            assert _valid_rows(n, rows, pd_tol).tolist() == expected, (n, pd_tol)
+    assert seen == set(Verdict)
+
+
+def test_stacked_verdicts_refuse_a_gram_matrix_that_is_not_finite():
+    rows = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, np.inf]])
+    with pytest.raises(ValueError, match="matrix entries must be finite"):
+        _valid_rows(2, rows, 1e-10)
 
 
 def test_validate_tolerance_scales_with_spectrum():
