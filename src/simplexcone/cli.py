@@ -4,10 +4,11 @@ Instance files are JSON objects::
 
     {"dimension": 2, "squared_lengths": [1.0, 1.0, 1.0], "labels": {...}}
 
-Reports are JSON on stdout (``--pretty`` for a human layout), written by
-the stdlib encoder: every float is its shortest round-trip repr, so it
-parses back bit for bit and reruns with the same seed and
-``--no-timestamp`` are byte-identical.
+Reports are JSON on stdout, written by the stdlib encoder: every float is
+its shortest round-trip repr, so it parses back bit for bit and reruns
+with the same seed and ``--no-timestamp`` are byte-identical.
+``--pretty`` lays out that same JSON for humans, floats at 12
+significant digits.
 
 Exit codes: 0 success, 1 usage or parse error, 2 negative geometric
 verdict (Invalid / not realizable, including a probe endpoint that is not
@@ -27,6 +28,7 @@ import math
 import os
 import re
 import sys
+from dataclasses import asdict
 from datetime import datetime, timezone
 from itertools import combinations
 
@@ -103,32 +105,29 @@ def render_json(value) -> str:
 
 
 def _pretty_scalar(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
+    if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (float, np.floating)):
-        if not math.isfinite(value):
-            raise ValueError("cannot serialize a non-finite number")
-        return format(float(value), ".12g")
+    if isinstance(value, float):
+        return format(value, ".12g")
     return str(value)
 
 
 def _is_scalar(value) -> bool:
-    return isinstance(value, (bool, int, float, str, np.integer, np.floating)) or value is None
+    return not isinstance(value, (dict, list))
 
 
 def render_pretty(value, indent: int = 0) -> list[str]:
+    """Lay out a parsed JSON report, floats at 12 significant digits."""
     pad = "  " * indent
     if isinstance(value, dict):
         entries = [(f"{k}:", v) for k, v in value.items()]
-    elif isinstance(value, (list, tuple, np.ndarray)):
-        entries = [("-", v) for v in value]
     else:
-        return [f"{pad}{_pretty_scalar(value)}"]
+        entries = [("-", v) for v in value]
     lines: list[str] = []
     for head, v in entries:
         if _is_scalar(v):
             lines.append(f"{pad}{head} {_pretty_scalar(v)}")
-        elif isinstance(v, (list, tuple, np.ndarray)) and all(_is_scalar(x) for x in v):
+        elif isinstance(v, list) and all(_is_scalar(x) for x in v):
             inline = ", ".join(_pretty_scalar(x) for x in v)
             lines.append(f"{pad}{head} [{inline}]")
         else:
@@ -143,12 +142,11 @@ def render_pretty(value, indent: int = 0) -> list[str]:
 _ALLOWED_KEYS = {"dimension", "squared_lengths", "lengths", "labels"}
 
 
-def _instance_from_object(obj, *, lengths: bool) -> SquaredEdgeLengths:
-    if isinstance(obj, str):
-        try:
-            obj = json.loads(obj)
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"malformed instance: {exc}") from exc
+def _instance_from_text(text: str, *, lengths: bool) -> SquaredEdgeLengths:
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise UsageError(f"malformed instance: {exc}") from exc
     if not isinstance(obj, dict):
         raise UsageError("instance must be a JSON object")
     unknown = set(obj) - _ALLOWED_KEYS
@@ -199,7 +197,7 @@ def _load(source: str, lengths: bool, inputs: dict) -> SquaredEdgeLengths:
         inputs["inline"] = True
     else:
         raise UsageError(f"no such file: {source}")
-    ell = _instance_from_object(raw.decode("utf-8"), lengths=lengths)
+    ell = _instance_from_text(raw.decode("utf-8"), lengths=lengths)
     inputs.update(
         sha256=hashlib.sha256(raw).hexdigest(),
         dimension=ell.n,
@@ -233,12 +231,7 @@ def _parse_face(text: str) -> tuple[int, ...]:
 def _cmd_validate(args, inputs: dict, results: dict) -> int:
     ell = _load(args.instance, args.lengths, inputs)
     report = validate(ell, pd_tol=args.tolerance)
-    results.update(
-        verdict=report.verdict.value,
-        smallest_gram_eigenvalue=report.smallest_gram_eigenvalue,
-        tolerance=report.tolerance,
-        triangle_inequalities_hold=report.triangle_inequalities_hold,
-    )
+    results.update(asdict(report), verdict=report.verdict.value)
     return 2 if report.verdict is Verdict.INVALID else 0
 
 
@@ -266,14 +259,7 @@ def _cmd_faces(args, inputs: dict, results: dict) -> int:
 
 def _cmd_dual(args, inputs: dict, results: dict) -> int:
     report = dual_gram(_load(args.instance, args.lengths, inputs), pd_tol=args.tolerance)
-    kernel = null_direction(report.gstar)
-    results.update(
-        gstar=report.gstar,
-        areas=report.areas,
-        null_residual=report.null_residual,
-        divergence_residual=report.divergence_residual,
-        null_direction=kernel,
-    )
+    results.update(asdict(report), null_direction=null_direction(report.gstar))
     if args.ratio is not None:
         i, j = args.ratio
         value = _ratio_from_dual_gram(report.gstar, i, j)
@@ -296,14 +282,7 @@ def _cmd_probe(args, inputs: dict, results: dict) -> int:
         report = probe_root_concavity(
             first, second, samples=args.samples, pd_tol=args.tolerance
         )
-    results.update(
-        mode=args.mode,
-        samples=report.samples,
-        worst_midpoint_defect=report.worst_midpoint_defect,
-        worst_second_difference=report.worst_second_difference,
-        max_analytic_second_derivative=report.max_analytic_second_derivative,
-        passed=report.passed,
-    )
+    results.update(mode=args.mode, **asdict(report))
     if args.mode == "log":
         results["face"] = list(face) if face else list(range(first.n + 1))
     return 0
@@ -348,14 +327,13 @@ def _cmd_optimize(args, inputs: dict, results: dict) -> int:
     objective = Objective(ObjectiveKind(args.objective), args.k)
     rng = np.random.default_rng(args.seed)
     runs = []
-    best = None
-    any_failed = False
-    for index in range(args.starts):
+    for _ in range(args.starts):
         try:
             start = random_simplex(args.n, rng, total=args.total, pd_tol=args.tolerance)
         except RuntimeError as exc:  # no draw clears a tolerance this large
             raise UsageError(f"{exc} at --tolerance {args.tolerance}") from exc
         entry: dict = {"start_squared_lengths": start.s}
+        runs.append(entry)
         try:
             trace = maximize(
                 args.n,
@@ -367,29 +345,25 @@ def _cmd_optimize(args, inputs: dict, results: dict) -> int:
             )
         except (MaxIterations, StepIntoInvalidRegion) as exc:
             entry.update({"converged": False, "error": str(exc)})
-            any_failed = True
-            runs.append(entry)
             continue
-        final_value = trace.iterates[-1][1]
         entry.update(
             {
                 "converged": True,
                 "iterations": len(trace.iterates) - 1,
-                "objective": final_value,
+                "objective": trace.iterates[-1][1],
                 "regularity_deviation": trace.regularity_deviation,
                 "final_squared_lengths": trace.final.s,
             }
         )
-        if best is None or final_value > best[1]:
-            best = (index, final_value)
-        runs.append(entry)
     results["runs"] = runs
-    if best is not None:
-        results["best"] = {"run": best[0], "objective": best[1]}
-    return 3 if any_failed else 0
+    converged = [index for index, entry in enumerate(runs) if entry["converged"]]
+    if converged:  # max keeps the first of equal objectives
+        best = max(converged, key=lambda index: runs[index]["objective"])
+        results["best"] = {"run": best, "objective": runs[best]["objective"]}
+    return 0 if len(converged) == len(runs) else 3
 
 
-#: bounds of ``probe --samples``; a probe holds samples * n^2 floats at once
+#: bounds of ``probe --samples``; the all-pairs margin takes O(samples^2) time
 _MIN_SAMPLES, _MAX_SAMPLES = 3, 100_000
 
 
@@ -552,7 +526,9 @@ def run(argv: list[str]) -> int:
             report["timestamp"] = datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
         report["inputs"] = inputs
         report["results"] = results
-        text = "\n".join(render_pretty(report)) if args.pretty else render_json(report)
+        text = render_json(report)
+        if args.pretty:
+            text = "\n".join(render_pretty(json.loads(text)))
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

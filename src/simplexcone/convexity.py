@@ -101,7 +101,8 @@ def nontri_instance(epsilon: float, *, pd_tol: float = DEFAULT_PD_TOL) -> Counte
     Triangle inequalities hold for every ``epsilon > 0``; the verdict
     flips from Invalid to Valid only at ``1/sqrt(3) - 1/2``.
     """
-    ell = _nontri_piece(epsilon)
+    _check_epsilon(epsilon)
+    ell = SquaredEdgeLengths(3, _nontri_rows(epsilon))
     return CounterexampleInstance(
         label="triangle-inequalities-not-sufficient",
         epsilon=epsilon,
@@ -124,12 +125,6 @@ def _nontri_rows(eps) -> np.ndarray:
     return np.stack((apex, apex, apex, one, one, one), axis=-1)
 
 
-def _nontri_piece(epsilon: float) -> SquaredEdgeLengths:
-    """The unit triangle with its apex at distance 1/2 + epsilon."""
-    _check_epsilon(epsilon)
-    return SquaredEdgeLengths(3, _nontri_rows(epsilon))
-
-
 def _frankel_rows(eps) -> np.ndarray:
     """Squared lengths of the tetrahedra A and B of the length-sum family
     and of their length sum C_len at each of ``eps``, shape ``(..., 3, 6)``."""
@@ -142,15 +137,6 @@ def _frankel_rows(eps) -> np.ndarray:
         return np.stack((a, b, (np.sqrt(a) + np.sqrt(b)) ** 2), axis=-2)
 
 
-def _frankel_pieces(
-    epsilon: float,
-) -> tuple[SquaredEdgeLengths, SquaredEdgeLengths, SquaredEdgeLengths]:
-    """The tetrahedra A and B of the length-sum family, and C_len."""
-    _check_epsilon(epsilon)
-    a, b, c_len = (SquaredEdgeLengths(3, row) for row in _frankel_rows(epsilon))
-    return a, b, c_len
-
-
 def frankel_instance(epsilon: float, *, pd_tol: float = DEFAULT_PD_TOL) -> CounterexampleInstance:
     """Two Valid tetrahedra A, B whose length sum C_len fails for small epsilon.
 
@@ -160,7 +146,8 @@ def frankel_instance(epsilon: float, *, pd_tol: float = DEFAULT_PD_TOL) -> Count
     ``squared_sum`` adds the squared lengths (the cone combination);
     for small ``epsilon`` the first is Invalid while the second is Valid.
     """
-    a, b, c_len = _frankel_pieces(epsilon)
+    _check_epsilon(epsilon)
+    a, b, c_len = (SquaredEdgeLengths(3, row) for row in _frankel_rows(epsilon))
     squared_sum = cone_combine(a, b, 1.0, 1.0)
     pieces = {
         "A": (a, validate(a, pd_tol=pd_tol)),

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 
 import simplexcone.cli as cli
 from simplexcone.cli import UsageError, build_parser, main, parse_instance, run
+from simplexcone.extremal import MaxIterations
 from simplexcone.linalg import NullityNotOne
 from simplexcone.simplex import NotRealizable
 
@@ -437,6 +439,39 @@ def test_optimize_not_realizable_exits_2_with_a_report(capsys, monkeypatch):
     assert report["results"] == {"error": "start is not Valid"}
 
 
+def _scripted_maximize(outcomes):
+    """A stand-in for ``maximize`` whose runs end, in turn, at the final
+    objective values in ``outcomes``; ``None`` is a run that hits its cap."""
+    pending = iter(outcomes)
+
+    def scripted(n, total, objective, *, start, max_iter, pd_tol):
+        value = next(pending)
+        if value is None:
+            raise MaxIterations(f"no convergence within {max_iter} iterations", None)
+        return SimpleNamespace(iterates=[(start, 0.0), (start, value)],
+                               regularity_deviation=0.0, final=start)
+
+    return scripted
+
+
+@pytest.mark.parametrize(
+    "outcomes, best, code",
+    [([2.0, 2.0, 1.0], 0, 0), ([None, 1.0, 2.0, 2.0], 2, 3), ([None, None], None, 3)],
+)
+def test_best_is_the_first_of_equal_objectives(capsys, monkeypatch, outcomes, best, code):
+    monkeypatch.setattr(cli, "maximize", _scripted_maximize(outcomes))
+    argv = ["optimize", "--n", "2", "--total", "3", "--objective", "logprod", "--k", "1",
+            "--starts", str(len(outcomes))]
+    got, report = run_json(capsys, argv)
+    assert got == code
+    results = report["results"]
+    assert [r["converged"] for r in results["runs"]] == [v is not None for v in outcomes]
+    if best is None:
+        assert "best" not in results
+    else:
+        assert results["best"] == {"run": best, "objective": outcomes[best]}
+
+
 def test_optimize_converges_at_a_large_total(capsys):
     # the stopping test reads the same at every total: no run is reported
     # converged before it has moved toward the regular point; starts are
@@ -720,6 +755,86 @@ def test_pretty_rendering(capsys):
     assert "command: validate" in out
     with pytest.raises(json.JSONDecodeError):
         json.loads(out)
+
+
+PRETTY_DUAL_RATIO = """\
+command: dual
+version: 0.1.0
+inputs:
+  inline: true
+  sha256: 06ab4be3949a146bec30cd38a5bcb67bd7ff8da419f10bf04dacf24c9ff62393
+  dimension: 2
+  squared_lengths: [1, 1, 2]
+  lengths_converted: false
+results:
+  gstar:
+    - [1, -0.707106781187, -0.707106781187]
+    - [-0.707106781187, 1, 0]
+    - [-0.707106781187, 0, 1]
+  areas: [1.41421356237, 1, 1]
+  null_residual: 1.58187870389e-17
+  divergence_residual: 0
+  null_direction: [0.707106781187, 0.5, 0.5]
+  ratio:
+    i: 0
+    j: 1
+    squared_area_ratio: 2
+"""
+
+PRETTY_FACES = """\
+command: faces
+version: 0.1.0
+inputs:
+  inline: true
+  sha256: 31eeb9a15665709183a0dc200ea8c8691598089f3eebbac8a5f92212f62a5c01
+  dimension: 3
+  squared_lengths: [1, 1, 1, 1, 1, 1]
+  lengths_converted: false
+results:
+  k: 1
+  faces:
+""" + "".join(f"""\
+    -
+      vertices: [{i}, {j}]
+      volume: 1
+""" for i, j in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)))
+
+PRETTY_OPTIMIZE_CAPPED = """\
+command: optimize
+version: 0.1.0
+inputs:
+  n: 3
+  total: 6
+  objective: sumroot
+  k: 2
+  seed: 3
+  starts: 1
+  sha256: ab53cdb84d66fa18d94200602441202ec65b310cd4869f9ce0dfe3aa572df546
+results:
+  runs:
+    -
+      start_squared_lengths: [0.950974300096, 0.753638527969, 0.107647891221, \
+2.70139882421, 0.454070759328, 1.03226969717]
+      converged: false
+      error: no convergence within 1 iterations
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, code, expected",
+    [
+        (["dual", RIGHT_TRIANGLE, "--ratio", "0", "1"], 0, PRETTY_DUAL_RATIO),
+        (["faces", UNIT_TETRA, "--k", "1"], 0, PRETTY_FACES),
+        (["optimize", "--n", "3", "--total", "6", "--objective", "sumroot", "--k", "2",
+          "--seed", "3", "--max-iter", "1"], 3, PRETTY_OPTIMIZE_CAPPED),
+    ],
+    ids=["nested-lists", "list-of-dicts", "false-and-error"],
+)
+def test_pretty_layout_is_pinned(capsys, argv, code, expected):
+    # the whole text: nested lists inline per row, dicts in a list under "-",
+    # false spelled as in JSON, an error string bare, no best when no run converged
+    assert run(argv + ["--pretty", "--no-timestamp"]) == code
+    assert capsys.readouterr().out == expected
 
 
 # ---------------------------------------------------------------------------
