@@ -4,19 +4,21 @@ Instance files are JSON objects::
 
     {"dimension": 2, "squared_lengths": [1.0, 1.0, 1.0], "labels": {...}}
 
+An instance holds exactly one of ``squared_lengths``, taken as given, or
+``lengths``, squared on ingest.
+
 Reports are JSON on stdout, written by the stdlib encoder: every float is
 its shortest round-trip repr, so it parses back bit for bit and reruns
 with the same seed and ``--no-timestamp`` are byte-identical.
 ``--pretty`` lays out that same JSON for humans, floats at 12
 significant digits.
 
-Exit codes: 0 success, 1 usage or parse error, 2 negative geometric
-verdict (Invalid / not realizable, including a probe endpoint that is not
-Valid), 3 numerical failure (an optimizer run that did not converge, a
-dual Gram matrix whose nullity is not one, or an eigensolver that did not
-converge).  Exits 0, 2 and 3 print a report, whose results hold
-``{"error": ...}`` when the answer could not be computed; exit 1 and an
-eigensolver failure print one line on stderr instead.
+Exit codes: 0 success, 1 the request itself was refused (one line on
+stderr, nothing on stdout), 2 negative geometric verdict (Invalid / not
+realizable, including a probe endpoint that is not Valid), 3 numerical
+failure (an optimizer run that did not converge, or a numerical refusal
+of the library).  Exits 0, 2 and 3 print a report, whose results hold
+``{"error": ...}`` when the answer could not be computed.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ from .extremal import (
     StepIntoInvalidRegion,
     maximize,
 )
-from .linalg import DEFAULT_PD_TOL, ConvergenceError, NullityNotOne
+from .linalg import DEFAULT_PD_TOL, ConvergenceError, NotPositiveDefinite, NullityNotOne
 from .simplex import (
     NotRealizable,
     SquaredEdgeLengths,
@@ -142,7 +144,8 @@ def render_pretty(value, indent: int = 0) -> list[str]:
 _ALLOWED_KEYS = {"dimension", "squared_lengths", "lengths", "labels"}
 
 
-def _instance_from_text(text: str, *, lengths: bool) -> SquaredEdgeLengths:
+def _instance_from_text(text: str) -> tuple[SquaredEdgeLengths, bool]:
+    """The instance, and whether its entries were plain lengths."""
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -157,16 +160,10 @@ def _instance_from_text(text: str, *, lengths: bool) -> SquaredEdgeLengths:
     n = obj["dimension"]
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise UsageError("'dimension' must be an integer >= 1")
-    if lengths:
-        values = obj.get("lengths", obj.get("squared_lengths"))
-        if values is None:
-            raise UsageError("instance is missing 'lengths'")
-    else:
-        if "squared_lengths" not in obj:
-            if "lengths" in obj:
-                raise UsageError("instance has 'lengths'; pass --lengths to use it")
-            raise UsageError("instance is missing 'squared_lengths'")
-        values = obj["squared_lengths"]
+    lengths = "lengths" in obj
+    if lengths == ("squared_lengths" in obj):
+        raise UsageError("instance needs exactly one of 'squared_lengths' and 'lengths'")
+    values = obj["lengths" if lengths else "squared_lengths"]
     if not isinstance(values, list) or not all(
         isinstance(v, (int, float)) and not isinstance(v, bool) for v in values
     ):
@@ -178,14 +175,16 @@ def _instance_from_text(text: str, *, lengths: bool) -> SquaredEdgeLengths:
         )
     arr = np.array(values, dtype=float)
     if lengths:
+        if not (np.isfinite(arr) & (arr > 0.0)).all():  # -2 must not pass as 2
+            raise UsageError("every length must be a positive finite number")
         arr = arr * arr
     try:
-        return SquaredEdgeLengths(n, arr)
+        return SquaredEdgeLengths(n, arr), lengths
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
 
-def _load(source: str, lengths: bool, inputs: dict) -> SquaredEdgeLengths:
+def _load(source: str, inputs: dict) -> SquaredEdgeLengths:
     """Load an instance from a file path or from inline JSON text, and fill
     the report's ``inputs`` block: origin, digest and parsed entries."""
     if os.path.isfile(source):
@@ -197,19 +196,19 @@ def _load(source: str, lengths: bool, inputs: dict) -> SquaredEdgeLengths:
         inputs["inline"] = True
     else:
         raise UsageError(f"no such file: {source}")
-    ell = _instance_from_text(raw.decode("utf-8"), lengths=lengths)
+    ell, lengths = _instance_from_text(raw.decode("utf-8"))
     inputs.update(
         sha256=hashlib.sha256(raw).hexdigest(),
         dimension=ell.n,
         squared_lengths=ell.s.tolist(),
-        lengths_converted=bool(lengths),
+        lengths_converted=lengths,
     )
     return ell
 
 
-def parse_instance(source: str, *, lengths: bool = False) -> SquaredEdgeLengths:
+def parse_instance(source: str) -> SquaredEdgeLengths:
     """Load an instance from a file path or from inline JSON text."""
-    return _load(source, lengths, {})
+    return _load(source, {})
 
 
 def _digest_params(params: dict) -> str:
@@ -229,14 +228,14 @@ def _parse_face(text: str) -> tuple[int, ...]:
 
 
 def _cmd_validate(args, inputs: dict, results: dict) -> int:
-    ell = _load(args.instance, args.lengths, inputs)
+    ell = _load(args.instance, inputs)
     report = validate(ell, pd_tol=args.tolerance)
     results.update(asdict(report), verdict=report.verdict.value)
     return 2 if report.verdict is Verdict.INVALID else 0
 
 
 def _cmd_volume(args, inputs: dict, results: dict) -> int:
-    ell = _load(args.instance, args.lengths, inputs)
+    ell = _load(args.instance, inputs)
     if args.face is not None:
         face = _parse_face(args.face)
         results["face"] = list(face)
@@ -247,7 +246,7 @@ def _cmd_volume(args, inputs: dict, results: dict) -> int:
 
 
 def _cmd_faces(args, inputs: dict, results: dict) -> int:
-    ell = _load(args.instance, args.lengths, inputs)
+    ell = _load(args.instance, inputs)
     _check_k_faces(ell.n, args.k)
     results["k"] = args.k
     results["faces"] = [
@@ -258,7 +257,7 @@ def _cmd_faces(args, inputs: dict, results: dict) -> int:
 
 
 def _cmd_dual(args, inputs: dict, results: dict) -> int:
-    report = dual_gram(_load(args.instance, args.lengths, inputs), pd_tol=args.tolerance)
+    report = dual_gram(_load(args.instance, inputs), pd_tol=args.tolerance)
     results.update(asdict(report), null_direction=null_direction(report.gstar))
     if args.ratio is not None:
         i, j = args.ratio
@@ -269,8 +268,8 @@ def _cmd_dual(args, inputs: dict, results: dict) -> int:
 
 def _cmd_probe(args, inputs: dict, results: dict) -> int:
     inputs["first"], inputs["second"] = {}, {}
-    first = _load(args.first, args.lengths, inputs["first"])
-    second = _load(args.second, args.lengths, inputs["second"])
+    first = _load(args.first, inputs["first"])
+    second = _load(args.second, inputs["second"])
     if args.face is not None and args.mode != "log":
         raise UsageError("--face applies to --mode log only")
     face = _parse_face(args.face) if args.face is not None else None
@@ -290,7 +289,8 @@ def _cmd_probe(args, inputs: dict, results: dict) -> int:
 
 def _cmd_counterexample(args, inputs: dict, results: dict) -> int:
     eps = args.epsilon if args.epsilon is not None else 0.01
-    params = {"family": args.family, "epsilon": eps, "bisect": bool(args.bisect)}
+    params = {"family": args.family, "epsilon": eps, "bisect": bool(args.bisect),
+              "tolerance": args.tolerance}
     inputs.update(params, sha256=_digest_params(params))
     if args.family == "nontri":
         instance = nontri_instance(eps, pd_tol=args.tolerance)
@@ -322,6 +322,8 @@ def _cmd_optimize(args, inputs: dict, results: dict) -> int:
         "k": args.k,
         "seed": args.seed,
         "starts": args.starts,
+        "max_iter": args.max_iter,
+        "tolerance": args.tolerance,
     }
     inputs.update(params, sha256=_digest_params(params))
     objective = Objective(ObjectiveKind(args.objective), args.k)
@@ -414,7 +416,7 @@ def _at_least_one(text: str) -> int:
     return value
 
 
-def _add_common(sub: argparse.ArgumentParser, *, with_lengths: bool = True) -> None:
+def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--tolerance",
         type=_tolerance,
@@ -423,12 +425,6 @@ def _add_common(sub: argparse.ArgumentParser, *, with_lengths: bool = True) -> N
     )
     sub.add_argument("--pretty", action="store_true", help="human-readable output")
     sub.add_argument("--no-timestamp", action="store_true", help="omit the timestamp")
-    if with_lengths:
-        sub.add_argument(
-            "--lengths",
-            action="store_true",
-            help="instance entries are plain lengths; square them on ingest",
-        )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -469,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("family", choices=["nontri", "frankel"])
     p.add_argument("--epsilon", type=_positive, default=None)
     p.add_argument("--bisect", action="store_true", help="bisect the validity threshold")
-    _add_common(p, with_lengths=False)
+    _add_common(p)
 
     p = sub.add_parser("optimize", help="Newton ascent, gradient fallback, to the regular point")
     p.add_argument("--n", type=_at_least_one, required=True)
@@ -479,7 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_integer, default=0)
     p.add_argument("--starts", type=_at_least_one, default=1)
     p.add_argument("--max-iter", type=_at_least_one, default=10000)
-    _add_common(p, with_lengths=False)
+    _add_common(p)
 
     return parser
 
@@ -498,10 +494,12 @@ _HANDLERS = {
 def run(argv: list[str]) -> int:
     """Execute one CLI invocation: parse, dispatch, print the report.
 
-    The one place that maps an outcome to its exit code: a handler's
-    ``NotRealizable`` (2) and ``NullityNotOne`` (3) still print a report,
-    with the inputs and ``{"error": ...}``; a usage error or failed library
-    check (1) and an eigensolver failure (3) print one line on stderr.
+    The one place that maps an outcome to its exit code.  A typed refusal
+    of the library prints a report with the inputs and ``{"error": ...}``:
+    ``NotRealizable`` exits 2; ``NullityNotOne``, ``NotPositiveDefinite``
+    and ``ConvergenceError`` exit 3.  Exit 1, one line on stderr and nothing
+    on stdout, means the request itself was refused: a ``UsageError`` or a
+    library ``ValueError``.
     """
     parser = build_parser()
     try:
@@ -519,7 +517,7 @@ def run(argv: list[str]) -> int:
                 code = _HANDLERS[args.command](args, inputs, results)
         except NotRealizable as exc:
             results["error"], code = str(exc), 2
-        except NullityNotOne as exc:
+        except (NullityNotOne, NotPositiveDefinite, ConvergenceError) as exc:
             results["error"], code = str(exc), 3
         report = {"command": args.command, "version": __version__}
         if not args.no_timestamp:
@@ -529,13 +527,7 @@ def run(argv: list[str]) -> int:
         text = render_json(report)
         if args.pretty:
             text = "\n".join(render_pretty(json.loads(text)))
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ConvergenceError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
-    except ValueError as exc:  # a library check, or a Gram matrix or result overflowed
+    except (UsageError, ValueError) as exc:  # ValueError: a library check, or an overflow
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(text)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_PD_TOL, _null_index, adjugate, check_symmetric, eigendecompose
+from .linalg import DEFAULT_PD_TOL, adjugate, adjugate_rank1_decompose, check_symmetric
 from .simplex import (
     SimplexEmbedding,
     SquaredEdgeLengths,
@@ -116,11 +116,7 @@ def null_direction(gstar) -> np.ndarray:
     :class:`NullityNotOne`; the returned vector is proportional to the
     facet-area vector.
     """
-    dec = eigendecompose(check_symmetric(gstar))
-    v = dec.basis[:, _null_index(dec.eigenvalues)].copy()
-    if v[int(np.argmax(np.abs(v)))] < 0.0:
-        v = -v
-    return v / np.linalg.norm(v)
+    return adjugate_rank1_decompose(check_symmetric(gstar))[2]
 
 
 def _ratio_from_dual_gram(gstar: np.ndarray, i: int, j: int) -> float:

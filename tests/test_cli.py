@@ -53,9 +53,13 @@ def test_parse_instance_from_file(tmp_path):
     assert np.array_equal(ell.s, np.ones(3))
 
 
-def test_parse_instance_lengths_flag_squares():
-    ell = parse_instance('{"dimension": 2, "lengths": [1, 2, 2]}', lengths=True)
+def test_parse_instance_lengths_key_squares():
+    ell = parse_instance('{"dimension": 2, "lengths": [1, 2, 2]}')
     assert np.array_equal(ell.s, np.array([1.0, 4.0, 4.0]))
+    # a plain length is positive: -2 is refused, not squared into 4
+    for entries in ("[1, -2, 2]", "[1, 0, 2]", "[1, NaN, 2]"):
+        with pytest.raises(UsageError, match="every length must be a positive finite number"):
+            parse_instance(f'{{"dimension": 2, "lengths": {entries}}}')
 
 
 def test_parse_instance_wrong_length_names_expected_count():
@@ -78,9 +82,33 @@ def test_parse_instance_rejects_missing_file():
         parse_instance("definitely-not-a-file.json")
 
 
-def test_parse_instance_lengths_need_flag():
-    with pytest.raises(UsageError, match="pass --lengths"):
-        parse_instance('{"dimension": 2, "lengths": [1, 1, 1]}')
+@pytest.mark.parametrize("entries", [
+    '"squared_lengths": [4, 4, 9], "lengths": [2, 2, 3]',
+    '"labels": {}',
+], ids=["both", "neither"])
+def test_instance_holds_exactly_one_key(capsys, entries):
+    instance = f'{{"dimension": 2, {entries}}}'
+    with pytest.raises(UsageError, match="exactly one of 'squared_lengths' and 'lengths'"):
+        parse_instance(instance)
+    _assert_usage_error(capsys, ["validate", instance], "exactly one of")
+
+
+def test_the_key_says_what_the_entries_are(capsys):
+    # a lengths instance is read as squares; the flag that overrode the key is gone
+    code, report = run_json(capsys, ["validate", '{"dimension": 2, "lengths": [2, 2, 3]}'])
+    assert code == 0
+    assert report["results"]["verdict"] == "valid"
+    assert report["inputs"]["squared_lengths"] == [4.0, 4.0, 9.0]
+    assert report["inputs"]["lengths_converted"] is True
+    code, report = run_json(capsys, ["validate", '{"dimension": 2, "squared_lengths": [4, 4, 9]}'])
+    assert code == 0
+    assert report["inputs"]["lengths_converted"] is False
+    _assert_usage_error(
+        capsys, ["validate", '{"dimension": 2, "lengths": [2, 2, 3]}', "--lengths"],
+        "unrecognized arguments: --lengths")
+    for command in ("validate", "volume", "faces", "dual", "probe"):
+        assert main([command, "--help"]) == 0
+        assert "--lengths" not in capsys.readouterr().out, command
 
 
 # ---------------------------------------------------------------------------
@@ -299,6 +327,27 @@ def test_probe_at_zero_tolerance_exits_0_like_validate(capsys):
         code, report = run_json(capsys, argv)
         assert code == 0, mode
         assert report["results"]["passed"] is True, mode
+
+
+def test_probe_singular_to_working_precision_exits_3_with_a_report(capsys):
+    # validate calls the first endpoint Valid at tolerance 0 (its smallest Gram
+    # eigenvalue is about 1.8e-18), but whitened against the segment its
+    # endpoint reads singular: a numerical failure, reported like the others
+    first = ('{"dimension":3,"squared_lengths":[1.8324238700744857,0.4413519522306365,'
+             '3.7770211050889153e-16,0.4988147130747598,1.8324239074884163,0.441351967431044]}')
+    code, report = run_json(capsys, ["validate", first, "--tolerance", "0"])
+    assert code == 0
+    assert report["results"]["verdict"] == "valid"
+    for mode in ("log", "root"):
+        argv = ["probe", first, UNIT_TETRA, "--mode", mode, "--tolerance", "0", "--no-timestamp"]
+        assert run(argv) == 3, mode
+        captured = capsys.readouterr()
+        assert captured.err == "", mode
+        report = json.loads(captured.out)
+        assert report["results"] == {
+            "error": "a segment endpoint is singular to working precision"}, mode
+        for end in ("first", "second"):
+            assert len(report["inputs"][end]["sha256"]) == 64, (mode, end)
 
 
 def test_probe_samples_bounded_at_parse_time(capsys):
@@ -580,11 +629,13 @@ def test_eigensolver_failure_exits_3(capsys, monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", failing)
     for command in ("validate", "dual"):
-        assert main([command, UNIT_TETRA]) == 3
+        assert main([command, UNIT_TETRA, "--no-timestamp"]) == 3
         captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("numerical failure:"), captured.err
-        assert "did not converge" in captured.err
+        assert captured.err == ""
+        report = json.loads(captured.out)
+        assert len(report["inputs"]["sha256"]) == 64
+        assert "did not converge" in report["results"]["error"]
+        assert set(report["results"]) == {"error"}
 
 
 def test_non_finite_result_exits_1(capsys, monkeypatch):
@@ -809,7 +860,9 @@ inputs:
   k: 2
   seed: 3
   starts: 1
-  sha256: ab53cdb84d66fa18d94200602441202ec65b310cd4869f9ce0dfe3aa572df546
+  max_iter: 1
+  tolerance: 1e-10
+  sha256: 7b48de8510898f703d1268b01f7eafe5049e3a18b53a728abb704f2f9f4baf24
 results:
   runs:
     -
@@ -904,8 +957,6 @@ def _argv(draw):
             argv += ["--k", pick(_K, "k")]
         if command == "dual" and draw(st.booleans(), label="ratio"):
             argv += ["--ratio", pick(_VERTICES, "i"), pick(_VERTICES, "j")]
-        if draw(st.booleans(), label="lengths"):
-            argv.append("--lengths")
     if draw(st.booleans(), label="tolerance"):
         argv += ["--tolerance", pick(_TOLERANCES, "tolerance value")]
     if draw(st.booleans(), label="pretty"):

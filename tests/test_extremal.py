@@ -17,6 +17,7 @@ from simplexcone import (
     Objective,
     ObjectiveKind,
     SquaredEdgeLengths,
+    StepIntoInvalidRegion,
     Verdict,
     edge_count,
     edge_index,
@@ -33,7 +34,7 @@ from simplexcone import (
     volume,
 )
 
-from oracles import jacobi_eigendecompose, verdict_of
+from oracles import jacobi_eigendecompose, mp_eigenvalues, verdict_of
 
 LOGPROD = ObjectiveKind.LOG_PRODUCT_FACES
 SUMROOT = ObjectiveKind.SUM_ROOT_FACES
@@ -666,6 +667,61 @@ def test_pinned_start_iterates_are_valid_under_the_oracle():
         gram = gram_from_squared_lengths(SquaredEdgeLengths(n, point))
         lam = jacobi_eigendecompose(gram).eigenvalues
         assert verdict_of(lam[0], float(np.abs(lam).max())) is Verdict.VALID, lam
+
+
+def _tight_start(seed):
+    """A random Valid start at n = 2..4 and a pd_tol of 0.9..0.9999 times
+    its own vertex-0 Gram ratio lambda_min / lambda_max.  That ratio is not
+    largest at the regular point, so the band can shut the ascent out of
+    the way to it."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 5))
+    k = int(rng.integers(1, n + 1))
+    kind = (LOGPROD, SUMROOT)[int(rng.integers(2))]
+    total = float(edge_count(n))
+    start = random_simplex(n, rng, total=total)
+    lam = np.linalg.eigvalsh(gram_from_squared_lengths(start))
+    pd_tol = float(rng.uniform(0.9, 0.9999)) * lam[0] / np.abs(lam).max()
+    return n, total, Objective(kind, k), start, pd_tol
+
+
+@pytest.mark.parametrize("seed", [[1, 1661], [1, 2681]], ids=["n3-sumroot", "n4-logprod"])
+def test_a_band_that_shuts_the_ascent_in_exits_naming_validity(monkeypatch, seed):
+    # two of 5200 such draws (max_iter 200) end here; most converge, some
+    # hit the iteration cap.  Every judged candidate is either the one step
+    # an iteration accepts or a rejection that moves on to a shorter trial
+    judged = []
+    original = extremal_module._judge_candidate
+
+    def counting(*args, **kwargs):
+        outcome = original(*args, **kwargs)
+        judged.append(outcome[0])
+        return outcome
+
+    monkeypatch.setattr(extremal_module, "_judge_candidate", counting)
+    n, total, objective, start, pd_tol = _tight_start(seed)
+    with pytest.raises(StepIntoInvalidRegion, match="left the Valid cone") as info:
+        maximize(n, total, objective, start=start, max_iter=200, pd_tol=pd_tol)
+    trace = info.value.trace
+    assert not trace.converged
+    rejections = trace.rejections
+    accepted = len(trace.iterates) - 1
+    assert judged.count(None) == accepted > 0
+    assert sum(rejections.values()) == len(judged) - accepted
+    assert rejections["not_valid"] > 0
+    # the run ends against the band, where Jacobi and LAPACK may part in the
+    # last bits; there 50-digit mpmath decides, within the rounding of G
+    for point, _, _ in trace.iterates:
+        gram = gram_from_squared_lengths(SquaredEdgeLengths(n, point))
+        lam = jacobi_eigendecompose(gram).eigenvalues
+        top = float(np.abs(lam).max())
+        allowed = {verdict_of(lam[0], top, pd_tol)}
+        if abs(lam[0] - pd_tol * top) <= 1e-12 * top:
+            mp = mp_eigenvalues(gram)
+            top = max(abs(mp[0]), abs(mp[-1]))
+            slack = 8 * n * np.finfo(float).eps * top
+            allowed = {verdict_of(mp[0] + d, top, pd_tol) for d in (-slack, slack)}
+        assert Verdict.VALID in allowed, lam
 
 
 def test_candidate_tying_at_float_resolution_is_accepted():
