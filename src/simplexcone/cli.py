@@ -90,11 +90,9 @@ class _Parser(argparse.ArgumentParser):
 # deterministic rendering
 
 def _numpy_value(value):
-    """``json.dumps`` hook for the numpy values that reports carry."""
+    """``json.dumps`` hook for the arrays that reports carry."""
     if isinstance(value, np.ndarray):
         return value.tolist()
-    if isinstance(value, (np.integer, np.bool_)):
-        return value.item()
     raise TypeError(f"cannot serialize {type(value)!r}")
 
 

@@ -36,7 +36,7 @@ from itertools import chain, combinations
 
 import numpy as np
 
-from .linalg import DEFAULT_PD_TOL, _cholesky_factor, _positive_definite
+from .linalg import DEFAULT_PD_TOL, _cholesky_factor
 from .simplex import (
     NotRealizable,
     SquaredEdgeLengths,
@@ -47,6 +47,7 @@ from .simplex import (
     _gram_stack,
     _pairs,
     _polarize,
+    _valid_grams,
     _valid_spectrum,
     edge_count,
     regular_simplex,
@@ -314,7 +315,8 @@ def _judge_candidate(
     The candidate must lie in the domain, which is the library's Valid
     verdict, and gain ``predicted`` less ``allowance``; the tests run
     cheapest first.  The Gram matrix is built once and feeds both the
-    Cholesky screen and the closing ``eigvalsh``.
+    Cholesky screen and the closing verdict, :func:`validate`'s own
+    prescaled ``eigh`` and band (``simplex._valid_grams``).
     """
     if (cand <= 0.0).any():
         return "non_positive", None
@@ -326,7 +328,7 @@ def _judge_candidate(
         return "face_collapse", None
     if evaluated[0] < f + predicted - allowance:
         return "armijo", None
-    if not _positive_definite(np.linalg.eigvalsh(gram), pd_tol):
+    if not _valid_grams(gram, pd_tol):
         return "not_valid", None
     return None, evaluated
 
@@ -363,9 +365,11 @@ def maximize(
     ``MAX_FACES`` k-faces.
 
     The start's verdict comes from one ``eigendecompose`` call; each
-    candidate's verdict is read off LAPACK ``eigvalsh`` on the Gram matrix
-    its Cholesky screen factored, once every cheaper test has passed.  The
-    tests hold every iterate's verdict and spectrum to an independent
+    candidate's is :func:`validate`'s verdict, prescaled ``eigh`` and band,
+    on the Gram matrix its Cholesky screen factored, once every cheaper
+    test has passed.  So every recorded iterate and the final point read
+    Valid under :func:`validate` at ``pd_tol``, bit for bit.  The tests
+    also hold every iterate's verdict and spectrum to an independent
     reference solver.  The rounding allowance is a few machine epsilons
     (plus the rounding of the hyperplane re-projection), so recorded
     values are nondecreasing only up to it.

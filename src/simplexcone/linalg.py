@@ -4,11 +4,12 @@ Each spectral question has one kernel here: ``_positive_definite`` (the
 PD band test), ``_null_index`` (nullity exactly one), ``adjugate`` (one
 SVD formula) and ``_logdet_derivatives`` (the first two directional
 derivatives of ``log det``).  Every spectrum comes from LAPACK through
-numpy: single matrices (:func:`eigendecompose`) and the stacked verdicts
-of probes and bisections through one prescaled kernel, ``_unit_eigh``;
-the optimizer's face determinants and inverses come from one batched
-call each, the adjugate from one SVD and every Cholesky factor from
-``potrf``; the tests hold them to pure-Python loops and mpmath.
+numpy: single matrices (:func:`eigendecompose`), the optimizer's
+candidate verdicts and the stacked verdicts of probes and bisections go
+through one prescaled kernel, ``_unit_eigh``; the optimizer's face
+determinants and inverses come from one batched call each, the adjugate
+from one SVD and every Cholesky factor from ``potrf``; the tests hold
+them to pure-Python loops and mpmath.
 
 Symmetry is enforced exactly: a matrix is accepted as symmetric only if
 ``m[i, j] == m[j, i]`` bitwise.  Callers that assemble symmetric

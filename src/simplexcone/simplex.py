@@ -272,14 +272,19 @@ def _spectrum(
     return (g, dec, *_classify(dec.eigenvalues, pd_tol))
 
 
-def _valid_rows(n: int, rows: np.ndarray, pd_tol: float) -> np.ndarray:
-    """The Valid test of :func:`_spectrum` for each squared-length row of a
-    stack of dimension-n rows (shape ``(..., n*(n+1)/2)``), from one
-    stacked eigendecomposition: the same bits as one call per row."""
-    g = _gram_stack(n, rows)
+def _valid_grams(g: np.ndarray, pd_tol: float) -> np.ndarray:
+    """The Valid test of :func:`_spectrum` for a Gram matrix, or for each
+    matrix of a stack from one stacked eigendecomposition: the verdict
+    :func:`validate` gives the squared lengths of each matrix, bit for bit."""
     if not np.isfinite(g).all():
         raise ValueError("matrix entries must be finite")
     return _positive_definite(_unit_eigh(g)[0], pd_tol)
+
+
+def _valid_rows(n: int, rows: np.ndarray, pd_tol: float) -> np.ndarray:
+    """:func:`_valid_grams` for each squared-length row of a stack of
+    dimension-n rows (shape ``(..., n*(n+1)/2)``)."""
+    return _valid_grams(_gram_stack(n, rows), pd_tol)
 
 
 def _valid_spectrum(

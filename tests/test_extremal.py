@@ -31,6 +31,7 @@ from simplexcone import (
     random_simplex,
     regular_simplex,
     relabel,
+    validate,
     volume,
 )
 
@@ -573,11 +574,11 @@ def _optimizer_runs(seed):
 
 
 def test_optimizer_iterates_match_jacobi_oracle():
-    # every accepted iterate passed the optimizer's LAPACK eigvalsh screen;
-    # Jacobi must call it Valid and agree on its spectrum within the
-    # probe oracle's bound: 1e-12 relative up to condition number 100,
-    # growing in proportion beyond it (LAPACK's eigenvalue errors scale
-    # with the largest eigenvalue)
+    # every accepted iterate passed the library's Valid verdict (prescaled
+    # LAPACK eigh and the band); Jacobi must call it Valid and agree on its
+    # spectrum within the probe oracle's bound: 1e-12 relative up to
+    # condition number 100, growing in proportion beyond it (LAPACK's
+    # eigenvalue errors scale with the largest eigenvalue)
     checked = 0
     for n, trace in itertools.chain.from_iterable(map(_optimizer_runs, (31, 32, 33))):
         assert trace.converged
@@ -591,6 +592,32 @@ def test_optimizer_iterates_match_jacobi_oracle():
             assert (np.abs(got - ref) <= bound).all(), (n, got, ref)
             checked += 1
     assert checked >= 1000
+
+
+def test_maximize_runs_no_eigensolver_of_its_own(monkeypatch):
+    # every candidate's verdict is simplex's, so a run takes the same steps
+    # with numpy's eigvalsh unavailable
+    cases = [
+        (n, Objective(kind, k), random_simplex(n, np.random.default_rng(100 * n + k), total=6.0))
+        for n in (3, 4, 5)
+        for k in range(1, n + 1)
+        for kind in (LOGPROD, SUMROOT)
+    ]
+    expected = [maximize(n, 6.0, objective, start=start) for n, objective, start in cases]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigvalsh called")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    for (n, objective, start), want in zip(cases, expected):
+        got = maximize(n, 6.0, objective, start=start)
+        assert got.converged and want.converged
+        assert_array_equal(got.final.s, want.final.s)
+        assert len(got.iterates) == len(want.iterates)
+        for (p, v, r), (q, w, u) in zip(got.iterates, want.iterates):
+            assert_array_equal(p, q)
+            assert (v, r) == (w, u)
+        assert got.rejections == want.rejections
 
 
 def test_maximize_makes_one_eigendecompose_call(eigendecompose_calls):
@@ -685,11 +712,32 @@ def _tight_start(seed):
     return n, total, Objective(kind, k), start, pd_tol
 
 
-@pytest.mark.parametrize("seed", [[1, 1661], [1, 2681]], ids=["n3-sumroot", "n4-logprod"])
+def _assert_validate_calls_valid(n, trace, pd_tol):
+    """The search's verdict is ``validate``'s: every recorded iterate and the
+    final point read Valid at the run's own band, bit for bit."""
+    for point in [p for p, _, _ in trace.iterates] + [trace.final.s]:
+        report = validate(SquaredEdgeLengths(n, point), pd_tol=pd_tol)
+        assert report.verdict is Verdict.VALID, (report, pd_tol)
+
+
+def test_iterates_pressed_against_the_band_stay_valid_under_validate():
+    # this run ends at the iteration cap with its iterates on the band edge,
+    # where an eigensolver other than validate's can round a point to the
+    # wrong side of the band
+    n, total, objective, start, pd_tol = _tight_start([1, 38])
+    with pytest.raises(MaxIterations) as info:
+        maximize(n, total, objective, start=start, max_iter=200, pd_tol=pd_tol)
+    trace = info.value.trace
+    assert len(trace.iterates) == 200
+    _assert_validate_calls_valid(n, trace, pd_tol)
+
+
+@pytest.mark.parametrize("seed", [[1, 4349], [1, 2681]], ids=["n4-sumroot", "n4-logprod"])
 def test_a_band_that_shuts_the_ascent_in_exits_naming_validity(monkeypatch, seed):
-    # two of 5200 such draws (max_iter 200) end here; most converge, some
-    # hit the iteration cap.  Every judged candidate is either the one step
-    # an iteration accepts or a rejection that moves on to a shorter trial
+    # four of the first 5200 such draws (max_iter 200) end here, seeds 888,
+    # 2098, 2681 and 4349; most converge, some hit the iteration cap.  Every
+    # judged candidate is either the one step an iteration accepts or a
+    # rejection that moves on to a shorter trial
     judged = []
     original = extremal_module._judge_candidate
 
@@ -709,6 +757,7 @@ def test_a_band_that_shuts_the_ascent_in_exits_naming_validity(monkeypatch, seed
     assert judged.count(None) == accepted > 0
     assert sum(rejections.values()) == len(judged) - accepted
     assert rejections["not_valid"] > 0
+    _assert_validate_calls_valid(n, trace, pd_tol)
     # the run ends against the band, where Jacobi and LAPACK may part in the
     # last bits; there 50-digit mpmath decides, within the rounding of G
     for point, _, _ in trace.iterates:

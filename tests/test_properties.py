@@ -1,9 +1,9 @@
 """Property tests: verdicts under exact rescaling and relabeling, the
-agreement of validate, embed and volume, the face-volume objectives, their
-gradients and their maximum under relabeling, validate and the Cholesky
-kernel against independent oracles, and a probe's whitened log det and
-its derivatives against the per-sample formula, with the paper's
-concavity along every such segment.
+agreement of validate, embed and volume, the dual Gram data, the
+face-volume objectives, their gradients and their maximum under
+relabeling, validate and the Cholesky kernel against independent
+oracles, and a probe's whitened log det and its derivatives against the
+per-sample formula, with the paper's concavity along every such segment.
 
 The first three draw instances clear of the PD band, so that no verdict
 depends on rounding: Valid ones from random points with condition number
@@ -26,11 +26,13 @@ from simplexcone import (
     ObjectiveKind,
     SquaredEdgeLengths,
     Verdict,
+    dual_gram,
     edge_index,
     edge_pairs,
     embed,
     gram_from_squared_lengths,
     maximize,
+    null_direction,
     objective_gradient,
     objective_value,
     probe_log_concavity,
@@ -150,6 +152,26 @@ def test_validate_embed_and_volume_agree(case):
     w = np.linalg.eigvalsh(gram_from_squared_lengths(ell))
     rel_tol = 4.0 * ell.n * (w[-1] / w[0]) * np.finfo(float).eps
     assert math.isclose(volume(ell), expected, rel_tol=rel_tol)
+
+
+@PROPERTY
+@given(instances(verdicts=(Verdict.VALID,)), st.data())
+def test_dual_gram_follows_a_relabeling(case, data):
+    # new vertex i is old vertex p[i], so facet i of the relabeled simplex
+    # is old facet p[i].  The two duals come from Gram matrices anchored at
+    # different vertices; each is accurate to about eps * cond(G), so the
+    # tolerance is 1e-12 (relative for the areas, absolute for the unit
+    # cosines of gstar and the unit null vector) up to condition number
+    # 100, growing in proportion beyond it
+    ell, _ = case
+    p = np.array(data.draw(st.permutations(range(ell.n + 1)), label="perm"))
+    ref = dual_gram(ell)
+    got = dual_gram(relabel(ell, p))
+    lam = np.linalg.eigvalsh(gram_from_squared_lengths(ell))
+    tol = 1e-12 * max(1.0, lam[-1] / lam[0] / 100.0)
+    assert np.abs(got.gstar - ref.gstar[p][:, p]).max() <= tol
+    assert np.abs(got.areas / ref.areas[p] - 1.0).max() <= tol
+    assert np.abs(null_direction(got.gstar) - null_direction(ref.gstar)[p]).max() <= tol
 
 
 @st.composite
