@@ -256,7 +256,8 @@ def _cmd_faces(args, inputs: dict, results: dict) -> int:
 
 def _cmd_dual(args, inputs: dict, results: dict) -> int:
     report = dual_gram(_load(args.instance, inputs), pd_tol=args.tolerance)
-    results.update(asdict(report), null_direction=null_direction(report.gstar))
+    results.update(asdict(report))  # kept next to the error if the nullity test refuses
+    results["null_direction"] = null_direction(report.gstar)
     if args.ratio is not None:
         i, j = args.ratio
         value = _ratio_from_dual_gram(report.gstar, i, j)

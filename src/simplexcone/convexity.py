@@ -20,9 +20,10 @@ the segment.  The Gram matrix is linear in the squared lengths, so both
 come in closed form: the endpoints' verdict, both judged in one stacked
 eigendecomposition, certifies the whole segment, and one k x k whitened
 spectrum gives the face's log det and its first two derivatives at every
-sample (:func:`_whitened_derivatives`).  The discrete margins therefore measure
-a closed form rather than an independent factorization; the tests hold
-it to each sample's own eigendecomposition and to a reference solver.
+sample (:func:`_whitened_derivatives`); ``linalg`` takes every spectrum.
+The discrete margins therefore measure a closed form rather than an
+independent factorization; the tests hold it to each sample's own
+eigendecomposition and to a reference solver.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_PD_TOL, NotPositiveDefinite
+from .linalg import DEFAULT_PD_TOL, NotPositiveDefinite, _unit_eigh, _whitened_spectrum
 from .simplex import (
     NotRealizable,
     SquaredEdgeLengths,
@@ -266,7 +267,7 @@ def _segment_logdet(
 
 def _whitened_derivatives(g1: np.ndarray, g2: np.ndarray, ts: np.ndarray):
     """Value, first and second derivative of t -> log det((1 - t) G1 + t G2)
-    at each of ``ts``, from one k x k decomposition.
+    at each of ``ts``, from two k x k spectra.
 
     Write G1 = 2^e1 A and G2 = 2^e2 B with A, B of unit size (an exact
     rescale), and whiten their midpoint M = (A + B) / 2 = V diag(m) V^T
@@ -285,13 +286,12 @@ def _whitened_derivatives(g1: np.ndarray, g2: np.ndarray, ts: np.ndarray):
     """
     e1, e2 = (math.frexp(float(np.abs(g).max()))[1] for g in (g1, g2))
     unit1, unit2 = np.ldexp(g1, -e1), np.ldexp(g2, -e2)
-    m, v = np.linalg.eigh(0.5 * unit1 + 0.5 * unit2)
+    m, v = _unit_eigh(0.5 * unit1 + 0.5 * unit2)
     if not m[0] > 0.0:
         raise NotPositiveDefinite(
             f"segment midpoint: smallest unit-scale eigenvalue {m[0]:.3g} is not positive"
         )
-    root = v / np.sqrt(m)  # L^-T
-    mu = np.linalg.eigvalsh(root.T @ (unit2 - unit1) @ root)
+    mu = _whitened_spectrum(m, v, unit2 - unit1)
     top = max(e1, e2)
     a = math.ldexp(1.0, e1 - top) * (1.0 - 0.5 * mu)
     b = math.ldexp(1.0, e2 - top) * (1.0 + 0.5 * mu)

@@ -84,8 +84,6 @@ _REJECTION_REASONS = (
     "armijo",
     "not_valid",
 )
-#: The reasons that mean the candidate left the cone.
-_VALIDITY_REASONS = frozenset(("non_positive", "cholesky_screen", "face_collapse", "not_valid"))
 
 
 class _FailedRun(RuntimeError):
@@ -436,7 +434,7 @@ def maximize(
         if newton is not None:
             trials = chain(((newton, 0.5**h) for h in range(_NEWTON_HALVINGS)), trials)
         allowance = 4.0 * _EPS * (1.0 + abs(f)) + 8.0 * _EPS * (total / edges) * grad_l1
-        blocked_by_validity = False
+        armijo_before = rejections["armijo"]
         for direction, alpha in trials:
             cand = x + alpha * direction
             cand += (total - cand.sum()) / edges
@@ -454,11 +452,11 @@ def maximize(
                 f, weight, grams = accepted
                 break
             rejections[reason] += 1
-            blocked_by_validity |= reason in _VALIDITY_REASONS
         else:
+            # a trial rejected for any reason but Armijo left the cone
             why = (
                 "every candidate step left the Valid cone"
-                if blocked_by_validity
+                if rejections["armijo"] == armijo_before
                 else "no ascent step of any size was acceptable"
             )
             raise StepIntoInvalidRegion(f"line search exhausted: {why}", trace(False))

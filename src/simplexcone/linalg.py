@@ -2,14 +2,14 @@
 
 Each spectral question has one kernel here: ``_positive_definite`` (the
 PD band test), ``_null_index`` (nullity exactly one), ``adjugate`` (one
-SVD formula) and ``_logdet_derivatives`` (the first two directional
-derivatives of ``log det``).  Every spectrum comes from LAPACK through
-numpy: single matrices (:func:`eigendecompose`), the optimizer's
-candidate verdicts and the stacked verdicts of probes and bisections go
-through one prescaled kernel, ``_unit_eigh``; the optimizer's face
-determinants and inverses come from one batched call each, the adjugate
-from one SVD and every Cholesky factor from ``potrf``; the tests hold
-them to pure-Python loops and mpmath.
+SVD formula) and ``_whitened_spectrum`` (log det along a line and its
+derivatives).  Every spectrum of the package is taken here, by LAPACK
+through numpy: single matrices (:func:`eigendecompose`), a probe's
+midpoint, the optimizer's candidate verdicts and the stacked verdicts of
+probes and bisections go through one prescaled kernel, ``_unit_eigh``;
+the optimizer's face determinants and inverses come from one batched
+call each, the adjugate from one SVD and every Cholesky factor from
+``potrf``; the tests hold them to pure-Python loops and mpmath.
 
 Symmetry is enforced exactly: a matrix is accepted as symmetric only if
 ``m[i, j] == m[j, i]`` bitwise.  Callers that assemble symmetric
@@ -270,20 +270,17 @@ def adjugate_rank1_decompose(m) -> tuple[float, np.ndarray, np.ndarray]:
     return prod.real / inner, w, v
 
 
-def _logdet_derivatives(w: np.ndarray, basis: np.ndarray, delta: np.ndarray):
-    """First and second derivative of t -> log det(A + t delta) at t = 0,
-    for A = basis diag(w) basis^T positive definite, over stacks along the
-    leading axes.  With R = basis^T delta basis they are
-    ``sum_i R_ii / w_i`` and ``-sum_ij R_ij^2 / (w_i w_j)``: a negated sum
-    of squares, so the second is <= 0 in floating point as well, and
-    strictly negative whenever delta != 0."""
-    r = np.swapaxes(basis, -1, -2) @ delta @ basis
-    d1 = (np.diagonal(r, axis1=-2, axis2=-1) / w).sum(axis=-1)
-    d2 = -(r * r / (w[..., :, None] * w[..., None, :])).sum(axis=(-2, -1))
-    return d1, d2
+def _whitened_spectrum(w: np.ndarray, basis: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    """Ascending spectrum mu of ``delta`` whitened by the positive definite
+    A = basis diag(w) basis^T, the eigenvalues of
+    diag(w)^-1/2 basis^T delta basis diag(w)^-1/2: so
+    log det(A + t delta) = log det A + sum_i log(1 + t mu_i), and its first
+    two derivatives at t = 0 are sum_i mu_i and -sum_i mu_i^2."""
+    root = basis / np.sqrt(w)
+    return np.linalg.eigvalsh(root.T @ delta @ root)
 
 
-def _logdet_derivatives_at(a, b, pd_tol: float):
+def _whitened_spectrum_at(a, b, pd_tol: float) -> np.ndarray:
     amat = check_symmetric(a)
     bmat = check_symmetric(b)
     if amat.shape != bmat.shape:
@@ -291,17 +288,17 @@ def _logdet_derivatives_at(a, b, pd_tol: float):
     dec = eigendecompose(amat)
     if not _positive_definite(dec.eigenvalues, pd_tol):
         raise NotPositiveDefinite("base point of log det derivative is not PD")
-    return _logdet_derivatives(dec.eigenvalues, dec.basis, bmat)
+    return _whitened_spectrum(dec.eigenvalues, dec.basis, bmat)
 
 
 def logdet_directional_derivative(a, b, *, pd_tol: float = DEFAULT_PD_TOL) -> float:
     """d/dt log det(A + tB) at t=0, i.e. trace(A^-1 B), for A positive definite."""
-    return float(_logdet_derivatives_at(a, b, pd_tol)[0])
+    return float(_whitened_spectrum_at(a, b, pd_tol).sum())
 
 
 def logdet_second_derivative(a, b, *, pd_tol: float = DEFAULT_PD_TOL) -> float:
     """Second derivative of t -> log det(A + tB) at t=0, for A positive
-    definite: ``-trace(A^-1 B A^-1 B)``, computed after diagonalizing A, so
-    the result is <= 0 in floating point as well, and strictly negative
-    whenever B != 0."""
-    return float(_logdet_derivatives_at(a, b, pd_tol)[1])
+    definite: ``-trace(A^-1 B A^-1 B)``, minus the sum of squares of the
+    whitened spectrum, so the result is <= 0 in floating point as well, and
+    strictly negative whenever B != 0."""
+    return float(-np.square(_whitened_spectrum_at(a, b, pd_tol)).sum())

@@ -437,26 +437,25 @@ def random_simplex(
 ) -> SquaredEdgeLengths:
     """A random Valid instance, from random vertex coordinates.
 
-    Vertices are drawn as standard normal columns (resampled while the
-    configuration is badly conditioned), so the result is realizable by
-    construction; an optional rescale puts it on the hyperplane
-    {sum of entries = total}, which preserves validity; it goes through
-    total's binary exponent, so totals up to the float maximum work.
-    Raises RuntimeError when 200 draws give no Valid instance.
+    Vertices are drawn as standard normal columns, realizable by
+    construction, and kept when :func:`validate`'s Gram spectrum reads
+    Valid at ``pd_tol`` and clears the band 1e-6 too (a singular-value
+    ratio of 1e-3 for the coordinates), so no draw is badly conditioned.
+    An optional rescale puts it on the hyperplane {sum of entries = total},
+    which preserves validity; it goes through total's binary exponent, so
+    totals up to the float maximum work.  Raises RuntimeError when 200
+    draws give no such instance.
     """
     _check_dimension(n)
     for _ in range(200):
-        coords = rng.standard_normal((n, n))
-        sing = np.linalg.svd(coords, compute_uv=False)
-        if sing[-1] < 1e-3 * sing[0]:
-            continue
-        pts = np.column_stack([np.zeros(n), coords])
+        pts = np.column_stack([np.zeros(n), rng.standard_normal((n, n))])
         s = np.empty(edge_count(n))
         for pos, (i, j) in enumerate(edge_pairs(n)):
             d = pts[:, i] - pts[:, j]
             s[pos] = float(d @ d)
         ell = SquaredEdgeLengths(n, s)
-        if _spectrum(ell, pd_tol)[2] is Verdict.VALID:
+        _, dec, verdict, _ = _spectrum(ell, pd_tol)
+        if verdict is Verdict.VALID and _positive_definite(dec.eigenvalues, 1e-6):
             if total is not None:
                 mant, exp = math.frexp(total)
                 ell = SquaredEdgeLengths(n, np.ldexp(s * (mant / s.sum()), exp))

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import asdict
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 
 import simplexcone.cli as cli
 from simplexcone.cli import UsageError, build_parser, main, parse_instance, run
+from simplexcone.dual import dual_gram
 from simplexcone.extremal import MaxIterations
 from simplexcone.linalg import NullityNotOne
 from simplexcone.simplex import NotRealizable
@@ -274,7 +276,31 @@ def test_dual_nullity_not_one_exits_3_with_a_report(capsys, monkeypatch):
     code, report = run_json(capsys, ["dual", UNIT_TETRA])
     assert code == 3
     assert report["inputs"]["dimension"] == 3
-    assert report["results"] == {"error": "nullity 2"}
+    # the dual data computed before the refusal stays in the report
+    res = report["results"]
+    assert list(res) == ["gstar", "areas", "null_residual", "divergence_residual", "error"]
+    assert res["error"] == "nullity 2"
+
+
+#: Valid (lambda_min 2.11e-9 against a band of 4.74e-10), but its dual
+#: Gram's second eigenvalue, 1.54e-9 against a largest of 5.0, lies inside
+#: the null band DEFAULT_NULL_TOL = 1e-9
+DUAL_NULLITY_TWO = (
+    '{"dimension":4,"squared_lengths":[0.5752172994935549,1.0321152694466431,'
+    "2.8265479742734247,0.6323423899844215,2.597081980234027,1.0171150350469311,"
+    '2.3439976126458877,6.817093626233606,0.31509099445500616,6.122474854270557]}'
+)
+
+
+def test_dual_keeps_its_data_next_to_a_nullity_refusal(capsys):
+    code, report = run_json(capsys, ["validate", DUAL_NULLITY_TWO])
+    assert (code, report["results"]["verdict"]) == (0, "valid")
+    code, report = run_json(capsys, ["dual", DUAL_NULLITY_TWO])
+    assert code == 3
+    res = report["results"]
+    assert res.pop("error") == "expected nullity 1, found 2 zero eigenvalues"
+    expected = dual_gram(parse_instance(DUAL_NULLITY_TWO))
+    assert res == json.loads(cli.render_json(asdict(expected)))
 
 
 # ---------------------------------------------------------------------------

@@ -773,6 +773,48 @@ def test_a_band_that_shuts_the_ascent_in_exits_naming_validity(monkeypatch, seed
         assert Verdict.VALID in allowed, lam
 
 
+def test_exhaustion_blames_the_cone_only_when_every_trial_of_the_iteration_left_it(
+    monkeypatch,
+):
+    # a trial that failed only the Armijo test lay in the cone, so an
+    # iteration with one such trial did not have every step leave the cone;
+    # the tally is the last iteration's own, not the run's
+    original = extremal_module._judge_candidate
+    start = random_simplex(3, np.random.default_rng(0), total=6.0)
+
+    def exhaust(script):
+        calls = []
+
+        def scripted(*args, **kwargs):
+            calls.append(None)
+            return script(len(calls), *args, **kwargs)
+
+        monkeypatch.setattr(extremal_module, "_judge_candidate", scripted)
+        with pytest.raises(StepIntoInvalidRegion) as info:
+            maximize(3, 6.0, Objective(LOGPROD, 2), start=start)
+        return str(info.value), info.value.trace
+
+    message, trace = exhaust(lambda i, *a, **k: ("armijo" if i == 1 else "not_valid", None))
+    assert message == "line search exhausted: no ascent step of any size was acceptable"
+    assert trace.rejections["armijo"] == 1 and trace.rejections["not_valid"] > 0
+
+    accepted = []
+
+    def armijo_then_accept_then_leave(i, *args, **kwargs):
+        if i == 1:
+            return "armijo", None
+        if accepted:
+            return "not_valid", None
+        outcome = original(*args, **kwargs)
+        if outcome[0] is None:
+            accepted.append(i)
+        return outcome
+
+    message, trace = exhaust(armijo_then_accept_then_leave)
+    assert message == "line search exhausted: every candidate step left the Valid cone"
+    assert len(trace.iterates) == 2 and trace.rejections["armijo"] >= 1
+
+
 def test_candidate_tying_at_float_resolution_is_accepted():
     # near the maximum the value ties to rounding and the projected gradient
     # need not shrink; the one Armijo test with its rounding allowance still

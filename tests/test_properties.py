@@ -43,7 +43,7 @@ from simplexcone import (
 )
 
 from simplexcone.convexity import _segment_logdet
-from simplexcone.linalg import _cholesky_factor, _logdet_derivatives
+from simplexcone.linalg import _cholesky_factor
 
 from oracles import cholesky_factor, jacobi_eigendecompose, mp_eigenvalues, verdict_of
 
@@ -172,6 +172,8 @@ def test_dual_gram_follows_a_relabeling(case, data):
     assert np.abs(got.gstar - ref.gstar[p][:, p]).max() <= tol
     assert np.abs(got.areas / ref.areas[p] - 1.0).max() <= tol
     assert np.abs(null_direction(got.gstar) - null_direction(ref.gstar)[p]).max() <= tol
+    # the null vector is the facet areas, normalized
+    assert np.abs(null_direction(ref.gstar) - ref.areas / np.linalg.norm(ref.areas)).max() <= tol
 
 
 @st.composite
@@ -336,9 +338,14 @@ def test_whitened_derivatives_match_the_per_sample_formula(case):
     rows = (1.0 - ts)[:, None] * scaled[0].s + ts[:, None] * scaled[1].s
     w, basis = np.linalg.eigh([gram_from_squared_lengths(SquaredEdgeLengths(n, r)) for r in rows])
     delta = gram_from_squared_lengths(scaled[1]) - gram_from_squared_lengths(scaled[0])
+    # the per-sample formula: with R = basis^T delta basis, the derivatives
+    # are sum_i R_ii / w_i and -sum_ij R_ij^2 / (w_i w_j)
+    r = np.swapaxes(basis, -1, -2) @ delta @ basis
+    d1_ref = (np.diagonal(r, axis1=-2, axis2=-1) / w).sum(axis=-1)
+    d2_ref = -(r * r / (w[:, :, None] * w[:, None, :])).sum(axis=(-2, -1))
     # both formulas are accurate to about eps * cond(G) relative
     cond_factor = np.maximum(1.0, w[:, -1] / w[:, 0] / 100.0)
-    references = (np.log(w).sum(axis=1), *_logdet_derivatives(w, basis, delta))
+    references = (np.log(w).sum(axis=1), d1_ref, d2_ref)
     for got, ref in zip((logdet, d1, d2), references):
         assert (np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)) * cond_factor).all()
     # whitening removes the scale exactly: the same bits at every 4^j

@@ -484,6 +484,29 @@ def test_random_simplex_reaches_the_float_maximum():
         assert validate(ell).verdict is Verdict.VALID
 
 
+def test_random_simplex_screens_with_the_band_and_takes_no_svd(monkeypatch):
+    # a draw is kept when its Gram spectrum reads Valid at pd_tol and clears
+    # the band 1e-6, the coordinates' singular-value ratio 1e-3 squared
+    def no_svd(*args, **kwargs):
+        raise AssertionError("random_simplex takes no SVD")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    # past n = 6 a Gaussian draw seldom clears the band 0.05: at n = 7 half
+    # of the seeds spend all 200 draws and raise RuntimeError
+    for n, pd_tol in [(n, tol) for n in range(1, 9) for tol in (0.0, 1e-10)] + [
+        (n, 0.05) for n in range(1, 7)
+    ]:
+        rng = np.random.default_rng(n)
+        for _ in range(3):
+            ell = random_simplex(n, rng, pd_tol=pd_tol)
+            assert validate(ell, pd_tol=pd_tol).verdict is Verdict.VALID
+            assert validate(ell, pd_tol=1e-6).verdict is Verdict.VALID
+    # the screen does not hide a negative band, which calls indefinite
+    # matrices PD
+    with pytest.raises(ValueError, match="nonnegative finite"):
+        random_simplex(3, np.random.default_rng(0), pd_tol=-1e-3)
+
+
 def test_relabel_permutes_edges():
     t = SquaredEdgeLengths(3, np.arange(1.0, 7.0))
     r = relabel(t, [1, 0, 2, 3])
