@@ -23,7 +23,11 @@ spectrum gives the face's log det and its first two derivatives at every
 sample (:func:`_whitened_derivatives`); ``linalg`` takes every spectrum.
 The discrete margins therefore measure a closed form rather than an
 independent factorization; the tests hold it to each sample's own
-eigendecomposition and to a reference solver.
+eigendecomposition and to a reference solver.  The worst midpoint defect
+over all sample pairs takes O(samples) time when the samples are exactly
+concave as floats, which log det and det^(1/n) along a segment of the
+cone usually are, and O(samples^2) otherwise, with the same bits
+(:func:`_discrete_margins`).
 """
 
 from __future__ import annotations
@@ -307,16 +311,59 @@ def _whitened_derivatives(g1: np.ndarray, g2: np.ndarray, ts: np.ndarray):
 _MARGIN_BLOCK = 1 << 16
 
 
+def _exactly_concave(values: np.ndarray) -> bool:
+    """Whether ``values[i-1] + values[i+1] <= 2 values[i]`` holds at every
+    interior i in exact arithmetic on the stored floats.
+
+    The rounded sum s comes with its TwoSum error (Knuth, TAOCP vol. 2,
+    4.2.2), so a + b = s + err exactly, and 2c is exact: the exact sum is at
+    most 2c iff s < 2c, or s == 2c and err <= 0.  A NaN, or an s that
+    overflows to +inf, fails every comparison that would pass it, so it
+    reads False; a 2c that overflows exceeds every finite s, as it should.
+    """
+    a, b, c = values[:-2], values[2:], values[1:-1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = a + b
+        b_virtual = s - a
+        err = (a - (s - b_virtual)) + (b - b_virtual)
+        twice = c + c
+        return bool(((s < twice) | ((s == twice) & (err <= 0.0))).all())
+
+
 def _discrete_margins(values: np.ndarray) -> tuple[float, float]:
     """Worst midpoint defect over all sample pairs an even gap apart, and
     worst second difference.
 
-    Row h of a block holds ``values[j - h] + values[j + h]`` for half-gap h
-    at every midpoint j, and a running column max keeps the largest over
-    all blocks of about ``_MARGIN_BLOCK`` entries, so memory stays O(m).
-    Rounding of ``v - x`` is monotone in x, so ``values[j]`` less half that
-    max is the worst defect at j, bit for bit.  The values sit between -inf
-    pads, so a pair that runs off either end never wins the max.
+    The worst defect at a midpoint j is ``values[j]`` less half the widest
+    pair sum ``values[j - h] + values[j + h]`` over its half-gaps h, bit for
+    bit, because rounding of ``v - x`` is monotone in x.  When the values
+    are exactly concave (:func:`_exactly_concave`, O(m)), the first
+    differences do not grow, so neither do the exact pair sums as h grows;
+    rounding is monotone too, so the nearest pair is the widest, and O(m)
+    work gives the answer.  Otherwise :func:`_scan_widest_pairs` compares
+    every pair, in O(m^2) time.  The scan also takes values with a -0.0:
+    two of them sum to -0.0, which ties a +0.0 pair sum and then carries
+    the sign the scan picks.  The end samples are midpoints of no pair:
+    their widest sum stays -inf, so they never win the min.
+    """
+    widest = np.full(values.size, -np.inf)
+    if _exactly_concave(values) and not np.signbit(values[values == 0.0]).any():
+        widest[1:-1] = values[:-2] + values[2:]
+    else:
+        _scan_widest_pairs(values, widest)
+    second = 2.0 * values[1:-1] - values[:-2] - values[2:]
+    return float((values - 0.5 * widest).min()), float(second.min())
+
+
+def _scan_widest_pairs(values: np.ndarray, widest: np.ndarray) -> None:
+    """Raise ``widest[j]`` to the largest ``values[j - h] + values[j + h]``
+    over every half-gap h, comparing them all.
+
+    Row h of a block holds the pair sums for half-gap h at every midpoint
+    j, and a running column max keeps the largest over all blocks of about
+    ``_MARGIN_BLOCK`` entries, so memory stays O(m).  The values sit
+    between -inf pads, so a pair that runs off either end never wins the
+    max.
     """
     m = values.size
     top = (m - 1) // 2  # the largest half-gap
@@ -329,7 +376,6 @@ def _discrete_margins(values: np.ndarray) -> tuple[float, float]:
     )
     step = max(1, _MARGIN_BLOCK // m)
     block = np.empty(step * m)
-    widest = np.full(m, -np.inf)
     for lo in range(1, top + 1, step):
         hi = min(lo + step, top + 1)
         cols = slice(lo, m - lo)  # the midpoints of the block's smallest half-gap
@@ -338,8 +384,6 @@ def _discrete_margins(values: np.ndarray) -> tuple[float, float]:
         sums = block[: left.size].reshape(left.shape)
         np.add(left, right, out=sums)
         np.maximum(widest[cols], sums.max(axis=0), out=widest[cols])
-    second = 2.0 * values[1:-1] - values[:-2] - values[2:]
-    return float((values - 0.5 * widest).min()), float(second.min())
 
 
 def _finish_report(

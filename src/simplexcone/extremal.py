@@ -158,6 +158,7 @@ class _FaceWorkspace:
         self.faces = np.array(list(combinations(range(n + 1), k + 1)))
         iu, ju = _pairs(k + 1)
         self.edges = _edge_table(n)[self.faces[:, iu], self.faces[:, ju]]
+        self.offdiag = iu * (k + 1) + ju  # offdiag L, as flat indices of L
         apex, pair = _gram_index(k)
         # take() keeps them C-contiguous, which the per-step gathers need
         self.apex = self.edges.take(apex, axis=1)
@@ -207,9 +208,8 @@ def _raw_gradient(ws: _FaceWorkspace, grams: np.ndarray, weight) -> tuple:
     """Gradient from the face Grams and weights of :func:`_raw_value`, as
     d(log vol)/ds = -offdiag L / 2 summed over the faces, and the bordered
     inverses L, which the Hessian reuses."""
-    iu, ju = _pairs(ws.k + 1)
     bordered = ws.frame @ np.linalg.inv(grams) @ ws.frame.T  # L
-    terms = -(bordered[:, iu, ju] * weight).ravel()
+    terms = -(bordered.reshape(len(ws.faces), -1).take(ws.offdiag, axis=1) * weight).ravel()
     return np.bincount(ws.edges.ravel(), terms, minlength=edge_count(ws.n)), bordered
 
 
@@ -223,14 +223,14 @@ def _curvature(
     face is one edge, so N is diagonal and only its diagonal is formed."""
     k, edges = ws.k, edge_count(ws.n)
     iu, ju = _pairs(k + 1)
-    a, b = iu[:, None], ju[:, None]  # edge ab down the rows, cd = (a.T, b.T) across
     neg = np.zeros(edges if k == 1 else edges * edges)
     rows = max(1, _BLOCK_FLOATS // iu.size**2)
     for lo in range(0, len(ws.faces), rows):
         part = slice(lo, lo + rows)
         face = bordered[part]
-        ac, bd, ad, bc = face[:, a, a.T], face[:, b, b.T], face[:, a, b.T], face[:, b, a.T]
-        blocks = 0.5 * (ac * bd + ad * bc)
+        la, lb = face[:, iu], face[:, ju]  # rows a and b of edge ab, down the block's rows
+        # columns c and d of edge cd across: L_ac L_bd + L_ad L_bc
+        blocks = 0.5 * (la[:, :, iu] * lb[:, :, ju] + la[:, :, ju] * lb[:, :, iu])
         if kind is ObjectiveKind.SUM_ROOT_FACES:
             l_ab = face[:, iu, ju]
             blocks -= l_ab[:, :, None] * l_ab[:, None, :] / (2 * k)
@@ -245,7 +245,8 @@ def _newton_direction(neg: np.ndarray, pg: np.ndarray) -> np.ndarray | None:
     """The Newton step on the hyperplane for N = -H (a vector: its diagonal),
     d = u - (sum u / sum v) v for N u = pg and N v = 1, so that sum d = 0 and
     N d = pg + mu 1; or None unless d is finite and ascends."""
-    rhs = np.stack((pg, np.ones(pg.size)), axis=-1)
+    rhs = np.empty((pg.size, 2))
+    rhs[:, 0], rhs[:, 1] = pg, 1.0
     with np.errstate(all="ignore"):  # a nearly singular N gives a d that is not finite
         try:
             u, v = (rhs / neg[:, None] if neg.ndim == 1 else np.linalg.solve(neg, rhs)).T
@@ -420,8 +421,8 @@ def maximize(
 
     for _ in range(max_iter):
         grad, bordered = _raw_gradient(ws, grams, weight)
-        pg = grad - grad.mean()
-        pg_norm = float(np.linalg.norm(pg))
+        pg = grad - grad.sum() / edges
+        pg_norm = math.sqrt(pg @ pg)
         grad_l1 = float(np.abs(grad).sum())
         iterates.append((x, f, pg_norm / grad_l1))
         if pg_norm < _GTOL_FACTOR * grad_l1:

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 import simplexcone.cli as cli
 from simplexcone.cli import UsageError, build_parser, main, parse_instance, run
 from simplexcone.dual import dual_gram
-from simplexcone.extremal import MaxIterations
+from simplexcone.extremal import MaxIterations, StepIntoInvalidRegion
 from simplexcone.linalg import NullityNotOne
 from simplexcone.simplex import NotRealizable
 
@@ -479,6 +479,40 @@ def test_optimize_iteration_cap_exits_3(capsys):
     assert "error" in run0
 
 
+def test_optimize_reports_each_runs_rejections_and_gradient_steps(capsys, monkeypatch):
+    from simplexcone import Objective, ObjectiveKind, maximize, random_simplex
+
+    # a capped run reports its partial trace's counters, as a converged run
+    # reports its trace's: here the second start's line search has already
+    # turned candidates down
+    argv = ["optimize", "--n", "3", "--total", "6", "--objective", "sumroot", "--k", "2",
+            "--seed", "7", "--starts", "2", "--max-iter", "4"]
+    code, report = run_json(capsys, argv)
+    assert code == 3
+    rng = np.random.default_rng(7)
+    for entry in report["results"]["runs"]:
+        start = random_simplex(3, rng, total=6.0)
+        with pytest.raises(MaxIterations) as caught:
+            maximize(3, 6.0, Objective(ObjectiveKind("sumroot"), 2), start=start, max_iter=4)
+        assert entry["converged"] is False
+        assert entry["rejections"] == caught.value.trace.rejections
+        assert entry["gradient_steps"] == caught.value.trace.gradient_steps
+    assert sum(report["results"]["runs"][1]["rejections"].values()) > 0
+
+    # an exhausted line search keeps them too
+    counts = {"rejections": {"armijo": 2, "not_valid": 60}, "gradient_steps": 1}
+
+    def exhausted(*args, **kwargs):
+        raise StepIntoInvalidRegion("line search exhausted", SimpleNamespace(**counts))
+
+    monkeypatch.setattr(cli, "maximize", exhausted)
+    code, report = run_json(capsys, OPTIMIZE)
+    assert code == 3
+    (run0,) = report["results"]["runs"]
+    assert run0["error"] == "line search exhausted"
+    assert {key: run0[key] for key in counts} == counts
+
+
 def test_optimize_multi_start(capsys):
     code, report = run_json(
         capsys,
@@ -521,10 +555,12 @@ def _scripted_maximize(outcomes):
 
     def scripted(n, total, objective, *, start, max_iter, pd_tol):
         value = next(pending)
+        counts = {"rejections": {"armijo": 0}, "gradient_steps": 0}
         if value is None:
-            raise MaxIterations(f"no convergence within {max_iter} iterations", None)
+            raise MaxIterations(f"no convergence within {max_iter} iterations",
+                                SimpleNamespace(**counts))
         return SimpleNamespace(iterates=[(start, 0.0), (start, value)],
-                               regularity_deviation=0.0, final=start)
+                               regularity_deviation=0.0, final=start, **counts)
 
     return scripted
 
@@ -822,6 +858,8 @@ def test_floats_round_trip_bit_for_bit(capsys):
     assert _bits(run0["final_squared_lengths"]) == _bits(trace.final.s)
     assert _bits(run0["objective"]) == _bits(trace.iterates[-1][1])
     assert _bits(run0["regularity_deviation"]) == _bits(trace.regularity_deviation)
+    assert run0["rejections"] == trace.rejections
+    assert run0["gradient_steps"] == trace.gradient_steps
 
 
 def test_pretty_rendering(capsys):
@@ -896,6 +934,13 @@ results:
 2.70139882421, 0.454070759328, 1.03226969717]
       converged: false
       error: no convergence within 1 iterations
+      rejections:
+        non_positive: 0
+        cholesky_screen: 0
+        face_collapse: 0
+        armijo: 0
+        not_valid: 0
+      gradient_steps: 0
 """
 
 

@@ -1,9 +1,12 @@
 """Tests for cone combinations, concavity probes and the two counterexample families."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import simplexcone.convexity as convexity_module
@@ -45,6 +48,7 @@ from oracles import jacobi_eigendecompose, mp_eigenvalues, verdict_of
 NONTRI_EXACT = 1.0 / math.sqrt(3.0) - 0.5
 # closed-form transition for the length-sum family
 FRANKEL_EXACT = math.sqrt(8.0 - 4.0 * math.sqrt(2.0)) - math.sqrt(2.0)
+EPS = np.finfo(float).eps
 
 
 def right_corner(n):
@@ -495,6 +499,86 @@ def test_discrete_margins_equal_brute_force(m):
     x = np.linspace(-1.0, 1.0, m)
     values = -3.0 * x * x + 1e-3 * rng.standard_normal(m)
     assert _discrete_margins(values) == _brute_force_margins(values)
+
+
+def _ulp_bump(m, slope, bump, scale):
+    """An exactly linear sequence in [1, 2), its sample ``bump`` raised by
+    one ulp, all scaled by 2^scale.  The slope in ulps is odd, and the
+    sample after the bump has an even last bit.  So at each neighbor of the
+    bump the pair sum is twice the neighbor plus half an ulp of the sum,
+    which rounds down to it (s == 2c, err > 0); two samples further out,
+    the pair through the bump rounds up, and the nearest pair there is
+    not the widest."""
+    q = 2**40 + (slope * (bump + 1)) % 2 + slope * np.arange(m)
+    values = 1.0 + q * EPS
+    values[bump] += EPS
+    return np.ldexp(values, scale)
+
+
+#: sequences that are exactly concave, so _discrete_margins takes its O(m) path
+_CONCAVE_KINDS = ("quadratic", "log", "linear")
+
+
+@st.composite
+def _margin_values(draw):
+    """A kind and a sequence of that kind, at 3..300 samples or, about one
+    draw in sixteen, at 1001, where the brute-force reference is slow."""
+    m = draw(st.integers(3, 320).map(lambda m: 1001 if m > 300 else m), label="m")
+    kind = draw(st.sampled_from(_CONCAVE_KINDS + ("bump", "random")), label="kind")
+    x = np.linspace(-1.0, 1.0, m)
+    if kind == "quadratic":
+        values = -draw(st.floats(0.01, 100.0)) * x * x + draw(st.floats(-100.0, 100.0))
+    elif kind == "log":
+        values = np.log(draw(st.floats(1.5, 10.0)) + x)
+    elif kind == "linear":  # every pair sum equals twice its midpoint: s == 2c, err == 0
+        slope, offset = draw(st.integers(-1000, 1000)), draw(st.integers(-1000, 1000))
+        values = (slope * np.arange(m) + offset).astype(float)
+    elif kind == "bump":
+        slope = 2 * draw(st.integers(-500, 500)) + 1
+        values = _ulp_bump(m, slope, draw(st.integers(0, m - 1)), draw(st.integers(-30, 30)))
+    else:
+        values = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal(m)
+    return kind, values
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(_margin_values())
+def test_both_margin_paths_equal_brute_force(case):
+    kind, values = case
+    if kind != "random":
+        assert convexity_module._exactly_concave(values) == (kind in _CONCAVE_KINDS)
+    assert _discrete_margins(values) == _brute_force_margins(values)
+
+
+def test_concavity_check_settles_ties_by_the_rounding_error():
+    check = convexity_module._exactly_concave
+    # s == 2c with err == 0: exactly linear
+    assert check(np.array([-7.0, -4.0, -1.0, 2.0, 5.0]))
+    # 1 + (1 + eps) rounds to 2 == 2 * 1, but its error eps is positive
+    assert not check(np.array([1.0, 1.0, 1.0 + EPS]))
+    # 1 + (1 - eps/2) rounds to 2 as well, with error -eps/2
+    assert check(np.array([1.0, 1.0, 1.0 - EPS / 2]))
+    # an overflowing pair sum or a NaN reads False
+    assert not check(np.array([1e308, 1.7e308, 1.7e308]))
+    assert not check(np.array([np.nan, 1.0, 1.0]))
+    # the rounded sums alone pass the bump, yet the widest pair is not the
+    # nearest at samples 4 and 8: a tie rule on s alone would report a
+    # worst midpoint defect of 0
+    values = _ulp_bump(13, 3, 6, 0)
+    assert (values[:-2] + values[2:] <= 2.0 * values[1:-1]).all()
+    assert not check(values)
+    assert _discrete_margins(values) == _brute_force_margins(values) == (-EPS, -EPS)
+
+
+def test_margins_keep_the_scans_sign_of_zero():
+    # two -0.0 samples sum to -0.0, which ties a +0.0 pair sum; the scan
+    # picks the sign, so values with a -0.0 take it and keep its bits
+    for signs in itertools.product((0.0, -0.0), repeat=9):
+        values = np.array(signs)
+        widest = np.full(values.size, -np.inf)
+        convexity_module._scan_widest_pairs(values, widest)
+        worst_mid = float((values - 0.5 * widest).min())
+        assert math.copysign(1.0, _discrete_margins(values)[0]) == math.copysign(1.0, worst_mid)
 
 
 def test_facet_probe_makes_no_per_sample_eigendecompose_calls(eigendecompose_calls):
