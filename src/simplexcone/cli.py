@@ -51,6 +51,7 @@ from .extremal import (
     Objective,
     ObjectiveKind,
     StepIntoInvalidRegion,
+    _check_mean,
     maximize,
 )
 from .linalg import DEFAULT_PD_TOL, ConvergenceError, NotPositiveDefinite, NullityNotOne
@@ -314,6 +315,9 @@ def _cmd_counterexample(args, inputs: dict, results: dict) -> int:
 
 def _cmd_optimize(args, inputs: dict, results: dict) -> int:
     _check_k_faces(args.n, args.k)
+    # maximize's own check, made before a start is drawn at a total that
+    # would underflow its squared lengths
+    _check_mean(args.total / edge_count(args.n))
     params = {
         "n": args.n,
         "total": args.total,

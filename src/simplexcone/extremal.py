@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain, combinations
@@ -73,7 +74,8 @@ _GTOL_FACTOR = 1e-10
 _ARMIJO = 1e-4
 #: Newton trials (lengths 1, 1/2, ...) before the gradient step takes over
 _NEWTON_HALVINGS = 8
-#: face-block floats the Hessian assembles at a time
+#: face-block floats the Hessian assembles at a time; a face size whose
+#: one block fits keeps its gather plan (:func:`_stored_face_plan`)
 _BLOCK_FLOATS = 1 << 16
 
 #: Why the line search turns a candidate step down, in the order it checks.
@@ -174,16 +176,22 @@ class _FaceWorkspace:
 _workspace = functools.cache(_FaceWorkspace)  # one per (n, k)
 
 
+def _check_mean(mean: float) -> None:
+    """Raise ValueError for a subnormal mean squared length: the gradient
+    grows as 1 / mean past the float range."""
+    if not mean >= np.finfo(float).tiny:
+        raise ValueError("the mean squared length is subnormal")
+
+
 def _unit_mean(ws: _FaceWorkspace, kind: ObjectiveKind, mean: float) -> tuple[int, ...]:
     """The m with mean / 4^m in [2^-0.5, 2^1.5), and (a, b, c) with
     objective(4^m s) = a objective(s) + b and gradient(4^m s) = c gradient(s).
 
     m is the exponent of mean / sqrt(2) halved, so means of 1 and 2 keep
     m = 0 and a mean scaled by 4^j moves m by exactly j.  A subnormal mean
-    raises ValueError: the gradient grows as 1 / mean past the float range.
+    raises ValueError (:func:`_check_mean`).
     """
-    if not mean >= np.finfo(float).tiny:
-        raise ValueError("the mean squared length is subnormal")
+    _check_mean(mean)
     m = math.frexp(mean / math.sqrt(2.0))[1] // 2
     if kind is ObjectiveKind.LOG_PRODUCT_FACES:
         return m, 1.0, len(ws.faces) * ws.k * m * math.log(2.0), 2.0 ** (-2 * m)
@@ -213,28 +221,62 @@ def _raw_gradient(ws: _FaceWorkspace, grams: np.ndarray, weight) -> tuple:
     return np.bincount(ws.edges.ravel(), terms, minlength=edge_count(ws.n)), bordered
 
 
+def _face_plan(k: int) -> Iterator[np.ndarray]:
+    """Where T's factors sit in a face's flattened (k+1)^2 bordered inverse L:
+    the flat indices of L_ac, L_bd, L_ad and L_bc for every pair of face
+    edges (ab, cd), row ab by column cd, e^2 each for the e = C(k+1, 2) face
+    edges, built one at a time as they are read."""
+    iu, ju = _pairs(k + 1)
+    a, b = iu[:, None] * (k + 1), ju[:, None] * (k + 1)
+    return ((row + col).ravel() for row, col in ((a, iu), (b, ju), (a, ju), (b, iu)))
+
+
+@functools.cache
+def _stored_face_plan(k: int) -> tuple[np.ndarray, ...]:
+    """:func:`_face_plan`, kept for the face sizes whose block fits in
+    ``_BLOCK_FLOATS`` (k <= 22); a larger one would hold 4 e^2 indices for
+    the life of the process."""
+    return tuple(map(_frozen, _face_plan(k)))
+
+
 def _curvature(
     ws: _FaceWorkspace, kind: ObjectiveKind, bordered: np.ndarray, weight
 ) -> np.ndarray:
     """N = -H from the bordered inverses L of :func:`_raw_gradient`.  Each face
     adds weight * T, less weight * a a^T / (2k) with a = -offdiag L for
     sumroot, whose weight is itself a function of the face's log volume.
-    The face blocks are scattered a chunk of faces at a time; at k = 1 each
-    face is one edge, so N is diagonal and only its diagonal is formed."""
-    k, edges = ws.k, edge_count(ws.n)
-    iu, ju = _pairs(k + 1)
+    A face's block T is four flat gathers from the face's flattened L, at
+    the indices of :func:`_face_plan`, which is kept once per k while one
+    block fits in ``_BLOCK_FLOATS`` and built on every call above that; a
+    call with one face reads each index as it is built, so it never holds
+    more than one of the four.  The face blocks are scattered a chunk of
+    faces at a time; at k = 1 each face is one edge, so N is diagonal and
+    only its diagonal is formed."""
+    k, edges, size = ws.k, edge_count(ws.n), ws.offdiag.size**2
+    if size <= _BLOCK_FLOATS:
+        plan = _stored_face_plan(k)
+    else:  # built per call, and held only if more than one face reads it
+        plan = _face_plan(k) if len(ws.faces) == 1 else tuple(_face_plan(k))
+    flat = bordered.reshape(len(ws.faces), -1)
     neg = np.zeros(edges if k == 1 else edges * edges)
-    rows = max(1, _BLOCK_FLOATS // iu.size**2)
+    rows = max(1, _BLOCK_FLOATS // size)
     for lo in range(0, len(ws.faces), rows):
         part = slice(lo, lo + rows)
-        face = bordered[part]
-        la, lb = face[:, iu], face[:, ju]  # rows a and b of edge ab, down the block's rows
-        # columns c and d of edge cd across: L_ac L_bd + L_ad L_bc
-        blocks = 0.5 * (la[:, :, iu] * lb[:, :, ju] + la[:, :, ju] * lb[:, :, iu])
+        face = flat[part]
+        # 0.5 (L_ac L_bd + L_ad L_bc), computed in place
+        factors = iter(plan)
+        blocks = face.take(next(factors), axis=1)
+        blocks *= face.take(next(factors), axis=1)
+        cross = face.take(next(factors), axis=1)
+        cross *= face.take(next(factors), axis=1)
+        blocks += cross
+        blocks *= 0.5
         if kind is ObjectiveKind.SUM_ROOT_FACES:
-            l_ab = face[:, iu, ju]
-            blocks -= l_ab[:, :, None] * l_ab[:, None, :] / (2 * k)
-        blocks *= weight[part, :, None] if kind is ObjectiveKind.SUM_ROOT_FACES else weight
+            l_ab = face.take(ws.offdiag, axis=1)
+            blocks -= (l_ab[:, :, None] * l_ab[:, None, :]).reshape(blocks.shape) / (2 * k)
+            blocks *= weight[part]
+        else:
+            blocks *= weight
         e = ws.edges[part]
         index = e if k == 1 else e[:, :, None] * edges + e[:, None, :]
         np.add.at(neg, index.ravel(), blocks.ravel())

@@ -675,13 +675,23 @@ UNIT_171 = json.dumps({"dimension": 171, "squared_lengths": [1.0] * (171 * 172 /
         (["dual", UNIT_171], "outside the float range"),
         (["counterexample", "nontri", "--epsilon", "1e300"], "positive finite"),
         (["counterexample", "frankel", "--epsilon", "1e300"], "positive finite"),
+        (
+            ["optimize", "--n", "2", "--total", "5e-324", "--objective", "logprod", "--k", "1"],
+            "the mean squared length is subnormal",
+        ),
+        (
+            ["optimize", "--n", "2", "--total", "1e-320", "--objective", "logprod", "--k", "1"],
+            "the mean squared length is subnormal",
+        ),
     ],
 )
 def test_finite_input_at_float_extremes_exits_1(capsys, argv, fragment):
     # every entry is a positive finite float, but the volume (about 1e450
     # or 1e-451), the Gram entry s(0,1) + s(0,2) or a squared length built
-    # from epsilon is not: a message, not a traceback, and never the
-    # Degenerate answer 0
+    # from epsilon is not, or the mean squared length --total / 3 is
+    # subnormal: a message, not a traceback, and never the Degenerate
+    # answer 0.  A start drawn at --total 5e-324 would underflow to a
+    # zero squared length, so the mean is refused before any is drawn
     _assert_usage_error(capsys, argv, fragment)
 
 

@@ -357,6 +357,67 @@ def test_hessian_is_the_same_in_chunks_of_one_face(monkeypatch):
                 assert_array_equal(chunked, whole)
 
 
+def _row_gather_curvature(ws, kind, bordered, weight):
+    # the reference assembly: rows a and b of each edge ab gathered from
+    # the (faces, k+1, k+1) bordered inverses, then columns c and d of each
+    # edge cd gathered from those rows, in the same chunks of faces
+    k, edges = ws.k, edge_count(ws.n)
+    iu, ju = np.triu_indices(k + 1, 1)
+    neg = np.zeros(edges if k == 1 else edges * edges)
+    rows = max(1, extremal_module._BLOCK_FLOATS // iu.size**2)
+    for lo in range(0, len(ws.faces), rows):
+        part = slice(lo, lo + rows)
+        face = bordered[part]
+        la, lb = face[:, iu], face[:, ju]
+        blocks = 0.5 * (la[:, :, iu] * lb[:, :, ju] + la[:, :, ju] * lb[:, :, iu])
+        if kind is SUMROOT:
+            l_ab = face[:, iu, ju]
+            blocks -= l_ab[:, :, None] * l_ab[:, None, :] / (2 * k)
+        blocks *= weight[part, :, None] if kind is SUMROOT else weight
+        e = ws.edges[part]
+        index = e if k == 1 else e[:, :, None] * edges + e[:, None, :]
+        np.add.at(neg, index.ravel(), blocks.ravel())
+    return neg if k == 1 else neg.reshape(edges, edges)
+
+
+def _both_curvatures(ell, kind, k):
+    ws = extremal_module._workspace(ell.n, k)
+    _, weight, grams = extremal_module._raw_value(ws, kind, ell.s)
+    bordered = extremal_module._raw_gradient(ws, grams, weight)[1]
+    return (
+        extremal_module._curvature(ws, kind, bordered, weight),
+        _row_gather_curvature(ws, kind, bordered, weight),
+    )
+
+
+def test_flat_face_plan_gives_the_row_gather_assembly_bit_for_bit(monkeypatch):
+    # the same products and sums in the same order, read through the flat
+    # plan: kept per k, or built per call when no block fits the budget
+    rng = np.random.default_rng(29)
+    for budget in (extremal_module._BLOCK_FLOATS, 1):
+        with monkeypatch.context() as patch:
+            patch.setattr(extremal_module, "_BLOCK_FLOATS", budget)
+            for n in range(2, 8):
+                for k in range(1, n + 1):
+                    for kind in (LOGPROD, SUMROOT):
+                        ell = random_simplex(n, rng, total=float(edge_count(n)))
+                        assert_array_equal(*_both_curvatures(ell, kind, k))
+
+
+def test_face_plans_above_the_block_budget_are_not_kept():
+    # at k = 23 a face block has 276^2 = 76176 floats, more than the
+    # 65536 of _BLOCK_FLOATS: its plan is built for the call and dropped
+    assert edge_count(23) ** 2 > extremal_module._BLOCK_FLOATS >= edge_count(22) ** 2
+    extremal_module._stored_face_plan.cache_clear()
+    rng = np.random.default_rng(31)
+    for n in (23, 24):  # one face, whose plan is read as it is built, and 25 faces
+        ell = random_simplex(n, rng, total=float(edge_count(n)))
+        assert_array_equal(*_both_curvatures(ell, SUMROOT, 23))
+    assert extremal_module._stored_face_plan.cache_info().currsize == 0
+    _both_curvatures(UNIT_TETRA, LOGPROD, 2)
+    assert extremal_module._stored_face_plan.cache_info().currsize == 1
+
+
 def test_large_problems_converge_in_newton_steps():
     # every size under MAX_FACES forms the Hessian: only its diagonal at
     # k = 1 (2080 edges at n = 64), chunked face blocks above (12 chunks of
