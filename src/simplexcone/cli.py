@@ -18,7 +18,9 @@ stderr, nothing on stdout), 2 negative geometric verdict (Invalid / not
 realizable, including a probe endpoint that is not Valid), 3 numerical
 failure (an optimizer run that did not converge, or a numerical refusal
 of the library).  Exits 0, 2 and 3 print a report, whose results hold
-``{"error": ...}`` when the answer could not be computed.
+``{"error": ...}`` when the answer could not be computed.  A reader that
+closes stdout before the report is written does not change the exit code:
+the report is dropped, with no traceback.
 """
 
 from __future__ import annotations
@@ -537,7 +539,10 @@ def run(argv: list[str]) -> int:
     except (UsageError, ValueError) as exc:  # ValueError: a library check, or an overflow
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    print(text)
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:  # the reader left; the exit-time flush must not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

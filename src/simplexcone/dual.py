@@ -110,9 +110,11 @@ def dual_gram(ell: SquaredEdgeLengths, *, pd_tol: float = DEFAULT_PD_TOL) -> Dua
 
 
 def null_direction(gstar) -> np.ndarray:
-    """Unit kernel vector of a dual Gram matrix, oriented positive.
+    """Unit kernel vector of a dual Gram matrix, oriented positive: the
+    rank-one factor of its adjugate, read off the adjugate's one SVD.
 
-    Requires nullity exactly one (within ``DEFAULT_NULL_TOL``), else raises
+    Requires nullity exactly one, counted on singular values within
+    ``DEFAULT_NULL_TOL`` times the largest, else raises
     :class:`NullityNotOne`; the returned vector is proportional to the
     facet-area vector.
     """

@@ -1,14 +1,14 @@
 """Dense symmetric linear-algebra kernels.
 
 Each spectral question has one kernel here: ``_positive_definite`` (the
-PD band test), ``_null_index`` (nullity exactly one), ``adjugate`` (one
-SVD formula) and ``_whitened_spectrum`` (log det along a line and its
-derivatives).  Every spectrum of the package is taken here, by LAPACK
-through numpy: single matrices (:func:`eigendecompose`), a probe's
-midpoint, the optimizer's candidate verdicts and the stacked verdicts of
-probes and bisections go through one prescaled kernel, ``_unit_eigh``;
-the optimizer's face determinants and inverses come from one batched
-call each, the adjugate from one SVD and every Cholesky factor from
+PD band test), ``_null_index`` (nullity exactly one), ``_svd_adjugate``
+(the adjugate and its rank-one factor, one SVD) and ``_whitened_spectrum``
+(log det along a line and its derivatives).  Every spectrum of the package
+is taken here, by LAPACK through numpy: single matrices
+(:func:`eigendecompose`), a probe's midpoint, the optimizer's candidate
+verdicts and the stacked verdicts of probes and bisections go through one
+prescaled kernel, ``_unit_eigh``; the optimizer's face determinants and
+inverses come from one batched call each and every Cholesky factor from
 ``potrf``; the tests hold them to pure-Python loops and mpmath.
 
 Symmetry is enforced exactly: a matrix is accepted as symmetric only if
@@ -46,8 +46,8 @@ __all__ = [
 #: eigenvalue exceeds ``pd_tol * |largest eigenvalue|``.
 DEFAULT_PD_TOL = 1e-10
 
-#: An eigenvalue counts as zero in a nullity test iff its magnitude is at
-#: most ``DEFAULT_NULL_TOL * |largest eigenvalue|``.
+#: A singular value counts as zero in the nullity test iff it is at most
+#: ``DEFAULT_NULL_TOL * largest singular value``.
 DEFAULT_NULL_TOL = 1e-9
 
 class ConvergenceError(RuntimeError):
@@ -143,12 +143,12 @@ def _positive_definite(w, pd_tol: float):
     return w[..., 0] > _band(w, pd_tol)
 
 
-def _null_index(w) -> int:
-    """Position of the one eigenvalue of ``w`` inside the null band; raises
-    :class:`NullityNotOne` unless there is exactly one."""
-    zero = np.flatnonzero(np.abs(w) <= _band(w, DEFAULT_NULL_TOL))
+def _null_index(s) -> int:
+    """Position of the one singular value of ``s`` inside the null band;
+    raises :class:`NullityNotOne` unless there is exactly one."""
+    zero = np.flatnonzero(s <= _band(s, DEFAULT_NULL_TOL))
     if zero.size != 1:
-        raise NullityNotOne(f"expected nullity 1, found {zero.size} zero eigenvalues")
+        raise NullityNotOne(f"expected nullity 1, found {zero.size} zero singular values")
     return int(zero[0])
 
 
@@ -208,66 +208,53 @@ def outer_product(v, w) -> np.ndarray:
     return np.outer(v, w)
 
 
-def adjugate(m) -> np.ndarray:
-    """Adjugate (transposed cofactor matrix), satisfying M @ adj(M) = det(M) I.
-
-    One formula for every square matrix: with the SVD M = U diag(s) V^T,
-    adj(M) = det(U) det(V) V diag(p) U^T, where p_i is the product of all
-    singular values but the i-th.  Each p_i is a prefix times a suffix
-    running product, so there is no division, and invertible, nullity-1
-    and nullity->=2 input are covered alike.
-    """
-    a = check_square(m)
+def _svd_adjugate(a: np.ndarray):
+    """The SVD a = U diag(s) V^T and the signed cofactor weights
+    det(U) det(V) p, where p_i is the product of all singular values but the
+    i-th: adj(a) = V diag(weights) U^T.  Each p_i is a prefix times a suffix
+    running product, so there is no division."""
     u, s, vt = np.linalg.svd(a)
     one = np.ones(1)
     before = np.cumprod(np.concatenate((one, s[:-1])))
     after = np.cumprod(np.concatenate((one, s[:0:-1])))[::-1]
     # det(U) det(V) = det(U V^T) is exactly +-1; only its sign carries over
     sign = np.sign(np.linalg.det(u @ vt))
-    return sign * (vt.T * (before * after)) @ u.T
+    return u, s, vt, sign * (before * after)
 
 
-def _sign_normalize(v: np.ndarray) -> np.ndarray:
-    nrm = float(np.linalg.norm(v))
-    if nrm == 0.0:
-        raise ValueError("cannot normalize a zero vector")
-    v = v / nrm
+def adjugate(m) -> np.ndarray:
+    """Adjugate (transposed cofactor matrix), satisfying M @ adj(M) = det(M) I.
+
+    One formula for every square matrix: with the SVD M = U diag(s) V^T,
+    adj(M) = det(U) det(V) V diag(p) U^T (:func:`_svd_adjugate`), so
+    invertible, nullity-1 and nullity->=2 input are covered alike.
+    """
+    u, _, vt, weights = _svd_adjugate(check_square(m))
+    return (vt.T * weights) @ u.T
+
+
+def _sign_normalize(v: np.ndarray) -> tuple[float, np.ndarray]:
+    """The sign that makes the first nonzero component of ``v`` positive,
+    and ``v`` scaled to unit length with that sign."""
+    v = v / float(np.linalg.norm(v))
     for x in v:
         if abs(x) > 1e-12:
-            return -v if x < 0.0 else v
-    return v
+            return (-1.0, -v) if x < 0.0 else (1.0, v)
+    return 1.0, v
 
 
 def adjugate_rank1_decompose(m) -> tuple[float, np.ndarray, np.ndarray]:
-    """Factor the adjugate of a nullity-1 matrix as ``c * outer(v, w)``.
-
-    Returns ``(c, w, v)`` where ``v`` spans ``null(M)``, ``w`` spans
-    ``null(M.T)``, both unit with their first nonzero component
-    positive, and ``c = (product of nonzero eigenvalues) / <v, w>``.
-    For symmetric input ``v is w``.  Raises :class:`NullityNotOne`
-    unless exactly one eigenvalue is zero within ``DEFAULT_NULL_TOL``.
-    """
-    a = check_square(m)
-    if (a == a.T).all():
-        dec = eigendecompose(a)
-        k = _null_index(dec.eigenvalues)
-        v = _sign_normalize(dec.basis[:, k])
-        c = float(np.prod(np.delete(dec.eigenvalues, k)))  # <v, v> == 1
-        return c, v, v
-    # non-symmetric: null vectors from the SVD, eigenvalue product from
-    # the (possibly complex) spectrum
-    lam = np.linalg.eigvals(a)
-    k = _null_index(lam)
-    u_svd, _, vt_svd = np.linalg.svd(a)
-    v = _sign_normalize(vt_svd[-1, :])
-    w = _sign_normalize(u_svd[:, -1])
-    inner = float(np.dot(v, w))
-    if abs(inner) <= DEFAULT_NULL_TOL:
-        raise NullityNotOne("null vectors of M and M.T are numerically orthogonal")
-    prod = complex(np.prod(np.delete(lam, k)))
-    if abs(prod.imag) > 1e-9 * max(1.0, abs(prod.real)):
-        raise NullityNotOne("nonzero eigenvalue product is not real")
-    return prod.real / inner, w, v
+    """Factor the adjugate of a nullity-1 matrix as ``c * outer(v, w)``, off
+    the SVD that :func:`adjugate` takes: ``(c, w, v)`` with ``v`` and ``w``
+    the null singular vectors of M and M.T, both unit with their first
+    nonzero component positive, and ``c`` their cofactor weight.  Raises
+    :class:`NullityNotOne` unless exactly one singular value is zero within
+    ``DEFAULT_NULL_TOL`` times the largest, so [[0, 1], [0, 0]] passes."""
+    u, s, vt, weights = _svd_adjugate(check_square(m))
+    k = _null_index(s)
+    sign_v, v = _sign_normalize(vt[k])
+    sign_w, w = _sign_normalize(u[:, k])
+    return float(weights[k]) * sign_v * sign_w, w, v
 
 
 def _whitened_spectrum(w: np.ndarray, basis: np.ndarray, delta: np.ndarray) -> np.ndarray:

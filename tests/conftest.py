@@ -2,6 +2,7 @@
 
 import sys
 
+import numpy as np
 import pytest
 
 import simplexcone.cli  # noqa: F401 - loads every module that may bind the solver
@@ -25,3 +26,17 @@ def eigendecompose_calls(monkeypatch):
                 if value is original:
                     monkeypatch.setattr(module, attr, counting)
     return calls
+
+
+@pytest.fixture
+def svd_shapes(monkeypatch):
+    """Shapes of the matrices handed to ``np.linalg.svd``, in call order."""
+    shapes = []
+    original = np.linalg.svd
+
+    def counting(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    return shapes

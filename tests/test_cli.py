@@ -223,14 +223,15 @@ def test_dual_right_triangle(capsys):
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])
-def test_dual_ratio_factors_the_instance_once(capsys, eigendecompose_calls, n):
-    # one eigendecomposition classifies G and one finds the dual Gram's kernel;
-    # the ratio is read off that same dual Gram
+def test_dual_ratio_factors_the_instance_once(capsys, eigendecompose_calls, svd_shapes, n):
+    # one eigendecomposition classifies G; the null direction and the ratio are
+    # each read off one SVD of the (n+1)-by-(n+1) dual Gram
     instance = json.dumps({"dimension": n, "squared_lengths": [1.0] * (n * (n + 1) // 2)})
     eigendecompose_calls.clear()
     code, report = run_json(capsys, ["dual", instance, "--ratio", "0", "1"])
     assert code == 0
-    assert eigendecompose_calls == [n, n + 1]
+    assert eigendecompose_calls == [n]
+    assert svd_shapes == [(n + 1, n + 1)] * 2
     assert report["results"]["ratio"]["squared_area_ratio"] == pytest.approx(1.0, rel=1e-12)
 
 
@@ -298,7 +299,7 @@ def test_dual_keeps_its_data_next_to_a_nullity_refusal(capsys):
     code, report = run_json(capsys, ["dual", DUAL_NULLITY_TWO])
     assert code == 3
     res = report["results"]
-    assert res.pop("error") == "expected nullity 1, found 2 zero eigenvalues"
+    assert res.pop("error") == "expected nullity 1, found 2 zero singular values"
     expected = dual_gram(parse_instance(DUAL_NULLITY_TWO))
     assert res == json.loads(cli.render_json(asdict(expected)))
 
@@ -758,10 +759,40 @@ def test_float_extremes_print_only_the_error_line():
         (["volume", UNIT_TETRA, "--face", ""], "--face expects comma-separated integers, got ''"),
         (["probe", UNIT_TETRA, UNIT_TETRA, "--mode", "log", "--face", ""],
          "--face expects comma-separated integers, got ''"),
+        (["probe", UNIT_TETRA, UNIT_TETRA, "--mode", "root", "--face", "0,1"],
+         "--face applies to --mode log only"),
     ],
 )
 def test_face_rules_are_usage_errors(capsys, argv, fragment):
     _assert_usage_error(capsys, argv, fragment)
+
+
+def test_instance_shape_refusals_are_usage_errors(tmp_path, capsys):
+    # inline text reaches the object check only when it starts with '{', a file always
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]")
+    _assert_usage_error(capsys, ["validate", str(path)], "instance must be a JSON object")
+    _assert_usage_error(
+        capsys, ["validate", '{"squared_lengths": [1, 1, 1]}'], "instance is missing 'dimension'"
+    )
+
+
+def test_a_closed_stdout_keeps_the_exit_code_and_prints_no_traceback():
+    import simplexcone
+
+    src = str(Path(simplexcone.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    invalid = '{"dimension": 2, "squared_lengths": [1, 1, 9]}'
+    for instance, code in ((UNIT_TRIANGLE, 0), (invalid, 2)):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "simplexcone.cli", "validate", instance],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        proc.stdout.close()  # the reader leaves before the report is written
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == code, err
+        assert "Traceback" not in err and "BrokenPipe" not in err, err
 
 
 def test_face_budget_is_a_usage_error(capsys):

@@ -26,6 +26,8 @@ from simplexcone import (
     validate,
 )
 
+from simplexcone.dual import _ratio_from_dual_gram
+
 from oracles import jacobi_eigendecompose
 
 RIGHT_TRIANGLE = SquaredEdgeLengths(2, np.array([1.0, 1.0, 2.0]))
@@ -199,24 +201,16 @@ def test_dual_queries_make_one_eigendecompose_call_of_size_n(eigendecompose_call
     assert eigendecompose_calls == [n]
 
 
-def test_dual_queries_call_no_svd(monkeypatch):
+def test_dual_queries_call_no_svd(svd_shapes):
     """``dual_gram`` makes no SVD; ``area_ratio_from_adjugate`` makes one,
     of the (n+1)-by-(n+1) dual Gram, for the adjugate."""
-    ells = [random_simplex(n, np.random.default_rng(n)) for n in range(2, 8)]
-    original = np.linalg.svd
-    shapes = []
-
-    def counting(a, *args, **kwargs):
-        shapes.append(np.shape(a))
-        return original(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", counting)
-    for ell in ells:
+    for n in range(2, 8):
+        ell = random_simplex(n, np.random.default_rng(n))
+        svd_shapes.clear()
         dual_gram(ell)
-        assert shapes == []
+        assert svd_shapes == []
         area_ratio_from_adjugate(ell, 0, 1)
-        assert shapes == [(ell.n + 1, ell.n + 1)]
-        shapes.clear()
+        assert svd_shapes == [(ell.n + 1, ell.n + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -379,6 +373,12 @@ def test_area_ratio_matches_squared_facet_volumes():
                 assert ratio == pytest.approx(
                     (rep.areas[i] / rep.areas[j]) ** 2, rel=1e-8
                 )
+
+
+def test_ratio_refuses_a_vanishing_denominator_cofactor():
+    # adj(diag(1, 1, 0)) = diag(0, 0, 1): the ratio of facets 0 and 1 is 0 / 0
+    with pytest.raises(ValueError, match="cofactor 1 is numerically zero"):
+        _ratio_from_dual_gram(np.diag([1.0, 1.0, 0.0]), 0, 1)
 
 
 def test_area_ratio_rejects_bad_indices():

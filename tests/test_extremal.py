@@ -123,6 +123,18 @@ def test_objective_value_requires_valid_instance():
         objective_value(bad, Objective(LOGPROD, 2))
 
 
+def test_a_valid_start_whose_face_determinant_vanishes_is_refused():
+    # Valid at pd_tol = 0 (smallest Gram eigenvalue 1.1e-16), yet the triangle's
+    # Gram determinant rounds to zero
+    ell = SquaredEdgeLengths(2, [1.0, 4.323354461887753, 1.1648189206724306])
+    assert validate(ell, pd_tol=0.0).verdict is Verdict.VALID
+    for kind in (LOGPROD, SUMROOT):
+        with pytest.raises(NotRealizable, match="a face volume vanished"):
+            objective_value(ell, Objective(kind, 2), pd_tol=0.0)
+        with pytest.raises(NotRealizable, match="a face of the start collapsed"):
+            maximize(2, float(ell.s.sum()), Objective(kind, 2), start=ell, pd_tol=0.0)
+
+
 def test_objective_value_invariant_under_relabeling():
     rng = np.random.default_rng(9)
     for n in (2, 3, 4):

@@ -419,12 +419,24 @@ def test_rank1_decompose_reconstructs_adjugate():
 
 
 def test_rank1_decompose_asymmetric_null_vectors():
-    m = np.array([[1.0, 0.0], [5.0, 0.0]])
-    c, w, v = adjugate_rank1_decompose(m)
-    assert_allclose(v, [0.0, 1.0], atol=1e-12)
-    assert_allclose(w, np.array([5.0, -1.0]) / np.sqrt(26.0), atol=1e-12)
-    assert c == pytest.approx(-np.sqrt(26.0), rel=1e-12)
-    assert_allclose(c * np.outer(v, w), adjugate(m), atol=1e-12)
+    root2 = np.sqrt(2.0)
+    cases = [
+        # (M, c, v spanning null(M), w spanning null(M^T))
+        ([[1.0, 0.0], [5.0, 0.0]], -np.sqrt(26.0), [0.0, 1.0], np.array([5.0, -1.0]) / np.sqrt(26.0)),
+        # defective: both eigenvalues are zero, yet the nullity is one
+        ([[0.0, 1.0], [0.0, 0.0]], -1.0, [1.0, 0.0], [0.0, 1.0]),
+        # defective: the eigenvalue 0 is double, its eigenvector single
+        ([[1.0, 1.0], [-1.0, -1.0]], -2.0, [1.0 / root2, -1.0 / root2], [1.0 / root2, 1.0 / root2]),
+    ]
+    for m, c_ref, v_ref, w_ref in cases:
+        m = np.array(m)
+        c, w, v = adjugate_rank1_decompose(m)
+        assert_allclose(v, v_ref, atol=1e-12)
+        assert_allclose(w, w_ref, atol=1e-12)
+        assert c == pytest.approx(c_ref, rel=1e-12)
+        assert_allclose(c * np.outer(v, w), adjugate(m), atol=1e-12)
+    assert_allclose(adjugate([[0.0, 1.0], [0.0, 0.0]]), [[0.0, -1.0], [0.0, 0.0]], atol=1e-15)
+    assert_allclose(adjugate([[1.0, 1.0], [-1.0, -1.0]]), [[-1.0, -1.0], [1.0, 1.0]], atol=1e-15)
 
 
 def test_rank1_decompose_regularized_determinant():
