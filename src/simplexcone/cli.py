@@ -466,7 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=_sample_count, default=33, help=(
         "3..100000 (default %(default)s); the exact all-pairs margin takes "
         "O(samples) time on exactly concave samples, the usual case, and "
-        "O(samples^2) on others: about 0.15 s at 20001, about 5 s at 100000"))
+        "O(samples^2) on others: about 0.1 s at 20001, about 2.5 s at 100000"))
     p.add_argument("--face", help="restrict log mode to a face")
     _add_common(p)
 

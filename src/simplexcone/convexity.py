@@ -26,8 +26,8 @@ independent factorization; the tests hold it to each sample's own
 eigendecomposition and to a reference solver.  The worst midpoint defect
 over all sample pairs takes O(samples) time when the samples are exactly
 concave as floats, which log det and det^(1/n) along a segment of the
-cone usually are, and O(samples^2) otherwise, with the same bits
-(:func:`_discrete_margins`).
+cone usually are, and O(samples^2) otherwise, in one loop over the
+half-gaps (:func:`_discrete_margins`).
 """
 
 from __future__ import annotations
@@ -307,10 +307,6 @@ def _whitened_derivatives(g1: np.ndarray, g2: np.ndarray, ts: np.ndarray):
     return logdet, x.sum(axis=1), -(x * x).sum(axis=1)
 
 
-#: entries of one block of midpoint defects in :func:`_discrete_margins`
-_MARGIN_BLOCK = 1 << 16
-
-
 def _exactly_concave(values: np.ndarray) -> bool:
     """Whether ``values[i-1] + values[i+1] <= 2 values[i]`` holds at every
     interior i in exact arithmetic on the stored floats.
@@ -336,54 +332,26 @@ def _discrete_margins(values: np.ndarray) -> tuple[float, float]:
 
     The worst defect at a midpoint j is ``values[j]`` less half the widest
     pair sum ``values[j - h] + values[j + h]`` over its half-gaps h, bit for
-    bit, because rounding of ``v - x`` is monotone in x.  When the values
-    are exactly concave (:func:`_exactly_concave`, O(m)), the first
-    differences do not grow, so neither do the exact pair sums as h grows;
-    rounding is monotone too, so the nearest pair is the widest, and O(m)
-    work gives the answer.  Otherwise :func:`_scan_widest_pairs` compares
-    every pair, in O(m^2) time.  The scan also takes values with a -0.0:
-    two of them sum to -0.0, which ties a +0.0 pair sum and then carries
-    the sign the scan picks.  The end samples are midpoints of no pair:
-    their widest sum stays -inf, so they never win the min.
-    """
-    widest = np.full(values.size, -np.inf)
-    if _exactly_concave(values) and not np.signbit(values[values == 0.0]).any():
-        widest[1:-1] = values[:-2] + values[2:]
-    else:
-        _scan_widest_pairs(values, widest)
-    second = 2.0 * values[1:-1] - values[:-2] - values[2:]
-    return float((values - 0.5 * widest).min()), float(second.min())
-
-
-def _scan_widest_pairs(values: np.ndarray, widest: np.ndarray) -> None:
-    """Raise ``widest[j]`` to the largest ``values[j - h] + values[j + h]``
-    over every half-gap h, comparing them all.
-
-    Row h of a block holds the pair sums for half-gap h at every midpoint
-    j, and a running column max keeps the largest over all blocks of about
-    ``_MARGIN_BLOCK`` entries, so memory stays O(m).  The values sit
-    between -inf pads, so a pair that runs off either end never wins the
-    max.
+    bit, because rounding of ``v - x`` is monotone in x.  The first pass
+    takes the nearest pairs, h = 1.  When the values are exactly concave
+    (:func:`_exactly_concave`, O(m)), the first differences do not grow, so
+    neither do the exact pair sums as h grows; rounding is monotone too, so
+    the nearest pair is the widest, and that pass is the answer.  Otherwise
+    one pass per larger half-gap raises each widest sum, in O(m^2) time in
+    all.  Values with a -0.0 take every pass: two of them sum to -0.0,
+    which ties a +0.0 pair sum and then carries the sign the passes pick.
+    The end samples are midpoints of no pair: their widest sum stays -inf,
+    so they never win the min.
     """
     m = values.size
-    top = (m - 1) // 2  # the largest half-gap
-    pad = np.full(top, -np.inf)
-    # shifted[top + d][j] is values[j + d], or -inf past either end: a
-    # read-only view of the padded values, one row per shift d
-    padded = np.concatenate((pad, values, pad))
-    shifted = np.lib.stride_tricks.as_strided(
-        padded, (2 * top + 1, m), (padded.itemsize, padded.itemsize), writeable=False
-    )
-    step = max(1, _MARGIN_BLOCK // m)
-    block = np.empty(step * m)
-    for lo in range(1, top + 1, step):
-        hi = min(lo + step, top + 1)
-        cols = slice(lo, m - lo)  # the midpoints of the block's smallest half-gap
-        left = shifted[top - hi + 1 : top - lo + 1, cols][::-1]  # values[j - h], h = lo, ...
-        right = shifted[top + lo : top + hi, cols]
-        sums = block[: left.size].reshape(left.shape)
-        np.add(left, right, out=sums)
-        np.maximum(widest[cols], sums.max(axis=0), out=widest[cols])
+    widest = np.full(m, -np.inf)
+    widest[1:-1] = values[:-2] + values[2:]
+    if not _exactly_concave(values) or np.signbit(values[values == 0.0]).any():
+        for h in range(2, (m - 1) // 2 + 1):
+            inner = widest[h : m - h]
+            np.maximum(inner, values[: m - 2 * h] + values[2 * h :], out=inner)
+    second = 2.0 * values[1:-1] - values[:-2] - values[2:]
+    return float((values - 0.5 * widest).min()), float(second.min())
 
 
 def _finish_report(

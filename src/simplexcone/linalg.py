@@ -235,12 +235,11 @@ def adjugate(m) -> np.ndarray:
 
 def _sign_normalize(v: np.ndarray) -> tuple[float, np.ndarray]:
     """The sign that makes the first nonzero component of ``v`` positive,
-    and ``v`` scaled to unit length with that sign."""
+    and ``v`` scaled to unit length with that sign, its zeros all +0.0.  A
+    unit vector has an entry of at least 1/sqrt(n), so one is nonzero."""
     v = v / float(np.linalg.norm(v))
-    for x in v:
-        if abs(x) > 1e-12:
-            return (-1.0, -v) if x < 0.0 else (1.0, v)
-    return 1.0, v
+    sign = -1.0 if v[np.abs(v) > 1e-12][0] < 0.0 else 1.0
+    return sign, sign * v + 0.0  # x + 0.0 is x, except that -0.0 + 0.0 is +0.0
 
 
 def adjugate_rank1_decompose(m) -> tuple[float, np.ndarray, np.ndarray]:

@@ -491,7 +491,8 @@ def _brute_force_margins(values):
     return worst_mid, worst_sd
 
 
-# 363, 513 and 1001 span several blocks of _discrete_margins
+# up to 65 samples the noisy profile is exactly concave and takes the first
+# pass only; from 127 on it is not, and every half-gap pass runs
 @pytest.mark.parametrize("m", list(range(3, 60)) + [64, 65, 127, 128, 256, 257, 363, 513, 1001])
 def test_discrete_margins_equal_brute_force(m):
     rng = np.random.default_rng(m)
@@ -541,6 +542,45 @@ def _margin_values(draw):
     return kind, values
 
 
+#: entries of one block of midpoint defects in _blocked_margins
+_MARGIN_BLOCK = 1 << 16
+
+
+def _blocked_margins(values):
+    # the reference: the nearest pair sums when the values are exactly
+    # concave with no -0.0, else every pair compared in blocks of about
+    # _MARGIN_BLOCK sums, one row per half-gap of a strided view of the
+    # values between -inf pads, with a running column max
+    m = values.size
+    widest = np.full(m, -np.inf)
+    if convexity_module._exactly_concave(values) and not np.signbit(values[values == 0.0]).any():
+        widest[1:-1] = values[:-2] + values[2:]
+    else:
+        top = (m - 1) // 2
+        pad = np.full(top, -np.inf)
+        padded = np.concatenate((pad, values, pad))
+        shifted = np.lib.stride_tricks.as_strided(
+            padded, (2 * top + 1, m), (padded.itemsize, padded.itemsize), writeable=False
+        )
+        step = max(1, _MARGIN_BLOCK // m)
+        block = np.empty(step * m)
+        for lo in range(1, top + 1, step):
+            hi = min(lo + step, top + 1)
+            cols = slice(lo, m - lo)
+            left = shifted[top - hi + 1 : top - lo + 1, cols][::-1]
+            right = shifted[top + lo : top + hi, cols]
+            sums = block[: left.size].reshape(left.shape)
+            np.add(left, right, out=sums)
+            np.maximum(widest[cols], sums.max(axis=0), out=widest[cols])
+    second = 2.0 * values[1:-1] - values[:-2] - values[2:]
+    return float((values - 0.5 * widest).min()), float(second.min())
+
+
+def _same_bits(got, want):
+    # equal, and equal in the sign of every zero
+    return got == want and np.signbit(got).tolist() == np.signbit(want).tolist()
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=100)
 @given(_margin_values())
 def test_both_margin_paths_equal_brute_force(case):
@@ -548,6 +588,24 @@ def test_both_margin_paths_equal_brute_force(case):
     if kind != "random":
         assert convexity_module._exactly_concave(values) == (kind in _CONCAVE_KINDS)
     assert _discrete_margins(values) == _brute_force_margins(values)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(_margin_values())
+def test_margins_give_the_blocked_scans_bits(case):
+    values = case[1]
+    assert _same_bits(_discrete_margins(values), _blocked_margins(values))
+
+
+@pytest.mark.parametrize("m", [3, 4, 5, 6, 7, 8, 33, 34, 1001])
+def test_convex_samples_take_their_worst_defect_from_the_widest_pair(m):
+    # the pair sums grow with the gap, so the last pass decides each margin
+    values = np.linspace(-1.0, 1.0, m) ** 2
+    worst_mid = _discrete_margins(values)[0]
+    assert worst_mid == _brute_force_margins(values)[0] == _blocked_margins(values)[0]
+    top = (m - 1) // 2  # the widest half-gap
+    widest = [values[j] - 0.5 * (values[j - top] + values[j + top]) for j in range(top, m - top)]
+    assert worst_mid == min(widest)
 
 
 def test_concavity_check_settles_ties_by_the_rounding_error():
@@ -571,14 +629,19 @@ def test_concavity_check_settles_ties_by_the_rounding_error():
 
 
 def test_margins_keep_the_scans_sign_of_zero():
-    # two -0.0 samples sum to -0.0, which ties a +0.0 pair sum; the scan
-    # picks the sign, so values with a -0.0 take it and keep its bits
+    # two -0.0 samples sum to -0.0, which ties a +0.0 pair sum; the passes
+    # pick the sign, so values with a -0.0 take them all and keep its bits
     for signs in itertools.product((0.0, -0.0), repeat=9):
         values = np.array(signs)
-        widest = np.full(values.size, -np.inf)
-        convexity_module._scan_widest_pairs(values, widest)
-        worst_mid = float((values - 0.5 * widest).min())
-        assert math.copysign(1.0, _discrete_margins(values)[0]) == math.copysign(1.0, worst_mid)
+        assert _same_bits(_discrete_margins(values), _blocked_margins(values)), signs
+    # the scan takes 8 blocks at 1001 samples and 137 at 4097; zeros of
+    # either sign alone, then among random values
+    rng = np.random.default_rng(67)
+    for m in (1001, 4097):
+        for spread in (0.0, 0.0, 1.0, 1.0):
+            zeros = np.where(rng.random(m) < 0.5, 0.0, -0.0)
+            values = np.where(rng.random(m) < 0.5, zeros, spread * rng.standard_normal(m))
+            assert _same_bits(_discrete_margins(values), _blocked_margins(values)), m
 
 
 def test_facet_probe_makes_no_per_sample_eigendecompose_calls(eigendecompose_calls):

@@ -448,6 +448,13 @@ def test_large_problems_converge_in_newton_steps():
 # constrained ascent
 
 
+def test_an_exactly_singular_newton_matrix_gives_no_direction():
+    # a dense N makes np.linalg.solve raise, a diagonal one divides by zero
+    pg = np.array([1.0, -2.0, 1.0])
+    assert extremal_module._newton_direction(np.zeros((3, 3)), pg) is None
+    assert extremal_module._newton_direction(np.zeros(3), pg) is None
+
+
 def test_maximize_regular_start_converges_immediately():
     trace = maximize(3, 6.0, Objective(LOGPROD, 2), start=regular_simplex(3, 6.0))
     assert trace.converged
@@ -511,6 +518,10 @@ def test_maximize_rejects_bad_starts():
         maximize(2, -1.0, Objective(LOGPROD, 2))
     with pytest.raises(ValueError, match="1..2"):
         maximize(2, 3.0, Objective(LOGPROD, 5))
+    with pytest.raises(ValueError, match="wrong dimension"):
+        maximize(2, 3.0, Objective(LOGPROD, 2), start=regular_simplex(3, 3.0))
+    with pytest.raises(ValueError, match="3 entries"):
+        maximize(2, 3.0, Objective(LOGPROD, 2), start=np.ones(4))
 
 
 def test_maximize_iteration_cap_carries_trace():

@@ -259,6 +259,8 @@ def test_outer_product_examples():
     expected = np.zeros((3, 3))
     expected[0, 1] = 1.0
     assert_allclose(outer_product(e1, e2), expected, atol=0.0)
+    with pytest.raises(ValueError, match="two equal-length vectors"):
+        outer_product(e1, e2[:2])
 
 
 def test_outer_product_trace_and_projector():
@@ -435,6 +437,8 @@ def test_rank1_decompose_asymmetric_null_vectors():
         assert_allclose(w, w_ref, atol=1e-12)
         assert c == pytest.approx(c_ref, rel=1e-12)
         assert_allclose(c * np.outer(v, w), adjugate(m), atol=1e-12)
+        for x in (v, w):  # a sign flip keeps exact zeros at +0.0
+            assert not np.signbit(x[x == 0.0]).any()
     assert_allclose(adjugate([[0.0, 1.0], [0.0, 0.0]]), [[0.0, -1.0], [0.0, 0.0]], atol=1e-15)
     assert_allclose(adjugate([[1.0, 1.0], [-1.0, -1.0]]), [[-1.0, -1.0], [1.0, 1.0]], atol=1e-15)
 
@@ -460,6 +464,8 @@ def test_rank1_decompose_rejects_wrong_nullity():
         adjugate_rank1_decompose(np.eye(3))
     with pytest.raises(NullityNotOne, match="found 2"):
         adjugate_rank1_decompose(np.diag([1.0, 0.0, 0.0]))
+    with pytest.raises(ValueError, match="expected a square matrix"):
+        adjugate(np.ones((2, 3)))
 
 
 # ---------------------------------------------------------------------------
@@ -517,6 +523,8 @@ def test_logdet_second_derivative_strictly_negative():
 def test_logdet_derivative_requires_positive_definite_base():
     with pytest.raises(NotPositiveDefinite):
         logdet_directional_derivative(np.diag([1.0, -1.0]), np.eye(2))
+    with pytest.raises(ValueError, match="matching shapes"):
+        logdet_directional_derivative(np.eye(2), np.eye(3))
 
 
 def test_default_tolerances():

@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 import simplexcone.simplex as simplex_module
 from simplexcone import (
@@ -72,6 +72,8 @@ def test_edge_index_requires_ordered_pair():
         edge_index(3, 1, 1)
     with pytest.raises(ValueError, match="out of range"):
         edge_index(3, 0, 4)
+    with pytest.raises(ValueError, match="no edge joins a vertex to itself"):
+        SquaredEdgeLengths(3, np.ones(6)).entry(1, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -81,6 +83,8 @@ def test_edge_index_requires_ordered_pair():
 def test_instance_rejects_wrong_length():
     with pytest.raises(ValueError, match="needs 3 squared lengths"):
         SquaredEdgeLengths(2, np.array([1.0, 1.0]))
+    with pytest.raises(ValueError, match="expected a square matrix"):
+        squared_lengths_from_gram(np.ones((2, 3)))
 
 
 def test_instance_rejects_nonpositive_entries():
@@ -90,6 +94,9 @@ def test_instance_rejects_nonpositive_entries():
         SquaredEdgeLengths(2, np.array([1.0, -1.0, 1.0]))
     with pytest.raises(ValueError, match="positive finite"):
         SquaredEdgeLengths(2, np.array([1.0, np.inf, 1.0]))
+    for total in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="positive finite"):
+            regular_simplex(2, total)
 
 
 def test_instance_rejects_bad_dimension():
@@ -293,7 +300,10 @@ def test_embed_round_trips_squared_distances():
     rng = np.random.default_rng(16)
     for n in range(1, 8):
         ell = random_simplex(n, rng)
-        verts = np.hstack([np.zeros((n, 1)), embed(ell).vertices])
+        emb = embed(ell)
+        verts = np.hstack([np.zeros((n, 1)), emb.vertices])
+        for i in range(n + 1):
+            assert_array_equal(emb.vertex(i), verts[:, i])
         for pos, (i, j) in enumerate(edge_pairs(n)):
             d2 = float(np.sum((verts[:, i] - verts[:, j]) ** 2))
             assert d2 == pytest.approx(ell.s[pos], rel=1e-9, abs=1e-9)
@@ -304,6 +314,10 @@ def test_embed_rejects_unrealizable():
         embed(SquaredEdgeLengths(2, np.array([1.0, 9.0, 4.0])))
     with pytest.raises(NotRealizable):
         embed(SquaredEdgeLengths(2, np.array([1.0, 1.0, 9.0])))
+    emb = embed(SquaredEdgeLengths(2, np.ones(3)))
+    for i in (-1, 3):
+        with pytest.raises(ValueError, match=f"vertex {i} out of range"):
+            emb.vertex(i)
 
 
 # ---------------------------------------------------------------------------
