@@ -39,23 +39,9 @@ from itertools import combinations
 import numpy as np
 
 from . import __version__
-from .convexity import (
-    frankel_instance,
-    frankel_length_threshold,
-    nontri_instance,
-    nontri_threshold,
-    probe_log_concavity,
-    probe_root_concavity,
-)
-from .dual import _ratio_from_dual_gram, dual_gram, null_direction
-from .extremal import (
-    MaxIterations,
-    Objective,
-    ObjectiveKind,
-    StepIntoInvalidRegion,
-    _check_mean,
-    maximize,
-)
+
+# dual, convexity and extremal are imported by the handlers that run them:
+# a process that runs validate, volume or faces compiles and loads only these
 from .linalg import DEFAULT_PD_TOL, ConvergenceError, NotPositiveDefinite, NullityNotOne
 from .simplex import (
     NotRealizable,
@@ -258,17 +244,20 @@ def _cmd_faces(args, inputs: dict, results: dict) -> int:
 
 
 def _cmd_dual(args, inputs: dict, results: dict) -> int:
+    from .dual import _null_direction_and_ratio, dual_gram
+
     report = dual_gram(_load(args.instance, inputs), pd_tol=args.tolerance)
     results.update(asdict(report))  # kept next to the error if the nullity test refuses
-    results["null_direction"] = null_direction(report.gstar)
+    results["null_direction"], value = _null_direction_and_ratio(report.gstar, args.ratio)
     if args.ratio is not None:
         i, j = args.ratio
-        value = _ratio_from_dual_gram(report.gstar, i, j)
         results["ratio"] = {"i": i, "j": j, "squared_area_ratio": value}
     return 0
 
 
 def _cmd_probe(args, inputs: dict, results: dict) -> int:
+    from .convexity import probe_log_concavity, probe_root_concavity
+
     inputs["first"], inputs["second"] = {}, {}
     first = _load(args.first, inputs["first"])
     second = _load(args.second, inputs["second"])
@@ -290,6 +279,13 @@ def _cmd_probe(args, inputs: dict, results: dict) -> int:
 
 
 def _cmd_counterexample(args, inputs: dict, results: dict) -> int:
+    from .convexity import (
+        frankel_instance,
+        frankel_length_threshold,
+        nontri_instance,
+        nontri_threshold,
+    )
+
     eps = args.epsilon if args.epsilon is not None else 0.01
     params = {"family": args.family, "epsilon": eps, "bisect": bool(args.bisect),
               "tolerance": args.tolerance}
@@ -316,6 +312,15 @@ def _cmd_counterexample(args, inputs: dict, results: dict) -> int:
 
 
 def _cmd_optimize(args, inputs: dict, results: dict) -> int:
+    from .extremal import (
+        MaxIterations,
+        Objective,
+        ObjectiveKind,
+        StepIntoInvalidRegion,
+        _check_mean,
+        maximize,
+    )
+
     _check_k_faces(args.n, args.k)
     # maximize's own check, made before a start is drawn at a total that
     # would underflow its squared lengths

@@ -26,7 +26,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_PD_TOL, adjugate, adjugate_rank1_decompose, check_symmetric
+from .linalg import (
+    DEFAULT_PD_TOL,
+    _adjugate_from_svd,
+    _rank1_factor,
+    _svd_adjugate,
+    adjugate,
+    check_symmetric,
+)
 from .simplex import (
     SimplexEmbedding,
     SquaredEdgeLengths,
@@ -118,16 +125,25 @@ def null_direction(gstar) -> np.ndarray:
     :class:`NullityNotOne`; the returned vector is proportional to the
     facet-area vector.
     """
-    return adjugate_rank1_decompose(check_symmetric(gstar))[2]
+    return _null_direction_and_ratio(gstar, None)[0]
 
 
-def _ratio_from_dual_gram(gstar: np.ndarray, i: int, j: int) -> float:
-    """(area_i / area_j)^2 off the adjugate diagonal of a dual Gram (one SVD)."""
+def _null_direction_and_ratio(gstar, pair) -> tuple[np.ndarray, float | None]:
+    """:func:`null_direction` of a dual Gram and, unless ``pair`` is None,
+    the squared area ratio of its facets (i, j), both off one SVD."""
+    u, s, vt, weights = _svd_adjugate(check_symmetric(gstar))
+    direction = _rank1_factor(u, s, vt, weights)[2]
+    if pair is None:
+        return direction, None
+    return direction, _adjugate_ratio(_adjugate_from_svd(u, vt, weights), *pair)
+
+
+def _adjugate_ratio(adj: np.ndarray, i: int, j: int) -> float:
+    """(area_i / area_j)^2 off the diagonal of a dual Gram's adjugate."""
     if i == j:
         raise ValueError("facet indices must differ")
-    if not (0 <= i < len(gstar) and 0 <= j < len(gstar)):
-        raise ValueError(f"facet index out of range for dimension {len(gstar) - 1}")
-    adj = adjugate(gstar)
+    if not (0 <= i < len(adj) and 0 <= j < len(adj)):
+        raise ValueError(f"facet index out of range for dimension {len(adj) - 1}")
     denom = float(adj[j, j])
     top = float(adj[i, i])
     # relative guard: the overall adjugate magnitude carries no meaning, only
@@ -136,6 +152,11 @@ def _ratio_from_dual_gram(gstar: np.ndarray, i: int, j: int) -> float:
     if scale == 0.0 or abs(denom) <= 1e-12 * scale:
         raise ValueError(f"cofactor {j} is numerically zero; ratio undefined")
     return top / denom
+
+
+def _ratio_from_dual_gram(gstar: np.ndarray, i: int, j: int) -> float:
+    """(area_i / area_j)^2 off the adjugate diagonal of a dual Gram (one SVD)."""
+    return _adjugate_ratio(adjugate(gstar), i, j)
 
 
 def area_ratio_from_adjugate(

@@ -239,6 +239,21 @@ def _stored_face_plan(k: int) -> tuple[np.ndarray, ...]:
     return tuple(map(_frozen, _face_plan(k)))
 
 
+def _scatter_index(edges: np.ndarray, size: int, k: int) -> np.ndarray:
+    """Where each entry of the face blocks of ``edges`` (a face per row)
+    lands in N, flattened: its diagonal alone at k = 1."""
+    return (edges if k == 1 else edges[:, :, None] * size + edges[:, None, :]).ravel()
+
+
+@functools.cache
+def _stored_scatter_index(n: int, k: int) -> np.ndarray:
+    """:func:`_scatter_index` of every k-face, kept for the (n, k) whose whole
+    scatter fits in ``_BLOCK_FLOATS`` (every k up to n = 9; at most 2100
+    indices up to n = 6); a larger one is built a chunk at a time on every
+    call."""
+    return _frozen(_scatter_index(_workspace(n, k).edges, edge_count(n), k))
+
+
 def _curvature(
     ws: _FaceWorkspace, kind: ObjectiveKind, bordered: np.ndarray, weight
 ) -> np.ndarray:
@@ -250,8 +265,9 @@ def _curvature(
     block fits in ``_BLOCK_FLOATS`` and built on every call above that; a
     call with one face reads each index as it is built, so it never holds
     more than one of the four.  The face blocks are scattered a chunk of
-    faces at a time; at k = 1 each face is one edge, so N is diagonal and
-    only its diagonal is formed."""
+    faces at a time, at the indices of :func:`_stored_scatter_index` when
+    all faces make one chunk; at k = 1 each face is one edge, so N is
+    diagonal and only its diagonal is formed."""
     k, edges, size = ws.k, edge_count(ws.n), ws.offdiag.size**2
     if size <= _BLOCK_FLOATS:
         plan = _stored_face_plan(k)
@@ -260,6 +276,7 @@ def _curvature(
     flat = bordered.reshape(len(ws.faces), -1)
     neg = np.zeros(edges if k == 1 else edges * edges)
     rows = max(1, _BLOCK_FLOATS // size)
+    whole = len(ws.faces) * size <= _BLOCK_FLOATS  # one chunk, whose index is kept
     for lo in range(0, len(ws.faces), rows):
         part = slice(lo, lo + rows)
         face = flat[part]
@@ -277,9 +294,11 @@ def _curvature(
             blocks *= weight[part]
         else:
             blocks *= weight
-        e = ws.edges[part]
-        index = e if k == 1 else e[:, :, None] * edges + e[:, None, :]
-        np.add.at(neg, index.ravel(), blocks.ravel())
+        if whole:
+            index = _stored_scatter_index(ws.n, k)
+        else:
+            index = _scatter_index(ws.edges[part], edges, k)
+        np.add.at(neg, index, blocks.ravel())
     return neg if k == 1 else neg.reshape(edges, edges)
 
 

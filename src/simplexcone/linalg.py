@@ -230,6 +230,11 @@ def adjugate(m) -> np.ndarray:
     invertible, nullity-1 and nullity->=2 input are covered alike.
     """
     u, _, vt, weights = _svd_adjugate(check_square(m))
+    return _adjugate_from_svd(u, vt, weights)
+
+
+def _adjugate_from_svd(u: np.ndarray, vt: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """adj(a) = V diag(weights) U^T from the factors of :func:`_svd_adjugate`."""
     return (vt.T * weights) @ u.T
 
 
@@ -249,7 +254,11 @@ def adjugate_rank1_decompose(m) -> tuple[float, np.ndarray, np.ndarray]:
     nonzero component positive, and ``c`` their cofactor weight.  Raises
     :class:`NullityNotOne` unless exactly one singular value is zero within
     ``DEFAULT_NULL_TOL`` times the largest, so [[0, 1], [0, 0]] passes."""
-    u, s, vt, weights = _svd_adjugate(check_square(m))
+    return _rank1_factor(*_svd_adjugate(check_square(m)))
+
+
+def _rank1_factor(u: np.ndarray, s: np.ndarray, vt: np.ndarray, weights: np.ndarray):
+    """:func:`adjugate_rank1_decompose` from the factors of :func:`_svd_adjugate`."""
     k = _null_index(s)
     sign_v, v = _sign_normalize(vt[k])
     sign_w, w = _sign_normalize(u[:, k])

@@ -5,8 +5,8 @@ import sys
 import numpy as np
 import pytest
 
-import simplexcone.cli  # noqa: F401 - loads every module that may bind the solver
-from simplexcone import linalg
+# every module that may bind the solver: the CLI imports some only when it runs
+from simplexcone import cli, convexity, dual, extremal, linalg  # noqa: F401
 
 
 @pytest.fixture

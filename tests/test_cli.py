@@ -18,6 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import simplexcone.cli as cli
+import simplexcone.dual as dual_module
+import simplexcone.extremal as extremal_module
 from simplexcone.cli import UsageError, build_parser, main, parse_instance, run
 from simplexcone.dual import dual_gram
 from simplexcone.extremal import MaxIterations, StepIntoInvalidRegion
@@ -225,13 +227,13 @@ def test_dual_right_triangle(capsys):
 @pytest.mark.parametrize("n", [2, 3, 5])
 def test_dual_ratio_factors_the_instance_once(capsys, eigendecompose_calls, svd_shapes, n):
     # one eigendecomposition classifies G; the null direction and the ratio are
-    # each read off one SVD of the (n+1)-by-(n+1) dual Gram
+    # both read off one SVD of the (n+1)-by-(n+1) dual Gram
     instance = json.dumps({"dimension": n, "squared_lengths": [1.0] * (n * (n + 1) // 2)})
     eigendecompose_calls.clear()
     code, report = run_json(capsys, ["dual", instance, "--ratio", "0", "1"])
     assert code == 0
     assert eigendecompose_calls == [n]
-    assert svd_shapes == [(n + 1, n + 1)] * 2
+    assert svd_shapes == [(n + 1, n + 1)]
     assert report["results"]["ratio"]["squared_area_ratio"] == pytest.approx(1.0, rel=1e-12)
 
 
@@ -270,10 +272,10 @@ def test_not_realizable_reports_the_inputs_and_exits_2(capsys, argv, context):
 
 
 def test_dual_nullity_not_one_exits_3_with_a_report(capsys, monkeypatch):
-    def failing(gstar):
+    def failing(gstar, pair):
         raise NullityNotOne("nullity 2")
 
-    monkeypatch.setattr(cli, "null_direction", failing)
+    monkeypatch.setattr(dual_module, "_null_direction_and_ratio", failing)
     code, report = run_json(capsys, ["dual", UNIT_TETRA])
     assert code == 3
     assert report["inputs"]["dimension"] == 3
@@ -506,7 +508,7 @@ def test_optimize_reports_each_runs_rejections_and_gradient_steps(capsys, monkey
     def exhausted(*args, **kwargs):
         raise StepIntoInvalidRegion("line search exhausted", SimpleNamespace(**counts))
 
-    monkeypatch.setattr(cli, "maximize", exhausted)
+    monkeypatch.setattr(extremal_module, "maximize", exhausted)
     code, report = run_json(capsys, OPTIMIZE)
     assert code == 3
     (run0,) = report["results"]["runs"]
@@ -542,7 +544,7 @@ def test_optimize_not_realizable_exits_2_with_a_report(capsys, monkeypatch):
     def failing(*args, **kwargs):
         raise NotRealizable("start is not Valid")
 
-    monkeypatch.setattr(cli, "maximize", failing)
+    monkeypatch.setattr(extremal_module, "maximize", failing)
     code, report = run_json(capsys, OPTIMIZE)
     assert code == 2
     assert report["inputs"]["n"] == 2
@@ -571,7 +573,7 @@ def _scripted_maximize(outcomes):
     [([2.0, 2.0, 1.0], 0, 0), ([None, 1.0, 2.0, 2.0], 2, 3), ([None, None], None, 3)],
 )
 def test_best_is_the_first_of_equal_objectives(capsys, monkeypatch, outcomes, best, code):
-    monkeypatch.setattr(cli, "maximize", _scripted_maximize(outcomes))
+    monkeypatch.setattr(extremal_module, "maximize", _scripted_maximize(outcomes))
     argv = ["optimize", "--n", "2", "--total", "3", "--objective", "logprod", "--k", "1",
             "--starts", str(len(outcomes))]
     got, report = run_json(capsys, argv)

@@ -430,6 +430,21 @@ def test_face_plans_above_the_block_budget_are_not_kept():
     assert extremal_module._stored_face_plan.cache_info().currsize == 1
 
 
+def test_scatter_indices_above_the_block_budget_are_not_kept():
+    # at n = 10, k = 5 the blocks of the 462 faces hold 462 * 15^2 = 103950
+    # floats, more than the 65536 of _BLOCK_FLOATS: their scatter index is
+    # built a chunk at a time and dropped; every (n, k) up to n = 9 fits
+    faces = len(extremal_module._workspace(10, 5).faces)
+    assert faces * edge_count(5) ** 2 > extremal_module._BLOCK_FLOATS
+    extremal_module._stored_scatter_index.cache_clear()
+    ell = random_simplex(10, np.random.default_rng(37), total=float(edge_count(10)))
+    assert_array_equal(*_both_curvatures(ell, SUMROOT, 5))
+    assert extremal_module._stored_scatter_index.cache_info().currsize == 0
+    for kind in (LOGPROD, SUMROOT):  # one index per (n, k), whatever the objective
+        assert_array_equal(*_both_curvatures(UNIT_TETRA, kind, 2))
+    assert extremal_module._stored_scatter_index.cache_info().currsize == 1
+
+
 def test_large_problems_converge_in_newton_steps():
     # every size under MAX_FACES forms the Hessian: only its diagonal at
     # k = 1 (2080 edges at n = 64), chunked face blocks above (12 chunks of
