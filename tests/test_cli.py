@@ -636,6 +636,9 @@ def test_non_finite_and_negative_numbers_are_usage_errors(capsys):
         argv = list(OPTIMIZE)
         argv[argv.index("--n") + 1] = value
         _assert_usage_error(capsys, argv, "argument --n")
+    _assert_usage_error(
+        capsys, OPTIMIZE + ["--seed", "-1"], "argument --seed: must be at least 0, got -1"
+    )
     args = build_parser().parse_args(["validate", "x", "--tolerance", "0"])
     assert args.tolerance == 0.0
     args = build_parser().parse_args(OPTIMIZE + ["--max-iter", "1"])
@@ -795,6 +798,94 @@ def test_a_closed_stdout_keeps_the_exit_code_and_prints_no_traceback():
         proc.stderr.close()
         assert proc.wait(timeout=60) == code, err
         assert "Traceback" not in err and "BrokenPipe" not in err, err
+
+
+def _process_env():
+    """The source tree on the path, help text 80 columns wide in every process,
+    and stdout block-buffered when it is a pipe or a file, as by default."""
+    import simplexcone
+
+    src = str(Path(simplexcone.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, COLUMNS="80")
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", UNIT_TRIANGLE, "--no-timestamp"],
+        OPTIMIZE + ["--seed", "-1"],
+        ["validate", '{"dimension": 2, "squared_lengths": [1, 1, 9]}', "--no-timestamp"],
+        OPTIMIZE + ["--max-iter", "1", "--no-timestamp"],
+        ["--help"],
+        ["--version"],
+    ],
+    ids=["exit0", "exit1", "exit2", "exit3", "help", "version"],
+)
+def test_the_process_writes_what_main_writes(argv, tmp_path, monkeypatch):
+    # the process ends by os._exit, so text left in a buffer would be lost;
+    # argparse's --help and --version text is the one write run does not flush
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err, _ = _run_in_process(argv)
+    assert out or err
+    command = [sys.executable, "-m", "simplexcone.cli", *argv]
+    env = _process_env()
+    proc = subprocess.run(command, capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+    path = tmp_path / "stdout"
+    with open(path, "wb") as fh:
+        proc = subprocess.run(
+            command, stdout=fh, stderr=subprocess.PIPE, text=True, env=env, timeout=60
+        )
+    assert (proc.returncode, path.read_text(), proc.stderr) == (code, out, err)
+
+
+def test_help_to_a_reader_that_left_exits_0_with_no_traceback():
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "simplexcone.cli", "--help"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_process_env(),
+    )
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0, err
+    assert err == ""
+
+
+def test_a_stdout_closed_before_start_up_keeps_the_exit_code():
+    # Python sets sys.stdout to None, and the report goes nowhere
+    invalid = '{"dimension": 2, "squared_lengths": [1, 1, 9]}'
+    for argv, code in (([UNIT_TRIANGLE], 0), ([invalid], 2)):
+        proc = subprocess.run(
+            ["sh", "-c", 'exec "$0" -m simplexcone.cli validate "$1" >&-', sys.executable, *argv],
+            capture_output=True, text=True, env=_process_env(), timeout=60,
+        )
+        assert (proc.returncode, proc.stderr) == (code, "")
+
+
+@pytest.mark.parametrize(
+    "launch, teardown",
+    [
+        ("runpy.run_module('simplexcone.cli', run_name='__main__')", False),
+        ("import simplexcone.cli; sys.exit(simplexcone.cli.main())", True),
+    ],
+)
+def test_the_process_entry_skips_interpreter_teardown(launch, teardown):
+    # an atexit hook runs during teardown: the process entry ends before it,
+    # while a caller of main keeps its interpreter
+    code = (
+        "import atexit, runpy, sys\n"
+        "atexit.register(sys.stderr.write, 'teardown ran')\n"
+        "sys.argv = ['simplexcone', '--version']\n"
+        f"{launch}\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env=_process_env(), timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (0, "0.1.0\n"), proc.stderr
+    assert proc.stderr == ("teardown ran" if teardown else "")
 
 
 def test_face_budget_is_a_usage_error(capsys):
