@@ -44,7 +44,7 @@ from .simplex import (
     ValidityReport,
     _face_edges,
     _gram_stack,
-    _valid_rows,
+    _valid_grams,
     validate,
 )
 
@@ -182,7 +182,7 @@ def _bisect_validity(rows, pd_tol: float, hi: float) -> float:
     squared lengths ``rows(eps)`` flip to Valid, bisected to a width of 1e-8
     on their verdict.
 
-    Each round judges, in one stacked verdict (:func:`_valid_rows`), the
+    Each round judges, in one stacked verdict (:func:`_valid_grams`), the
     midpoint tree of the next ``_BISECT_DEPTH`` steps, then walks down it
     as a one-at-a-time bisection would step: a node's midpoint is
     ``0.5 * (lo + hi)`` of the very floats the walk holds when it gets
@@ -190,14 +190,14 @@ def _bisect_validity(rows, pd_tol: float, hi: float) -> float:
     the walk takes the same steps and returns the same bits.
     """
     lo, tol = _BISECT_LO, _BISECT_TOL
-    hi_valid, lo_valid = _valid_rows(3, rows(np.array([hi, lo])), pd_tol)
+    hi_valid, lo_valid = _valid_grams(_gram_stack(3, rows(np.array([hi, lo]))), pd_tol)
     if not hi_valid:
         raise ValueError(f"upper endpoint {hi} is not Valid; bracket the threshold")
     if lo_valid:
         raise ValueError(f"lower endpoint {lo} is already Valid; bracket the threshold")
     while hi - lo > tol:
         mids = _midpoint_tree(lo, hi)
-        valid = _valid_rows(3, rows(np.array(mids)), pd_tol).tolist()
+        valid = _valid_grams(_gram_stack(3, rows(np.array(mids))), pd_tol).tolist()
         node = 0
         while node < len(mids) and hi - lo > tol:
             if valid[node]:
@@ -262,7 +262,7 @@ def _segment_logdet(
         raise ValueError("need at least 3 samples")
     k, idx = _face_edges(first.n, face)
     ends = np.stack((first.s, second.s))
-    for name, valid in zip(("first", "second"), _valid_rows(first.n, ends, pd_tol)):
+    for name, valid in zip(("first", "second"), _valid_grams(_gram_stack(first.n, ends), pd_tol)):
         if not valid:
             raise NotRealizable(f"{name} endpoint is not Valid")
     g1, g2 = _gram_stack(k, ends[:, idx])

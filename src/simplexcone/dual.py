@@ -154,11 +154,6 @@ def _adjugate_ratio(adj: np.ndarray, i: int, j: int) -> float:
     return top / denom
 
 
-def _ratio_from_dual_gram(gstar: np.ndarray, i: int, j: int) -> float:
-    """(area_i / area_j)^2 off the adjugate diagonal of a dual Gram (one SVD)."""
-    return _adjugate_ratio(adjugate(gstar), i, j)
-
-
 def area_ratio_from_adjugate(
     ell: SquaredEdgeLengths, i: int, j: int, *, pd_tol: float = DEFAULT_PD_TOL
 ) -> float:
@@ -170,4 +165,4 @@ def area_ratio_from_adjugate(
     the one eigendecomposition that classifies G, and its adjugate from
     one SVD.  Raises :class:`NotRealizable` unless the verdict is Valid.
     """
-    return _ratio_from_dual_gram(_spectral_dual(ell, pd_tol)[3], i, j)
+    return _adjugate_ratio(adjugate(_spectral_dual(ell, pd_tol)[3]), i, j)

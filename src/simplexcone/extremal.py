@@ -37,7 +37,7 @@ from itertools import chain, combinations
 
 import numpy as np
 
-from .linalg import DEFAULT_PD_TOL, _cholesky_factor
+from .linalg import DEFAULT_PD_TOL, NotPositiveDefinite, _cholesky_factor
 from .simplex import (
     NotRealizable,
     SquaredEdgeLengths,
@@ -381,7 +381,9 @@ def _judge_candidate(
     if (cand <= 0.0).any():
         return "non_positive", None
     gram = _gram_stack(ws.n, cand)
-    if not _cholesky_factor(gram)[1]:
+    try:
+        _cholesky_factor(gram)
+    except NotPositiveDefinite:
         return "cholesky_screen", None
     evaluated = _raw_value(ws, kind, cand)
     if evaluated is None:

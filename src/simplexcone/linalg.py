@@ -80,11 +80,12 @@ def check_square(m) -> np.ndarray:
 
 
 def check_symmetric(m) -> np.ndarray:
-    """Return a float copy of ``m``, rejecting any exact asymmetry."""
+    """Return ``m`` as a float array (``m`` itself when it is one), rejecting
+    any exact asymmetry."""
     a = check_square(m)
     if not (a == a.T).all():
         raise ValueError("matrix is not symmetric (entries must match exactly)")
-    return a.copy()
+    return a
 
 
 @dataclass(frozen=True)
@@ -156,18 +157,22 @@ def smallest_eigenvalue(m) -> float:
     return float(eigendecompose(m).eigenvalues[0])
 
 
-def _cholesky_factor(a: np.ndarray) -> tuple[np.ndarray | None, bool, int]:
-    """Unpivoted lower Cholesky by LAPACK ``potrf``: (L, True, -1), or (None,
-    False, j) for the first j whose leading (j+1)-by-(j+1) block fails."""
+def _cholesky_factor(a: np.ndarray) -> np.ndarray:
+    """Unpivoted lower Cholesky factor L by LAPACK ``potrf``; raises
+    :class:`NotPositiveDefinite` naming the first j whose leading
+    (j+1)-by-(j+1) block fails."""
     try:
-        return np.linalg.cholesky(a), True, -1
+        return np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
-        for j in range(len(a) - 1):
-            try:
-                np.linalg.cholesky(a[: j + 1, : j + 1])
-            except np.linalg.LinAlgError:
-                return None, False, j
-        return None, False, len(a) - 1
+        pass
+    bad = len(a) - 1
+    for j in range(bad):
+        try:
+            np.linalg.cholesky(a[: j + 1, : j + 1])
+        except np.linalg.LinAlgError:
+            bad = j
+            break
+    raise NotPositiveDefinite(f"pivot {bad} is not positive", pivot=bad)
 
 
 def cholesky(m, *, pd_tol: float = DEFAULT_PD_TOL) -> np.ndarray:
@@ -180,9 +185,7 @@ def cholesky(m, *, pd_tol: float = DEFAULT_PD_TOL) -> np.ndarray:
     weakest pivot.
     """
     a = check_symmetric(m)
-    low, ok, bad = _cholesky_factor(a)
-    if not ok:
-        raise NotPositiveDefinite(f"pivot {bad} is not positive", pivot=bad)
+    low = _cholesky_factor(a)
     w = eigendecompose(a).eigenvalues
     if not _positive_definite(w, pd_tol):
         weakest = int(np.argmin(np.diag(low)))

@@ -36,11 +36,11 @@ import numpy as np
 from .linalg import (
     DEFAULT_PD_TOL,
     EigenDecomposition,
-    NotPositiveDefinite,
     _band,
     _cholesky_factor,
     _positive_definite,
     _unit_eigh,
+    check_symmetric,
     eigendecompose,
 )
 
@@ -229,10 +229,9 @@ def gram_from_squared_lengths(ell: SquaredEdgeLengths) -> np.ndarray:
 
 
 def squared_lengths_from_gram(g) -> SquaredEdgeLengths:
-    """Inverse of :func:`gram_from_squared_lengths` (polarization undone)."""
-    a = np.asarray(g, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
-        raise ValueError("expected a square matrix")
+    """Inverse of :func:`gram_from_squared_lengths` (polarization undone);
+    ``g`` must be exactly symmetric."""
+    a = check_symmetric(g)
     n = a.shape[0]
     d = np.diagonal(a)
     iu, ju = _pairs(n)
@@ -255,13 +254,6 @@ def triangle_inequalities_hold(ell: SquaredEdgeLengths) -> bool:
     return bool((side < other + third).all())
 
 
-def _classify(w: np.ndarray, pd_tol: float) -> tuple[Verdict, float]:
-    band = float(_band(w, pd_tol))
-    if _positive_definite(w, pd_tol):
-        return Verdict.VALID, band
-    return (Verdict.DEGENERATE if w[0] >= -band else Verdict.INVALID), band
-
-
 def _spectrum(
     ell: SquaredEdgeLengths, pd_tol: float
 ) -> tuple[np.ndarray, EigenDecomposition, Verdict, float]:
@@ -269,7 +261,11 @@ def _spectrum(
     the one factorization behind every single-instance question."""
     g = gram_from_squared_lengths(ell)
     dec = eigendecompose(g)
-    return (g, dec, *_classify(dec.eigenvalues, pd_tol))
+    w = dec.eigenvalues
+    band = float(_band(w, pd_tol))
+    if w[0] > band:  # the test of _positive_definite, on the band read once
+        return g, dec, Verdict.VALID, band
+    return g, dec, (Verdict.DEGENERATE if w[0] >= -band else Verdict.INVALID), band
 
 
 def _valid_grams(g: np.ndarray, pd_tol: float) -> np.ndarray:
@@ -279,12 +275,6 @@ def _valid_grams(g: np.ndarray, pd_tol: float) -> np.ndarray:
     if not np.isfinite(g).all():
         raise ValueError("matrix entries must be finite")
     return _positive_definite(_unit_eigh(g)[0], pd_tol)
-
-
-def _valid_rows(n: int, rows: np.ndarray, pd_tol: float) -> np.ndarray:
-    """:func:`_valid_grams` for each squared-length row of a stack of
-    dimension-n rows (shape ``(..., n*(n+1)/2)``)."""
-    return _valid_grams(_gram_stack(n, rows), pd_tol)
 
 
 def _valid_spectrum(
@@ -321,9 +311,9 @@ def embed(ell: SquaredEdgeLengths, *, pd_tol: float = DEFAULT_PD_TOL) -> Simplex
 
     Raises :class:`NotRealizable` unless the verdict is Valid.
     """
-    low, ok, bad = _cholesky_factor(_valid_spectrum(ell, pd_tol)[0])
-    if not ok:  # tolerance-PD but a pivot collapsed: genuinely borderline
-        raise NotPositiveDefinite(f"pivot {bad} is not positive", pivot=bad)
+    # a Valid Gram matrix whose pivot still collapses is genuinely
+    # borderline: that raises NotPositiveDefinite
+    low = _cholesky_factor(_valid_spectrum(ell, pd_tol)[0])
     return SimplexEmbedding(n=ell.n, vertices=low.T.copy())
 
 
@@ -375,13 +365,13 @@ def _check_k_faces(n: int, k: int) -> None:
         )
 
 
-def _normalize_face(face: Iterable[int], n: int, *, minimum: int = 2) -> tuple[int, ...]:
+def _normalize_face(face: Iterable[int], n: int) -> tuple[int, ...]:
     verts = tuple(int(v) for v in face)
     if len(set(verts)) != len(verts):
         raise ValueError(f"face {verts} repeats a vertex")
     verts = tuple(sorted(verts))
-    if len(verts) < minimum:
-        raise ValueError(f"a face needs at least {minimum} vertices, got {verts}")
+    if len(verts) < 2:
+        raise ValueError(f"a face needs at least 2 vertices, got {verts}")
     if verts[0] < 0 or verts[-1] > n:
         raise ValueError(f"face {verts} out of range for dimension {n}")
     return verts

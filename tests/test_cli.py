@@ -735,13 +735,9 @@ def test_integer_flags_name_the_bad_value(capsys):
 
 def test_float_extremes_print_only_the_error_line():
     # the overflow inside the handler must not add numpy warning lines
-    import simplexcone
-
-    src = str(Path(simplexcone.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run(
         [sys.executable, "-W", "always", "-m", "simplexcone.cli", "volume", TETRA_1E300],
-        capture_output=True, text=True, env=env, timeout=60,
+        capture_output=True, text=True, env=_process_env(), timeout=60,
     )
     assert proc.returncode == 1
     assert proc.stdout == ""
@@ -783,10 +779,7 @@ def test_instance_shape_refusals_are_usage_errors(tmp_path, capsys):
 
 
 def test_a_closed_stdout_keeps_the_exit_code_and_prints_no_traceback():
-    import simplexcone
-
-    src = str(Path(simplexcone.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
+    env = _process_env()
     invalid = '{"dimension": 2, "squared_lengths": [1, 1, 9]}'
     for instance, code in ((UNIT_TRIANGLE, 0), (invalid, 2)):
         proc = subprocess.Popen(
@@ -963,7 +956,8 @@ def test_floats_round_trip_bit_for_bit(capsys):
         random_simplex,
         volume,
     )
-    from simplexcone.dual import _ratio_from_dual_gram
+    from simplexcone.dual import _adjugate_ratio
+    from simplexcone.linalg import adjugate
 
     # serialization is lossless: every parsed float is bit-identical to the
     # library's own result
@@ -978,7 +972,7 @@ def test_floats_round_trip_bit_for_bit(capsys):
     for key in ("gstar", "areas", "null_residual", "divergence_residual"):
         assert _bits(res[key]) == _bits(getattr(dual, key)), key
     assert _bits(res["null_direction"]) == _bits(null_direction(dual.gstar))
-    ratio = _ratio_from_dual_gram(dual.gstar, 0, 1)
+    ratio = _adjugate_ratio(adjugate(dual.gstar), 0, 1)
     assert _bits(res["ratio"]["squared_area_ratio"]) == _bits(ratio)
 
     argv = ["optimize", "--n", "3", "--total", "6", "--objective", "sumroot", "--k", "2",

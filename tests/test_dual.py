@@ -26,7 +26,8 @@ from simplexcone import (
     validate,
 )
 
-from simplexcone.dual import _ratio_from_dual_gram
+from simplexcone.dual import _adjugate_ratio
+from simplexcone.linalg import adjugate
 
 from oracles import jacobi_eigendecompose
 
@@ -378,7 +379,7 @@ def test_area_ratio_matches_squared_facet_volumes():
 def test_ratio_refuses_a_vanishing_denominator_cofactor():
     # adj(diag(1, 1, 0)) = diag(0, 0, 1): the ratio of facets 0 and 1 is 0 / 0
     with pytest.raises(ValueError, match="cofactor 1 is numerically zero"):
-        _ratio_from_dual_gram(np.diag([1.0, 1.0, 0.0]), 0, 1)
+        _adjugate_ratio(adjugate(np.diag([1.0, 1.0, 0.0])), 0, 1)
 
 
 def test_area_ratio_rejects_bad_indices():

@@ -43,7 +43,7 @@ from simplexcone import (
 )
 
 from simplexcone.convexity import _segment_logdet
-from simplexcone.linalg import _cholesky_factor
+from simplexcone.linalg import NotPositiveDefinite, _cholesky_factor
 
 from oracles import cholesky_factor, jacobi_eigendecompose, mp_eigenvalues, verdict_of
 
@@ -285,7 +285,10 @@ def symmetric_matrices(draw):
 def test_cholesky_factor_matches_the_column_loop(case):
     a, cond = case
     n = len(a)
-    low, ok, bad = _cholesky_factor(a)
+    try:
+        low, ok, bad = _cholesky_factor(a), True, -1
+    except NotPositiveDefinite as exc:
+        low, ok, bad = None, False, exc.pivot
     ref, ref_ok, ref_bad = cholesky_factor(a)
     # the loop's pivots, up to the one it failed on; one within rounding
     # of zero may take either sign in LAPACK's order of operations

@@ -32,7 +32,7 @@ from simplexcone import (
     validate,
     volume,
 )
-from simplexcone.simplex import _spectrum, _valid_rows
+from simplexcone.simplex import _gram_stack, _spectrum, _valid_grams
 
 UNIT_TRIANGLE = SquaredEdgeLengths(2, np.ones(3))
 UNIT_TETRA = SquaredEdgeLengths(3, np.ones(6))
@@ -85,6 +85,10 @@ def test_instance_rejects_wrong_length():
         SquaredEdgeLengths(2, np.array([1.0, 1.0]))
     with pytest.raises(ValueError, match="expected a square matrix"):
         squared_lengths_from_gram(np.ones((2, 3)))
+    # the lower triangle counts too: an entry that differs from its mirror
+    # is refused, not dropped
+    with pytest.raises(ValueError, match="not symmetric"):
+        squared_lengths_from_gram(np.array([[1.0, 0.0], [5.0, 1.0]]))
 
 
 def test_instance_rejects_nonpositive_entries():
@@ -228,14 +232,14 @@ def test_stacked_verdicts_equal_one_verdict_per_row():
             verdicts = [_spectrum(SquaredEdgeLengths(n, row), pd_tol)[2] for row in rows]
             seen.update(verdicts)
             expected = [v is Verdict.VALID for v in verdicts]
-            assert _valid_rows(n, rows, pd_tol).tolist() == expected, (n, pd_tol)
+            assert _valid_grams(_gram_stack(n, rows), pd_tol).tolist() == expected, (n, pd_tol)
     assert seen == set(Verdict)
 
 
 def test_stacked_verdicts_refuse_a_gram_matrix_that_is_not_finite():
     rows = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, np.inf]])
     with pytest.raises(ValueError, match="matrix entries must be finite"):
-        _valid_rows(2, rows, 1e-10)
+        _valid_grams(_gram_stack(2, rows), 1e-10)
 
 
 def test_validate_tolerance_scales_with_spectrum():
@@ -460,6 +464,7 @@ def test_regular_simplex_entries_and_total():
     for n in range(1, 8):
         ell = regular_simplex(n, 7.5)
         assert ell.s.sum() == pytest.approx(7.5, rel=1e-14)
+        assert ell.total() == pytest.approx(7.5, rel=1e-14)
         assert np.ptp(ell.s) == 0.0
         assert validate(ell).verdict is Verdict.VALID
 
