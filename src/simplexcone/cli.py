@@ -253,13 +253,15 @@ def _cmd_faces(args, inputs: dict, results: dict) -> int:
 
 
 def _cmd_dual(args, inputs: dict, results: dict) -> int:
-    from .dual import _null_direction_and_ratio, dual_gram
+    from .dual import _adjugate_ratio, dual_gram, null_direction
 
     report = dual_gram(_load(args.instance, inputs), pd_tol=args.tolerance)
     results.update(asdict(report))  # kept next to the error if the nullity test refuses
-    results["null_direction"], value = _null_direction_and_ratio(report.gstar, args.ratio)
+    results["null_direction"] = null_direction(report.gstar)
     if args.ratio is not None:
+        # read off adjugate(gstar), as area_ratio_from_adjugate reads it
         i, j = args.ratio
+        value = _adjugate_ratio(report.gstar, i, j)
         results["ratio"] = {"i": i, "j": j, "squared_area_ratio": value}
     return 0
 

@@ -26,14 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (
-    DEFAULT_PD_TOL,
-    _adjugate_from_svd,
-    _rank1_factor,
-    _svd_adjugate,
-    adjugate,
-    check_symmetric,
-)
+from .linalg import DEFAULT_PD_TOL, adjugate, adjugate_rank1_decompose, check_symmetric
 from .simplex import (
     SimplexEmbedding,
     SquaredEdgeLengths,
@@ -125,25 +118,16 @@ def null_direction(gstar) -> np.ndarray:
     :class:`NullityNotOne`; the returned vector is proportional to the
     facet-area vector.
     """
-    return _null_direction_and_ratio(gstar, None)[0]
+    return adjugate_rank1_decompose(check_symmetric(gstar))[2]
 
 
-def _null_direction_and_ratio(gstar, pair) -> tuple[np.ndarray, float | None]:
-    """:func:`null_direction` of a dual Gram and, unless ``pair`` is None,
-    the squared area ratio of its facets (i, j), both off one SVD."""
-    u, s, vt, weights = _svd_adjugate(check_symmetric(gstar))
-    direction = _rank1_factor(u, s, vt, weights)[2]
-    if pair is None:
-        return direction, None
-    return direction, _adjugate_ratio(_adjugate_from_svd(u, vt, weights), *pair)
-
-
-def _adjugate_ratio(adj: np.ndarray, i: int, j: int) -> float:
-    """(area_i / area_j)^2 off the diagonal of a dual Gram's adjugate."""
+def _adjugate_ratio(gstar: np.ndarray, i: int, j: int) -> float:
+    """(area_i / area_j)^2 off the diagonal of the adjugate of a dual Gram."""
     if i == j:
         raise ValueError("facet indices must differ")
-    if not (0 <= i < len(adj) and 0 <= j < len(adj)):
-        raise ValueError(f"facet index out of range for dimension {len(adj) - 1}")
+    if not (0 <= i < len(gstar) and 0 <= j < len(gstar)):
+        raise ValueError(f"facet index out of range for dimension {len(gstar) - 1}")
+    adj = adjugate(gstar)
     denom = float(adj[j, j])
     top = float(adj[i, i])
     # relative guard: the overall adjugate magnitude carries no meaning, only
@@ -165,4 +149,4 @@ def area_ratio_from_adjugate(
     the one eigendecomposition that classifies G, and its adjugate from
     one SVD.  Raises :class:`NotRealizable` unless the verdict is Valid.
     """
-    return _adjugate_ratio(adjugate(_spectral_dual(ell, pd_tol)[3]), i, j)
+    return _adjugate_ratio(_spectral_dual(ell, pd_tol)[3], i, j)

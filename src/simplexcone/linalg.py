@@ -115,7 +115,9 @@ def _unit_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     rescale keeps every entry's square inside the float range and makes
     the result commute bit for bit with scaling M by 2^k (short of
     subnormal entries).  Each matrix of a stack gets its own shift, so a
-    stack gives the bits that one call per matrix gives.
+    stack gives the bits that one call per matrix gives.  An eigenvalue
+    that scales back past the largest float (finite entries can sum to
+    more) raises ValueError.
     """
     if m.ndim == 2:  # one matrix: a Python int shift skips ~2 us of numpy calls
         shift = back = math.frexp(float(np.abs(m).max()))[1]
@@ -126,7 +128,17 @@ def _unit_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         w, basis = np.linalg.eigh(np.ldexp(m, -shift))
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"symmetric eigensolver failed: {exc}") from None
-    return np.ldexp(w, back), basis
+    if m.ndim == 2:
+        try:  # the two ends bound the spectrum; math.ldexp raises where np.ldexp warns
+            math.ldexp(w[0], back), math.ldexp(w[-1], back)
+        except OverflowError:
+            raise ValueError("an eigenvalue is outside the float range") from None
+        return np.ldexp(w, back), basis
+    with np.errstate(over="ignore"):
+        w = np.ldexp(w, back)
+    if not np.isfinite(w).all():
+        raise ValueError("an eigenvalue is outside the float range")
+    return w, basis
 
 
 def _band(w, tol: float):
@@ -233,11 +245,6 @@ def adjugate(m) -> np.ndarray:
     invertible, nullity-1 and nullity->=2 input are covered alike.
     """
     u, _, vt, weights = _svd_adjugate(check_square(m))
-    return _adjugate_from_svd(u, vt, weights)
-
-
-def _adjugate_from_svd(u: np.ndarray, vt: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """adj(a) = V diag(weights) U^T from the factors of :func:`_svd_adjugate`."""
     return (vt.T * weights) @ u.T
 
 
@@ -257,11 +264,7 @@ def adjugate_rank1_decompose(m) -> tuple[float, np.ndarray, np.ndarray]:
     nonzero component positive, and ``c`` their cofactor weight.  Raises
     :class:`NullityNotOne` unless exactly one singular value is zero within
     ``DEFAULT_NULL_TOL`` times the largest, so [[0, 1], [0, 0]] passes."""
-    return _rank1_factor(*_svd_adjugate(check_square(m)))
-
-
-def _rank1_factor(u: np.ndarray, s: np.ndarray, vt: np.ndarray, weights: np.ndarray):
-    """:func:`adjugate_rank1_decompose` from the factors of :func:`_svd_adjugate`."""
+    u, s, vt, weights = _svd_adjugate(check_square(m))
     k = _null_index(s)
     sign_v, v = _sign_normalize(vt[k])
     sign_w, w = _sign_normalize(u[:, k])

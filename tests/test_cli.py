@@ -227,13 +227,14 @@ def test_dual_right_triangle(capsys):
 @pytest.mark.parametrize("n", [2, 3, 5])
 def test_dual_ratio_factors_the_instance_once(capsys, eigendecompose_calls, svd_shapes, n):
     # one eigendecomposition classifies G; the null direction and the ratio are
-    # both read off one SVD of the (n+1)-by-(n+1) dual Gram
+    # each read off one SVD of the (n+1)-by-(n+1) dual Gram, as the library
+    # functions read them
     instance = json.dumps({"dimension": n, "squared_lengths": [1.0] * (n * (n + 1) // 2)})
     eigendecompose_calls.clear()
     code, report = run_json(capsys, ["dual", instance, "--ratio", "0", "1"])
     assert code == 0
     assert eigendecompose_calls == [n]
-    assert svd_shapes == [(n + 1, n + 1)]
+    assert svd_shapes == [(n + 1, n + 1)] * 2
     assert report["results"]["ratio"]["squared_area_ratio"] == pytest.approx(1.0, rel=1e-12)
 
 
@@ -272,10 +273,10 @@ def test_not_realizable_reports_the_inputs_and_exits_2(capsys, argv, context):
 
 
 def test_dual_nullity_not_one_exits_3_with_a_report(capsys, monkeypatch):
-    def failing(gstar, pair):
+    def failing(gstar):
         raise NullityNotOne("nullity 2")
 
-    monkeypatch.setattr(dual_module, "_null_direction_and_ratio", failing)
+    monkeypatch.setattr(dual_module, "null_direction", failing)
     code, report = run_json(capsys, ["dual", UNIT_TETRA])
     assert code == 3
     assert report["inputs"]["dimension"] == 3
@@ -701,6 +702,30 @@ def test_finite_input_at_float_extremes_exits_1(capsys, argv, fragment):
     _assert_usage_error(capsys, argv, fragment)
 
 
+#: Valid at every scale, but its largest Gram eigenvalue, 6 * 4e307, is past
+#: the largest float
+REGULAR5_8E307 = json.dumps({"dimension": 5, "squared_lengths": [8e307] * 15})
+UNIT5 = json.dumps({"dimension": 5, "squared_lengths": [1.0] * 15})
+
+
+@pytest.mark.parametrize("tolerance", [[], ["--tolerance", "0"]])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", REGULAR5_8E307],
+        ["volume", REGULAR5_8E307],
+        ["dual", REGULAR5_8E307],
+        ["probe", REGULAR5_8E307, UNIT5, "--mode", "log"],
+    ],
+)
+def test_an_overflowing_gram_spectrum_exits_1(capsys, argv, tolerance):
+    # refused, never a Degenerate verdict, a volume of 0 or a non-finite band
+    assert run(argv + tolerance) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: an eigenvalue is outside the float range\n"
+
+
 def test_eigensolver_failure_exits_3(capsys, monkeypatch):
     def failing(a, *args, **kwargs):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
@@ -957,7 +982,6 @@ def test_floats_round_trip_bit_for_bit(capsys):
         volume,
     )
     from simplexcone.dual import _adjugate_ratio
-    from simplexcone.linalg import adjugate
 
     # serialization is lossless: every parsed float is bit-identical to the
     # library's own result
@@ -972,7 +996,7 @@ def test_floats_round_trip_bit_for_bit(capsys):
     for key in ("gstar", "areas", "null_residual", "divergence_residual"):
         assert _bits(res[key]) == _bits(getattr(dual, key)), key
     assert _bits(res["null_direction"]) == _bits(null_direction(dual.gstar))
-    ratio = _adjugate_ratio(adjugate(dual.gstar), 0, 1)
+    ratio = _adjugate_ratio(dual.gstar, 0, 1)
     assert _bits(res["ratio"]["squared_area_ratio"]) == _bits(ratio)
 
     argv = ["optimize", "--n", "3", "--total", "6", "--objective", "sumroot", "--k", "2",

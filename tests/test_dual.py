@@ -27,7 +27,6 @@ from simplexcone import (
 )
 
 from simplexcone.dual import _adjugate_ratio
-from simplexcone.linalg import adjugate
 
 from oracles import jacobi_eigendecompose
 
@@ -258,6 +257,13 @@ def test_dual_gram_regular_tetrahedron_far_from_unit_scale(scale):
     assert rep.divergence_residual < 1e-14
 
 
+def test_dual_gram_refuses_an_overflowing_gram_spectrum():
+    # Valid at every scale, but at 8e307 the Gram matrix's largest eigenvalue
+    # is past the largest float
+    with pytest.raises(ValueError, match="an eigenvalue is outside the float range"):
+        dual_gram(SquaredEdgeLengths(5, np.full(15, 8e307)))
+
+
 def test_dual_gram_past_170_factorial():
     # the unit 171-simplex's facet areas, about 1e-331, are outside the float
     # range; at squared length 2^14 the regular 180-simplex's facets, regular
@@ -379,7 +385,7 @@ def test_area_ratio_matches_squared_facet_volumes():
 def test_ratio_refuses_a_vanishing_denominator_cofactor():
     # adj(diag(1, 1, 0)) = diag(0, 0, 1): the ratio of facets 0 and 1 is 0 / 0
     with pytest.raises(ValueError, match="cofactor 1 is numerically zero"):
-        _adjugate_ratio(adjugate(np.diag([1.0, 1.0, 0.0])), 0, 1)
+        _adjugate_ratio(np.diag([1.0, 1.0, 0.0]), 0, 1)
 
 
 def test_area_ratio_rejects_bad_indices():

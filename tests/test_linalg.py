@@ -91,6 +91,18 @@ def test_eigendecompose_maps_a_lapack_failure_to_convergence_error(monkeypatch):
         eigendecompose(np.eye(3))
 
 
+def test_eigendecompose_refuses_an_eigenvalue_past_the_float_range():
+    # finite entries of 4e307 and 8e307, but eigenvalues of 4e307 and 6 * 4e307:
+    # the scaled-back spectrum would hold inf, and at the negated matrix -inf
+    m = np.full((5, 5), 4e307) + np.diag(np.full(5, 4e307))
+    for a in (m, -m):
+        with pytest.raises(ValueError, match="an eigenvalue is outside the float range"):
+            eigendecompose(a)
+        with pytest.raises(ValueError, match="an eigenvalue is outside the float range"):
+            _unit_eigh(np.stack((np.eye(5), a)))
+    assert eigendecompose(m / 2.0).eigenvalues[-1] == pytest.approx(1.2e308, rel=1e-14)
+
+
 def test_eigendecompose_commutes_with_powers_of_two():
     # LAPACK runs on an exactly rescaled copy, so scaling by 2^k moves
     # the eigenvalues by 2^k and changes no other bit, even where the

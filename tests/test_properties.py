@@ -1,11 +1,12 @@
-"""Property tests: verdicts under exact rescaling and relabeling, the
-agreement of validate, embed and volume, the dual Gram data, the
-face-volume objectives, their gradients and their maximum under
-relabeling, validate and the Cholesky kernel against independent
-oracles, and a probe's whitened log det and its derivatives against the
-per-sample formula, with the paper's concavity along every such segment.
+"""Property tests: verdicts under exact rescaling (or a refusal where it
+overflows) and relabeling, the agreement of validate, embed and volume,
+the dual Gram data, the face-volume objectives, their gradients and
+their maximum under relabeling, validate and the Cholesky kernel against
+independent oracles, and a probe's whitened log det and its derivatives
+against the per-sample formula, with the paper's concavity along every
+such segment.
 
-The first three draw instances clear of the PD band, so that no verdict
+The first four draw instances clear of the PD band, so that no verdict
 depends on rounding: Valid ones from random points with condition number
 at most 1e3, Invalid ones from a Gram matrix whose smallest eigenvalue is
 at most -1e-3 times its largest, Degenerate ones from integer points in a
@@ -17,7 +18,7 @@ derandomized, so every run checks the same examples.
 import math
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from simplexcone import (
@@ -110,23 +111,56 @@ def instances(draw, verdicts=tuple(_BUILDERS)):
     return SquaredEdgeLengths(n, _BUILDERS[verdict](n, rng)), verdict
 
 
+def _safe_exponents(ell: SquaredEdgeLengths, smallest_eigenvalue: float) -> tuple[int, int]:
+    """The exponents e at which 2^e ell keeps every length, Gram entry and
+    eigenvalue normal, with room for the cancellations of the polarization
+    and the sums of n entries."""
+    gram = gram_from_squared_lengths(ell)
+    values = np.abs(np.concatenate((ell.s, gram.ravel(), [smallest_eigenvalue])))
+    smallest = float(values[values > 0.0].min())
+    lo = math.ceil(math.log2(TINY / smallest)) + 60
+    hi = math.floor(math.log2(HUGE / (8.0 * (ell.n + 1) * float(values.max()))))
+    return lo, hi
+
+
+#: the regular 5-simplex at 2^-1023 * 8e307: at e = 1023 its largest Gram
+#: eigenvalue, 6 * 4e307, is past the largest float
+_REGULAR_BELOW_8E307 = SquaredEdgeLengths(5, np.full(15, math.ldexp(8e307, -1023)))
+
+
 @PROPERTY
 @given(instances(), st.data())
 def test_verdict_and_scaled_eigenvalue_survive_power_of_two_rescaling(case, data):
     ell, verdict = case
     rep = validate(ell)
     assert rep.verdict is verdict
-    # keep every length, Gram entry and eigenvalue normal, with room for
-    # the cancellations of the polarization and the sums of n entries
-    gram = gram_from_squared_lengths(ell)
-    values = np.abs(np.concatenate((ell.s, gram.ravel(), [rep.smallest_gram_eigenvalue])))
-    smallest = float(values[values > 0.0].min())
-    lo = math.ceil(math.log2(TINY / smallest)) + 60
-    hi = math.floor(math.log2(HUGE / (8.0 * (ell.n + 1) * float(values.max()))))
+    lo, hi = _safe_exponents(ell, rep.smallest_gram_eigenvalue)
     e = data.draw(st.integers(lo, hi), label="exponent")
     scaled = validate(SquaredEdgeLengths(ell.n, np.ldexp(ell.s, e)))
     assert scaled.verdict is verdict
     assert scaled.smallest_gram_eigenvalue == math.ldexp(rep.smallest_gram_eigenvalue, e)
+
+
+@PROPERTY
+@given(instances(), st.integers(0, 2**16))
+@example(case=(_REGULAR_BELOW_8E307, Verdict.VALID), step=1)
+def test_rescaling_past_the_safe_exponents_keeps_the_verdict_or_refuses(case, step):
+    # above the exponents of the property before, up to the last at which
+    # every scaled length is a float: a Gram entry or eigenvalue may leave
+    # the float range, which is refused, but no other verdict may be read
+    ell, verdict = case
+    rep = validate(ell)
+    assert rep.verdict is verdict
+    lo = _safe_exponents(ell, rep.smallest_gram_eigenvalue)[1] + 1
+    top = 1024 - math.frexp(float(ell.s.max()))[1]
+    e = top - step % (top - lo + 1)
+    try:
+        # the polarization warns as a Gram entry overflows, before its refusal
+        with np.errstate(over="ignore"):
+            scaled = validate(SquaredEdgeLengths(ell.n, np.ldexp(ell.s, e)))
+    except ValueError:
+        return
+    assert scaled.verdict is verdict
 
 
 @PROPERTY

@@ -242,6 +242,29 @@ def test_stacked_verdicts_refuse_a_gram_matrix_that_is_not_finite():
         _valid_grams(_gram_stack(2, rows), 1e-10)
 
 
+#: the regular 5-simplex at squared length 8e307: Valid at every scale, but
+#: its largest Gram eigenvalue, 6 * 4e307, is past the largest float
+REGULAR_8E307 = SquaredEdgeLengths(5, np.full(15, 8e307))
+
+
+@pytest.mark.parametrize("pd_tol", [1e-10, 0.0])
+def test_an_overflowing_gram_spectrum_is_refused(pd_tol):
+    # never a Degenerate verdict, nor a volume of 0, read off an inf band
+    with pytest.raises(ValueError, match="an eigenvalue is outside the float range"):
+        validate(REGULAR_8E307, pd_tol=pd_tol)
+    with pytest.raises(ValueError, match="an eigenvalue is outside the float range"):
+        volume(REGULAR_8E307, pd_tol=pd_tol)
+    rows = np.vstack((np.ones(15), REGULAR_8E307.s))
+    with pytest.raises(ValueError, match="an eigenvalue is outside the float range"):
+        _valid_grams(_gram_stack(5, rows), pd_tol)
+
+
+def test_a_spectrum_just_inside_the_float_range_still_answers():
+    rep = validate(SquaredEdgeLengths(5, np.full(15, 8e306)))
+    assert rep.verdict is Verdict.VALID
+    assert rep.smallest_gram_eigenvalue == pytest.approx(4e306, rel=1e-14)
+
+
 def test_validate_tolerance_scales_with_spectrum():
     rep = validate(UNIT_TETRA, pd_tol=1e-10)
     # largest Gram eigenvalue is 2, so the band is pd_tol * 2
