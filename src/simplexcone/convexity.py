@@ -60,11 +60,6 @@ __all__ = [
     "probe_root_concavity",
 ]
 
-#: slack scales for the discrete concavity margins
-_MIDPOINT_SLACK = 1e-10
-_SECOND_DIFF_SLACK = 1e-8
-_ANALYTIC_SLACK = 1e-12
-
 #: bracket and width of both threshold bisections
 _BISECT_LO, _BISECT_TOL = 1e-4, 1e-8
 
@@ -243,9 +238,9 @@ def _segment_logdet(
     face: tuple[int, ...],
     samples: int,
     pd_tol: float,
-) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
-    """Face dimension k, and log det of the face Gram matrix with its first
-    two derivatives along the segment, at ``samples`` equally spaced points.
+) -> tuple[int, np.ndarray, np.ndarray, np.ndarray, float]:
+    """Face dimension k, and log det of the face Gram matrix, its first two
+    derivatives and rounding scale, at ``samples`` equally spaced points.
 
     The endpoints are certified by their verdict, one stacked call for both
     (:class:`NotRealizable` naming the first that is not Valid), and that
@@ -262,16 +257,19 @@ def _segment_logdet(
         raise ValueError("need at least 3 samples")
     k, idx = _face_edges(first.n, face)
     ends = np.stack((first.s, second.s))
-    for name, valid in zip(("first", "second"), _valid_grams(_gram_stack(first.n, ends), pd_tol)):
+    # an overflowing sum reads inf, for the verdict or the whitening to refuse (a
+    # face without vertex 0 is polarized at its own first vertex, and can overflow alone)
+    with np.errstate(over="ignore"):
+        grams, faces = _gram_stack(first.n, ends), _gram_stack(k, ends[:, idx])
+    for name, valid in zip(("first", "second"), _valid_grams(grams, pd_tol)):
         if not valid:
             raise NotRealizable(f"{name} endpoint is not Valid")
-    g1, g2 = _gram_stack(k, ends[:, idx])
-    return k, *_whitened_derivatives(g1, g2, np.linspace(0.0, 1.0, samples))
+    return k, *_whitened_derivatives(*faces, np.linspace(0.0, 1.0, samples))
 
 
 def _whitened_derivatives(g1: np.ndarray, g2: np.ndarray, ts: np.ndarray):
     """Value, first and second derivative of t -> log det((1 - t) G1 + t G2)
-    at each of ``ts``, from two k x k spectra.
+    at each of ``ts``, from two k x k spectra, and the values' rounding scale.
 
     Write G1 = 2^e1 A and G2 = 2^e2 B with A, B of unit size (an exact
     rescale), and whiten their midpoint M = (A + B) / 2 = V diag(m) V^T
@@ -280,15 +278,20 @@ def _whitened_derivatives(g1: np.ndarray, g2: np.ndarray, ts: np.ndarray):
     and b = 1 + mu/2, both in [0, 2].  Up to the constant 2^max(e1, e2),
     the matrix at t is L Q diag(w_t) Q^T L^T with w_t = (1 - t) p a + t q b,
     and it moves along L Q diag(q b - p a) Q^T L^T, where p = 2^(e1 - max)
-    and q = 2^(e2 - max).  So log det is k max(e1, e2) ln 2 + log det M +
-    sum_i log w_t,i, and with x = (q b - p a) / w_t its derivatives are
-    sum_i x_i and -sum_i x_i^2.  Each w_t is a sum of two nonnegative
-    terms, so a sample far smaller than G1 + G2 (at an endpoint 1e17 times
+    and q = 2^(e2 - max).  So log det is C + sum_i log w_t,i with the constant
+    C = k max(e1, e2) ln 2 + log det M, and with x = (q b - p a) / w_t its
+    derivatives are sum_i x_i and -sum_i x_i^2.  Each w_t is a sum of two
+    nonnegative terms, so a sample far smaller than G1 + G2 (at an endpoint 1e17 times
     smaller than the other) keeps its digits, and the derivatives are the
     same bits when G1 and G2 are scaled by a common power of two.  A segment
-    singular to working precision raises :class:`NotPositiveDefinite`.
+    singular to working precision raises :class:`NotPositiveDefinite`.  C is
+    one float, whose rounding cancels in a margin, and |log w_t,i| peaks at an
+    end, so each log det is within (k + 1) eps S of exact for S = |C| + 4k + (C
+    - the first log det) + (C - the last), as w <= 2: |log w| <= 2 ln 2 - log w.
     """
-    e1, e2 = (math.frexp(float(np.abs(g).max()))[1] for g in (g1, g2))
+    (f1, e1), (f2, e2) = (math.frexp(float(np.abs(g).max())) for g in (g1, g2))
+    if not math.isfinite(f1 + f2):  # a mantissa is below 1 unless an entry is inf or nan
+        raise ValueError("matrix entries must be finite")
     unit1, unit2 = np.ldexp(g1, -e1), np.ldexp(g2, -e2)
     m, v = _unit_eigh(0.5 * unit1 + 0.5 * unit2)
     if not m[0] > 0.0:
@@ -302,9 +305,11 @@ def _whitened_derivatives(g1: np.ndarray, g2: np.ndarray, ts: np.ndarray):
     if not (np.minimum(a, b) > 0.0).all():
         raise NotPositiveDefinite("a segment endpoint is singular to working precision")
     w = (1.0 - ts)[:, None] * a + ts[:, None] * b
-    logdet = (mu.size * top * math.log(2.0) + np.log(m).sum()) + np.log(w).sum(axis=1)
+    constant = mu.size * top * math.log(2.0) + np.log(m).sum()
+    logdet = constant + np.log(w).sum(axis=1)
     x = (b - a) / w
-    return logdet, x.sum(axis=1), -(x * x).sum(axis=1)
+    scale = abs(constant) + 4 * mu.size + (2.0 * constant - logdet[0] - logdet[-1])
+    return logdet, x.sum(axis=1), -(x * x).sum(axis=1), float(scale)
 
 
 def _exactly_concave(values: np.ndarray) -> bool:
@@ -354,25 +359,22 @@ def _discrete_margins(values: np.ndarray) -> tuple[float, float]:
     return float((values - 0.5 * widest).min()), float(second.min())
 
 
-def _finish_report(
-    samples: int, values: np.ndarray, analytic: np.ndarray
-) -> ConcavityProbeReport:
+def _rounding_slack(k: int, scale: float) -> float:
+    """A margin weighs three samples by 4 in all, each within (k + 2) eps ``scale`` / 2."""
+    return 8.0 * (k + 1) * np.finfo(float).eps * scale
+
+
+def _finish_report(values: np.ndarray, analytic: np.ndarray, slack: float) -> ConcavityProbeReport:
+    """``values`` sample a function exactly concave between the stored ends, so
+    a margin passes within the rounding ``slack``, the analytic one at 0."""
     worst_mid, worst_sd = _discrete_margins(values)
-    h = 1.0 / (samples - 1)
-    slack_mid = _MIDPOINT_SLACK * max(1.0, float(np.abs(values).max()))
-    slack_sd = _SECOND_DIFF_SLACK * h * h
     max_analytic = float(analytic.max())
-    passed = (
-        worst_mid >= -slack_mid
-        and worst_sd >= -slack_sd
-        and max_analytic <= _ANALYTIC_SLACK
-    )
     return ConcavityProbeReport(
-        samples=samples,
+        samples=values.size,
         worst_midpoint_defect=worst_mid,
         worst_second_difference=worst_sd,
         max_analytic_second_derivative=max_analytic,
-        passed=passed,
+        passed=worst_mid >= -slack and worst_sd >= -slack and max_analytic <= 0.0,
     )
 
 
@@ -393,9 +395,10 @@ def probe_log_concavity(
     """
     if face is None:
         face = range(first.n + 1)
-    k, logdet, _, d2 = _segment_logdet(first, second, tuple(face), samples, pd_tol)
-    values = 0.5 * logdet - math.log(math.factorial(k))
-    return _finish_report(samples, values, 0.5 * d2)
+    k, logdet, _, d2, scale = _segment_logdet(first, second, tuple(face), samples, pd_tol)
+    log_factorial = math.log(math.factorial(k))
+    values = 0.5 * logdet - log_factorial
+    return _finish_report(values, 0.5 * d2, _rounding_slack(k, 0.5 * scale + log_factorial))
 
 
 def probe_root_concavity(
@@ -408,12 +411,13 @@ def probe_root_concavity(
     """Probe concavity of t -> volume^(1/n) along the segment.
 
     With u = log volume, the analytic second derivative is
-    ``vol^(1/n) * (u''/n + (u'/n)^2)``, where u' and u'' come from the
-    trace formulas for the first two log-det derivatives.
+    ``vol^(1/n) * (u''/n + (u'/n)^2)``, <= 0 in floats too, as Cauchy-Schwarz
+    leaves a factor 2: (u'/n)^2 <= -u''/(2n).  An error e in u is a relative
+    error e / n in vol^(1/n), which sizes the slack.
     """
     n = first.n
-    _, logdet, d1, d2 = _segment_logdet(first, second, tuple(range(n + 1)), samples, pd_tol)
-    values = np.exp((0.5 * logdet - math.log(math.factorial(n))) / n)
-    du = 0.5 * d1
-    ddu = 0.5 * d2
-    return _finish_report(samples, values, values * (ddu / n + (du / n) ** 2))
+    _, logdet, d1, d2, scale = _segment_logdet(first, second, tuple(range(n + 1)), samples, pd_tol)
+    log_factorial = math.log(math.factorial(n))
+    values = np.exp((0.5 * logdet - log_factorial) / n)
+    slack = _rounding_slack(n, float(values.max()) * ((0.5 * scale + log_factorial) / n + 1.0))
+    return _finish_report(values, values * (0.5 * d2 / n + (0.5 * d1 / n) ** 2), slack)

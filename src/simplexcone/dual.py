@@ -113,8 +113,8 @@ def null_direction(gstar) -> np.ndarray:
     """Unit kernel vector of a dual Gram matrix, oriented positive: the
     rank-one factor of its adjugate, read off the adjugate's one SVD.
 
-    Requires nullity exactly one, counted on singular values within
-    ``DEFAULT_NULL_TOL`` times the largest, else raises
+    Requires nullity exactly one to working precision, as the dual Gram of
+    a Valid instance has (``linalg._null_index``), else raises
     :class:`NullityNotOne`; the returned vector is proportional to the
     facet-area vector.
     """
@@ -129,13 +129,10 @@ def _adjugate_ratio(gstar: np.ndarray, i: int, j: int) -> float:
         raise ValueError(f"facet index out of range for dimension {len(gstar) - 1}")
     adj = adjugate(gstar)
     denom = float(adj[j, j])
-    top = float(adj[i, i])
-    # relative guard: the overall adjugate magnitude carries no meaning, only
-    # the diagonal's internal proportions do
-    scale = float(np.abs(np.diag(adj)).max())
-    if scale == 0.0 or abs(denom) <= 1e-12 * scale:
+    # zero within the SVD's rounding; above it the ratio's error follows eps * cond(G)
+    if abs(denom) <= len(adj) * np.finfo(float).eps * np.abs(np.diag(adj)).max():
         raise ValueError(f"cofactor {j} is numerically zero; ratio undefined")
-    return top / denom
+    return float(adj[i, i]) / denom
 
 
 def area_ratio_from_adjugate(

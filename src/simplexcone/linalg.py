@@ -9,7 +9,10 @@ is taken here, by LAPACK through numpy: single matrices
 verdicts and the stacked verdicts of probes and bisections go through one
 prescaled kernel, ``_unit_eigh``; the optimizer's face determinants and
 inverses come from one batched call each and every Cholesky factor from
-``potrf``; the tests hold them to pure-Python loops and mpmath.
+``potrf``; the tests hold them to pure-Python loops and mpmath.  One rule
+decides "zero": a verdict reads the PD band, the one tolerance a caller
+sets, and every other zero is a rounding bound c * n * eps * scale, its
+scale named where it is used.
 
 Symmetry is enforced exactly: a matrix is accepted as symmetric only if
 ``m[i, j] == m[j, i]`` bitwise.  Callers that assemble symmetric
@@ -25,7 +28,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "DEFAULT_NULL_TOL",
     "DEFAULT_PD_TOL",
     "ConvergenceError",
     "EigenDecomposition",
@@ -45,10 +47,6 @@ __all__ = [
 #: Positive-definiteness tolerance: M counts as PD iff its smallest
 #: eigenvalue exceeds ``pd_tol * |largest eigenvalue|``.
 DEFAULT_PD_TOL = 1e-10
-
-#: A singular value counts as zero in the nullity test iff it is at most
-#: ``DEFAULT_NULL_TOL * largest singular value``.
-DEFAULT_NULL_TOL = 1e-9
 
 class ConvergenceError(RuntimeError):
     """LAPACK's symmetric eigensolver reported no convergence."""
@@ -157,9 +155,9 @@ def _positive_definite(w, pd_tol: float):
 
 
 def _null_index(s) -> int:
-    """Position of the one singular value of ``s`` inside the null band;
-    raises :class:`NullityNotOne` unless there is exactly one."""
-    zero = np.flatnonzero(s <= _band(s, DEFAULT_NULL_TOL))
+    """Position of the one singular value at most ``s.size * eps`` times the largest (the
+    numerical-rank rule, Golub & Van Loan 5.4); raises :class:`NullityNotOne` if not one."""
+    zero = np.flatnonzero(s <= _band(s, s.size * np.finfo(float).eps))
     if zero.size != 1:
         raise NullityNotOne(f"expected nullity 1, found {zero.size} zero singular values")
     return int(zero[0])
@@ -262,8 +260,8 @@ def adjugate_rank1_decompose(m) -> tuple[float, np.ndarray, np.ndarray]:
     the SVD that :func:`adjugate` takes: ``(c, w, v)`` with ``v`` and ``w``
     the null singular vectors of M and M.T, both unit with their first
     nonzero component positive, and ``c`` their cofactor weight.  Raises
-    :class:`NullityNotOne` unless exactly one singular value is zero within
-    ``DEFAULT_NULL_TOL`` times the largest, so [[0, 1], [0, 0]] passes."""
+    :class:`NullityNotOne` unless exactly one singular value is zero to
+    working precision (:func:`_null_index`), so [[0, 1], [0, 0]] passes."""
     u, s, vt, weights = _svd_adjugate(check_square(m))
     k = _null_index(s)
     sign_v, v = _sign_normalize(vt[k])

@@ -225,7 +225,8 @@ def gram_from_squared_lengths(ell: SquaredEdgeLengths) -> np.ndarray:
 
     Exactly symmetric by construction and linear in the input vector.
     """
-    return _gram_stack(ell.n, ell.s)
+    with np.errstate(over="ignore"):  # an overflowing sum reads inf, for the verdict to refuse
+        return _gram_stack(ell.n, ell.s)
 
 
 def squared_lengths_from_gram(g) -> SquaredEdgeLengths:

@@ -286,9 +286,9 @@ def test_dual_nullity_not_one_exits_3_with_a_report(capsys, monkeypatch):
     assert res["error"] == "nullity 2"
 
 
-#: Valid (lambda_min 2.11e-9 against a band of 4.74e-10), but its dual
-#: Gram's second eigenvalue, 1.54e-9 against a largest of 5.0, lies inside
-#: the null band DEFAULT_NULL_TOL = 1e-9
+#: Valid (lambda_min 2.11e-9 against a band of 4.74e-10); its dual Gram's
+#: second eigenvalue, 1.54e-9 against a largest of 5.0, is no zero, though a
+#: fixed null band of 1e-9 times the largest once read it as nullity two
 DUAL_NULLITY_TWO = (
     '{"dimension":4,"squared_lengths":[0.5752172994935549,1.0321152694466431,'
     "2.8265479742734247,0.6323423899844215,2.597081980234027,1.0171150350469311,"
@@ -296,15 +296,19 @@ DUAL_NULLITY_TWO = (
 )
 
 
-def test_dual_keeps_its_data_next_to_a_nullity_refusal(capsys):
+def test_dual_answers_a_thin_valid_instance_with_its_areas(capsys):
     code, report = run_json(capsys, ["validate", DUAL_NULLITY_TWO])
     assert (code, report["results"]["verdict"]) == (0, "valid")
     code, report = run_json(capsys, ["dual", DUAL_NULLITY_TWO])
-    assert code == 3
+    assert code == 0
     res = report["results"]
-    assert res.pop("error") == "expected nullity 1, found 2 zero singular values"
+    direction = np.array(res.pop("null_direction"))
     expected = dual_gram(parse_instance(DUAL_NULLITY_TWO))
     assert res == json.loads(cli.render_json(asdict(expected)))
+    # the facet areas span the kernel; the bound is test_dual.py's oracle
+    # bound 1e-14 * cond(G), with cond(G) = 2.2e9
+    areas = expected.areas / np.linalg.norm(expected.areas)
+    assert np.abs(direction - areas).max() <= 1e-14 * 2.2e9
 
 
 # ---------------------------------------------------------------------------

@@ -326,6 +326,24 @@ def test_probe_between_endpoints_far_apart_in_scale():
         assert probe_root_concavity(first, second).passed
 
 
+def test_probe_refuses_endpoints_whose_gram_overflows_without_a_warning():
+    # s(0, 1) + s(0, 2) is past the float range, so a Gram entry reads inf
+    # and the endpoint verdict refuses it: a ValueError, not numpy's
+    # RuntimeWarning (an error under the tests' warning filter)
+    huge = SquaredEdgeLengths(2, np.full(3, 1e308))
+    for probe in (probe_log_concavity, probe_root_concavity):
+        with pytest.raises(ValueError, match="matrix entries must be finite"):
+            probe(huge, huge)
+    # a face without vertex 0 is polarized at its own first vertex, 1: its
+    # s(1, 2) + s(1, 3) overflows although the full Gram matrix is finite
+    # and Valid, which the full face still answers
+    tall = SquaredEdgeLengths(3, np.array([4e307] * 3 + [1e308] * 3))
+    assert validate(tall).verdict is Verdict.VALID
+    assert probe_log_concavity(tall, tall).passed
+    with pytest.raises(ValueError, match="matrix entries must be finite"):
+        probe_log_concavity(tall, tall, face=(1, 2, 3))
+
+
 def test_whitening_refuses_segments_singular_to_working_precision():
     ts = np.linspace(0.0, 1.0, 5)
     # a singular and an indefinite midpoint, their unit-scale spectra exact:
@@ -447,9 +465,10 @@ def _check_reports(first, second, face, reference):
             (probe_root_concavity(first, second), root, root * (ddu / n + (du / n) ** 2))
         )
     for report, values, analytic in cases:
-        expected = _finish_report(report.samples, values, analytic)
-        # a margin combines three samples, each within the per-sample bound
+        # a margin combines three samples, each within the per-sample bound,
+        # so the reference's own margins are judged within that tolerance
         margin_tol = 4e-12 * max(1.0, float(np.abs(values).max())) * cond_factor.max()
+        expected = _finish_report(values, analytic, margin_tol)
         for field in ("worst_midpoint_defect", "worst_second_difference"):
             assert abs(getattr(report, field) - getattr(expected, field)) <= margin_tol
         assert _close(
@@ -469,7 +488,7 @@ def test_batched_probe_matches_jacobi_oracle(samples, stride):
         first = random_simplex(n, rng)
         second = random_simplex(n, rng)
         for face in _facets_and_full(n):
-            k, logdet, d1, d2 = _segment_logdet(first, second, face, samples, DEFAULT_PD_TOL)
+            k, logdet, d1, d2, _ = _segment_logdet(first, second, face, samples, DEFAULT_PD_TOL)
             assert k == len(face) - 1
             reference = _jacobi_reference(first, second, face, ts)
             ref_ld, ref_d1, ref_d2, cond_factor = reference

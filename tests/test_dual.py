@@ -27,6 +27,7 @@ from simplexcone import (
 )
 
 from simplexcone.dual import _adjugate_ratio
+from simplexcone.linalg import adjugate
 
 from oracles import jacobi_eigendecompose
 
@@ -334,7 +335,7 @@ def test_areas_match_facet_volumes():
 
 def test_null_direction_is_positive_and_proportional_to_areas():
     rng = np.random.default_rng(29)
-    for n in range(2, 8):
+    for n in range(2, 13):
         ell = random_simplex(n, rng)
         rep = dual_gram(ell)
         nd = null_direction(rep.gstar)
@@ -342,6 +343,12 @@ def test_null_direction_is_positive_and_proportional_to_areas():
         assert np.linalg.norm(nd) == pytest.approx(1.0, abs=1e-12)
         expected = rep.areas / np.linalg.norm(rep.areas)
         assert_allclose(nd, expected, atol=1e-9)
+    # the null test counts singular values within size * eps of the largest,
+    # while forming N N^T rounds by up to about n (n + 1) eps: the regular
+    # simplices show that the count still finds the one zero as n grows
+    for n in range(2, 21):
+        rep = dual_gram(SquaredEdgeLengths(n, np.ones(edge_count(n))))
+        assert_allclose(null_direction(rep.gstar), np.full(n + 1, (n + 1) ** -0.5), atol=1e-14)
 
 
 def test_null_direction_requires_nullity_one():
@@ -386,6 +393,36 @@ def test_ratio_refuses_a_vanishing_denominator_cofactor():
     # adj(diag(1, 1, 0)) = diag(0, 0, 1): the ratio of facets 0 and 1 is 0 / 0
     with pytest.raises(ValueError, match="cofactor 1 is numerically zero"):
         _adjugate_ratio(np.diag([1.0, 1.0, 0.0]), 0, 1)
+
+
+def test_ratios_over_a_tiny_facet_match_the_bordered_inverse():
+    # a vertex at unit distance from n others about 1e-6.5 apart: the
+    # facet of the n has a denominator cofactor between size * eps and
+    # 1e-12 times the largest, refused by a fixed 1e-12 guard.  Valid at
+    # pd_tol 0 alone, such a ratio is as accurate as any other: within the
+    # oracle bound 1e-14 * cond(G), kept to cond(G) <= 1e14 so that the
+    # bound claims a digit
+    rng = np.random.default_rng(43)
+    eps = np.finfo(float).eps
+    for n in range(2, 7):
+        answered = 0
+        while answered < 2:
+            apex = rng.standard_normal((n, 1))
+            cluster = rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-6.8, -6.2)
+            pts = np.column_stack([apex / np.linalg.norm(apex), cluster])
+            s = [float(np.sum((pts[:, i] - pts[:, j]) ** 2)) for i, j in edge_pairs(n)]
+            ell = SquaredEdgeLengths(n, np.array(s))
+            if validate(ell, pd_tol=0.0).verdict is not Verdict.VALID:
+                continue
+            diag = np.abs(np.diag(adjugate(dual_gram(ell, pd_tol=0.0).gstar)))
+            tol = 1e-14 * condition(ell)
+            if not (diag.size * eps * diag.max() < diag[0] <= 1e-12 * diag.max() and tol <= 1.0):
+                continue
+            answered += 1
+            _, areas = mp_bordered_reference(ell)
+            for i in range(1, n + 1):
+                ratio = area_ratio_from_adjugate(ell, i, 0, pd_tol=0.0)
+                assert ratio == pytest.approx((areas[i] / areas[0]) ** 2, rel=tol)
 
 
 def test_area_ratio_rejects_bad_indices():

@@ -5,7 +5,6 @@ import pytest
 from numpy.testing import assert_allclose
 
 from simplexcone.linalg import (
-    DEFAULT_NULL_TOL,
     DEFAULT_PD_TOL,
     ConvergenceError,
     NotPositiveDefinite,
@@ -541,4 +540,3 @@ def test_logdet_derivative_requires_positive_definite_base():
 
 def test_default_tolerances():
     assert DEFAULT_PD_TOL == 1e-10
-    assert DEFAULT_NULL_TOL == 1e-9

@@ -4,7 +4,9 @@ the dual Gram data, the face-volume objectives, their gradients and
 their maximum under relabeling, validate and the Cholesky kernel against
 independent oracles, and a probe's whitened log det and its derivatives
 against the per-sample formula, with the paper's concavity along every
-such segment.
+such segment.  Two rest on the paper's exact answers: the dual Gram of a
+thin Valid simplex has the areas as its one null direction, and a probe
+passes at every scale.
 
 The first four draw instances clear of the PD band, so that no verdict
 depends on rounding: Valid ones from random points with condition number
@@ -155,9 +157,7 @@ def test_rescaling_past_the_safe_exponents_keeps_the_verdict_or_refuses(case, st
     top = 1024 - math.frexp(float(ell.s.max()))[1]
     e = top - step % (top - lo + 1)
     try:
-        # the polarization warns as a Gram entry overflows, before its refusal
-        with np.errstate(over="ignore"):
-            scaled = validate(SquaredEdgeLengths(ell.n, np.ldexp(ell.s, e)))
+        scaled = validate(SquaredEdgeLengths(ell.n, np.ldexp(ell.s, e)))
     except ValueError:
         return
     assert scaled.verdict is verdict
@@ -208,6 +208,55 @@ def test_dual_gram_follows_a_relabeling(case, data):
     assert np.abs(null_direction(got.gstar) - null_direction(ref.gstar)[p]).max() <= tol
     # the null vector is the facet areas, normalized
     assert np.abs(null_direction(ref.gstar) - ref.areas / np.linalg.norm(ref.areas)).max() <= tol
+
+
+#: Valid, its smallest Gram eigenvalue 2.11e-9 against a band of 4.74e-10;
+#: its dual Gram's second-smallest singular value is 3.1e-10 of its largest,
+#: which a fixed null band of 1e-9 read as a second zero
+_THIN_4_SIMPLEX = SquaredEdgeLengths(
+    4,
+    np.array(
+        [
+            0.5752172994935549, 1.0321152694466431, 2.8265479742734247, 0.6323423899844215,
+            2.597081980234027, 1.0171150350469311, 2.3439976126458877, 6.817093626233606,
+            0.31509099445500616, 6.122474854270557,
+        ]
+    ),
+)
+
+
+@st.composite
+def thin_valid_instances(draw):
+    """A Valid n-simplex, n = 2..12, with vertex 0 at the origin and the others
+    at the columns of U diag(sigma) V^T for random rotations U, V, sigma from
+    1 down to 10^-c, c in [4.6, 5.2]: Gram condition number 10^9.2..10^10.4,
+    up to the PD band.  A draw that the band does not call Valid is drawn
+    again."""
+    n = draw(st.integers(2, 12), label="n")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    while True:
+        c = rng.uniform(4.6, 5.2)
+        sigma = 10.0 ** rng.uniform(-c, 0.0, n)
+        sigma[0], sigma[-1] = 1.0, 10.0**-c
+        u, v = (np.linalg.qr(rng.standard_normal((n, n)))[0] for _ in range(2))
+        coords = (u * sigma) @ v.T
+        ell = SquaredEdgeLengths(n, _squared_lengths(np.column_stack([np.zeros(n), coords])))
+        if validate(ell).verdict is Verdict.VALID:
+            return ell
+
+
+@PROPERTY
+@given(thin_valid_instances())
+@example(_THIN_4_SIMPLEX)
+def test_a_thin_valid_dual_gram_has_the_areas_as_its_null_direction(ell):
+    # the paper: nullity exactly one, with the facet areas spanning the
+    # kernel, so the null direction answers however thin the simplex; the
+    # bound is the oracle bound of test_dual.py, 1e-14 * cond(G)
+    rep = dual_gram(ell)
+    direction = null_direction(rep.gstar)
+    lam = np.linalg.eigvalsh(gram_from_squared_lengths(ell))
+    tol = 1e-14 * max(1.0, lam[-1] / lam[0])
+    assert np.abs(direction - rep.areas / np.linalg.norm(rep.areas)).max() <= tol
 
 
 @st.composite
@@ -369,7 +418,7 @@ def test_whitened_derivatives_match_the_per_sample_formula(case):
     n, samples = first.n, 33
     full = tuple(range(n + 1))
     scaled = [SquaredEdgeLengths(n, np.ldexp(e.s, 2 * j)) for e in (first, second)]
-    _, logdet, d1, d2 = _segment_logdet(*scaled, full, samples, DEFAULT_PD_TOL)
+    _, logdet, d1, d2, _ = _segment_logdet(*scaled, full, samples, DEFAULT_PD_TOL)
     # an independent reference: every sample's own eigendecomposition
     ts = np.linspace(0.0, 1.0, samples)
     rows = (1.0 - ts)[:, None] * scaled[0].s + ts[:, None] * scaled[1].s
@@ -386,7 +435,7 @@ def test_whitened_derivatives_match_the_per_sample_formula(case):
     for got, ref in zip((logdet, d1, d2), references):
         assert (np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)) * cond_factor).all()
     # whitening removes the scale exactly: the same bits at every 4^j
-    _, _, u1, u2 = _segment_logdet(first, second, full, samples, DEFAULT_PD_TOL)
+    _, _, u1, u2, _ = _segment_logdet(first, second, full, samples, DEFAULT_PD_TOL)
     assert np.array_equal(d1, u1) and np.array_equal(d2, u2)
     log_report = probe_log_concavity(*scaled)
     assert (
@@ -396,3 +445,43 @@ def test_whitened_derivatives_match_the_per_sample_formula(case):
     # the paper's concavity: log volume and volume^(1/n) along the segment
     assert log_report.passed
     assert probe_root_concavity(*scaled).passed
+
+
+#: the regular tetrahedron at squared length 1e12, and the same with one
+#: length moved by 1e-9 of itself: its root values, about 4.9e5, round by
+#: far more than an absolute second-difference slack of 1e-8 h^2
+_TETRAHEDRON_1E12 = SquaredEdgeLengths(3, np.full(6, 1e12))
+_TETRAHEDRON_1E12_NUDGED = SquaredEdgeLengths(3, np.array([1.000000001e12] + [1e12] * 5))
+
+
+@st.composite
+def probe_segments(draw):
+    """Two Valid n-simplices, n = 2..6, with condition number at most 1e3:
+    either two independent draws, or a draw a and b = a (1 + 1e-9 N(0, 1))
+    entrywise, a segment flat to about 1e-9."""
+    n = draw(st.integers(2, 6), label="n")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    a = _valid(n, rng)
+    if draw(st.booleans(), label="near flat"):
+        b = a * (1.0 + 1e-9 * rng.standard_normal(a.size))
+    else:
+        b = _valid(n, rng)
+    return SquaredEdgeLengths(n, a), SquaredEdgeLengths(n, b)
+
+
+@PROPERTY
+@given(
+    probe_segments(),
+    st.integers(-300, 300),
+    st.sampled_from((33, 1001)),
+    st.sampled_from(("log", "root")),
+)
+@example(case=(_TETRAHEDRON_1E12, _TETRAHEDRON_1E12_NUDGED), j=0, samples=33, mode="root")
+def test_a_probe_passes_at_every_scale(case, j, samples, mode):
+    # log volume and volume^(1/n) are concave along every segment of the
+    # cone, so a probe that does not pass saw rounding; its verdict must
+    # not depend on the scale 4^j of the segment
+    probe = probe_log_concavity if mode == "log" else probe_root_concavity
+    scaled = [SquaredEdgeLengths(e.n, np.ldexp(e.s, 2 * j)) for e in case]
+    assert probe(*case, samples=samples).passed
+    assert probe(*scaled, samples=samples).passed

@@ -242,6 +242,17 @@ def test_stacked_verdicts_refuse_a_gram_matrix_that_is_not_finite():
         _valid_grams(_gram_stack(2, rows), 1e-10)
 
 
+def test_a_polarization_sum_past_the_float_range_warns_nothing():
+    # s(0, i) + s(0, j) overflows before the halving: off the diagonal the
+    # entry reads inf and validate refuses it; on the diagonal, which the
+    # apex length overwrites, the verdict stands.  Neither raises numpy's
+    # RuntimeWarning (an error under the tests' warning filter)
+    with pytest.raises(ValueError, match="matrix entries must be finite"):
+        validate(SquaredEdgeLengths(3, np.full(6, 1.5e308)))
+    tall = SquaredEdgeLengths(2, np.array([1e308, 1.0, 1e308]))
+    assert validate(tall).verdict is Verdict.DEGENERATE
+
+
 #: the regular 5-simplex at squared length 8e307: Valid at every scale, but
 #: its largest Gram eigenvalue, 6 * 4e307, is past the largest float
 REGULAR_8E307 = SquaredEdgeLengths(5, np.full(15, 8e307))
