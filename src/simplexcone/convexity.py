@@ -238,9 +238,9 @@ def _segment_logdet(
     face: tuple[int, ...],
     samples: int,
     pd_tol: float,
-) -> tuple[int, np.ndarray, np.ndarray, np.ndarray, float]:
-    """Face dimension k, and log det of the face Gram matrix, its first two
-    derivatives and rounding scale, at ``samples`` equally spaced points.
+) -> tuple[int, np.ndarray, np.ndarray, float]:
+    """Face dimension k, and log det of the face Gram matrix, its rates and
+    rounding scale, at ``samples`` equally spaced points.
 
     The endpoints are certified by their verdict, one stacked call for both
     (:class:`NotRealizable` naming the first that is not Valid), and that
@@ -257,10 +257,7 @@ def _segment_logdet(
         raise ValueError("need at least 3 samples")
     k, idx = _face_edges(first.n, face)
     ends = np.stack((first.s, second.s))
-    # an overflowing sum reads inf, for the verdict or the whitening to refuse (a
-    # face without vertex 0 is polarized at its own first vertex, and can overflow alone)
-    with np.errstate(over="ignore"):
-        grams, faces = _gram_stack(first.n, ends), _gram_stack(k, ends[:, idx])
+    grams, faces = _gram_stack(first.n, ends), _gram_stack(k, ends[:, idx])
     for name, valid in zip(("first", "second"), _valid_grams(grams, pd_tol)):
         if not valid:
             raise NotRealizable(f"{name} endpoint is not Valid")
@@ -268,8 +265,8 @@ def _segment_logdet(
 
 
 def _whitened_derivatives(g1: np.ndarray, g2: np.ndarray, ts: np.ndarray):
-    """Value, first and second derivative of t -> log det((1 - t) G1 + t G2)
-    at each of ``ts``, from two k x k spectra, and the values' rounding scale.
+    """Value of t -> log det((1 - t) G1 + t G2) at each of ``ts``, its rates
+    x (below), from two k x k spectra, and the values' rounding scale.
 
     Write G1 = 2^e1 A and G2 = 2^e2 B with A, B of unit size (an exact
     rescale), and whiten their midpoint M = (A + B) / 2 = V diag(m) V^T
@@ -279,8 +276,8 @@ def _whitened_derivatives(g1: np.ndarray, g2: np.ndarray, ts: np.ndarray):
     the matrix at t is L Q diag(w_t) Q^T L^T with w_t = (1 - t) p a + t q b,
     and it moves along L Q diag(q b - p a) Q^T L^T, where p = 2^(e1 - max)
     and q = 2^(e2 - max).  So log det is C + sum_i log w_t,i with the constant
-    C = k max(e1, e2) ln 2 + log det M, and with x = (q b - p a) / w_t its
-    derivatives are sum_i x_i and -sum_i x_i^2.  Each w_t is a sum of two
+    C = k max(e1, e2) ln 2 + log det M, and with the rates x = (q b - p a) / w_t
+    its derivatives are sum_i x_i and -sum_i x_i^2.  Each w_t is a sum of two
     nonnegative terms, so a sample far smaller than G1 + G2 (at an endpoint 1e17 times
     smaller than the other) keeps its digits, and the derivatives are the
     same bits when G1 and G2 are scaled by a common power of two.  A segment
@@ -289,11 +286,10 @@ def _whitened_derivatives(g1: np.ndarray, g2: np.ndarray, ts: np.ndarray):
     end, so each log det is within (k + 1) eps S of exact for S = |C| + 4k + (C
     - the first log det) + (C - the last), as w <= 2: |log w| <= 2 ln 2 - log w.
     """
-    (f1, e1), (f2, e2) = (math.frexp(float(np.abs(g).max())) for g in (g1, g2))
-    if not math.isfinite(f1 + f2):  # a mantissa is below 1 unless an entry is inf or nan
-        raise ValueError("matrix entries must be finite")
+    e1, e2 = (math.frexp(float(np.abs(g).max()))[1] for g in (g1, g2))
     unit1, unit2 = np.ldexp(g1, -e1), np.ldexp(g2, -e2)
-    m, v = _unit_eigh(0.5 * unit1 + 0.5 * unit2)
+    m, v, shift = _unit_eigh(0.5 * unit1 + 0.5 * unit2)
+    m = np.ldexp(m, shift)  # M's spectrum: its entries are below 1
     if not m[0] > 0.0:
         raise NotPositiveDefinite(
             f"segment midpoint: smallest unit-scale eigenvalue {m[0]:.3g} is not positive"
@@ -307,9 +303,8 @@ def _whitened_derivatives(g1: np.ndarray, g2: np.ndarray, ts: np.ndarray):
     w = (1.0 - ts)[:, None] * a + ts[:, None] * b
     constant = mu.size * top * math.log(2.0) + np.log(m).sum()
     logdet = constant + np.log(w).sum(axis=1)
-    x = (b - a) / w
     scale = abs(constant) + 4 * mu.size + (2.0 * constant - logdet[0] - logdet[-1])
-    return logdet, x.sum(axis=1), -(x * x).sum(axis=1), float(scale)
+    return logdet, (b - a) / w, float(scale)
 
 
 def _exactly_concave(values: np.ndarray) -> bool:
@@ -395,10 +390,11 @@ def probe_log_concavity(
     """
     if face is None:
         face = range(first.n + 1)
-    k, logdet, _, d2, scale = _segment_logdet(first, second, tuple(face), samples, pd_tol)
+    k, logdet, x, scale = _segment_logdet(first, second, tuple(face), samples, pd_tol)
     log_factorial = math.log(math.factorial(k))
     values = 0.5 * logdet - log_factorial
-    return _finish_report(values, 0.5 * d2, _rounding_slack(k, 0.5 * scale + log_factorial))
+    slack = _rounding_slack(k, 0.5 * scale + log_factorial)
+    return _finish_report(values, -0.5 * (x * x).sum(axis=1), slack)
 
 
 def probe_root_concavity(
@@ -410,14 +406,18 @@ def probe_root_concavity(
 ) -> ConcavityProbeReport:
     """Probe concavity of t -> volume^(1/n) along the segment.
 
-    With u = log volume, the analytic second derivative is
-    ``vol^(1/n) * (u''/n + (u'/n)^2)``, <= 0 in floats too, as Cauchy-Schwarz
-    leaves a factor 2: (u'/n)^2 <= -u''/(2n).  An error e in u is a relative
-    error e / n in vol^(1/n), which sizes the slack.
+    With u = log volume and the rates x of :func:`_whitened_derivatives`,
+    mean xm, the analytic second derivative vol^(1/n) (u''/n + (u'/n)^2) is
+    ``-vol^(1/n) (sum((x - xm)^2) / (2n) + xm^2 / 4)``: two terms <= 0, each
+    the square of sqrt(vol^(1/n)) times rates, so never inf - inf at an end
+    far smaller than the other, nor an overflow the result does not have.
+    An error e in u is a relative error e / n in vol^(1/n), which sizes the slack.
     """
     n = first.n
-    _, logdet, d1, d2, scale = _segment_logdet(first, second, tuple(range(n + 1)), samples, pd_tol)
+    _, logdet, x, scale = _segment_logdet(first, second, tuple(range(n + 1)), samples, pd_tol)
     log_factorial = math.log(math.factorial(n))
     values = np.exp((0.5 * logdet - log_factorial) / n)
     slack = _rounding_slack(n, float(values.max()) * ((0.5 * scale + log_factorial) / n + 1.0))
-    return _finish_report(values, values * (0.5 * d2 / n + (0.5 * d1 / n) ** 2), slack)
+    root, mean = np.sqrt(values), x.mean(axis=1)
+    spread = np.square(root[:, None] * (x - mean[:, None])).sum(axis=1) / (2 * n)
+    return _finish_report(values, -spread - np.square(0.5 * root * mean), slack)

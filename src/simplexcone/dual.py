@@ -65,13 +65,14 @@ def _normals_from_inverse_frame(rinv: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 
 def _spectral_dual(ell: SquaredEdgeLengths, pd_tol: float):
-    """Gram eigenvalues, unit outward normals, gradient lengths and the dual
-    Gram, all from the one eigendecomposition that classifies G as Valid."""
-    dec = _valid_spectrum(ell, pd_tol)[1]
-    w = dec.eigenvalues
-    normals, lengths = _normals_from_inverse_frame(dec.basis / np.sqrt(w))
+    """Unit-scale Gram spectrum and its shift, unit outward normals, gradient
+    lengths and the dual Gram, from the one eigendecomposition that classifies G."""
+    w, basis, shift = _valid_spectrum(ell, pd_tol)[1]
+    # the roots of the Gram spectrum 2^shift w, which itself can overflow
+    roots = np.ldexp(np.sqrt(np.ldexp(w, shift % 2)), shift // 2)
+    normals, lengths = _normals_from_inverse_frame(basis / roots)
     raw = normals @ normals.T
-    return w, normals, lengths, (raw + raw.T) / 2.0
+    return w, shift, normals, lengths, (raw + raw.T) / 2.0
 
 
 def outward_normals(emb: SimplexEmbedding) -> np.ndarray:
@@ -93,10 +94,10 @@ def dual_gram(ell: SquaredEdgeLengths, *, pd_tol: float = DEFAULT_PD_TOL) -> Dua
     """Dual Gram matrix, facet areas, and identity residuals, all read off
     the one eigendecomposition that classifies G; raises NotRealizable unless
     the verdict is Valid, ValueError if an area is outside the float range."""
-    w, normals, lengths, gstar = _spectral_dual(ell, pd_tol)
+    w, shift, normals, lengths, gstar = _spectral_dual(ell, pd_tol)
     # A_i = n V |grad_i| with V = prod(sqrt w) / n!: n V alone can
     # overflow while every area is finite
-    areas = _root_product_over_factorial(w, ell.n - 1, lengths)
+    areas = _root_product_over_factorial(w, ell.n - 1, lengths, shift)
     if not ((0.0 < areas) & (areas < math.inf)).all():
         raise ValueError("a facet area is outside the float range")
     unit = lengths / lengths.max()  # proportional to the areas, and always finite
@@ -146,4 +147,4 @@ def area_ratio_from_adjugate(
     the one eigendecomposition that classifies G, and its adjugate from
     one SVD.  Raises :class:`NotRealizable` unless the verdict is Valid.
     """
-    return _adjugate_ratio(_spectral_dual(ell, pd_tol)[3], i, j)
+    return _adjugate_ratio(_spectral_dual(ell, pd_tol)[4], i, j)

@@ -426,7 +426,7 @@ def maximize(
     a start that is not Valid), for a subnormal mean, and past
     ``MAX_FACES`` k-faces.
 
-    The start's verdict comes from one ``eigendecompose`` call; each
+    The start's verdict comes from one eigendecomposition; each
     candidate's is :func:`validate`'s verdict, prescaled ``eigh`` and band,
     on the Gram matrix its Cholesky screen factored, once every cheaper
     test has passed.  So every recorded iterate and the final point read

@@ -4,10 +4,12 @@ Each spectral question has one kernel here: ``_positive_definite`` (the
 PD band test), ``_null_index`` (nullity exactly one), ``_svd_adjugate``
 (the adjugate and its rank-one factor, one SVD) and ``_whitened_spectrum``
 (log det along a line and its derivatives).  Every spectrum of the package
-is taken here, by LAPACK through numpy: single matrices
-(:func:`eigendecompose`), a probe's midpoint, the optimizer's candidate
-verdicts and the stacked verdicts of probes and bisections go through one
-prescaled kernel, ``_unit_eigh``; the optimizer's face determinants and
+is taken here, by LAPACK through numpy, in one prescaled kernel,
+``_unit_eigh``, for one matrix or a stack: it returns the spectrum of M /
+2^shift and the shift.  Every verdict reads the band on that unit
+spectrum, so it holds across the whole float range, and only what is
+reported or multiplied is scaled back (:func:`eigendecompose` refuses an
+eigenvalue past the largest float).  The optimizer's face determinants and
 inverses come from one batched call each and every Cholesky factor from
 ``potrf``; the tests hold them to pure-Python loops and mpmath.  One rule
 decides "zero": a verdict reads the PD band, the one tolerance a caller
@@ -99,44 +101,33 @@ class EigenDecomposition:
 
 
 def eigendecompose(m) -> EigenDecomposition:
-    """Full eigendecomposition of a symmetric matrix by LAPACK's ``eigh``
-    (:func:`_unit_eigh`).  Raises :class:`ConvergenceError` when LAPACK
-    reports no convergence."""
-    return EigenDecomposition(*_unit_eigh(check_symmetric(m)))
+    """Full eigendecomposition of a symmetric matrix by :func:`_unit_eigh`, scaled
+    back: ValueError for an eigenvalue past the largest float (finite entries can
+    sum to more), :class:`ConvergenceError` when LAPACK reports no convergence."""
+    w, basis, shift = _unit_eigh(check_symmetric(m))
+    try:  # the two ends bound the spectrum; math.ldexp raises where np.ldexp warns
+        math.ldexp(w[0], int(shift)), math.ldexp(w[-1], int(shift))
+    except OverflowError:
+        raise ValueError("an eigenvalue is outside the float range") from None
+    return EigenDecomposition(np.ldexp(w, shift), basis)
 
 
-def _unit_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenvalues and eigenvectors of a finite symmetric matrix,
-    or of each matrix in a stack along the leading axes.
+def _unit_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Ascending eigenvalues and eigenvectors of M / 2^shift, and the shift,
+    for a finite symmetric M or each matrix of a stack along the leading axes.
 
-    LAPACK runs on M / 2^shift, largest entry in [0.5, 1): the exact
-    rescale keeps every entry's square inside the float range and makes
-    the result commute bit for bit with scaling M by 2^k (short of
-    subnormal entries).  Each matrix of a stack gets its own shift, so a
-    stack gives the bits that one call per matrix gives.  An eigenvalue
-    that scales back past the largest float (finite entries can sum to
-    more) raises ValueError.
+    The shift puts the largest entry of M / 2^shift in [0.5, 1), an exact
+    rescale that keeps every square in the float range; nothing is scaled
+    back, so nothing overflows, and M and 2^k M give the same bits but the
+    shift (short of subnormal entries).  Each matrix of a stack gets its own
+    shift, so a stack gives the bits that one call per matrix gives.
     """
-    if m.ndim == 2:  # one matrix: a Python int shift skips ~2 us of numpy calls
-        shift = back = math.frexp(float(np.abs(m).max()))[1]
-    else:
-        shift = np.frexp(np.abs(m).max(axis=(-2, -1), keepdims=True))[1]
-        back = shift[..., 0]
+    shift = np.frexp(np.abs(m).max(axis=(-2, -1), keepdims=True))[1]
     try:
         w, basis = np.linalg.eigh(np.ldexp(m, -shift))
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"symmetric eigensolver failed: {exc}") from None
-    if m.ndim == 2:
-        try:  # the two ends bound the spectrum; math.ldexp raises where np.ldexp warns
-            math.ldexp(w[0], back), math.ldexp(w[-1], back)
-        except OverflowError:
-            raise ValueError("an eigenvalue is outside the float range") from None
-        return np.ldexp(w, back), basis
-    with np.errstate(over="ignore"):
-        w = np.ldexp(w, back)
-    if not np.isfinite(w).all():
-        raise ValueError("an eigenvalue is outside the float range")
-    return w, basis
+    return w, basis, shift[..., 0, 0]
 
 
 def _band(w, tol: float):

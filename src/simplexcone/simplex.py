@@ -35,13 +35,11 @@ import numpy as np
 
 from .linalg import (
     DEFAULT_PD_TOL,
-    EigenDecomposition,
     _band,
     _cholesky_factor,
     _positive_definite,
     _unit_eigh,
     check_symmetric,
-    eigendecompose,
 )
 
 __all__ = [
@@ -203,8 +201,11 @@ def _gram_index(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _polarize(apex: np.ndarray, pair: np.ndarray) -> np.ndarray:
     """Exactly symmetric Gram matrices from gathered squared lengths:
-    ``apex[..., i]`` is s(0, i+1) and ``pair[..., i, j]`` is s(i+1, j+1)."""
-    g = 0.5 * (apex[..., :, None] + apex[..., None, :] - pair)
+    ``apex[..., i]`` is s(0, i+1) and ``pair[..., i, j]`` is s(i+1, j+1).
+    Halving each length before the sum (exact, short of subnormals) keeps
+    every entry finite: it is at most the largest float."""
+    h = 0.5 * apex
+    g = h[..., :, None] + h[..., None, :] - 0.5 * pair
     diag = np.arange(apex.shape[-1])
     g[..., diag, diag] = apex
     return g
@@ -225,8 +226,7 @@ def gram_from_squared_lengths(ell: SquaredEdgeLengths) -> np.ndarray:
 
     Exactly symmetric by construction and linear in the input vector.
     """
-    with np.errstate(over="ignore"):  # an overflowing sum reads inf, for the verdict to refuse
-        return _gram_stack(ell.n, ell.s)
+    return _gram_stack(ell.n, ell.s)
 
 
 def squared_lengths_from_gram(g) -> SquaredEdgeLengths:
@@ -255,38 +255,42 @@ def triangle_inequalities_hold(ell: SquaredEdgeLengths) -> bool:
     return bool((side < other + third).all())
 
 
-def _spectrum(
-    ell: SquaredEdgeLengths, pd_tol: float
-) -> tuple[np.ndarray, EigenDecomposition, Verdict, float]:
-    """The Gram matrix, its eigendecomposition, the verdict and the band:
-    the one factorization behind every single-instance question."""
+def _spectrum(ell: SquaredEdgeLengths, pd_tol: float) -> tuple[np.ndarray, tuple, Verdict, float]:
+    """The Gram matrix, its unit-scale eigendecomposition ``(w, basis, shift)``
+    (:func:`_unit_eigh`), the verdict and the band, both read on w (the test
+    is scale-free): the one factorization behind every single-instance question."""
     g = gram_from_squared_lengths(ell)
-    dec = eigendecompose(g)
-    w = dec.eigenvalues
+    eig = _unit_eigh(g)
+    w = eig[0]
     band = float(_band(w, pd_tol))
     if w[0] > band:  # the test of _positive_definite, on the band read once
-        return g, dec, Verdict.VALID, band
-    return g, dec, (Verdict.DEGENERATE if w[0] >= -band else Verdict.INVALID), band
+        return g, eig, Verdict.VALID, band
+    return g, eig, (Verdict.DEGENERATE if w[0] >= -band else Verdict.INVALID), band
 
 
 def _valid_grams(g: np.ndarray, pd_tol: float) -> np.ndarray:
     """The Valid test of :func:`_spectrum` for a Gram matrix, or for each
     matrix of a stack from one stacked eigendecomposition: the verdict
     :func:`validate` gives the squared lengths of each matrix, bit for bit."""
-    if not np.isfinite(g).all():
-        raise ValueError("matrix entries must be finite")
     return _positive_definite(_unit_eigh(g)[0], pd_tol)
 
 
-def _valid_spectrum(
-    ell: SquaredEdgeLengths, pd_tol: float
-) -> tuple[np.ndarray, EigenDecomposition]:
-    """The Gram matrix and its decomposition for a Valid instance; raises
-    :class:`NotRealizable` for any other verdict."""
-    g, dec, verdict, _ = _spectrum(ell, pd_tol)
+def _valid_spectrum(ell: SquaredEdgeLengths, pd_tol: float) -> tuple[np.ndarray, tuple]:
+    """The Gram matrix and its unit-scale decomposition for a Valid
+    instance; raises :class:`NotRealizable` for any other verdict."""
+    g, eig, verdict, _ = _spectrum(ell, pd_tol)
     if verdict is not Verdict.VALID:
         raise NotRealizable(f"needs a Valid instance, verdict is {verdict.value}")
-    return g, dec
+    return g, eig
+
+
+def _scaled_back(x: float, shift, name: str) -> float:
+    """``x * 2^shift``; ValueError naming ``name`` past the largest float."""
+    try:
+        return math.ldexp(x, int(shift))  # raises where np.ldexp would read inf
+    except OverflowError:
+        digits = math.log10(abs(x)) + shift * math.log10(2.0)
+        raise ValueError(f"the {name}, about 1e{digits:+.0f}, is outside the float range") from None
 
 
 def validate(ell: SquaredEdgeLengths, *, pd_tol: float = DEFAULT_PD_TOL) -> ValidityReport:
@@ -296,13 +300,14 @@ def validate(ell: SquaredEdgeLengths, *, pd_tol: float = DEFAULT_PD_TOL) -> Vali
     Degenerate inside the band around zero; Invalid below it.  The band is
     relative, so the verdict does not change when every squared length is
     scaled by the same factor.  The triangle-inequality flag is
-    informational: it is necessary but not sufficient for validity.
+    informational: it is necessary but not sufficient for validity.  A
+    reported float past the largest one raises ValueError.
     """
-    _, dec, verdict, band = _spectrum(ell, pd_tol)
+    _, (w, _, shift), verdict, band = _spectrum(ell, pd_tol)
     return ValidityReport(
         verdict=verdict,
-        smallest_gram_eigenvalue=float(dec.eigenvalues[0]),
-        tolerance=band,
+        smallest_gram_eigenvalue=_scaled_back(float(w[0]), shift, "smallest Gram eigenvalue"),
+        tolerance=_scaled_back(band, shift, "tolerance band"),
         triangle_inequalities_hold=triangle_inequalities_hold(ell),
     )
 
@@ -318,17 +323,18 @@ def embed(ell: SquaredEdgeLengths, *, pd_tol: float = DEFAULT_PD_TOL) -> Simplex
     return SimplexEmbedding(n=ell.n, vertices=low.T.copy())
 
 
-def _root_product_over_factorial(w: np.ndarray, n: int, scale: float | np.ndarray = 1.0):
-    """``scale * prod(sqrt w) / n!``, the powers of two summed apart: nothing
-    leaves the float range unless the result does (then it reads 0 or inf,
-    without a warning), and the split is exact, so it changes no bit of an
-    in-range result.  171! is no float; its mantissa is, correctly rounded."""
-    mant, expo = np.frexp(np.sqrt(w))
+def _root_product_over_factorial(w: np.ndarray, n: int, scale=1.0, shift=0):
+    """``scale * prod(sqrt(2^shift w)) / n!``, the powers of two summed apart (a root
+    is 2^floor(shift / 2) sqrt(2^(shift mod 2) w_i)): nothing leaves the float range
+    unless the result does (then it reads 0 or inf, without a warning), and the split is
+    exact, so it changes no bit of an in-range result.  171! is no float; its mantissa
+    is, correctly rounded."""
+    mant, expo = np.frexp(np.sqrt(np.ldexp(w, shift % 2)))
     f = math.factorial(n)
     with np.errstate(over="ignore", under="ignore"):
         return np.ldexp(
             scale * (np.prod(mant) / (f / (1 << f.bit_length()))),
-            int(expo.sum()) - f.bit_length(),
+            int(expo.sum()) + w.size * (shift // 2) - f.bit_length(),
         )
 
 
@@ -341,14 +347,15 @@ def volume(ell: SquaredEdgeLengths, *, pd_tol: float = DEFAULT_PD_TOL) -> float:
     tetrahedron at squared lengths 1e-300 or 1e300) raises ValueError
     rather than reading 0.0, the Degenerate answer, or inf.
     """
-    _, dec, verdict, _ = _spectrum(ell, pd_tol)
+    _, (w, _, shift), verdict, _ = _spectrum(ell, pd_tol)
     if verdict is Verdict.INVALID:
         raise NotRealizable("no Euclidean simplex has these squared edge lengths")
     if verdict is Verdict.DEGENERATE:
         return 0.0
-    vol = float(_root_product_over_factorial(dec.eigenvalues, ell.n))
+    vol = float(_root_product_over_factorial(w, ell.n, shift=shift))
     if not 0.0 < vol < math.inf:
-        digits = 0.5 * float(np.log10(dec.eigenvalues).sum()) - math.log10(math.factorial(ell.n))
+        digits = 0.5 * float(np.log10(w).sum() + ell.n * shift * math.log10(2.0))
+        digits -= math.log10(math.factorial(ell.n))
         raise ValueError(f"the volume, about 1e{digits:+.0f}, is outside the float range")
     return vol
 
@@ -445,8 +452,8 @@ def random_simplex(
             d = pts[:, i] - pts[:, j]
             s[pos] = float(d @ d)
         ell = SquaredEdgeLengths(n, s)
-        _, dec, verdict, _ = _spectrum(ell, pd_tol)
-        if verdict is Verdict.VALID and _positive_definite(dec.eigenvalues, 1e-6):
+        _, (w, _, _), verdict, _ = _spectrum(ell, pd_tol)
+        if verdict is Verdict.VALID and _positive_definite(w, 1e-6):
             if total is not None:
                 mant, exp = math.frexp(total)
                 ell = SquaredEdgeLengths(n, np.ldexp(s * (mant / s.sum()), exp))

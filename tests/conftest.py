@@ -9,15 +9,13 @@ import pytest
 from simplexcone import cli, convexity, dual, extremal, linalg  # noqa: F401
 
 
-@pytest.fixture
-def eigendecompose_calls(monkeypatch):
-    """Sizes of the matrices handed to ``linalg.eigendecompose``, in call
-    order, counted in every package namespace that binds it."""
+def _count_calls(monkeypatch, original, record):
+    """Patch ``original`` in every package namespace that binds it with a
+    wrapper that appends ``record(m)`` for each call's first argument."""
     calls = []
-    original = linalg.eigendecompose
 
     def counting(m, *args, **kwargs):
-        calls.append(len(m))
+        calls.append(record(m))
         return original(m, *args, **kwargs)
 
     for name, module in list(sys.modules.items()):
@@ -26,6 +24,20 @@ def eigendecompose_calls(monkeypatch):
                 if value is original:
                     monkeypatch.setattr(module, attr, counting)
     return calls
+
+
+@pytest.fixture
+def eigendecompose_calls(monkeypatch):
+    """Sizes of the matrices handed to ``linalg.eigendecompose``, in call
+    order, counted in every package namespace that binds it."""
+    return _count_calls(monkeypatch, linalg.eigendecompose, len)
+
+
+@pytest.fixture
+def unit_eigh_calls(monkeypatch):
+    """Shapes of the matrices (or stacks) handed to ``linalg._unit_eigh``,
+    the one eigensolver kernel, in call order."""
+    return _count_calls(monkeypatch, linalg._unit_eigh, np.shape)
 
 
 @pytest.fixture

@@ -225,15 +225,15 @@ def test_dual_right_triangle(capsys):
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])
-def test_dual_ratio_factors_the_instance_once(capsys, eigendecompose_calls, svd_shapes, n):
+def test_dual_ratio_factors_the_instance_once(capsys, unit_eigh_calls, svd_shapes, n):
     # one eigendecomposition classifies G; the null direction and the ratio are
     # each read off one SVD of the (n+1)-by-(n+1) dual Gram, as the library
     # functions read them
     instance = json.dumps({"dimension": n, "squared_lengths": [1.0] * (n * (n + 1) // 2)})
-    eigendecompose_calls.clear()
+    unit_eigh_calls.clear()
     code, report = run_json(capsys, ["dual", instance, "--ratio", "0", "1"])
     assert code == 0
-    assert eigendecompose_calls == [n]
+    assert unit_eigh_calls == [(n, n)]
     assert svd_shapes == [(n + 1, n + 1)] * 2
     assert report["results"]["ratio"]["squared_area_ratio"] == pytest.approx(1.0, rel=1e-12)
 
@@ -671,6 +671,9 @@ TETRA_1E300 = json.dumps({"dimension": 3, "squared_lengths": [1e300] * 6})
 TETRA_1E_300 = json.dumps({"dimension": 3, "squared_lengths": [1e-300] * 6})
 #: 171! is no float, and neither are this simplex's volume (about 1e-334) and facet areas
 UNIT_171 = json.dumps({"dimension": 171, "squared_lengths": [1.0] * (171 * 172 // 2)})
+#: at --tolerance 1e10 the band, 1e10 times the largest Gram eigenvalue 1.5e300, is no float
+BAND_PAST_THE_TOP = ["validate", json.dumps({"dimension": 2, "squared_lengths": [1e300] * 3}),
+                     "--tolerance", "1e10"]
 
 
 @pytest.mark.parametrize(
@@ -679,7 +682,7 @@ UNIT_171 = json.dumps({"dimension": 171, "squared_lengths": [1.0] * (171 * 172 /
         (["volume", TETRA_1E300], "outside the float range"),
         (["volume", TETRA_1E300, "--pretty"], "outside the float range"),
         (["faces", TETRA_1E300, "--k", "3"], "outside the float range"),
-        (["validate", '{"dimension": 2, "squared_lengths": [1e308, 1e308, 1e308]}'], "finite"),
+        (BAND_PAST_THE_TOP, "the tolerance band, about 1e+310"),
         (["volume", TETRA_1E_300], "outside the float range"),
         (["volume", TETRA_1E_300, "--face", "0,1,2,3"], "outside the float range"),
         (["volume", UNIT_171], "outside the float range"),
@@ -698,7 +701,7 @@ UNIT_171 = json.dumps({"dimension": 171, "squared_lengths": [1.0] * (171 * 172 /
 )
 def test_finite_input_at_float_extremes_exits_1(capsys, argv, fragment):
     # every entry is a positive finite float, but the volume (about 1e450
-    # or 1e-451), the Gram entry s(0,1) + s(0,2) or a squared length built
+    # or 1e-451), the reported tolerance band or a squared length built
     # from epsilon is not, or the mean squared length --total / 3 is
     # subnormal: a message, not a traceback, and never the Degenerate
     # answer 0.  A start drawn at --total 5e-324 would underflow to a
@@ -709,25 +712,53 @@ def test_finite_input_at_float_extremes_exits_1(capsys, argv, fragment):
 #: Valid at every scale, but its largest Gram eigenvalue, 6 * 4e307, is past
 #: the largest float
 REGULAR5_8E307 = json.dumps({"dimension": 5, "squared_lengths": [8e307] * 15})
-UNIT5 = json.dumps({"dimension": 5, "squared_lengths": [1.0] * 15})
+REGULAR5_4E307 = json.dumps({"dimension": 5, "squared_lengths": [4e307] * 15})
 
 
 @pytest.mark.parametrize("tolerance", [[], ["--tolerance", "0"]])
 @pytest.mark.parametrize(
     "argv",
     [
-        ["validate", REGULAR5_8E307],
+        ["faces", REGULAR5_8E307, "--k", "4"],
         ["volume", REGULAR5_8E307],
         ["dual", REGULAR5_8E307],
-        ["probe", REGULAR5_8E307, UNIT5, "--mode", "log"],
+        ["volume", REGULAR5_8E307, "--face", "0,1,2,3"],
     ],
 )
 def test_an_overflowing_gram_spectrum_exits_1(capsys, argv, tolerance):
-    # refused, never a Degenerate verdict, a volume of 0 or a non-finite band
+    # the verdict is read (Valid), but the volumes (about 1e767 for the
+    # whole simplex, 1e614 for a facet and 1e461 for a tetrahedron) and the
+    # facet areas are past the largest float: refused by name, never inf or 0
     assert run(argv + tolerance) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: an eigenvalue is outside the float range\n"
+    expected = {"dual": "a facet area"}.get(argv[0], "the volume, about 1e+")
+    assert captured.err.startswith("error: " + expected), captured.err
+    assert captured.err.endswith(" is outside the float range\n"), captured.err
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("tolerance", [[], ["--tolerance", "0"]])
+def test_a_gram_spectrum_past_the_float_range_answers(capsys, tolerance):
+    # the verdict is read on the unit-scale spectrum: validate and both
+    # probes answer where the Gram spectrum itself would overflow
+    code, report = run_json(capsys, ["validate", REGULAR5_8E307] + tolerance)
+    assert code == 0
+    assert report["results"]["verdict"] == "valid"
+    assert report["results"]["smallest_gram_eigenvalue"] == pytest.approx(4e307, rel=1e-14)
+    for mode in ("log", "root"):
+        argv = ["probe", REGULAR5_8E307, REGULAR5_4E307, "--mode", mode] + tolerance
+        code, report = run_json(capsys, argv)
+        assert code == 0
+        assert report["results"]["passed"] is True
+    # the polarization sums halves: past the top, the sum alone overflows
+    tetra = json.dumps({"dimension": 3, "squared_lengths": [1.5e308] * 6})
+    code, report = run_json(capsys, ["validate", tetra] + tolerance)
+    assert (code, report["results"]["verdict"]) == (0, "valid")
+    needle = json.dumps({"dimension": 2, "squared_lengths": [1e308, 1e308, 1e300]})
+    code, report = run_json(capsys, ["volume", needle] + tolerance)
+    assert code == 0
+    assert report["results"]["volume"] == pytest.approx(5e303, rel=1e-8)
 
 
 def test_eigensolver_failure_exits_3(capsys, monkeypatch):
@@ -764,13 +795,14 @@ def test_integer_flags_name_the_bad_value(capsys):
 
 def test_float_extremes_print_only_the_error_line():
     # the overflow inside the handler must not add numpy warning lines
-    proc = subprocess.run(
-        [sys.executable, "-W", "always", "-m", "simplexcone.cli", "volume", TETRA_1E300],
-        capture_output=True, text=True, env=_process_env(), timeout=60,
-    )
-    assert proc.returncode == 1
-    assert proc.stdout == ""
-    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1, proc.stderr
+    for argv in (["volume", TETRA_1E300], BAND_PAST_THE_TOP):
+        proc = subprocess.run(
+            [sys.executable, "-W", "always", "-m", "simplexcone.cli", *argv],
+            capture_output=True, text=True, env=_process_env(), timeout=60,
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1, proc.stderr
 
 
 @pytest.mark.parametrize(

@@ -326,22 +326,37 @@ def test_probe_between_endpoints_far_apart_in_scale():
         assert probe_root_concavity(first, second).passed
 
 
-def test_probe_refuses_endpoints_whose_gram_overflows_without_a_warning():
-    # s(0, 1) + s(0, 2) is past the float range, so a Gram entry reads inf
-    # and the endpoint verdict refuses it: a ValueError, not numpy's
-    # RuntimeWarning (an error under the tests' warning filter)
+def test_probes_answer_where_a_polarization_sum_overflows():
+    # s(0, 1) + s(0, 2) is past the float range, but the polarization sums
+    # halves, so every Gram entry is finite: both probes answer, with no
+    # numpy RuntimeWarning (an error under the tests' warning filter)
     huge = SquaredEdgeLengths(2, np.full(3, 1e308))
     for probe in (probe_log_concavity, probe_root_concavity):
-        with pytest.raises(ValueError, match="matrix entries must be finite"):
-            probe(huge, huge)
+        assert probe(huge, huge).passed
     # a face without vertex 0 is polarized at its own first vertex, 1: its
-    # s(1, 2) + s(1, 3) overflows although the full Gram matrix is finite
-    # and Valid, which the full face still answers
+    # s(1, 2) + s(1, 3) is past the float range too, and it answers as the
+    # full face does
     tall = SquaredEdgeLengths(3, np.array([4e307] * 3 + [1e308] * 3))
     assert validate(tall).verdict is Verdict.VALID
     assert probe_log_concavity(tall, tall).passed
-    with pytest.raises(ValueError, match="matrix entries must be finite"):
-        probe_log_concavity(tall, tall, face=(1, 2, 3))
+    assert probe_log_concavity(tall, tall, face=(1, 2, 3)).passed
+    # the regular 5-simplex at 8e307, whose largest Gram eigenvalue is past
+    # the largest float, and at 4e307
+    top, half = (SquaredEdgeLengths(5, np.full(15, s)) for s in (8e307, 4e307))
+    for probe in (probe_log_concavity, probe_root_concavity):
+        for pd_tol in (DEFAULT_PD_TOL, 0.0):
+            assert probe(top, half, pd_tol=pd_tol).passed
+
+
+def test_root_probe_between_far_apart_scaled_copies_reads_no_nan():
+    # at the end 1e157 times smaller, u''/n and (u'/n)^2 are -inf and inf;
+    # the analytic second derivative is the sum of two terms <= 0 instead,
+    # each formed where it is a float, so it is finite and <= 0, with no
+    # numpy RuntimeWarning, and vol^(1/n), concave on the segment, passes
+    small, large = (SquaredEdgeLengths(5, np.full(15, s)) for s in (1e-150, 1e7))
+    report = probe_root_concavity(small, large)
+    assert -math.inf < report.max_analytic_second_derivative <= 0.0
+    assert report.passed
 
 
 def test_whitening_refuses_segments_singular_to_working_precision():
@@ -488,7 +503,8 @@ def test_batched_probe_matches_jacobi_oracle(samples, stride):
         first = random_simplex(n, rng)
         second = random_simplex(n, rng)
         for face in _facets_and_full(n):
-            k, logdet, d1, d2, _ = _segment_logdet(first, second, face, samples, DEFAULT_PD_TOL)
+            k, logdet, x, _ = _segment_logdet(first, second, face, samples, DEFAULT_PD_TOL)
+            d1, d2 = x.sum(axis=1), -(x * x).sum(axis=1)
             assert k == len(face) - 1
             reference = _jacobi_reference(first, second, face, ts)
             ref_ld, ref_d1, ref_d2, cond_factor = reference

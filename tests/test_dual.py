@@ -188,18 +188,19 @@ def test_dual_gram_matches_mpmath_bordered_inverse():
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 7])
-def test_dual_queries_make_one_eigendecompose_call_of_size_n(eigendecompose_calls, n):
+def test_dual_queries_make_one_eigendecompose_call_of_size_n(unit_eigh_calls, n):
+    # one call of the eigensolver kernel, on the n x n Gram matrix
     ell = random_simplex(n, np.random.default_rng(n))
-    eigendecompose_calls.clear()
+    unit_eigh_calls.clear()
     dual_gram(ell)
-    assert eigendecompose_calls == [n]
-    eigendecompose_calls.clear()
+    assert unit_eigh_calls == [(n, n)]
+    unit_eigh_calls.clear()
     embed(ell)
-    assert eigendecompose_calls == [n]
-    eigendecompose_calls.clear()
+    assert unit_eigh_calls == [(n, n)]
+    unit_eigh_calls.clear()
     area_ratio_from_adjugate(ell, 0, 1)
     # the adjugate is an SVD formula at every size, so no second eigendecomposition
-    assert eigendecompose_calls == [n]
+    assert unit_eigh_calls == [(n, n)]
 
 
 def test_dual_queries_call_no_svd(svd_shapes):
@@ -259,10 +260,20 @@ def test_dual_gram_regular_tetrahedron_far_from_unit_scale(scale):
 
 
 def test_dual_gram_refuses_an_overflowing_gram_spectrum():
-    # Valid at every scale, but at 8e307 the Gram matrix's largest eigenvalue
-    # is past the largest float
-    with pytest.raises(ValueError, match="an eigenvalue is outside the float range"):
+    # Valid at every scale, and judged so, but at 8e307 the Gram matrix's
+    # largest eigenvalue is past the largest float, and so are the facet
+    # areas, about 1e614: the areas themselves are refused
+    with pytest.raises(ValueError, match="a facet area is outside the float range"):
         dual_gram(SquaredEdgeLengths(5, np.full(15, 8e307)))
+
+
+def test_dual_gram_answers_where_only_the_gram_spectrum_overflows():
+    # a needle triangle: its largest Gram eigenvalue, about 3e308, is past the
+    # largest float, but its facets are its sides, and their lengths are floats
+    rep = dual_gram(SquaredEdgeLengths(2, np.array([1.5e308, 1.5e308, 1e300])))
+    assert_allclose(rep.areas, [1e150, math.sqrt(1.5e308), math.sqrt(1.5e308)], rtol=1e-7)
+    assert rep.null_residual < 1e-14
+    assert rep.divergence_residual < 1e-14
 
 
 def test_dual_gram_past_170_factorial():

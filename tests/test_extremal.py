@@ -719,17 +719,20 @@ def test_maximize_runs_no_eigensolver_of_its_own(monkeypatch):
         assert got.rejections == want.rejections
 
 
-def test_maximize_makes_one_eigendecompose_call(eigendecompose_calls):
-    # the start's verdict is the only eigendecompose call of a run
+def test_maximize_makes_one_eigendecompose_call(unit_eigh_calls):
+    # the start's verdict is the one eigendecomposition of a run that is not a
+    # candidate's: every other call of the eigensolver kernel is the closing
+    # verdict of one candidate, an accepted step or a "not_valid" rejection
     rng = np.random.default_rng(5)
     iterations = 0
     for _ in range(4):
         start = random_simplex(5, rng, total=10.0)
-        eigendecompose_calls.clear()
+        unit_eigh_calls.clear()
         trace = maximize(5, 10.0, Objective(LOGPROD, 2), start=start)
         assert trace.converged
-        assert eigendecompose_calls == [5]
-        iterations += len(trace.iterates) - 1
+        steps = len(trace.iterates) - 1
+        assert unit_eigh_calls == [(5, 5)] * (1 + steps + trace.rejections["not_valid"])
+        iterations += steps
     assert iterations > 20
     assert not hasattr(extremal_module, "eigendecompose")
 

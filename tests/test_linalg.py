@@ -92,13 +92,18 @@ def test_eigendecompose_maps_a_lapack_failure_to_convergence_error(monkeypatch):
 
 def test_eigendecompose_refuses_an_eigenvalue_past_the_float_range():
     # finite entries of 4e307 and 8e307, but eigenvalues of 4e307 and 6 * 4e307:
-    # the scaled-back spectrum would hold inf, and at the negated matrix -inf
+    # the scaled-back spectrum would hold inf, and at the negated matrix -inf.
+    # The kernel never scales back: it answers with the unit-scale spectrum
+    # and the shift, 2^1023, that eigendecompose could not apply
     m = np.full((5, 5), 4e307) + np.diag(np.full(5, 4e307))
-    for a in (m, -m):
+    unit = np.ldexp(4e307, -1023) * np.array([1.0, 1.0, 1.0, 1.0, 6.0])
+    for sign, a in ((1.0, m), (-1.0, -m)):
         with pytest.raises(ValueError, match="an eigenvalue is outside the float range"):
             eigendecompose(a)
-        with pytest.raises(ValueError, match="an eigenvalue is outside the float range"):
-            _unit_eigh(np.stack((np.eye(5), a)))
+        w, _, shift = _unit_eigh(np.stack((np.eye(5), a)))
+        assert shift.tolist() == [1, 1023]
+        assert_allclose(w[0], 0.5, rtol=1e-15)
+        assert_allclose(np.sort(sign * w[1]), unit, rtol=1e-14)
     assert eigendecompose(m / 2.0).eigenvalues[-1] == pytest.approx(1.2e308, rel=1e-14)
 
 
@@ -124,10 +129,14 @@ def test_stacked_eigh_equals_one_call_per_matrix():
         for count in (2, 5, 31):
             scales = 10.0 ** rng.uniform(-200, 200, count)
             stack = np.stack([random_symmetric(rng, n, scale=c) for c in scales])
-            w, basis = _unit_eigh(stack)
+            w, basis, shift = _unit_eigh(stack)
             for i, m in enumerate(stack):
+                one = _unit_eigh(m)
+                assert np.array_equal(w[i], one[0]), (n, count, i)
+                assert np.array_equal(basis[i], one[1]), (n, count, i)
+                assert shift[i] == one[2], (n, count, i)
                 dec = eigendecompose(m)
-                assert np.array_equal(w[i], dec.eigenvalues), (n, count, i)
+                assert np.array_equal(np.ldexp(w[i], shift[i]), dec.eigenvalues), (n, count, i)
                 assert np.array_equal(basis[i], dec.basis), (n, count, i)
 
 

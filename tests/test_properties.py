@@ -1,7 +1,7 @@
-"""Property tests: verdicts under exact rescaling (or a refusal where it
-overflows) and relabeling, the agreement of validate, embed and volume,
-the dual Gram data, the face-volume objectives, their gradients and
-their maximum under relabeling, validate and the Cholesky kernel against
+"""Property tests: verdicts under exact rescaling up to the largest float
+and relabeling, the volume's power of two, the agreement of validate,
+embed and volume, the dual Gram data, the face-volume objectives, their
+gradients and their maximum under relabeling, validate and the Cholesky kernel against
 independent oracles, and a probe's whitened log det and its derivatives
 against the per-sample formula, with the paper's concavity along every
 such segment.  Two rest on the paper's exact answers: the dual Gram of a
@@ -20,6 +20,7 @@ derandomized, so every run checks the same examples.
 import math
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -128,6 +129,9 @@ def _safe_exponents(ell: SquaredEdgeLengths, smallest_eigenvalue: float) -> tupl
 #: the regular 5-simplex at 2^-1023 * 8e307: at e = 1023 its largest Gram
 #: eigenvalue, 6 * 4e307, is past the largest float
 _REGULAR_BELOW_8E307 = SquaredEdgeLengths(5, np.full(15, math.ldexp(8e307, -1023)))
+#: the needle triangle [1e308, 1e308, 1e300] at 2^-1023: at e = 1023 its
+#: polarization sum s(0, 1) + s(0, 2) is past the largest float
+_NEEDLE_BELOW_1E308 = SquaredEdgeLengths(2, np.ldexp([1e308, 1e308, 1e300], -1023))
 
 
 @PROPERTY
@@ -141,26 +145,37 @@ def test_verdict_and_scaled_eigenvalue_survive_power_of_two_rescaling(case, data
     scaled = validate(SquaredEdgeLengths(ell.n, np.ldexp(ell.s, e)))
     assert scaled.verdict is verdict
     assert scaled.smallest_gram_eigenvalue == math.ldexp(rep.smallest_gram_eigenvalue, e)
+    if verdict is Verdict.VALID:
+        # the volume carries the Gram spectrum's power of two: at 4^j it moves
+        # by 2^(n j) exactly, or is refused where that leaves the float range
+        j = data.draw(st.integers(-(-lo // 2), hi // 2), label="quarter exponent")
+        quartered = SquaredEdgeLengths(ell.n, np.ldexp(ell.s, 2 * j))
+        try:
+            expected = math.ldexp(volume(ell), ell.n * j)
+        except OverflowError:
+            expected = math.inf
+        if 0.0 < expected < math.inf:
+            assert volume(quartered) == expected
+        else:
+            with pytest.raises(ValueError, match="outside the float range"):
+                volume(quartered)
 
 
 @PROPERTY
 @given(instances(), st.integers(0, 2**16))
 @example(case=(_REGULAR_BELOW_8E307, Verdict.VALID), step=1)
-def test_rescaling_past_the_safe_exponents_keeps_the_verdict_or_refuses(case, step):
+@example(case=(_NEEDLE_BELOW_1E308, Verdict.VALID), step=1)
+def test_rescaling_past_the_safe_exponents_keeps_the_verdict(case, step):
     # above the exponents of the property before, up to the last at which
-    # every scaled length is a float: a Gram entry or eigenvalue may leave
-    # the float range, which is refused, but no other verdict may be read
+    # every scaled length is a float: the Gram spectrum may leave the float
+    # range, but the verdict is read at unit scale and stays
     ell, verdict = case
     rep = validate(ell)
     assert rep.verdict is verdict
     lo = _safe_exponents(ell, rep.smallest_gram_eigenvalue)[1] + 1
     top = 1024 - math.frexp(float(ell.s.max()))[1]
     e = top - step % (top - lo + 1)
-    try:
-        scaled = validate(SquaredEdgeLengths(ell.n, np.ldexp(ell.s, e)))
-    except ValueError:
-        return
-    assert scaled.verdict is verdict
+    assert validate(SquaredEdgeLengths(ell.n, np.ldexp(ell.s, e))).verdict is verdict
 
 
 @PROPERTY
@@ -418,7 +433,8 @@ def test_whitened_derivatives_match_the_per_sample_formula(case):
     n, samples = first.n, 33
     full = tuple(range(n + 1))
     scaled = [SquaredEdgeLengths(n, np.ldexp(e.s, 2 * j)) for e in (first, second)]
-    _, logdet, d1, d2, _ = _segment_logdet(*scaled, full, samples, DEFAULT_PD_TOL)
+    _, logdet, x, _ = _segment_logdet(*scaled, full, samples, DEFAULT_PD_TOL)
+    d1, d2 = x.sum(axis=1), -(x * x).sum(axis=1)
     # an independent reference: every sample's own eigendecomposition
     ts = np.linspace(0.0, 1.0, samples)
     rows = (1.0 - ts)[:, None] * scaled[0].s + ts[:, None] * scaled[1].s
@@ -435,8 +451,7 @@ def test_whitened_derivatives_match_the_per_sample_formula(case):
     for got, ref in zip((logdet, d1, d2), references):
         assert (np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)) * cond_factor).all()
     # whitening removes the scale exactly: the same bits at every 4^j
-    _, _, u1, u2, _ = _segment_logdet(first, second, full, samples, DEFAULT_PD_TOL)
-    assert np.array_equal(d1, u1) and np.array_equal(d2, u2)
+    assert np.array_equal(x, _segment_logdet(first, second, full, samples, DEFAULT_PD_TOL)[2])
     log_report = probe_log_concavity(*scaled)
     assert (
         log_report.max_analytic_second_derivative

@@ -20,6 +20,7 @@ from simplexcone import (
     edge_pairs,
     embed,
     face_squared_lengths,
+    eigendecompose,
     face_volume,
     gram_from_squared_lengths,
     maximize,
@@ -236,19 +237,16 @@ def test_stacked_verdicts_equal_one_verdict_per_row():
     assert seen == set(Verdict)
 
 
-def test_stacked_verdicts_refuse_a_gram_matrix_that_is_not_finite():
-    rows = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, np.inf]])
-    with pytest.raises(ValueError, match="matrix entries must be finite"):
-        _valid_grams(_gram_stack(2, rows), 1e-10)
-
-
 def test_a_polarization_sum_past_the_float_range_warns_nothing():
-    # s(0, i) + s(0, j) overflows before the halving: off the diagonal the
-    # entry reads inf and validate refuses it; on the diagonal, which the
-    # apex length overwrites, the verdict stands.  Neither raises numpy's
-    # RuntimeWarning (an error under the tests' warning filter)
-    with pytest.raises(ValueError, match="matrix entries must be finite"):
-        validate(SquaredEdgeLengths(3, np.full(6, 1.5e308)))
+    # s(0, i) + s(0, j) is past the float range, but the halves are summed:
+    # every Gram entry is finite and the verdict is read, with no numpy
+    # RuntimeWarning (an error under the tests' warning filter).  On the
+    # diagonal, which the apex length overwrites, the verdict stands too
+    tetra = SquaredEdgeLengths(3, np.full(6, 1.5e308))
+    assert_array_equal(gram_from_squared_lengths(tetra), 0.75e308 * (np.eye(3) + 1.0))
+    rep = validate(tetra)
+    assert rep.verdict is Verdict.VALID
+    assert rep.smallest_gram_eigenvalue == pytest.approx(0.75e308, rel=1e-14)
     tall = SquaredEdgeLengths(2, np.array([1e308, 1.0, 1e308]))
     assert validate(tall).verdict is Verdict.DEGENERATE
 
@@ -260,14 +258,46 @@ REGULAR_8E307 = SquaredEdgeLengths(5, np.full(15, 8e307))
 
 @pytest.mark.parametrize("pd_tol", [1e-10, 0.0])
 def test_an_overflowing_gram_spectrum_is_refused(pd_tol):
-    # never a Degenerate verdict, nor a volume of 0, read off an inf band
+    # the spectrum itself, scaled back, and the volume it gives are past the
+    # largest float: both are refused, never read as inf or as a volume of 0
     with pytest.raises(ValueError, match="an eigenvalue is outside the float range"):
-        validate(REGULAR_8E307, pd_tol=pd_tol)
-    with pytest.raises(ValueError, match="an eigenvalue is outside the float range"):
+        eigendecompose(gram_from_squared_lengths(REGULAR_8E307))
+    with pytest.raises(ValueError, match=r"the volume, about 1e\+767, is outside the float range"):
         volume(REGULAR_8E307, pd_tol=pd_tol)
+
+
+@pytest.mark.parametrize("pd_tol", [1e-10, 0.0])
+def test_a_gram_spectrum_past_the_float_range_is_judged(pd_tol):
+    # the verdict is read on the unit-scale spectrum, so it answers where the
+    # spectrum itself would overflow, single and stacked; validate's two
+    # reported floats are in range
+    rep = validate(REGULAR_8E307, pd_tol=pd_tol)
+    assert rep.verdict is Verdict.VALID
+    assert rep.smallest_gram_eigenvalue == pytest.approx(4e307, rel=1e-14)
+    assert rep.tolerance == pytest.approx(pd_tol * 6.0 * 4e307, rel=1e-14)
     rows = np.vstack((np.ones(15), REGULAR_8E307.s))
-    with pytest.raises(ValueError, match="an eigenvalue is outside the float range"):
-        _valid_grams(_gram_stack(5, rows), pd_tol)
+    assert _valid_grams(_gram_stack(5, rows), pd_tol).tolist() == [True, True]
+    # a needle whose polarization sum s(0, 1) + s(0, 2) is past the float range
+    needle = SquaredEdgeLengths(2, np.array([1e308, 1e308, 1e300]))
+    assert validate(needle, pd_tol=pd_tol).verdict is Verdict.VALID
+    # half the base 1e150 times the height sqrt(1e308 - 1e300 / 4), within
+    # eps * cond(G) = eps * 4e8 of the smallest eigenvalue's rounding
+    expected = 0.5 * 1e150 * 1e154 * math.sqrt(1.0 - 0.25e-8)
+    assert volume(needle, pd_tol=pd_tol) == pytest.approx(expected, rel=1e-7)
+
+
+def test_validate_refuses_a_band_past_the_float_range():
+    # the band is read at unit scale and scaled back once: past the largest
+    # float it is refused by name, never reported as inf, and nothing warns
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(
+            ValueError, match=r"the tolerance band, about 1e\+310, is outside the float range"
+        ):
+            validate(SquaredEdgeLengths(2, np.full(3, 1e300)), pd_tol=1e10)
+        assert validate(SquaredEdgeLengths(2, np.full(3, 1e300)), pd_tol=1e7).tolerance == (
+            pytest.approx(1.5e307, rel=1e-14)
+        )
 
 
 def test_a_spectrum_just_inside_the_float_range_still_answers():
