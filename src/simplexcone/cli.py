@@ -173,7 +173,8 @@ def _instance_from_text(text: str) -> tuple[SquaredEdgeLengths, bool]:
     if lengths:
         if not (np.isfinite(arr) & (arr > 0.0)).all():  # -2 must not pass as 2
             raise UsageError("every length must be a positive finite number")
-        arr = arr * arr
+        with np.errstate(over="ignore"):  # inf past the float range, refused by position below
+            arr = arr * arr
     try:
         return SquaredEdgeLengths(n, arr), lengths
     except ValueError as exc:
@@ -538,11 +539,7 @@ def run(argv: list[str]) -> int:
         inputs: dict = {}
         results: dict = {}
         try:
-            # an overflow shows up as a non-finite result, which a library
-            # check or the renderer turns into exit 1; numpy's warning would
-            # only add noise
-            with np.errstate(over="ignore", invalid="ignore"):
-                code = _HANDLERS[args.command](args, inputs, results)
+            code = _HANDLERS[args.command](args, inputs, results)
         except NotRealizable as exc:
             results["error"], code = str(exc), 2
         except (NullityNotOne, NotPositiveDefinite, ConvergenceError) as exc:

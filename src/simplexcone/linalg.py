@@ -7,14 +7,14 @@ PD band test), ``_null_index`` (nullity exactly one), ``_svd_adjugate``
 is taken here, by LAPACK through numpy, in one prescaled kernel,
 ``_unit_eigh``, for one matrix or a stack: it returns the spectrum of M /
 2^shift and the shift.  Every verdict reads the band on that unit
-spectrum, so it holds across the whole float range, and only what is
-reported or multiplied is scaled back (:func:`eigendecompose` refuses an
-eigenvalue past the largest float).  The optimizer's face determinants and
-inverses come from one batched call each and every Cholesky factor from
-``potrf``; the tests hold them to pure-Python loops and mpmath.  One rule
-decides "zero": a verdict reads the PD band, the one tolerance a caller
-sets, and every other zero is a rounding bound c * n * eps * scale, its
-scale named where it is used.
+spectrum, so it holds across the whole float range, and each kernel scales
+back only what it returns, by ``_scaled_back``, which names a number past the
+largest float (so :func:`eigendecompose`, which returns the spectrum, refuses
+one).  The optimizer's face determinants and inverses come from one batched
+call each and every Cholesky factor from ``potrf``; the tests hold them to
+pure-Python loops and mpmath.  One rule decides "zero": a verdict reads the
+PD band, the one tolerance a caller sets, and every other zero is a rounding
+bound c * n * eps * scale, its scale named where it is used.
 
 Symmetry is enforced exactly: a matrix is accepted as symmetric only if
 ``m[i, j] == m[j, i]`` bitwise.  Callers that assemble symmetric
@@ -105,10 +105,8 @@ def eigendecompose(m) -> EigenDecomposition:
     back: ValueError for an eigenvalue past the largest float (finite entries can
     sum to more), :class:`ConvergenceError` when LAPACK reports no convergence."""
     w, basis, shift = _unit_eigh(check_symmetric(m))
-    try:  # the two ends bound the spectrum; math.ldexp raises where np.ldexp warns
-        math.ldexp(w[0], int(shift)), math.ldexp(w[-1], int(shift))
-    except OverflowError:
-        raise ValueError("an eigenvalue is outside the float range") from None
+    _scaled_back(w[0], shift, "smallest eigenvalue")  # the two ends bound the spectrum
+    _scaled_back(w[-1], shift, "largest eigenvalue")
     return EigenDecomposition(np.ldexp(w, shift), basis)
 
 
@@ -128,6 +126,16 @@ def _unit_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"symmetric eigensolver failed: {exc}") from None
     return w, basis, shift[..., 0, 0]
+
+
+def _scaled_back(x, shift, name: str) -> float:
+    """``x * 2^shift`` for a unit-scale number; ValueError naming ``name``
+    past the largest float."""
+    try:
+        return math.ldexp(x, int(shift))  # raises where np.ldexp would read inf
+    except OverflowError:
+        digits = math.log10(abs(x)) + shift * math.log10(2.0)
+        raise ValueError(f"the {name}, about 1e{digits:+.0f}, is outside the float range") from None
 
 
 def _band(w, tol: float):
@@ -155,7 +163,8 @@ def _null_index(s) -> int:
 
 
 def smallest_eigenvalue(m) -> float:
-    return float(eigendecompose(m).eigenvalues[0])
+    w, _, shift = _unit_eigh(check_symmetric(m))
+    return _scaled_back(w[0], shift, "smallest eigenvalue")
 
 
 def _cholesky_factor(a: np.ndarray) -> np.ndarray:
@@ -181,26 +190,28 @@ def cholesky(m, *, pd_tol: float = DEFAULT_PD_TOL) -> np.ndarray:
 
     A pivot that is not positive raises at once with its index.  When every
     pivot passes, success is still decided by the eigenvalue test (smallest
-    eigenvalue above ``pd_tol * |largest|``), so that it agrees exactly with
-    :func:`eigendecompose`-based classification; a rejection then names the
-    weakest pivot.
+    eigenvalue above ``pd_tol * |largest|``, read at unit scale), so that it
+    agrees exactly with every verdict of the package; a rejection then names
+    the weakest pivot.
     """
     a = check_symmetric(m)
     low = _cholesky_factor(a)
-    w = eigendecompose(a).eigenvalues
+    w, _, shift = _unit_eigh(a)
     if not _positive_definite(w, pd_tol):
         weakest = int(np.argmin(np.diag(low)))
+        smallest = _scaled_back(w[0], shift, "smallest eigenvalue")
         raise NotPositiveDefinite(
-            f"smallest eigenvalue {w[0]:.3e} is within tolerance of zero (pivot {weakest})",
+            f"smallest eigenvalue {smallest:.3e} is within tolerance of zero (pivot {weakest})",
             pivot=weakest,
         )
     return low
 
 
 def determinant(m) -> float:
-    """Determinant of a symmetric matrix as the product of its eigenvalues."""
-    w = eigendecompose(m).eigenvalues
-    return float(np.prod(w))
+    """Determinant of a symmetric matrix, the product of its eigenvalues, exponents summed apart."""
+    w, _, shift = _unit_eigh(check_symmetric(m))
+    mant, expo = np.frexp(w)
+    return _scaled_back(float(np.prod(mant)), expo.sum() + w.size * shift, "determinant")
 
 
 def outer_product(v, w) -> np.ndarray:
@@ -270,20 +281,25 @@ def _whitened_spectrum(w: np.ndarray, basis: np.ndarray, delta: np.ndarray) -> n
     return np.linalg.eigvalsh(root.T @ delta @ root)
 
 
-def _whitened_spectrum_at(a, b, pd_tol: float) -> np.ndarray:
+def _whitened_spectrum_at(a, b, pd_tol: float) -> tuple[np.ndarray, int]:
+    """The whitened spectrum mu of B at A as mu / 2^shift, and the shift.  A and B are read
+    at unit size by exact powers of two (an odd power of A whitened as 2 A): mu's own bits."""
     amat = check_symmetric(a)
     bmat = check_symmetric(b)
     if amat.shape != bmat.shape:
         raise ValueError("A and B must have matching shapes")
-    dec = eigendecompose(amat)
-    if not _positive_definite(dec.eigenvalues, pd_tol):
+    w, basis, shift = _unit_eigh(amat)
+    if not _positive_definite(w, pd_tol):
         raise NotPositiveDefinite("base point of log det derivative is not PD")
-    return _whitened_spectrum(dec.eigenvalues, dec.basis, bmat)
+    odd, size = int(shift) % 2, math.frexp(float(np.abs(bmat).max()))[1]
+    mu = _whitened_spectrum(np.ldexp(w, odd), basis, np.ldexp(bmat, -size))
+    return mu, size - int(shift) + odd
 
 
 def logdet_directional_derivative(a, b, *, pd_tol: float = DEFAULT_PD_TOL) -> float:
     """d/dt log det(A + tB) at t=0, i.e. trace(A^-1 B), for A positive definite."""
-    return float(_whitened_spectrum_at(a, b, pd_tol).sum())
+    mu, shift = _whitened_spectrum_at(a, b, pd_tol)
+    return _scaled_back(float(mu.sum()), shift, "directional derivative")
 
 
 def logdet_second_derivative(a, b, *, pd_tol: float = DEFAULT_PD_TOL) -> float:
@@ -291,4 +307,5 @@ def logdet_second_derivative(a, b, *, pd_tol: float = DEFAULT_PD_TOL) -> float:
     definite: ``-trace(A^-1 B A^-1 B)``, minus the sum of squares of the
     whitened spectrum, so the result is <= 0 in floating point as well, and
     strictly negative whenever B != 0."""
-    return float(-np.square(_whitened_spectrum_at(a, b, pd_tol)).sum())
+    mu, shift = _whitened_spectrum_at(a, b, pd_tol)
+    return _scaled_back(float(-np.square(mu).sum()), 2 * shift, "second derivative")

@@ -38,6 +38,7 @@ from .linalg import (
     _band,
     _cholesky_factor,
     _positive_definite,
+    _scaled_back,
     _unit_eigh,
     check_symmetric,
 )
@@ -282,15 +283,6 @@ def _valid_spectrum(ell: SquaredEdgeLengths, pd_tol: float) -> tuple[np.ndarray,
     if verdict is not Verdict.VALID:
         raise NotRealizable(f"needs a Valid instance, verdict is {verdict.value}")
     return g, eig
-
-
-def _scaled_back(x: float, shift, name: str) -> float:
-    """``x * 2^shift``; ValueError naming ``name`` past the largest float."""
-    try:
-        return math.ldexp(x, int(shift))  # raises where np.ldexp would read inf
-    except OverflowError:
-        digits = math.log10(abs(x)) + shift * math.log10(2.0)
-        raise ValueError(f"the {name}, about 1e{digits:+.0f}, is outside the float range") from None
 
 
 def validate(ell: SquaredEdgeLengths, *, pd_tol: float = DEFAULT_PD_TOL) -> ValidityReport:

@@ -14,7 +14,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import simplexcone.cli as cli
@@ -805,6 +805,27 @@ def test_float_extremes_print_only_the_error_line():
         assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1, proc.stderr
 
 
+#: the regular 5-simplex at squared lengths 1e-160 and 1e160: the rates of a
+#: probe between them are past the float range at the small end
+REGULAR5_1E_160 = json.dumps({"dimension": 5, "squared_lengths": [1e-160] * 15})
+REGULAR5_1E160 = json.dumps({"dimension": 5, "squared_lengths": [1e160] * 15})
+
+
+@pytest.mark.parametrize("mode", ["root", "log"])
+def test_probe_between_scales_far_apart_passes_with_warnings_as_errors(mode):
+    # no handler runs under a silencing np.errstate: a numpy warning here
+    # would end the process under -W error
+    argv = ["probe", REGULAR5_1E_160, REGULAR5_1E160, "--mode", mode, "--no-timestamp"]
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "simplexcone.cli", *argv],
+        capture_output=True, text=True, env=_process_env(), timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    results = json.loads(proc.stdout)["results"]
+    assert results["passed"] is True
+    assert results["max_analytic_second_derivative"] < 0.0
+
+
 @pytest.mark.parametrize(
     "argv, fragment",
     [
@@ -1249,6 +1270,9 @@ def _assert_finite(value):
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=150)
 @given(_argv())
+@example(["probe", REGULAR5_1E_160, REGULAR5_1E160, "--mode", "root", "--no-timestamp"])
+@example(["probe", REGULAR5_1E_160, REGULAR5_1E160, "--mode", "log", "--no-timestamp"])
+@example(["validate", '{"dimension": 1, "lengths": [1e300]}', "--no-timestamp"])
 def test_every_argv_ends_in_a_documented_exit_code(argv):
     code, out, err, caught = _run_in_process(argv)
     assert code in (0, 1, 2, 3), (argv, code)

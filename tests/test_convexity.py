@@ -29,6 +29,7 @@ from simplexcone import (
     random_simplex,
     regular_simplex,
     validate,
+    volume,
 )
 from simplexcone.convexity import (
     _BISECT_DEPTH,
@@ -348,15 +349,27 @@ def test_probes_answer_where_a_polarization_sum_overflows():
             assert probe(top, half, pd_tol=pd_tol).passed
 
 
-def test_root_probe_between_far_apart_scaled_copies_reads_no_nan():
-    # at the end 1e157 times smaller, u''/n and (u'/n)^2 are -inf and inf;
-    # the analytic second derivative is the sum of two terms <= 0 instead,
-    # each formed where it is a float, so it is finite and <= 0, with no
-    # numpy RuntimeWarning, and vol^(1/n), concave on the segment, passes
-    small, large = (SquaredEdgeLengths(5, np.full(15, s)) for s in (1e-150, 1e7))
-    report = probe_root_concavity(small, large)
-    assert -math.inf < report.max_analytic_second_derivative <= 0.0
-    assert report.passed
+@pytest.mark.parametrize("small, large", [(1e-160, 1e160), (1e-150, 1e7), (1e20, 1e300)])
+def test_probes_between_scaled_copies_far_apart_read_the_closed_form(small, large):
+    # along s(t) = (1 - t) small + t large times the regular 5-simplex, log
+    # volume is C + (5/2) log s(t) and volume^(1/5) is c sqrt(s(t)): their
+    # second derivatives, -(5/2) (s'/s)^2 and -c s'^2 / (4 s^1.5), are
+    # largest at t = 1.  The rates at the small end are past 2^300 (past
+    # the float range for 1e-160 against 1e160), where the curvature is far
+    # below every other sample's, and where the root's u''/n + (u'/n)^2
+    # would read -inf + inf: no nan, no RuntimeWarning, and both pass
+    first, second = (SquaredEdgeLengths(5, np.full(15, s)) for s in (small, large))
+    log_report = probe_log_concavity(first, second)
+    assert log_report.max_analytic_second_derivative == pytest.approx(
+        -2.5 * (1.0 - small / large) ** 2, rel=1e-14
+    )
+    c = volume(SquaredEdgeLengths(5, np.ones(15))) ** 0.2
+    root_report = probe_root_concavity(first, second)
+    slope = large - small
+    assert root_report.max_analytic_second_derivative == pytest.approx(
+        -c * (slope / large) * (slope / math.sqrt(large)) / 4.0, rel=1e-13
+    )
+    assert log_report.passed and root_report.passed
 
 
 def test_whitening_refuses_segments_singular_to_working_precision():

@@ -1,5 +1,6 @@
 """Tests for the symmetric eigensolver, Cholesky, adjugate and log-det calculus."""
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -22,7 +23,9 @@ from simplexcone.linalg import (
     smallest_eigenvalue,
 )
 
-from oracles import jacobi_eigendecompose
+from oracles import jacobi_eigendecompose, mp_eigenvalues
+
+EPS = np.finfo(float).eps
 
 
 def random_symmetric(rng, n, scale=1.0):
@@ -97,14 +100,73 @@ def test_eigendecompose_refuses_an_eigenvalue_past_the_float_range():
     # and the shift, 2^1023, that eigendecompose could not apply
     m = np.full((5, 5), 4e307) + np.diag(np.full(5, 4e307))
     unit = np.ldexp(4e307, -1023) * np.array([1.0, 1.0, 1.0, 1.0, 6.0])
-    for sign, a in ((1.0, m), (-1.0, -m)):
-        with pytest.raises(ValueError, match="an eigenvalue is outside the float range"):
+    for sign, a, end in ((1.0, m, "largest"), (-1.0, -m, "smallest")):
+        with pytest.raises(ValueError, match=rf"the {end} eigenvalue, about 1e\+308, is outside"):
             eigendecompose(a)
         w, _, shift = _unit_eigh(np.stack((np.eye(5), a)))
         assert shift.tolist() == [1, 1023]
         assert_allclose(w[0], 0.5, rtol=1e-15)
         assert_allclose(np.sort(sign * w[1]), unit, rtol=1e-14)
     assert eigendecompose(m / 2.0).eigenvalues[-1] == pytest.approx(1.2e308, rel=1e-14)
+
+
+def _mp(m):
+    """``m`` read exactly as a 50-digit mpmath matrix."""
+    return mpmath.matrix(np.asarray(m).tolist())
+
+
+def _assert_factor_of(low, m):
+    # L L^T in 50 digits: each entry within rounding of m's
+    with mpmath.workdps(50):
+        product = _mp(low) * _mp(low).T
+        for i, j in np.ndindex(m.shape):
+            assert abs(product[i, j] - m[i, j]) <= 8 * len(m) * EPS * np.abs(m).max()
+
+
+def test_kernels_answer_where_only_an_unreturned_eigenvalue_overflows():
+    # every kernel reads the unit-scale spectrum once and scales back only
+    # what it returns: [[1.5e308, 1e308], [1e308, 1.5e308]] has eigenvalues
+    # 5e307 and 2.5e308, so the smallest eigenvalue, the Cholesky factor
+    # (L22 about 9.13e153) and trace(A^-1) are floats, the determinant
+    # (1.25e616) is not, and eigendecompose, which returns both, refuses
+    m = np.array([[1.5e308, 1e308], [1e308, 1.5e308]])
+    smallest = mp_eigenvalues(m)[0]
+    with mpmath.workdps(50):
+        trace = sum((_mp(m) ** -1)[i, i] for i in range(2))
+        assert abs(smallest_eigenvalue(m) - smallest) <= 2 * EPS * smallest
+        assert abs(logdet_directional_derivative(m, np.eye(2)) - trace) <= 4 * EPS * trace
+    assert smallest_eigenvalue(m) == pytest.approx(5e307, rel=1e-15)
+    assert logdet_directional_derivative(m, np.eye(2)) == pytest.approx(2.4e-308, rel=1e-15)
+    low = cholesky(m)
+    assert low[1, 1] == pytest.approx(9.128709291752769e153, rel=1e-15)
+    _assert_factor_of(low, m)
+    with pytest.raises(ValueError, match=r"the determinant, about 1e\+616, is outside"):
+        determinant(m)
+    with pytest.raises(ValueError, match=r"the largest eigenvalue, about 1e\+308, is outside"):
+        eigendecompose(m)
+    # the matrix whose eigendecomposition the test above refuses: its
+    # smallest eigenvalue and its factor are floats
+    m = np.full((5, 5), 4e307) + np.diag(np.full(5, 4e307))
+    assert smallest_eigenvalue(m) == pytest.approx(4e307, rel=1e-14)
+    _assert_factor_of(cholesky(m), m)
+
+
+def test_kernels_refuse_a_returned_number_past_the_float_range_by_name():
+    # the determinant 1e400 and the second derivative -3e400 are no floats:
+    # a ValueError that names them, never inf and never a RuntimeWarning
+    with mpmath.workdps(50):
+        digits = int(mpmath.nint(mpmath.log10(mpmath.det(_mp(np.diag([1e200, 1e200]))))))
+    assert digits == 400
+    with pytest.raises(ValueError, match=rf"the determinant, about 1e\+{digits}, is outside"):
+        determinant(np.diag([1e200, 1e200]))
+    a = 1e-200 * np.eye(3)
+    with pytest.raises(ValueError, match=r"the second derivative, about 1e\+400, is outside"):
+        logdet_second_derivative(a, np.eye(3))
+    # its first derivative, trace(A^-1) = 3e200, is a float
+    assert logdet_directional_derivative(a, np.eye(3)) == pytest.approx(3e200, rel=1e-15)
+    # a determinant whose partial products leave the float range but not the
+    # result: the binary exponents are summed apart
+    assert determinant(np.diag([1e200, 1e200, 1e-100])) == pytest.approx(1e300, rel=1e-15)
 
 
 def test_eigendecompose_commutes_with_powers_of_two():

@@ -1,8 +1,9 @@
 """Property tests: verdicts under exact rescaling up to the largest float
 and relabeling, the volume's power of two, the agreement of validate,
 embed and volume, the dual Gram data, the face-volume objectives, their
-gradients and their maximum under relabeling, validate and the Cholesky kernel against
-independent oracles, and a probe's whitened log det and its derivatives
+gradients and their maximum under relabeling, every public linalg kernel's exact
+scale-back or named refusal up to the largest float, validate and the Cholesky kernel
+against independent oracles, and a probe's whitened log det and its derivatives
 against the per-sample formula, with the paper's concavity along every
 such segment.  Two rest on the paper's exact answers: the dual Gram of a
 thin Valid simplex has the areas as its one null direction, and a probe
@@ -47,7 +48,15 @@ from simplexcone import (
 )
 
 from simplexcone.convexity import _segment_logdet
-from simplexcone.linalg import NotPositiveDefinite, _cholesky_factor
+from simplexcone.linalg import (
+    NotPositiveDefinite,
+    _cholesky_factor,
+    cholesky,
+    determinant,
+    logdet_directional_derivative,
+    logdet_second_derivative,
+    smallest_eigenvalue,
+)
 
 from oracles import cholesky_factor, jacobi_eigendecompose, mp_eigenvalues, verdict_of
 
@@ -398,6 +407,62 @@ def test_cholesky_factor_matches_the_column_loop(case):
         # the two orders of summation part by about cond(A) eps
         bound = 1e-12 * max(1.0, cond / 100.0) * np.abs(ref).max()
         assert np.abs(low - ref).max() <= bound
+
+
+@st.composite
+def spd_pairs(draw):
+    """A symmetric positive definite A = Q diag(w) Q^T, n = 1..8, largest
+    eigenvalue 1 and the smallest 10^-c, c <= 6, a symmetric B with normal
+    entries, and exponents j and k from -400 up to the last at which 4^j A
+    and 4^k B are finite."""
+    n = draw(st.integers(1, 8), label="n")
+    c = draw(st.floats(0.0, 6.0), label="c")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    w = 10.0 ** rng.uniform(-c, 0.0, n)
+    w[0], w[-1] = 10.0**-c, 1.0
+    q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    a, b = (q * w) @ q.T, rng.standard_normal((n, n))
+    a, b = (a + a.T) / 2.0, (b + b.T) / 2.0
+    j, k = (
+        draw(st.integers(-400, (1024 - math.frexp(float(np.abs(m).max()))[1]) // 2), label=name)
+        for m, name in ((a, "j"), (b, "k"))
+    )
+    return a, b, j, k
+
+
+def _scaled_or_refused(kernel, name, scaled, base, exponent):
+    """``kernel(*scaled)`` is ``base`` times 2^exponent bit for bit where that
+    is a float, or a ValueError naming ``name``; never inf or nan."""
+    try:
+        expected = math.ldexp(base, exponent)
+    except OverflowError:
+        with pytest.raises(ValueError, match=f"the {name}, about 1e.*, is outside the float range"):
+            kernel(*scaled)
+        return
+    got = kernel(*scaled)
+    assert math.isfinite(got) and got == expected, (name, got, expected)
+
+
+@PROPERTY
+@given(spd_pairs())
+def test_every_kernel_scales_back_exactly_or_refuses_by_name(case):
+    # the kernels read 4^j A at unit scale, so they take the same unit-scale
+    # bits at every j and scale back only what they return: the smallest
+    # eigenvalue and the determinant by 4^j and 4^(n j), the Cholesky factor
+    # by 2^j, the log det derivatives by 4^(k - j) and 16^(k - j).  A number
+    # past the largest float is refused by name, with no RuntimeWarning
+    a, b, j, k = case
+    n = len(a)
+    big_a, big_b = np.ldexp(a, 2 * j), np.ldexp(b, 2 * k)
+    _scaled_or_refused(smallest_eigenvalue, "smallest eigenvalue", (big_a,),
+                       smallest_eigenvalue(a), 2 * j)
+    _scaled_or_refused(determinant, "determinant", (big_a,), determinant(a), 2 * n * j)
+    _scaled_or_refused(logdet_directional_derivative, "directional derivative",
+                       (big_a, big_b), logdet_directional_derivative(a, b), 2 * (k - j))
+    _scaled_or_refused(logdet_second_derivative, "second derivative",
+                       (big_a, big_b), logdet_second_derivative(a, b), 4 * (k - j))
+    low = cholesky(big_a)
+    assert np.isfinite(low).all() and np.array_equal(low, np.ldexp(cholesky(a), j))
 
 
 @st.composite
