@@ -56,6 +56,7 @@ from .simplex import (
     NotRealizable,
     SquaredEdgeLengths,
     Verdict,
+    _as_floats,
     _check_k_faces,
     edge_count,
     face_volume,
@@ -146,6 +147,8 @@ def _instance_from_text(text: str) -> tuple[SquaredEdgeLengths, bool]:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise UsageError(f"malformed instance: {exc}") from exc
+    except RecursionError:  # the parser recurses once per level of nesting
+        raise UsageError("malformed instance: nested too deeply") from None
     if not isinstance(obj, dict):
         raise UsageError("instance must be a JSON object")
     unknown = set(obj) - _ALLOWED_KEYS
@@ -169,7 +172,7 @@ def _instance_from_text(text: str) -> tuple[SquaredEdgeLengths, bool]:
         raise UsageError(
             f"dimension {n} needs {expected} edge entries (n(n+1)/2), got {len(values)}"
         )
-    arr = np.array(values, dtype=float)
+    arr = _as_floats(values)
     if lengths:
         if not (np.isfinite(arr) & (arr > 0.0)).all():  # -2 must not pass as 2
             raise UsageError("every length must be a positive finite number")

@@ -21,7 +21,6 @@ SVD of the dual Gram.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,13 +92,12 @@ def outward_normals(emb: SimplexEmbedding) -> np.ndarray:
 def dual_gram(ell: SquaredEdgeLengths, *, pd_tol: float = DEFAULT_PD_TOL) -> DualGramReport:
     """Dual Gram matrix, facet areas, and identity residuals, all read off
     the one eigendecomposition that classifies G; raises NotRealizable unless
-    the verdict is Valid, ValueError if an area is outside the float range."""
+    the verdict is Valid, and ValueError naming its magnitude if an area
+    would overflow or round to 0."""
     w, shift, normals, lengths, gstar = _spectral_dual(ell, pd_tol)
     # A_i = n V |grad_i| with V = prod(sqrt w) / n!: n V alone can
     # overflow while every area is finite
-    areas = _root_product_over_factorial(w, ell.n - 1, lengths, shift)
-    if not ((0.0 < areas) & (areas < math.inf)).all():
-        raise ValueError("a facet area is outside the float range")
+    areas = _root_product_over_factorial(w, ell.n - 1, shift, "facet area", lengths)
     unit = lengths / lengths.max()  # proportional to the areas, and always finite
     unit_norm = float(np.linalg.norm(unit))
     return DualGramReport(

@@ -155,6 +155,7 @@ class _FaceWorkspace:
     L = frame G^-1 frame^T, which the gradient and the Hessian both read."""
 
     def __init__(self, n: int, k: int):
+        _check_k_faces(n, k)  # raised before functools.cache keeps a workspace
         self.n = n
         self.k = k
         self.faces = np.array(list(combinations(range(n + 1), k + 1)))
@@ -210,6 +211,15 @@ def _raw_value(ws: _FaceWorkspace, kind: ObjectiveKind, s: np.ndarray) -> tuple 
         return float(0.5 * np.log(dets).sum() - len(ws.faces) * ws.log_kfact), 0.5, grams
     roots = dets ** (0.5 / ws.k) / ws.kfact_root
     return float(roots.sum()), 0.5 * (roots / ws.k)[:, None], grams
+
+
+def _valid_value(ws: _FaceWorkspace, kind: ObjectiveKind, s: np.ndarray, pd_tol: float):
+    """:func:`_raw_value` of a caller's point; refused unless Valid, or if a face collapses."""
+    _valid_spectrum(SquaredEdgeLengths(ws.n, s), pd_tol)
+    evaluated = _raw_value(ws, kind, s)
+    if evaluated is None:
+        raise NotRealizable("a face volume vanished")
+    return evaluated
 
 
 def _raw_gradient(ws: _FaceWorkspace, grams: np.ndarray, weight) -> tuple:
@@ -321,16 +331,11 @@ def _evaluate(ell: SquaredEdgeLengths, objective: Objective, pd_tol: float):
     """The objective value, and what its gradient needs: the workspace, the
     face weights and Grams of s / 4^m and the factor that maps the gradient
     back."""
-    _check_k_faces(ell.n, objective.k)
     ws = _workspace(ell.n, objective.k)
     # the mean of the quotients: the plain sum can overflow near the float maximum
     m, a, b, c = _unit_mean(ws, objective.kind, float((ell.s / ell.s.size).sum()))
-    s = np.ldexp(ell.s, -2 * m)
-    _valid_spectrum(SquaredEdgeLengths(ell.n, s), pd_tol)
-    evaluated = _raw_value(ws, objective.kind, s)
-    if evaluated is None:
-        raise NotRealizable("a face volume vanished")
-    return evaluated[0] * a + b, (ws, *evaluated[1:], c)
+    value, weight, grams = _valid_value(ws, objective.kind, np.ldexp(ell.s, -2 * m), pd_tol)
+    return value * a + b, (ws, weight, grams, c)
 
 
 def objective_value(
@@ -422,9 +427,10 @@ def maximize(
     is, when the gradient is nearly normal to the hyperplane.  Raises
     :class:`MaxIterations` or :class:`StepIntoInvalidRegion` (each carrying
     the partial trace) instead of returning an unconverged result, and
-    ``ValueError`` for a bad start, total or k (:class:`NotRealizable` for
-    a start that is not Valid), for a subnormal mean, and past
-    ``MAX_FACES`` k-faces.
+    ``ValueError`` for a bad k, total or start, for a subnormal mean, and
+    past ``MAX_FACES`` k-faces.  The projected start passes the one check
+    :func:`objective_value` makes (:class:`NotRealizable` unless Valid, or
+    if "a face volume vanished").
 
     The start's verdict comes from one eigendecomposition; each
     candidate's is :func:`validate`'s verdict, prescaled ``eigh`` and band,
@@ -436,11 +442,10 @@ def maximize(
     (plus the rounding of the hyperplane re-projection), so recorded
     values are nondecreasing only up to it.
     """
-    _check_k_faces(n, objective.k)
+    ws = _workspace(n, objective.k)  # refuses a bad k before a bad total
     if not (total > 0.0) or not math.isfinite(total):
         raise ValueError("total must be a positive finite number")
     edges = edge_count(n)
-    ws = _workspace(n, objective.k)
     kind = objective.kind
     m, a, b, _ = _unit_mean(ws, kind, total / edges)
     if start is None:
@@ -459,12 +464,8 @@ def maximize(
     x += (total - x.sum()) / edges  # affine projection onto the hyperplane
     if (x <= 0.0).any():
         raise ValueError("start projects outside the positive orthant")
-    _valid_spectrum(SquaredEdgeLengths(n, x), pd_tol)
     step = 0.1 * total / edges
-    evaluated = _raw_value(ws, kind, x)
-    if evaluated is None:
-        raise NotRealizable("a face of the start collapsed")
-    f, weight, grams = evaluated
+    f, weight, grams = _valid_value(ws, kind, x, pd_tol)
 
     iterates: list[tuple[np.ndarray, float, float]] = []
     rejections = dict.fromkeys(_REJECTION_REASONS, 0)

@@ -114,11 +114,16 @@ def _unit_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Ascending eigenvalues and eigenvectors of M / 2^shift, and the shift,
     for a finite symmetric M or each matrix of a stack along the leading axes.
 
-    The shift puts the largest entry of M / 2^shift in [0.5, 1), an exact
-    rescale that keeps every square in the float range; nothing is scaled
-    back, so nothing overflows, and M and 2^k M give the same bits but the
-    shift (short of subnormal entries).  Each matrix of a stack gets its own
-    shift, so a stack gives the bits that one call per matrix gives.
+    The shift puts the largest entry of M / 2^shift in [0.5, 1), a rescale
+    by a power of two that keeps every square in the float range; nothing is
+    scaled back, so nothing overflows, and M and 2^k M give the same bits but
+    the shift wherever 2^k M is exact.  The rescale is exact but for entries
+    that fall below 2^-1022 at unit scale, which lose bits; an entry more than
+    2^1074 below the largest reads as 0, so a matrix whose entries span more
+    than the float range is singular to working precision:
+    ``determinant(diag(1e200, 1e200, 1e-300))`` reads 0.0.  Each matrix of a
+    stack gets its own shift, so a stack gives the bits that one call per
+    matrix gives.
     """
     shift = np.frexp(np.abs(m).max(axis=(-2, -1), keepdims=True))[1]
     try:

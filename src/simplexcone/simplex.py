@@ -104,6 +104,17 @@ def edge_index(n: int, i: int, j: int) -> int:
     return i * n - i * (i - 1) // 2 + (j - i - 1)
 
 
+def _as_floats(values) -> np.ndarray:
+    """``np.array(values, dtype=float)``, save that an integer past the largest
+    float, which NumPy refuses with OverflowError, reads as inf of its sign."""
+    try:
+        return np.array(values, dtype=float)
+    except OverflowError:
+        if isinstance(values, int):
+            return np.array(math.inf if values > 0 else -math.inf)
+        return np.array([_as_floats(v) for v in values])
+
+
 @dataclass(frozen=True)
 class SquaredEdgeLengths:
     """Squared edge lengths of an n-simplex, in lexicographic edge order."""
@@ -113,7 +124,7 @@ class SquaredEdgeLengths:
 
     def __post_init__(self) -> None:
         _check_dimension(self.n)
-        arr = np.array(self.s, dtype=float)
+        arr = _as_floats(self.s)  # inf past the float range, refused by position below
         if arr.ndim != 1 or arr.size != edge_count(self.n):
             raise ValueError(
                 f"dimension {self.n} needs {edge_count(self.n)} squared lengths, "
@@ -315,19 +326,25 @@ def embed(ell: SquaredEdgeLengths, *, pd_tol: float = DEFAULT_PD_TOL) -> Simplex
     return SimplexEmbedding(n=ell.n, vertices=low.T.copy())
 
 
-def _root_product_over_factorial(w: np.ndarray, n: int, scale=1.0, shift=0):
+def _root_product_over_factorial(w: np.ndarray, n: int, shift, name: str, scale=1.0):
     """``scale * prod(sqrt(2^shift w)) / n!``, the powers of two summed apart (a root
-    is 2^floor(shift / 2) sqrt(2^(shift mod 2) w_i)): nothing leaves the float range
-    unless the result does (then it reads 0 or inf, without a warning), and the split is
-    exact, so it changes no bit of an in-range result.  171! is no float; its mantissa
-    is, correctly rounded."""
+    is 2^floor(shift / 2) sqrt(2^(shift mod 2) w_i)): the split is exact, so it changes
+    no bit of an in-range result, and a result (one per entry of ``scale``) that would
+    overflow or round to 0 raises ValueError with ``name`` and its magnitude, read off
+    the split.  171! is no float; its mantissa is, correctly rounded."""
     mant, expo = np.frexp(np.sqrt(np.ldexp(w, shift % 2)))
     f = math.factorial(n)
-    with np.errstate(over="ignore", under="ignore"):
-        return np.ldexp(
-            scale * (np.prod(mant) / (f / (1 << f.bit_length()))),
-            int(expo.sum()) + w.size * (shift // 2) - f.bit_length(),
-        )
+    power = int(expo.sum()) + w.size * int(shift // 2) - f.bit_length()
+    heads = scale * (np.prod(mant) / (f / (1 << f.bit_length())))
+    for head in np.ravel(heads):
+        try:
+            if math.ldexp(head, power) > 0.0:  # raises where np.ldexp would read inf
+                continue
+        except OverflowError:
+            pass
+        digits = math.log10(head) + power * math.log10(2.0)
+        raise ValueError(f"the {name}, about 1e{digits:+.0f}, is outside the float range")
+    return np.ldexp(heads, power)
 
 
 def volume(ell: SquaredEdgeLengths, *, pd_tol: float = DEFAULT_PD_TOL) -> float:
@@ -337,19 +354,14 @@ def volume(ell: SquaredEdgeLengths, *, pd_tol: float = DEFAULT_PD_TOL) -> float:
     determinant never leaks through as a tiny positive volume.  A Valid
     instance whose volume lies outside the float range (a regular
     tetrahedron at squared lengths 1e-300 or 1e300) raises ValueError
-    rather than reading 0.0, the Degenerate answer, or inf.
+    naming its magnitude rather than reading 0.0, the Degenerate answer, or inf.
     """
     _, (w, _, shift), verdict, _ = _spectrum(ell, pd_tol)
     if verdict is Verdict.INVALID:
         raise NotRealizable("no Euclidean simplex has these squared edge lengths")
     if verdict is Verdict.DEGENERATE:
         return 0.0
-    vol = float(_root_product_over_factorial(w, ell.n, shift=shift))
-    if not 0.0 < vol < math.inf:
-        digits = 0.5 * float(np.log10(w).sum() + ell.n * shift * math.log10(2.0))
-        digits -= math.log10(math.factorial(ell.n))
-        raise ValueError(f"the volume, about 1e{digits:+.0f}, is outside the float range")
-    return vol
+    return float(_root_product_over_factorial(w, ell.n, shift, "volume"))
 
 
 def _check_k_faces(n: int, k: int) -> None:

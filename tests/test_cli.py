@@ -31,6 +31,10 @@ UNIT_TETRA = '{"dimension": 3, "squared_lengths": [1, 1, 1, 1, 1, 1]}'
 RIGHT_TRIANGLE = '{"dimension": 2, "squared_lengths": [1, 1, 2]}'
 COLLINEAR = '{"dimension": 2, "squared_lengths": [1, 9, 4]}'
 FLAT_APEX = '{"dimension": 3, "squared_lengths": [0.2601, 0.2601, 0.2601, 1, 1, 1]}'
+#: a 401-digit integer entry, which no float holds
+HUGE_INTEGER_ENTRY = '{"dimension": 1, "squared_lengths": [1%s]}' % ("0" * 400)
+#: an entry nested 3000 deep, past the JSON parser's recursion limit
+DEEP_INSTANCE = '{"dimension": 1, "squared_lengths": %s}' % ("[" * 3000 + "]" * 3000)
 
 
 def run_json(capsys, argv):
@@ -728,11 +732,12 @@ REGULAR5_4E307 = json.dumps({"dimension": 5, "squared_lengths": [4e307] * 15})
 def test_an_overflowing_gram_spectrum_exits_1(capsys, argv, tolerance):
     # the verdict is read (Valid), but the volumes (about 1e767 for the
     # whole simplex, 1e614 for a facet and 1e461 for a tetrahedron) and the
-    # facet areas are past the largest float: refused by name, never inf or 0
+    # facet areas (1e614) are past the largest float: refused by name and
+    # magnitude, never inf or 0
     assert run(argv + tolerance) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    expected = {"dual": "a facet area"}.get(argv[0], "the volume, about 1e+")
+    expected = {"dual": "the facet area, about 1e+614"}.get(argv[0], "the volume, about 1e+")
     assert captured.err.startswith("error: " + expected), captured.err
     assert captured.err.endswith(" is outside the float range\n"), captured.err
     assert captured.err.count("\n") == 1
@@ -858,6 +863,10 @@ def test_instance_shape_refusals_are_usage_errors(tmp_path, capsys):
     _assert_usage_error(
         capsys, ["validate", '{"squared_lengths": [1, 1, 1]}'], "instance is missing 'dimension'"
     )
+    _assert_usage_error(capsys, ["validate", DEEP_INSTANCE], "nested too deeply")
+    _assert_usage_error(capsys, ["validate", HUGE_INTEGER_ENTRY], "at position 0 (edge (0, 1))")
+    huge_length = HUGE_INTEGER_ENTRY.replace("squared_lengths", "lengths")
+    _assert_usage_error(capsys, ["validate", huge_length], "every length must be a positive")
 
 
 def test_a_closed_stdout_keeps_the_exit_code_and_prints_no_traceback():
@@ -1270,6 +1279,8 @@ def _assert_finite(value):
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=150)
 @given(_argv())
+@example(["validate", HUGE_INTEGER_ENTRY, "--no-timestamp"])
+@example(["validate", DEEP_INSTANCE, "--no-timestamp"])
 @example(["probe", REGULAR5_1E_160, REGULAR5_1E160, "--mode", "root", "--no-timestamp"])
 @example(["probe", REGULAR5_1E_160, REGULAR5_1E160, "--mode", "log", "--no-timestamp"])
 @example(["validate", '{"dimension": 1, "lengths": [1e300]}', "--no-timestamp"])

@@ -262,8 +262,9 @@ def test_dual_gram_regular_tetrahedron_far_from_unit_scale(scale):
 def test_dual_gram_refuses_an_overflowing_gram_spectrum():
     # Valid at every scale, and judged so, but at 8e307 the Gram matrix's
     # largest eigenvalue is past the largest float, and so are the facet
-    # areas, about 1e614: the areas themselves are refused
-    with pytest.raises(ValueError, match="a facet area is outside the float range"):
+    # areas, about 1e614: the areas themselves are refused, with their magnitude
+    refusal = r"^the facet area, about 1e\+614, is outside the float range$"
+    with pytest.raises(ValueError, match=refusal):
         dual_gram(SquaredEdgeLengths(5, np.full(15, 8e307)))
 
 

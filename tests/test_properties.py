@@ -1,5 +1,6 @@
 """Property tests: verdicts under exact rescaling up to the largest float
-and relabeling, the volume's power of two, the agreement of validate,
+and relabeling, the volume's power of two, the magnitude that a refused
+volume or facet area names, the agreement of validate,
 embed and volume, the dual Gram data, the face-volume objectives, their
 gradients and their maximum under relabeling, every public linalg kernel's exact
 scale-back or named refusal up to the largest float, validate and the Cholesky kernel
@@ -19,6 +20,7 @@ derandomized, so every run checks the same examples.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -166,8 +168,63 @@ def test_verdict_and_scaled_eigenvalue_survive_power_of_two_rescaling(case, data
         if 0.0 < expected < math.inf:
             assert volume(quartered) == expected
         else:
-            with pytest.raises(ValueError, match="outside the float range"):
+            with pytest.raises(ValueError, match="^the volume, about 1e") as refused:
                 volume(quartered)
+            # and names its magnitude, 2^(n j) sqrt(det G) / n!
+            import mpmath
+
+            with mpmath.workdps(50):
+                gram = mpmath.matrix(gram_from_squared_lengths(ell).tolist())
+                exact = (
+                    ell.n * j * mpmath.log10(2)
+                    + mpmath.log10(mpmath.det(gram)) / 2
+                    - mpmath.log10(mpmath.factorial(ell.n))
+                )
+            assert abs(_named_exponent(refused.value) - exact) <= 1
+
+
+def _named_exponent(refusal: ValueError) -> int:
+    """The decimal exponent of "the <name>, about 1e+767, is outside the float range"."""
+    pattern = r"the [a-z ]+, about 1e([+-]\d+), is outside the float range"
+    match = re.fullmatch(pattern, str(refusal))
+    assert match, str(refusal)
+    return int(match.group(1))
+
+
+def _answers_or_names_its_magnitude(call, exact) -> None:
+    """``call()`` answers where ``10^exact`` rounds to a nonzero float, to 1e-12
+    where that is normal, and is refused past either end (half the smallest
+    subnormal rounds to 0) with a decimal exponent within 1 of ``exact``."""
+    lowest, highest = -1075 * math.log10(2.0), math.log10(HUGE)
+    try:
+        got = np.asarray(call())
+    except ValueError as refused:
+        assert abs(_named_exponent(refused) - exact) <= 1
+        assert not lowest + 1e-9 < exact < highest - 1e-9
+    else:
+        assert lowest - 1e-9 < exact < highest + 1e-9
+        if got.min() >= TINY:
+            assert np.abs(got / float(10**exact) - 1.0).max() <= 1e-12
+
+
+@PROPERTY
+@given(st.integers(2, 12), st.floats(1.0, 2.0, exclude_max=True), st.integers(-1022, 1023))
+def test_a_regular_volume_and_facet_area_answer_or_name_their_magnitude(n, mantissa, e):
+    # the regular m-simplex at squared length s has volume
+    # s^(m/2) sqrt((m + 1) / 2^m) / m!, and each facet of the regular
+    # n-simplex is the regular (n-1)-simplex
+    import mpmath
+
+    s = math.ldexp(mantissa, e)
+    ell = SquaredEdgeLengths(n, np.full(n * (n + 1) // 2, s))
+    with mpmath.workdps(50):
+        for call, m in ((lambda: volume(ell), n), (lambda: dual_gram(ell).areas, n - 1)):
+            exact = (
+                m * mpmath.log10(s) / 2
+                + (mpmath.log10(m + 1) - m * mpmath.log10(2)) / 2
+                - mpmath.log10(mpmath.factorial(m))
+            )
+            _answers_or_names_its_magnitude(call, exact)
 
 
 @PROPERTY

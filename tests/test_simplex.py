@@ -99,6 +99,12 @@ def test_instance_rejects_nonpositive_entries():
         SquaredEdgeLengths(2, np.array([1.0, -1.0, 1.0]))
     with pytest.raises(ValueError, match="positive finite"):
         SquaredEdgeLengths(2, np.array([1.0, np.inf, 1.0]))
+    # an integer past the largest float, which NumPy will not convert, reads inf
+    for entries in ([10**400], [-(10**400)]):
+        with pytest.raises(ValueError, match=r"at position 0 \(edge \(0, 1\)\) must be a pos"):
+            SquaredEdgeLengths(1, entries)
+    with pytest.raises(ValueError, match=r"at position 2 \(edge \(1, 2\)\)"):
+        SquaredEdgeLengths(2, [1, 1.0, 10**400])
     for total in (0.0, -1.0, np.inf, np.nan):
         with pytest.raises(ValueError, match="positive finite"):
             regular_simplex(2, total)
