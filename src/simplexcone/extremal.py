@@ -41,6 +41,7 @@ from .linalg import DEFAULT_PD_TOL, NotPositiveDefinite, _cholesky_factor
 from .simplex import (
     NotRealizable,
     SquaredEdgeLengths,
+    _certified_valid,
     _check_k_faces,
     _edge_table,
     _frozen,
@@ -48,8 +49,8 @@ from .simplex import (
     _gram_stack,
     _pairs,
     _polarize,
+    _valid_gram,
     _valid_grams,
-    _valid_spectrum,
     edge_count,
     regular_simplex,
 )
@@ -199,11 +200,14 @@ def _unit_mean(ws: _FaceWorkspace, kind: ObjectiveKind, mean: float) -> tuple[in
     return m, 2.0**m, 0.0, 2.0**-m
 
 
-def _raw_value(ws: _FaceWorkspace, kind: ObjectiveKind, s: np.ndarray) -> tuple | None:
+def _raw_value(
+    ws: _FaceWorkspace, kind: ObjectiveKind, s: np.ndarray, gram: np.ndarray
+) -> tuple | None:
     """Objective value, face weights (half its derivative in each face's log
     volume: 1/2, or root / (2k) for sumroot) and the face Grams they were
-    read from, or None if a face collapses."""
-    grams = _polarize(s[ws.apex], s[ws.pair])
+    read from, or None if a face collapses.  ``gram``, the Gram matrix of s,
+    is the one face Gram at k = n."""
+    grams = gram[None] if ws.k == ws.n else _polarize(s[ws.apex], s[ws.pair])
     dets = np.linalg.det(grams)
     if not np.isfinite(dets).all() or (dets <= 0.0).any():
         return None
@@ -214,9 +218,11 @@ def _raw_value(ws: _FaceWorkspace, kind: ObjectiveKind, s: np.ndarray) -> tuple 
 
 
 def _valid_value(ws: _FaceWorkspace, kind: ObjectiveKind, s: np.ndarray, pd_tol: float):
-    """:func:`_raw_value` of a caller's point; refused unless Valid, or if a face collapses."""
-    _valid_spectrum(SquaredEdgeLengths(ws.n, s), pd_tol)
-    evaluated = _raw_value(ws, kind, s)
+    """:func:`_raw_value` of a caller's point; refused unless Valid, or if a face
+    collapses.  The verdict is :func:`validate`'s, read off the Cholesky
+    factor where it proves Valid (``simplex._valid_gram``)."""
+    gram = _valid_gram(SquaredEdgeLengths(ws.n, s), pd_tol)
+    evaluated = _raw_value(ws, kind, s, gram)
     if evaluated is None:
         raise NotRealizable("a face volume vanished")
     return evaluated
@@ -379,23 +385,26 @@ def _judge_candidate(
 
     The candidate must lie in the domain, which is the library's Valid
     verdict, and gain ``predicted`` less ``allowance``; the tests run
-    cheapest first.  The Gram matrix is built once and feeds both the
-    Cholesky screen and the closing verdict, :func:`validate`'s own
-    prescaled ``eigh`` and band (``simplex._valid_grams``).
+    cheapest first.  The Gram matrix is built once; it is the one face Gram
+    at k = n, and it feeds the Cholesky screen and the closing verdict.  That
+    verdict reads the screen's factor first (``simplex._certified_valid``):
+    where the factor proves the candidate Valid, no eigensolver runs.  Where it
+    declines, :func:`validate`'s own prescaled ``eigh`` and band decide
+    (``simplex._valid_grams``).  Either way the verdict is :func:`validate`'s.
     """
     if (cand <= 0.0).any():
         return "non_positive", None
     gram = _gram_stack(ws.n, cand)
     try:
-        _cholesky_factor(gram)
+        low = _cholesky_factor(gram)
     except NotPositiveDefinite:
         return "cholesky_screen", None
-    evaluated = _raw_value(ws, kind, cand)
+    evaluated = _raw_value(ws, kind, cand, gram)
     if evaluated is None:
         return "face_collapse", None
     if evaluated[0] < f + predicted - allowance:
         return "armijo", None
-    if not _valid_grams(gram, pd_tol):
+    if not (_certified_valid(gram, low, pd_tol) or _valid_grams(gram, pd_tol)):
         return "not_valid", None
     return None, evaluated
 
@@ -432,15 +441,18 @@ def maximize(
     :func:`objective_value` makes (:class:`NotRealizable` unless Valid, or
     if "a face volume vanished").
 
-    The start's verdict comes from one eigendecomposition; each
-    candidate's is :func:`validate`'s verdict, prescaled ``eigh`` and band,
-    on the Gram matrix its Cholesky screen factored, once every cheaper
-    test has passed.  So every recorded iterate and the final point read
-    Valid under :func:`validate` at ``pd_tol``, bit for bit.  The tests
-    also hold every iterate's verdict and spectrum to an independent
-    reference solver.  The rounding allowance is a few machine epsilons
-    (plus the rounding of the hyperplane re-projection), so recorded
-    values are nondecreasing only up to it.
+    The start's verdict and each candidate's, once every cheaper test
+    has passed, are :func:`validate`'s, on the Gram matrix the Cholesky
+    screen factored.  The factor certifies Valid where it proves it
+    (``simplex._certified_valid``: prod L_ii^2 / ||G||_F^n bounds
+    lambda_min / lambda_max from below); elsewhere :func:`validate`'s
+    prescaled ``eigh`` and band decide.  So every recorded iterate and the
+    final point read Valid under :func:`validate` at ``pd_tol``, bit for
+    bit, and the certificate changes no step.  The tests also hold every
+    iterate's verdict and spectrum to an independent reference solver.
+    The rounding allowance is a few machine epsilons (plus the rounding of
+    the hyperplane re-projection), so recorded values are nondecreasing
+    only up to it.
     """
     ws = _workspace(n, objective.k)  # refuses a bad k before a bad total
     if not (total > 0.0) or not math.isfinite(total):

@@ -143,13 +143,18 @@ def _scaled_back(x, shift, name: str) -> float:
         raise ValueError(f"the {name}, about 1e{digits:+.0f}, is outside the float range") from None
 
 
+def _check_tolerance(tol: float) -> float:
+    """``tol``, or ValueError unless it is a nonnegative finite number."""
+    if not 0.0 <= tol < math.inf:  # a negative band calls indefinite matrices PD
+        raise ValueError(f"tolerance must be a nonnegative finite number, got {tol}")
+    return tol
+
+
 def _band(w, tol: float):
     """Half-width ``tol * max|w|`` of the band in which an eigenvalue counts
     as zero, per spectrum along the last axis of ``w`` (a stack).  Relative
     to the spectrum, so every verdict is the same at every scale."""
-    if not 0.0 <= tol < math.inf:  # a negative band calls indefinite matrices PD
-        raise ValueError(f"tolerance must be a nonnegative finite number, got {tol}")
-    return tol * np.abs(w).max(axis=-1)
+    return _check_tolerance(tol) * np.abs(w).max(axis=-1)
 
 
 def _positive_definite(w, pd_tol: float):

@@ -35,7 +35,9 @@ import numpy as np
 
 from .linalg import (
     DEFAULT_PD_TOL,
+    NotPositiveDefinite,
     _band,
+    _check_tolerance,
     _cholesky_factor,
     _positive_definite,
     _scaled_back,
@@ -66,6 +68,9 @@ __all__ = [
     "volume",
 ]
 
+
+_EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
 
 #: Most k-faces a whole-face computation may enumerate.  C(n+1, k+1)
 #: outgrows memory (and time) long before the per-face work gets hard:
@@ -125,7 +130,9 @@ class SquaredEdgeLengths:
     def __post_init__(self) -> None:
         _check_dimension(self.n)
         arr = _as_floats(self.s)  # inf past the float range, refused by position below
-        if arr.ndim != 1 or arr.size != edge_count(self.n):
+        if arr.ndim != 1:
+            raise ValueError(f"squared lengths must form a flat list, got shape {arr.shape}")
+        if arr.size != edge_count(self.n):
             raise ValueError(
                 f"dimension {self.n} needs {edge_count(self.n)} squared lengths, "
                 f"got {arr.size}"
@@ -287,6 +294,28 @@ def _valid_grams(g: np.ndarray, pd_tol: float) -> np.ndarray:
     return _positive_definite(_unit_eigh(g)[0], pd_tol)
 
 
+def _certified_valid(g: np.ndarray, low: np.ndarray, pd_tol: float) -> bool:
+    """True only where :func:`_valid_grams` must read Valid, decided from the
+    computed Cholesky factor ``low`` of the n-by-n Gram matrix ``g``, with no
+    eigensolver.
+
+    det G = prod L_ii^2 and lambda_max <= ||G||_F, so lambda_min / lambda_max
+    >= prod (L_ii^2 / ||G||_F).  The product must clear pd_tol (1 + 1e-6) +
+    1e3 n^2 eps: about 100 times the factor's backward error, ||dG|| <= n (n +
+    1) eps ||G|| / 2 (Higham, Accuracy and Stability of Numerical Algorithms,
+    Thm 10.3-10.4), plus the eigenvalue error p(n) eps ||G|| of the unit-scale
+    ``eigh`` (Demmel, Applied Numerical Linear Algebra, 5.2), and the product's
+    own rounding.  False, leaving the verdict to the eigensolver, near the
+    band, for a flat G, and where ||G||_F^2 leaves the normal range or the
+    product underflows.  A bad ``pd_tol`` is refused as :func:`_band` refuses it.
+    """
+    threshold = _check_tolerance(pd_tol) * (1.0 + 1e-6) + 1e3 * g.size * _EPS
+    squares = float(np.vdot(g, g))  # inf past the float range, which declines
+    if not squares >= _TINY:  # a sum of subnormal squares lost its bits
+        return False
+    return float(np.prod(np.diagonal(low) / math.sqrt(math.sqrt(squares)))) ** 2 > threshold
+
+
 def _valid_spectrum(ell: SquaredEdgeLengths, pd_tol: float) -> tuple[np.ndarray, tuple]:
     """The Gram matrix and its unit-scale decomposition for a Valid
     instance; raises :class:`NotRealizable` for any other verdict."""
@@ -294,6 +323,20 @@ def _valid_spectrum(ell: SquaredEdgeLengths, pd_tol: float) -> tuple[np.ndarray,
     if verdict is not Verdict.VALID:
         raise NotRealizable(f"needs a Valid instance, verdict is {verdict.value}")
     return g, eig
+
+
+def _valid_gram(ell: SquaredEdgeLengths, pd_tol: float) -> np.ndarray:
+    """The Gram matrix of a Valid instance, certified by its Cholesky factor
+    where the factor proves it (:func:`_certified_valid`) and by
+    :func:`_valid_spectrum` elsewhere; raises :class:`NotRealizable` for any
+    other verdict."""
+    g = gram_from_squared_lengths(ell)
+    try:
+        if _certified_valid(g, _cholesky_factor(g), pd_tol):
+            return g
+    except NotPositiveDefinite:
+        pass
+    return _valid_spectrum(ell, pd_tol)[0]
 
 
 def validate(ell: SquaredEdgeLengths, *, pd_tol: float = DEFAULT_PD_TOL) -> ValidityReport:

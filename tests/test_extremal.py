@@ -9,6 +9,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 import simplexcone.extremal as extremal_module
+import simplexcone.simplex as simplex_module
 from simplexcone import (
     DEFAULT_PD_TOL,
     MAX_FACES,
@@ -34,6 +35,8 @@ from simplexcone import (
     validate,
     volume,
 )
+
+from simplexcone.simplex import _gram_stack
 
 from oracles import jacobi_eigendecompose, mp_eigenvalues, verdict_of
 
@@ -277,7 +280,7 @@ def test_gradient_scatter_matches_add_at_reference_bitwise():
             ws = extremal_module._workspace(n, k)
             for kind in (LOGPROD, SUMROOT):
                 s = random_simplex(n, rng, total=float(edge_count(n))).s
-                _, weight, grams = extremal_module._raw_value(ws, kind, s)
+                _, weight, grams = extremal_module._raw_value(ws, kind, s, _gram_stack(ws.n, s))
                 got = extremal_module._raw_gradient(ws, grams, weight)[0]
                 assert np.array_equal(got, _scatter_reference(n, k, kind, s)), (n, k)
 
@@ -312,7 +315,7 @@ def _assembled_hessian(ell, kind, k):
     # the optimizer's Hessian at unit mean, where it is also the Hessian
     # of objective_value itself
     ws = extremal_module._workspace(ell.n, k)
-    _, weight, grams = extremal_module._raw_value(ws, kind, ell.s)
+    _, weight, grams = extremal_module._raw_value(ws, kind, ell.s, _gram_stack(ws.n, ell.s))
     bordered = extremal_module._raw_gradient(ws, grams, weight)[1]
     neg = extremal_module._curvature(ws, kind, bordered, weight)
     return -(np.diag(neg) if k == 1 else neg)  # at k = 1 only the diagonal
@@ -394,7 +397,7 @@ def _row_gather_curvature(ws, kind, bordered, weight):
 
 def _both_curvatures(ell, kind, k):
     ws = extremal_module._workspace(ell.n, k)
-    _, weight, grams = extremal_module._raw_value(ws, kind, ell.s)
+    _, weight, grams = extremal_module._raw_value(ws, kind, ell.s, _gram_stack(ws.n, ell.s))
     bordered = extremal_module._raw_gradient(ws, grams, weight)[1]
     return (
         extremal_module._curvature(ws, kind, bordered, weight),
@@ -719,22 +722,90 @@ def test_maximize_runs_no_eigensolver_of_its_own(monkeypatch):
         assert got.rejections == want.rejections
 
 
-def test_maximize_makes_one_eigendecompose_call(unit_eigh_calls):
-    # the start's verdict is the one eigendecomposition of a run that is not a
-    # candidate's: every other call of the eigensolver kernel is the closing
-    # verdict of one candidate, an accepted step or a "not_valid" rejection
+def _certificates(monkeypatch, replacement=None):
+    """The Cholesky certificate's verdicts, in call order, on the start (which
+    ``simplex`` judges) and on the candidates (which ``extremal`` judges);
+    ``replacement`` takes its place if given."""
+    verdicts = []
+    original = simplex_module._certified_valid
+
+    def recording(g, low, pd_tol):
+        verdicts.append((replacement or original)(g, low, pd_tol))
+        return verdicts[-1]
+
+    for module in (simplex_module, extremal_module):
+        monkeypatch.setattr(module, "_certified_valid", recording)
+    return verdicts
+
+
+def test_maximize_makes_one_eigendecompose_call(monkeypatch, unit_eigh_calls):
+    # every Valid decision of a run, the start's and each candidate's closing
+    # verdict (an accepted step or a "not_valid" rejection), asks the Cholesky
+    # certificate first, and the eigensolver kernel runs once for each one
+    # the certificate declines
+    certificates = _certificates(monkeypatch)
     rng = np.random.default_rng(5)
     iterations = 0
     for _ in range(4):
         start = random_simplex(5, rng, total=10.0)
         unit_eigh_calls.clear()
+        certificates.clear()
         trace = maximize(5, 10.0, Objective(LOGPROD, 2), start=start)
         assert trace.converged
         steps = len(trace.iterates) - 1
-        assert unit_eigh_calls == [(5, 5)] * (1 + steps + trace.rejections["not_valid"])
+        assert len(certificates) == 1 + steps + trace.rejections["not_valid"]
+        assert unit_eigh_calls == [(5, 5)] * certificates.count(False)
         iterations += steps
     assert iterations > 20
     assert not hasattr(extremal_module, "eigendecompose")
+
+
+def _trace_record(run):
+    """Everything a trace holds, exactly: iterate bits, values, ratios,
+    rejections, gradient steps and the final point."""
+    return (
+        [(p.tobytes(), v, r) for p, v, r in run.iterates],
+        run.final.s.tobytes(),
+        run.regularity_deviation,
+        run.converged,
+        run.rejections,
+        run.gradient_steps,
+    )
+
+
+def test_the_certificate_changes_no_trace(monkeypatch):
+    # runs shaped like acceptance 10 (n = 2..5, every k, both objectives,
+    # random starts at total = edges) take the same steps to the bit when
+    # the eigensolver judges every candidate, and the certificate is what
+    # judged most of them
+    rng = np.random.default_rng(20261022)
+    cases = [
+        (n, Objective(kind, k), random_simplex(n, rng, total=float(edge_count(n))))
+        for n in range(2, 6)
+        for k in range(1, n + 1)
+        for kind in (LOGPROD, SUMROOT)
+        for _ in range(4)
+    ]
+    verdicts = _certificates(monkeypatch)
+    certified = [_trace_record(maximize(n, start.total(), o, start=start)) for n, o, start in cases]
+    assert verdicts.count(True) > 0.9 * len(verdicts) > 900
+    declined = _certificates(monkeypatch, lambda g, low, pd_tol: False)
+    for (n, objective, start), want in zip(cases, certified):
+        assert _trace_record(maximize(n, start.total(), objective, start=start)) == want
+    assert len(declined) == len(verdicts)
+
+
+def test_a_tight_band_run_falls_back_to_the_eigensolver(monkeypatch, unit_eigh_calls):
+    # near a band edge the certificate declines, and each candidate it
+    # declines is judged by validate's eigensolver and band
+    n, total, objective, start, pd_tol = _tight_start([1, 38])
+    unit_eigh_calls.clear()  # the start's draw
+    certificates = _certificates(monkeypatch)
+    with pytest.raises(MaxIterations) as info:
+        maximize(n, total, objective, start=start, max_iter=200, pd_tol=pd_tol)
+    assert certificates.count(False) > 100
+    assert unit_eigh_calls == [(n, n)] * certificates.count(False)
+    _assert_validate_calls_valid(n, info.value.trace, pd_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -925,12 +996,14 @@ def test_candidate_tying_at_float_resolution_is_accepted():
     start = random_simplex(n, np.random.default_rng(3), total=total)
     x = np.array(maximize(n, total, Objective(LOGPROD, k), start=start).final.s)
     ws = extremal_module._workspace(n, k)
-    f, weight, grams = extremal_module._raw_value(ws, LOGPROD, x)
+    f, weight, grams = extremal_module._raw_value(ws, LOGPROD, x, _gram_stack(ws.n, x))
     grad = extremal_module._raw_gradient(ws, grams, weight)[0]
     pg = grad - grad.mean()
     cand = x + 2.0**-10 * pg
     cand += (total - cand.sum()) / cand.size
-    cand_value, cand_weight, cand_grams = extremal_module._raw_value(ws, LOGPROD, cand)
+    cand_value, cand_weight, cand_grams = extremal_module._raw_value(
+        ws, LOGPROD, cand, _gram_stack(ws.n, cand)
+    )
     cand_grad = extremal_module._raw_gradient(ws, cand_grams, cand_weight)[0]
     allowance = 4.0 * np.finfo(float).eps * (1.0 + abs(f))
     assert abs(cand_value - f) <= allowance

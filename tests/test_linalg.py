@@ -343,6 +343,19 @@ def test_outer_product_examples():
     assert_allclose(outer_product(e1, e2), expected, atol=0.0)
     with pytest.raises(ValueError, match="two equal-length vectors"):
         outer_product(e1, e2[:2])
+    # one entry each is a 1-by-1 product, not a refusal
+    assert outer_product([2.0], [3.0]).tolist() == [[6.0]]
+    with pytest.raises(ValueError, match="two equal-length vectors"):
+        outer_product([], [])
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_a_matrix_entry_that_is_not_finite_is_refused(bad):
+    m = np.eye(3)
+    m[1, 2] = m[2, 1] = bad
+    for kernel in (determinant, smallest_eigenvalue, adjugate, eigendecompose):
+        with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+            kernel(m)
 
 
 def test_outer_product_trace_and_projector():

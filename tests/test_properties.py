@@ -4,7 +4,8 @@ volume or facet area names, the agreement of validate,
 embed and volume, the dual Gram data, the face-volume objectives, their
 gradients and their maximum under relabeling, every public linalg kernel's exact
 scale-back or named refusal up to the largest float, validate and the Cholesky kernel
-against independent oracles, and a probe's whitened log det and its derivatives
+against independent oracles, the Cholesky certificate of Valid against validate's
+eigensolver and mpmath, and a probe's whitened log det and its derivatives
 against the per-sample formula, with the paper's concavity along every
 such segment.  Two rest on the paper's exact answers: the dual Gram of a
 thin Valid simplex has the areas as its one null direction, and a probe
@@ -50,6 +51,7 @@ from simplexcone import (
 )
 
 from simplexcone.convexity import _segment_logdet
+from simplexcone.simplex import _certified_valid, _valid_grams
 from simplexcone.linalg import (
     NotPositiveDefinite,
     _cholesky_factor,
@@ -423,6 +425,81 @@ def test_verdict_matches_the_independent_oracles(ell):
         slack = 8 * ell.n * EPS * top
         allowed = {verdict_of(lam[0] - slack, top), verdict_of(lam[0] + slack, top)}
     assert validate(ell).verdict in allowed
+
+
+@st.composite
+def certificate_cases(draw):
+    """Q diag(w) Q^T for a random rotation Q, rescaled by 2^e, and a pd_tol:
+    n = 2..12, |e| <= 500, largest eigenvalue 1 before the rescale, the
+    smallest 10^u times the band edge (|u| <= 3, at most 1), where the edge is
+    pd_tol, or the certificate's absolute margin 1e3 n^2 eps at pd_tol = 0.
+    Or the smallest is pd_tol + 10^-v (1 <= v <= 18): the certificate's
+    margins, not the bound, must decline the ones within rounding of the
+    band.  The others spread log-uniformly between the two, or lie in
+    [1/2, 1], where the certificate proves most."""
+    n = draw(st.integers(2, 12), label="n")
+    pd_tol = draw(st.sampled_from((0.0, 1e-10, 1e-6, 0.5)), label="pd_tol")
+    if draw(st.booleans(), label="within rounding of the band"):
+        lam0 = pd_tol + 10.0 ** -draw(st.floats(1.0, 18.0), label="v")
+    else:
+        edge = pd_tol or 1e3 * n * n * EPS
+        lam0 = edge * 10.0 ** draw(st.floats(-3.0, 3.0), label="u")
+    lam0 = min(1.0, lam0)
+    spread = draw(st.booleans(), label="spread")
+    e = draw(st.integers(-500, 500), label="exponent")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    if spread:
+        w = 10.0 ** rng.uniform(math.log10(lam0), 0.0, n)
+    else:
+        w = rng.uniform(0.5, 1.0, n)
+    w[0], w[-1] = lam0, 1.0
+    q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    a = (q * w) @ q.T
+    return np.ldexp((a + a.T) / 2.0, e), pd_tol
+
+
+#: Gram matrices that factor, with a bound prod L_ii^2 / ||G||_F^n above
+#: pd_tol (5.3e-17 > 0 and 1.00000001e-10 > 1e-10), that eigh reads as not
+#: Valid: only the certificate's margins decline them
+_BOUND_ABOVE_THE_BAND_IN_NOISE = [
+    (
+        np.array([
+            [0.5307181039501375, -0.23666565232278886, 0.4169890658358079],
+            [-0.23666565232278886, 0.8806449017180321, 0.20995009770630532],
+            [0.4169890658358079, 0.20995009770630532, 0.5298443606125269],
+        ]),
+        0.0,
+    ),
+    (
+        np.array([
+            [0.25627855335619104, 0.4365774345651374],
+            [0.4365774345651374, 0.7437214467438089],
+        ]),
+        1e-10,
+    ),
+]
+
+
+@PROPERTY
+@given(certificate_cases())
+@example(case=(np.diag([2e-10, 1.0]), 1e-10))
+@example(case=(np.ldexp(np.array([[1.0, 0.5], [0.5, 1.0]]), -500), 0.0))
+@example(case=_BOUND_ABOVE_THE_BAND_IN_NOISE[0])
+@example(case=_BOUND_ABOVE_THE_BAND_IN_NOISE[1])
+# a ratio of 2^-42 whose squared entries (2^-1080) all round to 0
+@example(case=(np.ldexp(np.array([[1.0, 1.0], [1.0, 1.0 + 2.0**-40]]), -540), 1e-10))
+def test_a_certified_gram_matrix_reads_valid_under_eigh_and_mpmath(case):
+    # the certificate only ever says Valid, and then the verdict's own
+    # eigensolver and a 50-digit spectrum agree
+    g, pd_tol = case
+    try:
+        certified = _certified_valid(g, _cholesky_factor(g), pd_tol)
+    except NotPositiveDefinite:
+        return
+    if certified:
+        assert _valid_grams(g, pd_tol)
+        lam = mp_eigenvalues(g)
+        assert lam[0] > pd_tol * max(abs(lam[0]), abs(lam[-1])), (lam[0], lam[-1])
 
 
 @st.composite

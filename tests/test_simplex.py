@@ -33,6 +33,7 @@ from simplexcone import (
     validate,
     volume,
 )
+from simplexcone.linalg import NotPositiveDefinite, _cholesky_factor
 from simplexcone.simplex import _gram_stack, _spectrum, _valid_grams
 
 UNIT_TRIANGLE = SquaredEdgeLengths(2, np.ones(3))
@@ -84,6 +85,10 @@ def test_edge_index_requires_ordered_pair():
 def test_instance_rejects_wrong_length():
     with pytest.raises(ValueError, match="needs 3 squared lengths"):
         SquaredEdgeLengths(2, np.array([1.0, 1.0]))
+    # a nested input is refused by its shape, not by a count it has right
+    for entries, shape in (([[1.0]], r"\(1, 1\)"), (2.0, r"\(\)"), (np.ones((3, 1)), r"\(3, 1\)")):
+        with pytest.raises(ValueError, match=rf"must form a flat list, got shape {shape}$"):
+            SquaredEdgeLengths(1 if np.size(entries) == 1 else 2, entries)
     with pytest.raises(ValueError, match="expected a square matrix"):
         squared_lengths_from_gram(np.ones((2, 3)))
     # the lower triangle counts too: an entry that differs from its mirror
@@ -105,9 +110,10 @@ def test_instance_rejects_nonpositive_entries():
             SquaredEdgeLengths(1, entries)
     with pytest.raises(ValueError, match=r"at position 2 \(edge \(1, 2\)\)"):
         SquaredEdgeLengths(2, [1, 1.0, 10**400])
-    for total in (0.0, -1.0, np.inf, np.nan):
-        with pytest.raises(ValueError, match="positive finite"):
-            regular_simplex(2, total)
+    for n in (1, 2, 5):
+        for total in (0.0, -0.0, -1.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match="total must be a positive finite number"):
+                regular_simplex(n, total)
 
 
 def test_instance_rejects_bad_dimension():
@@ -187,6 +193,23 @@ def test_validate_flags_triangle_pass_but_invalid():
 def test_validate_collinear_triangle_is_degenerate():
     rep = validate(SquaredEdgeLengths(2, np.array([1.0, 9.0, 4.0])))
     assert rep.verdict is Verdict.DEGENERATE
+
+
+@pytest.mark.parametrize("s", [[1.0, 4.0, 1.0], [1.0, 1.0, 4.0]])
+def test_a_collinear_triangle_is_degenerate_with_no_band(s):
+    # the unit-scale smallest eigenvalue is exactly 0.0, so at pd_tol = 0 only
+    # the strict test against the band reads Degenerate, not Valid or Invalid
+    ell = SquaredEdgeLengths(2, s)
+    report = validate(ell, pd_tol=0.0)
+    assert report.verdict is Verdict.DEGENERATE
+    assert report.smallest_gram_eigenvalue == 0.0 == report.tolerance
+    gram = gram_from_squared_lengths(ell)
+    assert not _valid_grams(gram, 0.0)
+    # the Cholesky certificate declines it: the screen does not factor it
+    with pytest.raises(NotPositiveDefinite):
+        _cholesky_factor(gram)
+    with pytest.raises(NotRealizable, match="verdict is degenerate"):
+        maximize(2, 6.0, Objective(ObjectiveKind.LOG_PRODUCT_FACES, 2), start=ell, pd_tol=0.0)
 
 
 def test_validate_scale_invariant_verdicts():
